@@ -93,8 +93,6 @@ from .testers_rand import (
     amplification_copies,
     composed_one_sided_tester,
     counter_copies,
-    counter_increment,
-    counter_is_high,
     enumerate_path_descriptions,
     make_counter,
     one_sided_suffix_free_tester,

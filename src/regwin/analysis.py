@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .automata import (
     DEFAULT_STATE_CAP,
@@ -447,15 +447,17 @@ def _acceptance_sets_from_successors(
 
 
 def global_threshold(
-    acc: Sequence[EventuallyPeriodicSet], g: int, info: PeriodInfo
+    acc: Mapping[int, EventuallyPeriodicSet], g: int, info: PeriodInfo
 ) -> int:
-    """Least t such that every acceptance set is g-periodic from t on and
-    same-SCC sets agree (after the residue shift) from t on."""
+    """Least t such that every acceptance set in ``acc`` (state -> set) is
+    g-periodic from t on and same-SCC sets agree (after the residue shift)
+    from t on.  Only non-transient SCCs lying wholly inside ``acc`` are
+    compared, so a partial machine passes the sets of its own states."""
     t = 0
-    for a in acc:
+    for a in acc.values():
         t = max(t, a.min_threshold_periodic(g))
     for cid, component in enumerate(info.scc.components):
-        if info.component_period[cid] is None:
+        if info.component_period[cid] is None or not acc.keys() >= component:
             continue
         for p, q in itertools.permutations(sorted(component), 2):
             shifted = acc[q].shifted(shift(p, q, info))
@@ -476,7 +478,7 @@ def acceptance_sets(
     info = info or compute_period_info(rdfa)
     succ = [rdfa.delta[q] for q in range(rdfa.n_states)]
     sets = _acceptance_sets_from_successors(rdfa.n_states, succ, rdfa.finals)
-    return sets, global_threshold(sets, g, info)
+    return sets, global_threshold(dict(enumerate(sets)), g, info)
 
 
 @dataclass(frozen=True)
@@ -499,34 +501,34 @@ class AnalyzedRdfa:
         return self.scc.same_scc(p, q)
 
 
-def analyze(machine: Dfa | Rdfa, cap: int = DEFAULT_STATE_CAP) -> AnalyzedRdfa:
-    """Compile any machine for the language into an :class:`AnalyzedRdfa`."""
-    rdfa = machine if isinstance(machine, Rdfa) else reverse_to_rdfa(machine, cap)
-    rdfa = trim_reachable(rdfa)
-    rdfa, g = uniformize_period(rdfa)
-    scc = scc_decompose(rdfa)
-    info = compute_period_info(rdfa, scc)
-    for cid, period in enumerate(info.component_period):
-        if period is not None and period != g:
-            raise RuntimeError(f"uniformization left SCC {cid} with period {period} != {g}")
+def _analyzed(rdfa: Rdfa, g: int, info: PeriodInfo) -> AnalyzedRdfa:
+    """Acceptance sets, threshold and acceptance residues of a
+    period-uniformized machine, bundled with its SCC and period data."""
     acc, t = acceptance_sets(rdfa, g, info)
     acc_mod = tuple(
         frozenset(x % g for x in range(t, t + g) if acc[q].member(x))
         for q in range(rdfa.n_states)
     )
-    return AnalyzedRdfa(rdfa, g, scc, info, tuple(acc), t, acc_mod)
+    return AnalyzedRdfa(rdfa, g, info.scc, info, tuple(acc), t, acc_mod)
+
+
+def analyze(machine: Dfa | Rdfa, cap: int = DEFAULT_STATE_CAP) -> AnalyzedRdfa:
+    """Compile any machine for the language into an :class:`AnalyzedRdfa`."""
+    rdfa = machine if isinstance(machine, Rdfa) else reverse_to_rdfa(machine, cap)
+    rdfa = trim_reachable(rdfa)
+    rdfa, g = uniformize_period(rdfa)
+    info = compute_period_info(rdfa)
+    for cid, period in enumerate(info.component_period):
+        if period is not None and period != g:
+            raise RuntimeError(f"uniformization left SCC {cid} with period {period} != {g}")
+    return _analyzed(rdfa, g, info)
 
 
 def retarget_finals(analyzed: AnalyzedRdfa, finals: Iterable[int]) -> AnalyzedRdfa:
     """Same machine with a different final-state set; SCC and period data
     carry over, acceptance sets and threshold are recomputed."""
     rdfa = Rdfa(analyzed.rdfa.alphabet, analyzed.rdfa.delta, analyzed.rdfa.initial, finals)
-    acc, t = acceptance_sets(rdfa, analyzed.g, analyzed.periods)
-    acc_mod = tuple(
-        frozenset(x % analyzed.g for x in range(t, t + analyzed.g) if acc[q].member(x))
-        for q in range(rdfa.n_states)
-    )
-    return AnalyzedRdfa(rdfa, analyzed.g, analyzed.scc, analyzed.periods, tuple(acc), t, acc_mod)
+    return _analyzed(rdfa, analyzed.g, analyzed.periods)
 
 
 # --- length sets ----------------------------------------------------------------

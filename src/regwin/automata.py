@@ -5,11 +5,12 @@ mapped to dense codes by :class:`Alphabet`, so transition tables are plain
 nested tuples with O(1) lookup.  Deterministic tables are always total:
 constructions add an explicit sink state rather than leaving gaps.
 
-Two deterministic flavours exist.  A :class:`Dfa` consumes a word left to
-right.  An :class:`Rdfa` has the same table shape but consumes the word
-from its last symbol to its first; it recognizes the language itself (not
-the reversal), which makes it the natural machine for suffix-anchored
-sliding-window runs.
+Deterministic machines share one table type with two reading directions.
+A :class:`Dfa` consumes a word left to right.  An :class:`Rdfa` consumes
+it from its last symbol to its first; it recognizes the language itself
+(not the reversal), which makes it the natural machine for
+suffix-anchored sliding-window runs.  Direction-blind constructions
+(reachability trim, reverse-and-determinize) are written once for both.
 
 The regex front end is deliberately small: literals, ``.`` (any alphabet
 symbol), ``|``, ``*``, ``+``, ``?`` and grouping.  Patterns compile to an
@@ -18,7 +19,7 @@ epsilon-free NFA via the position (Glushkov) construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 DEFAULT_STATE_CAP = 1 << 16
 
@@ -114,8 +115,9 @@ def _check_table(delta, n_symbols: int) -> tuple[tuple[int, ...], ...]:
     return delta
 
 
-class Dfa:
-    """Complete deterministic automaton reading its input left to right."""
+class _DeterministicTable:
+    """Complete deterministic transition table; subclasses fix the reading
+    direction."""
 
     __slots__ = ("alphabet", "delta", "initial", "finals")
 
@@ -134,8 +136,20 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.delta)
 
-    def step(self, state: int, symbol: str) -> int:
-        return self.delta[state][self.alphabet.code(symbol)]
+    def transitions(self) -> Iterator[tuple[int, int, int]]:
+        """Yield (state, symbol code, target) for the whole table."""
+        for p, row in enumerate(self.delta):
+            for a, q in enumerate(row):
+                yield p, a, q
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} states={self.n_states} finals={sorted(self.finals)}>"
+
+
+class Dfa(_DeterministicTable):
+    """Complete deterministic automaton reading its input left to right."""
+
+    __slots__ = ()
 
     def accepts(self, word: str) -> bool:
         q = self.initial
@@ -144,17 +158,8 @@ class Dfa:
             q = self.delta[q][code(ch)]
         return q in self.finals
 
-    def transitions(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (state, symbol code, target) for the whole table."""
-        for p, row in enumerate(self.delta):
-            for a, q in enumerate(row):
-                yield p, a, q
 
-    def __repr__(self) -> str:
-        return f"<Dfa states={self.n_states} finals={sorted(self.finals)}>"
-
-
-class Rdfa:
+class Rdfa(_DeterministicTable):
     """Complete deterministic automaton consuming the word right to left.
 
     ``delta[q][a]`` is the state reached from ``q`` after consuming symbol
@@ -164,25 +169,7 @@ class Rdfa:
     reversal.
     """
 
-    __slots__ = ("alphabet", "delta", "initial", "finals")
-
-    def __init__(self, alphabet: Alphabet, delta, initial: int, finals: Iterable[int]):
-        self.alphabet = alphabet
-        self.delta = _check_table(delta, len(alphabet))
-        n = len(self.delta)
-        if not 0 <= initial < n:
-            raise ValueError("initial state out of range")
-        self.initial = initial
-        self.finals = frozenset(finals)
-        if any(not 0 <= f < n for f in self.finals):
-            raise ValueError("final state out of range")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.delta)
-
-    def step(self, symbol_code: int, state: int) -> int:
-        return self.delta[state][symbol_code]
+    __slots__ = ()
 
     def run(self, word: str, start: int | None = None) -> list[int]:
         """State sequence of the unique run on ``word`` (consumed right to
@@ -197,14 +184,6 @@ class Rdfa:
 
     def accepts(self, word: str) -> bool:
         return self.run(word)[-1] in self.finals
-
-    def transitions(self) -> Iterator[tuple[int, int, int]]:
-        for p, row in enumerate(self.delta):
-            for a, q in enumerate(row):
-                yield p, a, q
-
-    def __repr__(self) -> str:
-        return f"<Rdfa states={self.n_states} finals={sorted(self.finals)}>"
 
 
 class Nfa:
@@ -412,31 +391,31 @@ def determinize(nfa: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return Dfa(nfa.alphabet, delta, 0, finals)
 
 
+def _determinized_reversal(machine: Dfa | Rdfa, cap: int) -> Dfa:
+    """Subset construction on the reversed transition relation.  Its table
+    read in the opposite direction to ``machine`` recognizes the same
+    language."""
+    reversed_nfa = Nfa(
+        machine.alphabet,
+        machine.n_states,
+        machine.finals,
+        ((q, a, p) for p, a, q in machine.transitions()),
+        (machine.initial,),
+    )
+    return determinize(reversed_nfa, cap)
+
+
 def reverse_to_rdfa(dfa: Dfa, cap: int = DEFAULT_STATE_CAP) -> Rdfa:
     """Build a right-to-left reader for the *same* language: reverse the
     transition relation, determinize, and reinterpret the result as a
     machine consuming the word last symbol first."""
-    reversed_nfa = Nfa(
-        dfa.alphabet,
-        dfa.n_states,
-        dfa.finals,
-        ((q, a, p) for p, a, q in dfa.transitions()),
-        (dfa.initial,),
-    )
-    det = determinize(reversed_nfa, cap)
+    det = _determinized_reversal(dfa, cap)
     return Rdfa(det.alphabet, det.delta, det.initial, det.finals)
 
 
 def rdfa_to_dfa(rdfa: Rdfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Inverse direction of :func:`reverse_to_rdfa` (same language)."""
-    reversed_nfa = Nfa(
-        rdfa.alphabet,
-        rdfa.n_states,
-        rdfa.finals,
-        ((q, a, p) for p, a, q in rdfa.transitions()),
-        (rdfa.initial,),
-    )
-    return determinize(reversed_nfa, cap)
+    return _determinized_reversal(rdfa, cap)
 
 
 def product_intersect(a: Dfa, b: Dfa) -> Dfa:
@@ -463,25 +442,31 @@ def product_intersect(a: Dfa, b: Dfa) -> Dfa:
     return Dfa(a.alphabet, delta, 0, finals)
 
 
-def _restrict_reachable(dfa: Dfa) -> Dfa:
-    order = [dfa.initial]
-    index = {dfa.initial: 0}
+_Machine = TypeVar("_Machine", Dfa, Rdfa)
+
+
+def trim_reachable(machine: _Machine) -> _Machine:
+    """Drop states unreachable from the initial state, keeping the machine's
+    class (and so its reading direction).  Reachability is closed under the
+    transition function, so the result stays complete."""
+    order = [machine.initial]
+    index = {machine.initial: 0}
     i = 0
     while i < len(order):
-        for target in dfa.delta[order[i]]:
+        for target in machine.delta[order[i]]:
             if target not in index:
                 index[target] = len(order)
                 order.append(target)
         i += 1
-    delta = [[index[t] for t in dfa.delta[q]] for q in order]
-    finals = [index[q] for q in dfa.finals if q in index]
-    return Dfa(dfa.alphabet, delta, 0, finals)
+    delta = [[index[t] for t in machine.delta[q]] for q in order]
+    finals = [index[q] for q in machine.finals if q in index]
+    return type(machine)(machine.alphabet, delta, 0, finals)
 
 
 def minimize(dfa: Dfa) -> Dfa:
     """Language-preserving minimal DFA (partition refinement on the
     reachable part; completeness is preserved)."""
-    dfa = _restrict_reachable(dfa)
+    dfa = trim_reachable(dfa)
     n = dfa.n_states
     block = [1 if q in dfa.finals else 0 for q in range(n)]
     while True:
@@ -508,23 +493,6 @@ def minimize(dfa: Dfa) -> Dfa:
     delta = [[block[dfa.delta[representative[b]][a]] for a in range(len(dfa.alphabet))] for b in range(m)]
     finals = {block[q] for q in dfa.finals}
     return Dfa(dfa.alphabet, delta, block[dfa.initial], finals)
-
-
-def trim_reachable(rdfa: Rdfa) -> Rdfa:
-    """Drop states unreachable from the initial state.  Reachability is
-    closed under the transition function, so the result stays complete."""
-    order = [rdfa.initial]
-    index = {rdfa.initial: 0}
-    i = 0
-    while i < len(order):
-        for target in rdfa.delta[order[i]]:
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-        i += 1
-    delta = [[index[t] for t in rdfa.delta[q]] for q in order]
-    finals = [index[q] for q in rdfa.finals if q in index]
-    return Rdfa(rdfa.alphabet, delta, 0, finals)
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
@@ -576,6 +544,8 @@ def automaton_from_json(data: dict) -> Dfa | Rdfa:
     table: list[list[int | None]] = [[None] * len(alphabet) for _ in range(n)]
     for entry in data["transitions"]:
         p, a, q = int(entry["from"]), alphabet.code(entry["symbol"]), int(entry["to"])
+        if not (0 <= p < n and 0 <= q < n):
+            raise ValueError(f"transition {entry!r}: state ids must lie in 0..{n - 1}")
         if table[p][a] is not None and table[p][a] != q:
             raise ValueError(f"conflicting transitions from state {p} on {entry['symbol']!r}")
         table[p][a] = q

@@ -35,6 +35,8 @@ from .analysis import (
     OneSidedClass,
     _acceptance_sets_from_successors,
     analyze,
+    global_threshold,
+    is_suffix_free,
     one_sided_class,
     realized_lengths,
     retarget_finals,
@@ -167,16 +169,6 @@ def make_counter(
     if not low < high:
         raise ValueError(f"counter marks collapsed (low {low} >= high {high})")
     return ProbabilisticCounter(high, low, qsize, rng)
-
-
-def counter_increment(
-    counter: "ProbabilisticCounter | ThresholdCounter", rng: np.random.Generator | None = None
-) -> None:
-    counter.increment(rng)
-
-
-def counter_is_high(counter: "ProbabilisticCounter | ThresholdCounter") -> bool:
-    return counter.is_high
 
 
 class ThresholdCounter:
@@ -379,6 +371,8 @@ def two_sided_tester(
 ) -> SlidingWindowTester:
     """Two-sided tester, or the exact fallback when the window is too small
     for the counter marks to separate."""
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
     t = analyzed.t
     marks_ok = eps * window_size >= t and (1.0 - eps) * window_size + t + 1 < window_size - t
     if not marks_ok:
@@ -508,24 +502,7 @@ def _build_partial(
             tail_thresholds.append(agree)
     length_slack = max([k, sum(residue_steps), *tail_thresholds] or [0])
 
-    # Threshold of the partial machine itself: beyond it every acceptance
-    # set is g-periodic and same-SCC sets agree after the residue shift.
-    threshold = 0
-    for q in states:
-        threshold = max(threshold, acc[q].min_threshold_periodic(g))
-    for cid in set(chain):
-        if scc.transient[cid]:
-            continue
-        component = sorted(scc.components[cid])
-        for p in component:
-            for q in component:
-                if p == q:
-                    continue
-                shifted = acc[q].shifted(analyzed.shift(p, q))
-                agree = acc[p].min_threshold_agree(shifted)
-                if agree is None:
-                    raise RuntimeError("partial acceptance sets failed to almost agree")
-                threshold = max(threshold, agree)
+    threshold = global_threshold(acc, g, analyzed.periods)
 
     return PartialRdfa(
         alphabet=rdfa.alphabet,
@@ -555,14 +532,8 @@ def enumerate_path_descriptions(
     a partial machine.  Requires a suffix-free language: no final state may
     reach a final state (checked).  Their union recognizes the language."""
     rdfa, scc = analyzed.rdfa, analyzed.scc
-    for f in rdfa.finals:
-        frontier = {rdfa.delta[f][a] for a in range(len(rdfa.alphabet))}
-        seen = set(frontier)
-        while frontier:
-            if frontier & rdfa.finals:
-                raise ValueError("language is not suffix-free (final reaches final)")
-            frontier = {rdfa.delta[q][a] for q in frontier for a in range(len(rdfa.alphabet))} - seen
-            seen |= frontier
+    if not is_suffix_free(rdfa):
+        raise ValueError("language is not suffix-free (final reaches final)")
 
     results: list[PartialRdfa] = []
     if rdfa.initial in rdfa.finals:
@@ -613,19 +584,25 @@ def sample_prime(n: int, rng: np.random.Generator | int | None = None) -> int:
 
 
 class ModularLengthTable:
-    """Per-state length of the shortest suffix of the stream that drives
-    the state to the partial machine's final state, maintained mod a prime;
-    None is the explicit infinity (1 + inf = inf)."""
+    """Prime fingerprint of one partial machine: per state, the length of
+    the shortest suffix of the stream that drives the state to the partial
+    machine's final state, maintained mod a prime; None is the explicit
+    infinity (1 + inf = inf).  Accepts iff the start state's length is
+    congruent to the window size."""
 
-    __slots__ = ("prime", "values")
+    __slots__ = ("partial", "prime", "values", "reachable_length", "target")
 
-    def __init__(self, partial: PartialRdfa, prime: int):
+    def __init__(self, partial: PartialRdfa, window_size: int, prime: int):
+        self.partial = partial
         self.prime = prime
         self.values: dict[int, int | None] = {
             q: (0 if q == partial.final else None) for q in partial.states
         }
+        self.reachable_length = partial.acc[partial.start].member(window_size)
+        self.target = window_size % prime
 
-    def feed(self, symbol_code: int, partial: PartialRdfa) -> None:
+    def feed(self, symbol_code: int) -> None:
+        partial = self.partial
         old = self.values
         new: dict[int, int | None] = {}
         for q in partial.states:
@@ -637,23 +614,10 @@ class ModularLengthTable:
             new[q] = None if prev is None else (1 + prev) % self.prime
         self.values = new
 
-
-class _FingerprintPart:
-    def __init__(self, partial: PartialRdfa, window_size: int, prime: int):
-        self.partial = partial
-        self.window_size = window_size
-        self.prime = prime
-        self.table = ModularLengthTable(partial, prime)
-        self.reachable_length = partial.acc[partial.start].member(window_size)
-        self.target = window_size % prime
-
-    def feed(self, code: int) -> None:
-        self.table.feed(code, self.partial)
-
     def decide(self) -> bool:
         if not self.reachable_length:
             return False
-        return self.table.values[self.partial.start] == self.target
+        return self.values[self.partial.start] == self.target
 
     def state_bits(self) -> int:
         return len(self.partial.states) * (self.prime.bit_length() + 1)
@@ -702,10 +666,10 @@ class OneSidedTester(SlidingWindowTester):
         if prime is None and any(fingerprintable):
             prime = sample_prime(window_size, rng)
         self.prime = prime  # None when every part tracks its window exactly
-        self._parts: list[_FingerprintPart | _ExactPart] = []
+        self._parts: list[ModularLengthTable | _ExactPart] = []
         for partial, use_fingerprint in zip(partials, fingerprintable):
             if use_fingerprint:
-                self._parts.append(_FingerprintPart(partial, window_size, self.prime))
+                self._parts.append(ModularLengthTable(partial, window_size, self.prime))
             else:
                 self._parts.append(_ExactPart(partial, window_size))
         pad = self._alphabet.code(self._alphabet.pad)

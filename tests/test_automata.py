@@ -189,12 +189,19 @@ def test_minimize_a_star_hits_nerode_bound():
 
 
 def test_trim_reachable_drops_unreachable_states():
-    # two-state machine where state 1 is unreachable
-    rdfa = Rdfa(AB, [[0, 0], [1, 0]], 0, [0, 1])
-    trimmed = trim_reachable(rdfa)
-    assert trimmed.n_states == 1
-    for word in words_up_to(AB, 5):
-        assert trimmed.accepts(word) == rdfa.accepts(word)
+    cases = [
+        # two-state machine where state 1 is unreachable
+        (Rdfa(AB, [[0, 0], [1, 0]], 0, [0, 1]), 1),
+        # ba* read left to right, plus an unreachable final state 3; the
+        # trim must keep the reading direction (baa in, aab out)
+        (Dfa(AB, [[1, 2], [1, 1], [2, 1], [3, 0]], 0, [2, 3]), 3),
+    ]
+    for machine, kept in cases:
+        trimmed = trim_reachable(machine)
+        assert type(trimmed) is type(machine)
+        assert trimmed.n_states == kept
+        for word in words_up_to(AB, 5):
+            assert trimmed.accepts(word) == machine.accepts(word)
 
 
 def test_pipeline_agrees_with_reference_engine_end_to_end():
@@ -226,6 +233,15 @@ def test_json_round_trip_rdfa():
     assert isinstance(loaded, Rdfa)
     for word in words_up_to(AB, 6):
         assert loaded.accepts(word) == rdfa.accepts(word)
+
+
+def test_json_rejects_state_ids_out_of_range():
+    data = automaton_to_json(build_dfa("a*"))  # 2 states
+    for entry in data["transitions"]:
+        if entry["from"] == 1:
+            entry["from"] = -1
+    with pytest.raises(ValueError, match="state ids must lie in 0..1"):
+        automaton_from_json(data)
 
 
 def test_json_rejects_partial_tables():

@@ -153,3 +153,14 @@ def test_cli_export_round_trips_through_automaton_flag(tmp_path, capsys):
     ) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["one_sided_class"] == "loglog"
+
+
+def test_cli_rejects_automaton_with_out_of_range_state(tmp_path, capsys):
+    assert main(["export", "--regex", "ba*", "--alphabet", "ab", "--out", str(tmp_path / "m.json")]) == 0
+    data = json.loads((tmp_path / "m.json").read_text())
+    data["transitions"][0]["to"] = 7
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["classify", "--automaton", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "state ids must lie in" in err

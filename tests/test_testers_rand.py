@@ -261,6 +261,12 @@ def test_two_sided_falls_back_to_exact_for_tiny_windows():
     assert isinstance(tester, ExactWindowTester)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.25, float("nan"), 1.5])
+def test_two_sided_rejects_eps_outside_unit_interval(eps):
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+        two_sided_tester(build_analyzed("a*"), 64, eps, rng=0)
+
+
 def test_two_sided_reproducible_given_seed():
     analyzed = build_analyzed("a*")
     decisions = []
