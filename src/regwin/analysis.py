@@ -8,8 +8,9 @@ into an :class:`AnalyzedRdfa`:
    modular counter that resets on SCC-leaving transitions);
 3. decompose into SCCs, compute per-SCC periods and residue classes;
 4. compute each state's acceptance-length set as an eventually periodic
-   set, by iterating the "some final reachable in exactly k more symbols"
-   boolean vector until it cycles;
+   set, read off the lasso of "states with some final reachable in exactly
+   k more symbols" sets: the sequence of sets for k = 0, 1, ... repeats
+   from its first repeated value on;
 5. fix one global threshold ``t`` beyond which every acceptance set is
    ``g``-periodic and any two states of one non-transient SCC have
    acceptance sets equal up to their residue shift.
@@ -34,6 +35,7 @@ from .automata import (
     Nfa,
     Rdfa,
     StateLimitExceeded,
+    _explore,
     determinize,
     equivalent,
     product_intersect,
@@ -96,6 +98,12 @@ class EventuallyPeriodicSet:
         for x in range(threshold, threshold + period):
             residues[x % period] = bool(fn(x))
         return cls(threshold, period, prefix, residues)
+
+    @classmethod
+    def from_lasso(cls, flags: Sequence[bool], start: int) -> "EventuallyPeriodicSet":
+        """Membership read off a lasso: ``flags[x]`` for the listed x, after
+        which the sequence repeats ``flags[start:]`` forever."""
+        return cls.from_member_fn(flags.__getitem__, start, len(flags) - start)
 
     @classmethod
     def from_progression(cls, offset: int, step: int) -> "EventuallyPeriodicSet":
@@ -217,15 +225,10 @@ class SccDecomposition:
         return c != d and d in self.reach[c]
 
 
-def _successor_sets(n_states: int, edges: Iterable[tuple[int, int]]) -> list[set[int]]:
-    succ: list[set[int]] = [set() for _ in range(n_states)]
-    for p, q in edges:
-        succ[p].add(q)
-    return succ
-
-
-def _scc_from_edges(n_states: int, edges: Iterable[tuple[int, int]]) -> SccDecomposition:
-    succ = _successor_sets(n_states, edges)
+def scc_decompose(rdfa: Rdfa) -> SccDecomposition:
+    """SCCs of the transition graph (edges q -> step(a, q))."""
+    n_states = rdfa.n_states
+    succ = [set(row) for row in rdfa.delta]
 
     # Iterative Tarjan.
     index_of = [-1] * n_states
@@ -296,11 +299,6 @@ def _scc_from_edges(n_states: int, edges: Iterable[tuple[int, int]]) -> SccDecom
     )
 
 
-def scc_decompose(rdfa: Rdfa) -> SccDecomposition:
-    """SCCs of the transition graph (edges q -> step(a, q))."""
-    return _scc_from_edges(rdfa.n_states, ((p, q) for p, _a, q in rdfa.transitions()))
-
-
 def _component_period_and_depths(
     component: frozenset[int], succ: Sequence[set[int]]
 ) -> tuple[int | None, dict[int, int]]:
@@ -332,9 +330,8 @@ def _component_period_and_depths(
 def scc_period(component: Iterable[int], rdfa: Rdfa) -> int | None:
     """Period (gcd of cycle lengths) of one SCC; None marks a transient
     (acyclic singleton) component."""
-    component = frozenset(component)
-    succ = _successor_sets(rdfa.n_states, ((p, q) for p, _a, q in rdfa.transitions()))
-    period, _ = _component_period_and_depths(component, succ)
+    succ = [set(row) for row in rdfa.delta]
+    period, _ = _component_period_and_depths(frozenset(component), succ)
     return period
 
 
@@ -351,7 +348,7 @@ class PeriodInfo:
 
 def compute_period_info(rdfa: Rdfa, scc: SccDecomposition | None = None) -> PeriodInfo:
     scc = scc or scc_decompose(rdfa)
-    succ = _successor_sets(rdfa.n_states, ((p, q) for p, _a, q in rdfa.transitions()))
+    succ = [set(row) for row in rdfa.delta]
     periods: list[int | None] = []
     class_of = [0] * rdfa.n_states
     global_period = 1
@@ -385,22 +382,11 @@ def uniformize_period(rdfa: Rdfa) -> tuple[Rdfa, int]:
     g = info.global_period
     scc = info.scc
 
-    index: dict[tuple[int, int], int] = {(rdfa.initial, 0): 0}
-    order = [(rdfa.initial, 0)]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        q, counter = order[i]
-        row = []
-        for a in range(len(rdfa.alphabet)):
-            target = rdfa.delta[q][a]
-            pair = (target, (counter + 1) % g if scc.same_scc(q, target) else 0)
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-            row.append(index[pair])
-        delta.append(row)
-        i += 1
+    def row_of(key: tuple[int, int]):
+        q, counter = key
+        return ((target, (counter + 1) % g if scc.same_scc(q, target) else 0) for target in rdfa.delta[q])
+
+    order, delta = _explore((rdfa.initial, 0), row_of)
     finals = [i for i, (q, _c) in enumerate(order) if q in rdfa.finals]
     return Rdfa(rdfa.alphabet, delta, 0, finals), g
 
@@ -408,42 +394,43 @@ def uniformize_period(rdfa: Rdfa) -> tuple[Rdfa, int]:
 # --- acceptance sets -----------------------------------------------------------
 
 
-def _iterate_reach_vector(
-    n_states: int, succ: Sequence[Sequence[int]], start_vector: tuple[bool, ...]
-) -> tuple[int, int, list[tuple[bool, ...]]]:
-    """Iterate v' (q) = OR over successors of v, recording vectors until the
-    sequence cycles; returns (preperiod, cycle length, all vectors seen)."""
-    if n_states > VECTOR_ITERATION_STATE_LIMIT:
-        raise StateLimitExceeded(
-            f"boolean-vector iteration is limited to {VECTOR_ITERATION_STATE_LIMIT} states"
-        )
-    seen: dict[tuple[bool, ...], int] = {}
-    vectors: list[tuple[bool, ...]] = []
-    v = start_vector
-    cap = 2 ** n_states + 1
-    for step in range(cap + 1):
-        if v in seen:
-            first = seen[v]
-            return first, step - first, vectors
-        seen[v] = step
-        vectors.append(v)
-        v = tuple(any(v[s] for s in succ[q]) for q in range(n_states))
-    raise RuntimeError("vector iteration failed to cycle within its hard cap")
+def _until_repeat(value, step) -> tuple[list, int]:
+    """Iterate ``step`` from ``value`` up to the first repeated value.
+    Returns the distinct values in order and the index the sequence
+    returns to: from there on it cycles through ``values[start:]``."""
+    seen: dict = {}
+    values = []
+    while value not in seen:
+        seen[value] = len(values)
+        values.append(value)
+        value = step(value)
+    return values, seen[value]
+
+
+def _fronts(starts: Iterable[int], succ: Sequence[Iterable[int]]) -> tuple[list[frozenset[int]], int]:
+    """Lasso of the sets of states reachable from ``starts`` in exactly
+    i steps, i = 0, 1, ..."""
+    return _until_repeat(frozenset(starts), lambda current: frozenset(q for p in current for q in succ[p]))
+
+
+def _backs(finals: Iterable[int], succ: Sequence[Iterable[int]]) -> tuple[list[frozenset[int]], int]:
+    """Lasso of the sets of states with some state of ``finals`` reachable
+    in exactly j steps, j = 0, 1, ..."""
+    return _until_repeat(
+        frozenset(finals),
+        lambda current: frozenset(q for q, targets in enumerate(succ) if not current.isdisjoint(targets)),
+    )
 
 
 def _acceptance_sets_from_successors(
-    n_states: int, succ: Sequence[Sequence[int]], finals: frozenset[int]
+    succ: Sequence[Iterable[int]], finals: Iterable[int]
 ) -> list[EventuallyPeriodicSet]:
-    start = tuple(q in finals for q in range(n_states))
-    preperiod, cycle, vectors = _iterate_reach_vector(n_states, succ, start)
-    sets = []
-    for q in range(n_states):
-        prefix = [vectors[x][q] for x in range(preperiod)]
-        residues = [False] * cycle
-        for j in range(cycle):
-            residues[(preperiod + j) % cycle] = vectors[preperiod + j][q]
-        sets.append(EventuallyPeriodicSet(preperiod, cycle, prefix, residues))
-    return sets
+    if len(succ) > VECTOR_ITERATION_STATE_LIMIT:
+        raise StateLimitExceeded(
+            f"boolean-vector iteration is limited to {VECTOR_ITERATION_STATE_LIMIT} states"
+        )
+    backs, start = _backs(finals, succ)
+    return [EventuallyPeriodicSet.from_lasso([q in back for back in backs], start) for q in range(len(succ))]
 
 
 def global_threshold(
@@ -476,8 +463,7 @@ def acceptance_sets(
     Expects a period-uniformized machine (see :func:`uniformize_period`).
     """
     info = info or compute_period_info(rdfa)
-    succ = [rdfa.delta[q] for q in range(rdfa.n_states)]
-    sets = _acceptance_sets_from_successors(rdfa.n_states, succ, rdfa.finals)
+    sets = _acceptance_sets_from_successors(rdfa.delta, rdfa.finals)
     return sets, global_threshold(dict(enumerate(sets)), g, info)
 
 
@@ -535,39 +521,22 @@ def retarget_finals(analyzed: AnalyzedRdfa, finals: Iterable[int]) -> AnalyzedRd
 
 
 def realized_lengths(machine: Dfa | Rdfa | Nfa, cap: int = DEFAULT_STATE_CAP) -> EventuallyPeriodicSet:
-    """The set {|w| : w in L} as an eventually periodic set, via iteration
-    of the exactly-k-steps reachable state set."""
+    """The set {|w| : w in L} as an eventually periodic set, read off the
+    lasso of the exactly-k-steps reachable state sets."""
     if isinstance(machine, Nfa):
-        starts: frozenset[int] = machine.initials
-        succ_sets: list[set[int]] = [set() for _ in range(machine.n_states)]
+        starts: Iterable[int] = machine.initials
+        succ: Sequence[Iterable[int]] = [set() for _ in range(machine.n_states)]
         for p, _a, q in machine.transitions:
-            succ_sets[p].add(q)
-        succ: list[Sequence[int]] = [sorted(s) for s in succ_sets]
-        n = machine.n_states
-        finals = machine.finals
+            succ[p].add(q)
     else:
-        starts = frozenset((machine.initial,))
-        succ = [machine.delta[q] for q in range(machine.n_states)]
-        n = machine.n_states
-        finals = machine.finals
-
-    if n > VECTOR_ITERATION_STATE_LIMIT:
+        starts = (machine.initial,)
+        succ = machine.delta
+    if machine.n_states > VECTOR_ITERATION_STATE_LIMIT:
         raise StateLimitExceeded(
             f"length-set iteration is limited to {VECTOR_ITERATION_STATE_LIMIT} states"
         )
-    seen: dict[frozenset[int], int] = {}
-    flags: list[bool] = []
-    current = starts
-    while current not in seen:
-        seen[current] = len(flags)
-        flags.append(bool(current & finals))
-        current = frozenset(q for p in current for q in succ[p])
-    preperiod = seen[current]
-    cycle = len(flags) - preperiod
-    residues = [False] * cycle
-    for j in range(cycle):
-        residues[(preperiod + j) % cycle] = flags[preperiod + j]
-    return EventuallyPeriodicSet(preperiod, cycle, flags[:preperiod], residues)
+    fronts, start = _fronts(starts, succ)
+    return EventuallyPeriodicSet.from_lasso([not front.isdisjoint(machine.finals) for front in fronts], start)
 
 
 def _length_dfa(alphabet: Alphabet, lengths: EventuallyPeriodicSet) -> Dfa:
@@ -606,42 +575,14 @@ def is_length_language(machine: Nfa | Dfa, cap: int = DEFAULT_STATE_CAP) -> bool
     return equivalent(dfa, _length_dfa(dfa.alphabet, lengths))
 
 
-def _front_sets(dfa: Dfa) -> list[frozenset[int]]:
-    """Distinct values of the exactly-i-steps reachable set, i = 0, 1, ..."""
-    seen: set[frozenset[int]] = set()
-    values: list[frozenset[int]] = []
-    current = frozenset((dfa.initial,))
-    while current not in seen:
-        seen.add(current)
-        values.append(current)
-        current = frozenset(dfa.delta[q][a] for q in current for a in range(len(dfa.alphabet)))
-    return values
-
-
-def _back_sets(dfa: Dfa) -> list[frozenset[int]]:
-    """Distinct values of the exactly-j-steps-to-final set, j = 0, 1, ..."""
-    seen: set[frozenset[int]] = set()
-    values: list[frozenset[int]] = []
-    current = frozenset(dfa.finals)
-    while current not in seen:
-        seen.add(current)
-        values.append(current)
-        current = frozenset(
-            q
-            for q in range(dfa.n_states)
-            if any(dfa.delta[q][a] in current for a in range(len(dfa.alphabet)))
-        )
-    return values
-
-
 def length_cut_witness(dfa: Dfa, cap: int = DEFAULT_STATE_CAP) -> tuple[int, int] | None:
     """A pair (i, j) whose cut language is a length language, or None.
 
     Both set sequences cycle, so scanning their distinct values covers all
     cut languages; the language is trivial exactly when a witness exists.
     """
-    fronts = _front_sets(dfa)
-    backs = _back_sets(dfa)
+    fronts, _ = _fronts((dfa.initial,), dfa.delta)
+    backs, _ = _backs(dfa.finals, dfa.delta)
     checked: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
     for i, front in enumerate(fronts):
         for j, back in enumerate(backs):
@@ -668,7 +609,7 @@ def is_suffix_free(rdfa: Rdfa) -> bool:
     the trimmed right-to-left machine: no final state may reach a final
     state by a nonempty path."""
     rdfa = trim_reachable(rdfa)
-    succ = _successor_sets(rdfa.n_states, ((p, q) for p, _a, q in rdfa.transitions()))
+    succ = [set(row) for row in rdfa.delta]
     for f in rdfa.finals:
         frontier = set(succ[f])
         seen = set(frontier)
@@ -773,8 +714,6 @@ def find_excluded_factor(
                     restriction = product_intersect(
                         dfa, _length_dfa(alphabet, EventuallyPeriodicSet.from_progression(offset, step))
                     )
-                    if _language_is_empty(restriction):
-                        continue  # the progression must realize words
                     if _language_is_empty(product_intersect(restriction, factor_hit)):
                         return progression, factor
     return None

@@ -11,6 +11,11 @@ it from its last symbol to its first; it recognizes the language itself
 (not the reversal), which makes it the natural machine for
 suffix-anchored sliding-window runs.  Direction-blind constructions
 (reachability trim, reverse-and-determinize) are written once for both.
+Every construction whose states are the reachable keys of a walk
+(subset construction, product, trim, and the analysis's period
+uniformization) is one breadth-first explorer, :func:`_explore`, that
+numbers those states in the order it meets them, the initial state
+first.
 
 The regex front end is deliberately small: literals, ``.`` (any alphabet
 symbol), ``|``, ``*``, ``+``, ``?`` and grouping.  Patterns compile to an
@@ -359,34 +364,42 @@ def parse_regex(pattern: str, alphabet: Alphabet) -> Nfa:
 # --- standard constructions -------------------------------------------------
 
 
+def _explore(start, row_of, cap: int | None = None) -> tuple[list, list[list[int]]]:
+    """Number the keys reachable from ``start`` breadth-first: ``start`` is
+    0, and each new key gets the next number in the order the rows of
+    ``row_of(key)`` name it.  Returns the keys by number and the table of
+    their rows.  Raises StateLimitExceeded when more than ``cap`` keys are
+    reachable."""
+    index = {start: 0}
+    order = [start]
+    delta: list[list[int]] = []
+    for key in order:  # order grows while it is walked
+        row = []
+        for target in row_of(key):
+            number = index.get(target)
+            if number is None:
+                number = index[target] = len(order)
+                order.append(target)
+            row.append(number)
+        delta.append(row)
+        if cap is not None and len(order) > cap:
+            raise StateLimitExceeded(f"exploration exceeded {cap} states")
+    return order, delta
+
+
 def determinize(nfa: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Subset construction.  The empty subset doubles as the sink, so the
     result is always complete.  Raises StateLimitExceeded beyond ``cap``."""
     succ = nfa.successors()
-    n_symbols = len(nfa.alphabet)
+    symbols = range(len(nfa.alphabet))
 
-    index: dict[frozenset[int], int] = {}
-    order: list[frozenset[int]] = []
+    def row_of(subset: frozenset[int]):
+        return (frozenset(q for p in subset for q in succ.get((p, a), ())) for a in symbols)
 
-    def intern(subset: frozenset[int]) -> int:
-        if subset not in index:
-            if len(order) >= cap:
-                raise StateLimitExceeded(f"subset construction exceeded {cap} states")
-            index[subset] = len(order)
-            order.append(subset)
-        return index[subset]
-
-    intern(frozenset(nfa.initials))
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        row = []
-        for a in range(n_symbols):
-            target = frozenset(q for p in subset for q in succ.get((p, a), ()))
-            row.append(intern(target))
-        delta.append(row)
-        i += 1
+    try:
+        order, delta = _explore(frozenset(nfa.initials), row_of, cap)
+    except StateLimitExceeded:
+        raise StateLimitExceeded(f"subset construction exceeded {cap} states") from None
     finals = [i for i, subset in enumerate(order) if subset & nfa.finals]
     return Dfa(nfa.alphabet, delta, 0, finals)
 
@@ -422,22 +435,7 @@ def product_intersect(a: Dfa, b: Dfa) -> Dfa:
     """DFA for the intersection, restricted to reachable state pairs."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("product requires a shared alphabet")
-    n_symbols = len(a.alphabet)
-    index: dict[tuple[int, int], int] = {(a.initial, b.initial): 0}
-    order = [(a.initial, b.initial)]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        row = []
-        for sym in range(n_symbols):
-            pair = (a.delta[p][sym], b.delta[q][sym])
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-            row.append(index[pair])
-        delta.append(row)
-        i += 1
+    order, delta = _explore((a.initial, b.initial), lambda pair: zip(a.delta[pair[0]], b.delta[pair[1]]))
     finals = [i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals]
     return Dfa(a.alphabet, delta, 0, finals)
 
@@ -449,17 +447,8 @@ def trim_reachable(machine: _Machine) -> _Machine:
     """Drop states unreachable from the initial state, keeping the machine's
     class (and so its reading direction).  Reachability is closed under the
     transition function, so the result stays complete."""
-    order = [machine.initial]
-    index = {machine.initial: 0}
-    i = 0
-    while i < len(order):
-        for target in machine.delta[order[i]]:
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-        i += 1
-    delta = [[index[t] for t in machine.delta[q]] for q in order]
-    finals = [index[q] for q in machine.finals if q in index]
+    order, delta = _explore(machine.initial, machine.delta.__getitem__)
+    finals = [i for i, q in enumerate(order) if q in machine.finals]
     return type(machine)(machine.alphabet, delta, 0, finals)
 
 
@@ -537,13 +526,19 @@ def automaton_from_json(data: dict) -> Dfa | Rdfa:
         alphabet = Alphabet(data["alphabet"], data.get("pad"))
         n = int(data["states"])
         direction = data["direction"]
+        transitions = data["transitions"]
+        initial = int(data["initial"])
+        finals = data["finals"]
     except KeyError as exc:
         raise ValueError(f"automaton JSON is missing field {exc}") from None
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     table: list[list[int | None]] = [[None] * len(alphabet) for _ in range(n)]
-    for entry in data["transitions"]:
-        p, a, q = int(entry["from"]), alphabet.code(entry["symbol"]), int(entry["to"])
+    for entry in transitions:
+        try:
+            p, a, q = int(entry["from"]), alphabet.code(entry["symbol"]), int(entry["to"])
+        except KeyError as exc:
+            raise ValueError(f"transition {entry!r} is missing field {exc}") from None
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"transition {entry!r}: state ids must lie in 0..{n - 1}")
         if table[p][a] is not None and table[p][a] != q:
@@ -557,4 +552,4 @@ def automaton_from_json(data: dict) -> Dfa | Rdfa:
             f"first is state {p} on {alphabet.symbols[a]!r}"
         )
     cls = Dfa if direction == "left" else Rdfa
-    return cls(alphabet, table, int(data["initial"]), data["finals"])
+    return cls(alphabet, table, initial, finals)

@@ -103,7 +103,7 @@ def build_tester_factory(kind: str, language: Language, n: int, eps: float):
         return lambda rng: testers_det.exact_tester(language.dfa, n)
     if kind == "trivial":
         lengths = analysis.realized_lengths(language.dfa)
-        return lambda rng: testers_det.trivial_tester(lengths, n)
+        return lambda rng: testers_det.trivial_tester(language.dfa.alphabet, lengths, n)
     if kind == "det":
         analyzed = analysis.analyze(language.dfa)
         return lambda rng: testers_det.deterministic_tester(analyzed, n)

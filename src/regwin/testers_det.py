@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import AnalyzedRdfa, EventuallyPeriodicSet
-from .automata import Dfa, Rdfa
+from .automata import Alphabet, Dfa, Rdfa
 from .oracle import WindowBuffer
 
 
@@ -79,12 +79,13 @@ class FixedVerdictTester(SlidingWindowTester):
     """Constant-space tester for trivial languages: the verdict depends
     only on whether the window length is a realized length."""
 
-    def __init__(self, lengths: EventuallyPeriodicSet, window_size: int):
+    def __init__(self, alphabet: Alphabet, lengths: EventuallyPeriodicSet, window_size: int):
         self.window_size = window_size
+        self._alphabet = alphabet
         self._verdict = lengths.member(window_size)
 
     def feed(self, symbol: str) -> None:
-        pass
+        self._alphabet.code(symbol)  # validate
 
     def decide(self) -> bool:
         return self._verdict
@@ -93,10 +94,13 @@ class FixedVerdictTester(SlidingWindowTester):
         return 1
 
 
-def trivial_tester(lengths: EventuallyPeriodicSet, window_size: int) -> FixedVerdictTester:
+def trivial_tester(
+    alphabet: Alphabet, lengths: EventuallyPeriodicSet, window_size: int
+) -> FixedVerdictTester:
     """``lengths`` must be the language's realized-length set (see
-    :func:`regwin.analysis.realized_lengths`)."""
-    return FixedVerdictTester(lengths, window_size)
+    :func:`regwin.analysis.realized_lengths`); fed symbols are checked
+    against ``alphabet``."""
+    return FixedVerdictTester(alphabet, lengths, window_size)
 
 
 @dataclass(frozen=True)

@@ -444,7 +444,7 @@ def _partial_acceptance_sets(
     succ: list[list[int]] = [[] for _ in states]
     for (p, _a), q in table.items():
         succ[index[p]].append(index[q])
-    sets = _acceptance_sets_from_successors(len(states), succ, frozenset((index[final],)))
+    sets = _acceptance_sets_from_successors(succ, (index[final],))
     return {q: sets[index[q]] for q in states}
 
 
@@ -764,7 +764,7 @@ def composed_one_sided_tester(
             "no loglog-space one-sided tester exists"
         )
     if classification is OneSidedClass.CONSTANT_TRIVIAL:
-        return trivial_tester(realized_lengths(dfa), window_size)
+        return trivial_tester(dfa.alphabet, realized_lengths(dfa), window_size)
 
     analyzed = analyze(dfa)
     rdfa, scc = analyzed.rdfa, analyzed.scc
@@ -774,7 +774,7 @@ def composed_one_sided_tester(
     recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
     if recurrent_finals:
         lengths = realized_lengths(Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals))
-        factories.append(lambda lengths=lengths: trivial_tester(lengths, window_size))
+        factories.append(lambda lengths=lengths: trivial_tester(rdfa.alphabet, lengths, window_size))
 
     for f in sorted(rdfa.finals):
         if f in recurrent_finals:

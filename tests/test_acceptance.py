@@ -384,7 +384,7 @@ def test_criterion_8_union_semantics():
         for stream in ("ababba", "b" + "a" * (n - 1)):
             union = union_tester(
                 [
-                    lambda: trivial_tester(lengths, n),
+                    lambda: trivial_tester(AB, lengths, n),
                     lambda prime=prime: one_sided_suffix_free_tester(partials, n, prime=prime),
                 ]
             )

@@ -244,6 +244,22 @@ def test_json_rejects_state_ids_out_of_range():
         automaton_from_json(data)
 
 
+@pytest.mark.parametrize("field", ["alphabet", "states", "direction", "transitions", "initial", "finals"])
+def test_json_names_a_missing_field(field):
+    data = automaton_to_json(build_dfa("a*"))
+    del data[field]
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        automaton_from_json(data)
+
+
+@pytest.mark.parametrize("field", ["from", "symbol", "to"])
+def test_json_names_a_missing_transition_field(field):
+    data = automaton_to_json(build_dfa("a*"))
+    del data["transitions"][0][field]
+    with pytest.raises(ValueError, match=f"transition .* is missing field '{field}'"):
+        automaton_from_json(data)
+
+
 def test_json_rejects_partial_tables():
     data = automaton_to_json(build_dfa("a*"))
     data["transitions"] = data["transitions"][:-1]

@@ -164,3 +164,15 @@ def test_cli_rejects_automaton_with_out_of_range_state(tmp_path, capsys):
     assert main(["classify", "--automaton", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "state ids must lie in" in err
+
+
+@pytest.mark.parametrize("field", ["transitions", "initial", "finals"])
+def test_cli_rejects_automaton_with_missing_field(tmp_path, capsys, field):
+    assert main(["export", "--regex", "ba*", "--alphabet", "ab", "--out", str(tmp_path / "m.json")]) == 0
+    data = json.loads((tmp_path / "m.json").read_text())
+    del data[field]
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["classify", "--automaton", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"missing field '{field}'" in err

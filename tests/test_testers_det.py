@@ -58,7 +58,7 @@ def test_exact_tester_space_is_linear():
 
 def test_trivial_tester_always_accepts_on_realized_lengths():
     lengths = realized_lengths(build_dfa("(a|b)*a"))
-    tester = trivial_tester(lengths, 5)
+    tester = trivial_tester(AB, lengths, 5)
     tester.feed_all("bbbbb")
     assert tester.decide()
     assert tester.state_bits() == 1
@@ -66,7 +66,7 @@ def test_trivial_tester_always_accepts_on_realized_lengths():
 
 def test_trivial_tester_rejects_unrealized_length():
     evens = EventuallyPeriodicSet.from_member_fn(lambda x: x % 2 == 0, 0, 2)
-    tester = trivial_tester(evens, 7)
+    tester = trivial_tester(AB, evens, 7)
     tester.feed_all("aaaa")
     assert not tester.decide()
 
@@ -74,7 +74,14 @@ def test_trivial_tester_rejects_unrealized_length():
 def test_trivial_tester_universal():
     lengths = realized_lengths(build_dfa("(a|b)*"))
     for n in (0, 3, 9):
-        assert trivial_tester(lengths, n).decide()
+        assert trivial_tester(AB, lengths, n).decide()
+
+
+def test_trivial_tester_rejects_symbols_outside_the_alphabet():
+    tester = trivial_tester(AB, realized_lengths(build_dfa("(a|b)*")), 4)
+    for symbol in ("zz", "c", ""):
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            tester.feed(symbol)
 
 
 # --- reference path summaries -----------------------------------------------------

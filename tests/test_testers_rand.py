@@ -445,7 +445,7 @@ def test_union_accepts_when_any_part_accepts():
     ba_partials = enumerate_path_descriptions(build_analyzed("ba*"))
     union = union_tester(
         [
-            lambda: trivial_tester(ends_a_lengths, 4),
+            lambda: trivial_tester(AB, ends_a_lengths, 4),
             lambda: one_sided_suffix_free_tester(ba_partials, 4, rng=0),
         ]
     )
