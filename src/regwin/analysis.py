@@ -701,19 +701,24 @@ def find_excluded_factor(
     lengths = realized_lengths(dfa)
     alphabet = dfa.alphabet
     t, d = lengths.threshold, lengths.period
+    progressions = [
+        Progression(offset, d * multiple)
+        for multiple in range(1, max_step_multiple + 1)
+        for offset in range(t, t + d * multiple)
+        if lengths.member(offset)
+    ]
+    restrictions: dict[Progression, Dfa] = {}  # built on first use, shared by every factor
     for factor_len in range(1, max_len + 1):
         for factor_syms in itertools.product(alphabet.symbols, repeat=factor_len):
             factor = "".join(factor_syms)
             factor_hit = _factor_dfa(alphabet, factor)
-            for multiple in range(1, max_step_multiple + 1):
-                step = d * multiple
-                for offset in range(t, t + step):
-                    if not lengths.member(offset):
-                        continue
-                    progression = Progression(offset, step)
-                    restriction = product_intersect(
-                        dfa, _length_dfa(alphabet, EventuallyPeriodicSet.from_progression(offset, step))
+            for progression in progressions:
+                restriction = restrictions.get(progression)
+                if restriction is None:
+                    lengths_dfa = _length_dfa(
+                        alphabet, EventuallyPeriodicSet.from_progression(progression.offset, progression.step)
                     )
-                    if _language_is_empty(product_intersect(restriction, factor_hit)):
-                        return progression, factor
+                    restriction = restrictions[progression] = product_intersect(dfa, lengths_dfa)
+                if _language_is_empty(product_intersect(restriction, factor_hit)):
+                    return progression, factor
     return None

@@ -82,7 +82,7 @@ class Alphabet:
     def code(self, symbol: str) -> int:
         try:
             return self._code[symbol]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
             raise ValueError(f"symbol {symbol!r} is not in the alphabet") from None
 
     def __len__(self) -> int:
@@ -521,22 +521,48 @@ def automaton_to_json(machine: Dfa | Rdfa) -> dict:
     }
 
 
-def automaton_from_json(data: dict) -> Dfa | Rdfa:
+def _json_int(value, what: str) -> int:
     try:
-        alphabet = Alphabet(data["alphabet"], data.get("pad"))
-        n = int(data["states"])
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def automaton_from_json(data: dict) -> Dfa | Rdfa:
+    if not isinstance(data, dict):
+        raise ValueError(f"automaton JSON must be an object, got {data!r}")
+    try:
+        symbols = data["alphabet"]
+        if not isinstance(symbols, (list, str)):
+            raise ValueError(f"field 'alphabet' must be a list of symbols, got {symbols!r}")
+        alphabet = Alphabet(symbols, data.get("pad"))
+        n = _json_int(data["states"], "field 'states'")
         direction = data["direction"]
-        transitions = data["transitions"]
-        initial = int(data["initial"])
-        finals = data["finals"]
+        transitions = _json_list(data["transitions"], "field 'transitions'")
+        initial = _json_int(data["initial"], "field 'initial'")
+        finals = _json_list(data["finals"], "field 'finals'")
+        finals = [_json_int(f, "an entry of field 'finals'") for f in finals]
     except KeyError as exc:
         raise ValueError(f"automaton JSON is missing field {exc}") from None
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     table: list[list[int | None]] = [[None] * len(alphabet) for _ in range(n)]
     for entry in transitions:
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"each entry of field 'transitions' must be an object with 'from', 'symbol' "
+                f"and 'to', got {entry!r}"
+            )
         try:
-            p, a, q = int(entry["from"]), alphabet.code(entry["symbol"]), int(entry["to"])
+            p = _json_int(entry["from"], f"transition {entry!r}: field 'from'")
+            a = alphabet.code(entry["symbol"])
+            q = _json_int(entry["to"], f"transition {entry!r}: field 'to'")
         except KeyError as exc:
             raise ValueError(f"transition {entry!r} is missing field {exc}") from None
         if not (0 <= p < n and 0 <= q < n):

@@ -72,7 +72,14 @@ class ProbabilisticCounter:
     Holds ``copies`` one-bit cells; an increment sets each still-unset cell
     independently with the per-step probability, and the reading is the
     majority vote (ties count high; ``copies`` is forced odd so ties cannot
-    occur).  Only the number of set cells is stored.
+    occur).  Only the number of set cells is stored: its *count*.
+    ``pulses`` counts the increments applied to this object, for
+    diagnostics only; it is None on a counter rebuilt from a bare count.
+
+    The two-sided tester uses one counter as the parameters of all its
+    cells and keeps the counts itself (``advance``, ``reads_high``); the
+    stateful methods serve standalone use and the reference definition
+    ``prolong_compact_summary``.
     """
 
     __slots__ = ("high_mark", "low_mark", "qsize", "margin", "per_step_p", "copies", "set_copies", "pulses", "rng")
@@ -101,12 +108,30 @@ class ProbabilisticCounter:
         copies = counter_copies(qsize, self.margin)
         self.copies = copies + 1 if copies % 2 == 0 else copies
         self.set_copies = 0
-        self.pulses = 0
+        self.pulses: int | None = 0
         self.rng = None if rng is None else _ensure_rng(rng)
+
+    def reads_high(self, count: int) -> bool:
+        return 2 * count >= self.copies
 
     @property
     def is_high(self) -> bool:
-        return 2 * self.set_copies >= self.copies
+        return self.reads_high(self.set_copies)
+
+    def _source(self, rng: np.random.Generator | None) -> np.random.Generator:
+        rng = self.rng if rng is None else rng
+        if rng is None:
+            raise RuntimeError("counter increment needs a randomness source")
+        return rng
+
+    def advance(self, counts: list[int], rng: np.random.Generator | None = None) -> list[int]:
+        """One increment of every count in ``counts``, with one batched
+        draw: each count gains Binomial(copies - count, p) set cells."""
+        if not counts:
+            return counts
+        unset = [self.copies - count for count in counts]
+        draws = self._source(rng).binomial(unset, self.per_step_p).tolist()
+        return [count + drawn for count, drawn in zip(counts, draws)]
 
     def increment(self, rng: np.random.Generator | None = None) -> None:
         self.increment_many(1, rng)
@@ -116,33 +141,31 @@ class ProbabilisticCounter:
         rounds with probability (1-p)^k, so one binomial draw suffices."""
         if k <= 0:
             return
-        self.pulses += k
+        if self.pulses is not None:
+            self.pulses += k
         unset = self.copies - self.set_copies
-        if unset == 0:
+        if unset == 0 or self.per_step_p <= 0.0:
             return
-        p = self.per_step_p
-        if p >= 1.0:
+        if self.per_step_p >= 1.0:
             self.set_copies = self.copies
             return
-        if p <= 0.0:
-            return
-        rng = rng or self.rng
-        if rng is None:
-            raise RuntimeError("counter increment needs a randomness source")
-        flip_p = 1.0 - (1.0 - p) ** k
-        self.set_copies += int(rng.binomial(unset, flip_p))
+        flip_p = 1.0 - (1.0 - self.per_step_p) ** k
+        self.set_copies += int(self._source(rng).binomial(unset, flip_p))
+
+    def with_count(self, count: int) -> "ProbabilisticCounter":
+        """A counter with these parameters holding ``count`` set cells and
+        no randomness source of its own (copies are independent lineages)."""
+        dup = object.__new__(ProbabilisticCounter)
+        for name in ("high_mark", "low_mark", "qsize", "margin", "per_step_p", "copies"):
+            setattr(dup, name, getattr(self, name))
+        dup.set_copies = count
+        dup.pulses = None
+        dup.rng = None
+        return dup
 
     def copy(self) -> "ProbabilisticCounter":
-        dup = object.__new__(ProbabilisticCounter)
-        dup.high_mark = self.high_mark
-        dup.low_mark = self.low_mark
-        dup.qsize = self.qsize
-        dup.margin = self.margin
-        dup.per_step_p = self.per_step_p
-        dup.copies = self.copies
-        dup.set_copies = self.set_copies
+        dup = self.with_count(self.set_copies)
         dup.pulses = self.pulses
-        dup.rng = None  # copies are independent lineages
         return dup
 
     def state_bit_cost(self) -> int:
@@ -172,7 +195,8 @@ def make_counter(
 
 
 class ThresholdCounter:
-    """Deterministic test double: exact count, high iff count >= cutoff."""
+    """Deterministic test double: exact count, high iff count >= cutoff.
+    Its count is ``pulses``; ``advance`` adds 1 and ignores the rng."""
 
     __slots__ = ("cutoff", "pulses")
 
@@ -182,9 +206,15 @@ class ThresholdCounter:
         self.cutoff = cutoff
         self.pulses = pulses
 
+    def reads_high(self, count: int) -> bool:
+        return count >= self.cutoff
+
     @property
     def is_high(self) -> bool:
-        return self.pulses >= self.cutoff
+        return self.reads_high(self.pulses)
+
+    def advance(self, counts: list[int], rng: np.random.Generator | None = None) -> list[int]:
+        return [count + 1 for count in counts]
 
     def increment(self, rng: np.random.Generator | None = None) -> None:
         self.pulses += 1
@@ -192,8 +222,11 @@ class ThresholdCounter:
     def increment_many(self, k: int, rng: np.random.Generator | None = None) -> None:
         self.pulses += k
 
+    def with_count(self, count: int) -> "ThresholdCounter":
+        return ThresholdCounter(self.cutoff, count)
+
     def copy(self) -> "ThresholdCounter":
-        return ThresholdCounter(self.cutoff, self.pulses)
+        return self.with_count(self.pulses)
 
     def state_bit_cost(self) -> int:
         return self.cutoff.bit_length()
@@ -250,13 +283,14 @@ def prolong_compact_summary(
     symbol_code: int,
     new_start: int,
     analyzed: AnalyzedRdfa,
-    coins: Callable[[int], np.random.Generator] | None = None,
+    rng: np.random.Generator | None = None,
 ) -> CompactSummary:
     """Extend the summarized run by one transition at its start.
 
-    ``coins(i)`` supplies the randomness for the counter of the triple at
-    list position i; with None, counters fall back to their own source
-    (deterministic stubs need none).
+    This is the one-step reference definition that ``TwoSidedTester``
+    applies to all start states at once.  ``rng`` drives the counter
+    increments, oldest triple first; with None, counters fall back to
+    their own source (deterministic stubs need none).
     """
     rdfa, scc, g = analyzed.rdfa, analyzed.scc, analyzed.g
     q = rdfa.delta[new_start][symbol_code]
@@ -266,18 +300,21 @@ def prolong_compact_summary(
         )
     triples = [tr.copy() for tr in cs.triples]
     if scc.same_scc(new_start, q):
-        for i, tr in enumerate(triples[:-1]):
-            tr.counter.increment(coins(i) if coins else None)
+        for tr in triples[:-1]:
+            tr.counter.increment(rng)
             tr.residue = (tr.residue + 1) % g
         triples[-1].state = new_start
     else:
         fresh = cs.triples[-1].counter.copy()  # the always-low newest counter
         assert not fresh.is_high
-        for i, tr in enumerate(triples):
-            tr.counter.increment(coins(i) if coins else None)
+        for tr in triples:
+            tr.counter.increment(rng)
             tr.residue = (tr.residue + 1) % g
         triples.append(SummaryTriple(new_start, 0, fresh))
     return CompactSummary(triples)
+
+
+Row = list[tuple[int, int, int]]  # (segment start state, residue mod g, counter count), oldest first
 
 
 class TwoSidedTester(SlidingWindowTester):
@@ -289,9 +326,18 @@ class TwoSidedTester(SlidingWindowTester):
     whose counter still reads low has an acceptance residue matching the
     window size.
 
-    Counter randomness is derived from a master seed split by (stream
-    position, summary key, triple position), so trials are reproducible
-    and every cell sees independent coins.
+    A summary is held as a flat row of ``(state, residue, count)`` tuples,
+    oldest first; one counter object (from ``counter_factory``) holds the
+    parameters every count shares.  A step builds each state p's row from
+    the row of its successor q = delta[p][c]: the newest entry is dropped
+    when p and q share an SCC, every kept residue moves by 1 mod g, and
+    ``(p, 0, 0)`` is appended; then every kept count advances by one
+    increment in a single batched draw, row by row and oldest first.  This
+    is ``prolong_compact_summary`` applied to every state at once.
+
+    The coins come from one generator per tester, seeded at construction
+    by one draw from ``rng``, so trials are reproducible and every cell
+    sees independent coins.
     """
 
     def __init__(
@@ -304,62 +350,65 @@ class TwoSidedTester(SlidingWindowTester):
     ):
         self.window_size = window_size
         self._a = analyzed
-        self._stub_mode = counter_factory is not None
+        rdfa, scc, g = analyzed.rdfa, analyzed.scc, analyzed.g
         if counter_factory is None:
-            master_rng = _ensure_rng(rng)
-            self._master = int(master_rng.integers(0, 2**63 - 1))
-            qsize = analyzed.rdfa.n_states
-            counter_factory = lambda: make_counter(window_size, eps, qsize, analyzed.t)
-        self._factory = counter_factory
-        self._pos = 0
-        self._summaries = {
-            q: CompactSummary([SummaryTriple(q, 0, counter_factory())])
-            for q in range(analyzed.rdfa.n_states)
-        }
-        pad = analyzed.rdfa.alphabet.code(analyzed.rdfa.alphabet.pad)
+            counter_factory = lambda: make_counter(window_size, eps, rdfa.n_states, analyzed.t)
+            rng = _ensure_rng(rng)  # real counters need coins even without a seed
+        self._counter = counter_factory()
+        self._rng = None  # stubs given no rng need none
+        if rng is not None:
+            self._rng = np.random.default_rng(int(_ensure_rng(rng).integers(0, 2**63 - 1)))
+        self._triple_bits = (
+            (rdfa.n_states - 1).bit_length() + (g - 1).bit_length() + self._counter.state_bit_cost()
+        )
+        self._next_residue = [(r + 1) % g for r in range(g)]
+        # per symbol code, per start state p: (successor q, whether p and q share an SCC)
+        self._moves = [
+            [(rdfa.delta[p][code], scc.same_scc(p, rdfa.delta[p][code])) for p in range(rdfa.n_states)]
+            for code in range(len(rdfa.alphabet))
+        ]
+        self._rows: list[Row] = [[(q, 0, 0)] for q in range(rdfa.n_states)]
+        pad = rdfa.alphabet.code(rdfa.alphabet.pad)
         for _ in range(window_size):
             self._feed_code(pad)
 
-    def _coins_for(self, key: int) -> Callable[[int], np.random.Generator] | None:
-        if self._stub_mode:
-            return None
-        pos, master = self._pos, self._master
-        return lambda idx: np.random.default_rng((master, pos, key, idx))
-
     def _feed_code(self, code: int) -> None:
-        rdfa = self._a.rdfa
-        old = self._summaries
-        self._summaries = {
-            p: prolong_compact_summary(
-                old[rdfa.delta[p][code]], code, p, self._a, self._coins_for(p)
-            )
-            for p in range(rdfa.n_states)
-        }
-        self._pos += 1
+        rows = self._rows
+        kept = [rows[q][:-1] if same else rows[q] for q, same in self._moves[code]]
+        counts = self._counter.advance([count for row in kept for _s, _r, count in row], self._rng)
+        advanced = iter(counts)  # zip stops at the end of each row, so each row takes its own counts
+        next_residue = self._next_residue
+        new_rows: list[Row] = []
+        for p, row in enumerate(kept):
+            new_row = [
+                (state, next_residue[residue], count)
+                for (state, residue, _old), count in zip(row, advanced)
+            ]
+            new_row.append((p, 0, 0))
+            new_rows.append(new_row)
+        self._rows = new_rows
 
     def feed(self, symbol: str) -> None:
         self._feed_code(self._a.rdfa.alphabet.code(symbol))
 
     def decide(self) -> bool:
-        cs = self._summaries[self._a.rdfa.initial]
-        for tr in cs.triples:  # oldest first: first low triple wins
-            if not tr.counter.is_high:
-                residue = (self.window_size - tr.residue) % self._a.g
-                return residue in self._a.acc_mod[tr.state]
+        reads_high = self._counter.reads_high
+        # oldest first: the first triple that reads low decides
+        for state, residue, count in self._rows[self._a.rdfa.initial]:
+            if not reads_high(count):
+                return (self.window_size - residue) % self._a.g in self._a.acc_mod[state]
         raise AssertionError("newest triple is low by invariant")
 
     def summaries(self) -> Mapping[int, CompactSummary]:
-        return dict(self._summaries)
+        """The rows as ``CompactSummary`` objects (a view; not for the hot path)."""
+        with_count = self._counter.with_count
+        return {
+            q: CompactSummary([SummaryTriple(s, residue, with_count(count)) for s, residue, count in row])
+            for q, row in enumerate(self._rows)
+        }
 
     def state_bits(self) -> int:
-        n_states = self._a.rdfa.n_states
-        state_bits = (n_states - 1).bit_length()
-        residue_bits = (self._a.g - 1).bit_length()
-        return sum(
-            state_bits + residue_bits + tr.counter.state_bit_cost()
-            for cs in self._summaries.values()
-            for tr in cs.triples
-        )
+        return self._triple_bits * sum(map(len, self._rows))
 
 
 def two_sided_tester(

@@ -83,3 +83,28 @@ def last_n(window_size: int, stream: str, pad: str) -> str:
     pad-prefixed stream, computed by plain slicing."""
     padded = pad * window_size + stream
     return padded[len(padded) - window_size :] if window_size else ""
+
+
+WRONGLY_TYPED_FIELDS = {
+    "alphabet-as-number": ("alphabet", "field 'alphabet' must be a list of symbols"),
+    "transition-as-list": ("transitions", "each entry of field 'transitions' must be an object"),
+    "transitions-as-number": ("transitions", "field 'transitions' must be a list"),
+    "finals-as-number": ("finals", "field 'finals' must be a list"),
+    "initial-null": ("initial", "field 'initial' must be an integer"),
+}
+
+
+def wrongly_typed(data, case):
+    """The machine's wire form with one field of the wrong type."""
+    if case == "transition-as-list":
+        entry = data["transitions"][0]
+        data["transitions"][0] = [entry["from"], entry["symbol"], entry["to"]]
+    elif case == "alphabet-as-number":
+        data["alphabet"] = 3
+    elif case == "transitions-as-number":
+        data["transitions"] = 3
+    elif case == "finals-as-number":
+        data["finals"] = 3
+    else:
+        data["initial"] = None
+    return data

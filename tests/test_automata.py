@@ -1,5 +1,5 @@
 import pytest
-from conftest import AB, UNARY, CORPUS, build_dfa, reference_match, words_up_to
+from conftest import AB, UNARY, CORPUS, WRONGLY_TYPED_FIELDS, build_dfa, reference_match, words_up_to, wrongly_typed
 
 from regwin import (
     Alphabet,
@@ -257,6 +257,13 @@ def test_json_names_a_missing_transition_field(field):
     data = automaton_to_json(build_dfa("a*"))
     del data["transitions"][0][field]
     with pytest.raises(ValueError, match=f"transition .* is missing field '{field}'"):
+        automaton_from_json(data)
+
+
+@pytest.mark.parametrize("case", sorted(WRONGLY_TYPED_FIELDS))
+def test_json_names_a_wrongly_typed_field(case):
+    data = wrongly_typed(automaton_to_json(build_dfa("a*")), case)
+    with pytest.raises(ValueError, match=WRONGLY_TYPED_FIELDS[case][1]):
         automaton_from_json(data)
 
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import WRONGLY_TYPED_FIELDS, wrongly_typed
 
 from regwin.cli import ConfigError, main, report_to_csv, run_experiment
 
@@ -176,3 +177,14 @@ def test_cli_rejects_automaton_with_missing_field(tmp_path, capsys, field):
     assert main(["classify", "--automaton", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"missing field '{field}'" in err
+
+
+@pytest.mark.parametrize("case", sorted(WRONGLY_TYPED_FIELDS))
+def test_cli_rejects_automaton_with_wrongly_typed_field(tmp_path, capsys, case):
+    assert main(["export", "--regex", "ba*", "--alphabet", "ab", "--out", str(tmp_path / "m.json")]) == 0
+    data = wrongly_typed(json.loads((tmp_path / "m.json").read_text()), case)
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["classify", "--automaton", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{WRONGLY_TYPED_FIELDS[case][0]}'" in err
