@@ -88,12 +88,18 @@ def _language_from_config(entry: dict, path: str) -> Language:
         if not isinstance(alphabet_text, str) or not alphabet_text:
             raise ConfigError(f"{path}.alphabet: required with a regex")
         alphabet = Alphabet.from_string(alphabet_text, entry.get("pad"))
+        pattern = entry["regex"]
+        if not isinstance(pattern, str):
+            raise ConfigError(f"{path}.regex: expected a string, got {pattern!r}")
         try:
-            return language_from_regex(ident, entry["regex"], alphabet)
+            return language_from_regex(ident, pattern, alphabet)
         except AutomatonError as exc:
             raise ConfigError(f"{path}.regex: {exc}") from exc
     if "automaton" in entry:
-        return language_from_file(ident, entry["automaton"])
+        file_path = entry["automaton"]
+        if not isinstance(file_path, str):
+            raise ConfigError(f"{path}.automaton: expected a file path, got {file_path!r}")
+        return language_from_file(ident, file_path)
     raise ConfigError(f"{path}: needs either 'regex' or 'automaton'")
 
 
@@ -149,21 +155,33 @@ class ReportRow:
         return record
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def run_experiment(config: dict) -> list[ReportRow]:
     """Cross product of languages x testers x window sizes x streams."""
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
     seed = config.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed: expected an integer")
     trials = config.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError("trials: expected a positive integer")
-    eps = float(config.get("eps", 0.5))
-    timing = bool(config.get("timing", True))
+    eps = config.get("eps", 0.5)
+    if not _is_number(eps):
+        raise ConfigError(f"eps: expected a number, got {eps!r}")
+    timing = config.get("timing", True)
+    if not isinstance(timing, bool):
+        raise ConfigError(f"timing: expected true or false, got {timing!r}")
 
     window_sizes = config.get("window_sizes")
-    if not isinstance(window_sizes, list) or not all(isinstance(n, int) and n >= 0 for n in window_sizes):
+    if not isinstance(window_sizes, list) or not all(_is_int(n) and n >= 0 for n in window_sizes):
         raise ConfigError("window_sizes: expected a list of nonnegative integers")
 
     raw_languages = config.get("languages")
@@ -183,10 +201,12 @@ def run_experiment(config: dict) -> list[ReportRow]:
     raw_streams = config.get("streams")
     if not isinstance(raw_streams, list) or not raw_streams:
         raise ConfigError("streams: expected a nonempty list")
-    try:
-        specs = [streams.spec_from_dict(entry) for entry in raw_streams]
-    except ValueError as exc:
-        raise ConfigError(f"streams: {exc}") from exc
+    specs = []
+    for i, entry in enumerate(raw_streams):
+        try:
+            specs.append(streams.spec_from_dict(entry))
+        except ValueError as exc:
+            raise ConfigError(f"streams[{i}]: {exc}") from exc
 
     rows = []
     for language in languages:

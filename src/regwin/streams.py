@@ -14,6 +14,7 @@ per-process hash salt.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -23,9 +24,22 @@ from .automata import Alphabet
 from .testers_det import SlidingWindowTester
 
 
+def _check_text(value, field: str) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{field}: expected a string, got {value!r}")
+
+
+def _check_count(value, field: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{field}: expected a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LiteralStream:
     word: str
+
+    def __post_init__(self) -> None:
+        _check_text(self.word, "word")
 
     def to_dict(self) -> dict:
         return {"kind": "literal", "word": self.word}
@@ -39,6 +53,10 @@ class PeriodicStream:
     block: str
     repeats: int
 
+    def __post_init__(self) -> None:
+        _check_text(self.block, "block")
+        _check_count(self.repeats, "repeats")
+
     def to_dict(self) -> dict:
         return {"kind": "periodic", "block": self.block, "repeats": self.repeats}
 
@@ -51,6 +69,15 @@ class RandomStream:
     seed: int
     length: int
     weights: tuple[tuple[str, float], ...] = ()  # empty means uniform
+
+    def __post_init__(self) -> None:
+        _check_count(self.seed, "seed")
+        _check_count(self.length, "length")
+        for s, w in self.weights:
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w) or w < 0:
+                raise ValueError(f"weights.{s}: expected a finite nonnegative number, got {w!r}")
+        if self.weights and sum(w for _s, w in self.weights) <= 0:
+            raise ValueError("weights: expected at least one positive weight")
 
     def to_dict(self) -> dict:
         data = {"kind": "random", "seed": self.seed, "length": self.length}
@@ -73,6 +100,12 @@ class AdversarialStream:
     n: int
     k: int
 
+    def __post_init__(self) -> None:
+        for field in ("factor", "x", "y", "z"):
+            _check_text(getattr(self, field), field)
+        _check_count(self.n, "n")
+        _check_count(self.k, "k")
+
     def to_dict(self) -> dict:
         return {
             "kind": "adversarial",
@@ -92,22 +125,33 @@ StreamSpec = LiteralStream | PeriodicStream | RandomStream | AdversarialStream
 
 
 def spec_from_dict(data: dict) -> StreamSpec:
+    """Spec from its JSON form; every field is checked for its type and
+    range, and a bad one raises ``ValueError`` naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a stream object, got {data!r}")
     kind = data.get("kind")
     try:
         if kind == "literal":
             return LiteralStream(data["word"])
         if kind == "periodic":
-            return PeriodicStream(data["block"], int(data["repeats"]))
+            return PeriodicStream(data["block"], data["repeats"])
         if kind == "random":
-            weights = tuple(sorted((s, float(w)) for s, w in data.get("weights", {}).items()))
-            return RandomStream(int(data["seed"]), int(data["length"]), weights)
+            weights = data.get("weights", {})
+            if not isinstance(weights, dict):
+                raise ValueError(f"weights: expected an object mapping symbols to numbers, got {weights!r}")
+            return RandomStream(data["seed"], data["length"], tuple(sorted(weights.items())))
         if kind == "adversarial":
-            return AdversarialStream(
-                data["factor"], data["x"], data["y"], data["z"], int(data["n"]), int(data["k"])
-            )
+            return AdversarialStream(data["factor"], data["x"], data["y"], data["z"], data["n"], data["k"])
     except KeyError as exc:
         raise ValueError(f"stream spec of kind {kind!r} is missing field {exc}") from None
     raise ValueError(f"unknown stream kind {kind!r}")
+
+
+def _parse_int(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{field}: expected an integer, got {text!r}") from None
 
 
 def spec_from_string(text: str) -> StreamSpec:
@@ -120,17 +164,17 @@ def spec_from_string(text: str) -> StreamSpec:
         block, _, repeats = rest.rpartition(",")
         if not block:
             raise ValueError("periodic stream needs block,repeats")
-        return PeriodicStream(block, int(repeats))
+        return PeriodicStream(block, _parse_int(repeats, "repeats"))
     if kind == "random":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError("random stream needs seed,length")
-        return RandomStream(int(parts[0]), int(parts[1]))
+        return RandomStream(_parse_int(parts[0], "seed"), _parse_int(parts[1], "length"))
     if kind == "adversarial":
         parts = rest.split(",")
         if len(parts) != 6:
             raise ValueError("adversarial stream needs factor,x,y,z,n,k")
-        return AdversarialStream(parts[0], parts[1], parts[2], parts[3], int(parts[4]), int(parts[5]))
+        return AdversarialStream(*parts[:4], _parse_int(parts[4], "n"), _parse_int(parts[5], "k"))
     raise ValueError(f"unknown stream kind {kind!r}")
 
 

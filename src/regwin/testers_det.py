@@ -3,7 +3,10 @@
 Three testers share one interface:
 
 * :func:`exact_tester` stores the window outright -- the linear-space
-  baseline every other tester is measured against.
+  baseline every other tester is measured against.  It keeps the window
+  as a two-stack aggregate of the machine's state transformations, so
+  ``feed`` costs amortized O(|Q|) and ``decide`` O(1), while its space is
+  still the n symbols of the window.
 * :func:`trivial_tester` is the constant-space tester available whenever a
   language is trivial (all words of a realized length sit within bounded
   distance of the language): accept iff the window length is realized.
@@ -23,7 +26,6 @@ from typing import Iterable
 
 from .analysis import AnalyzedRdfa, EventuallyPeriodicSet
 from .automata import Alphabet, Dfa, Rdfa
-from .oracle import WindowBuffer
 
 
 class SlidingWindowTester(ABC):
@@ -52,20 +54,76 @@ class SlidingWindowTester(ABC):
 
 
 class ExactWindowTester(SlidingWindowTester):
-    """Stores the window explicitly; exact membership, Θ(n log |Σ|) bits."""
+    """Exact membership of the window, as a two-stack aggregate over the
+    machine's transformation monoid.
+
+    A word u acts on the states as the map q -> (state after reading u
+    from q), a tuple of |Q| states; the map of u·v is composed from the
+    maps of u and v, in the order the machine reads them (a ``Dfa`` reads
+    u first, an ``Rdfa`` reads v first).  The window is split in two:
+
+    * the *front*, its older part, as a stack holding one map per
+      position: the map of the front's suffix starting there, the oldest
+      on top (an identity map sits at the bottom for the empty front);
+    * the *back*, the symbols fed since the front was last rebuilt, as
+      their codes plus the one map of all of them.
+
+    ``feed`` pops the front and extends the back map in O(|Q|); once the
+    front runs empty, the back's codes become the new front, in
+    O(n·|Q|) once every n + 1 feeds (amortized O(|Q|) per feed).  ``decide``
+    looks the initial state up in the two maps, O(1).  The maps are a
+    function of the window, so the state is still the window itself:
+    ``state_bits`` counts n symbols of ceil(log2 |Σ|) bits.
+    """
 
     def __init__(self, machine: Dfa | Rdfa, window_size: int):
+        if window_size < 0:
+            raise ValueError("window size must be nonnegative")
         self.window_size = window_size
-        self._machine = machine
-        self._window = WindowBuffer(machine.alphabet, window_size)
+        self._alphabet = machine.alphabet
+        self._initial = machine.initial
+        self._finals = machine.finals
+        self._reads_oldest_first = not isinstance(machine, Rdfa)
         self._symbol_bits = max(1, (len(machine.alphabet) - 1).bit_length())
+        n_states = machine.n_states
+        self._symbol_maps = tuple(
+            tuple(machine.delta[q][a] for q in range(n_states)) for a in range(len(machine.alphabet))
+        )
+        self._identity = tuple(range(n_states))
+        self._back = [self._alphabet.code(self._alphabet.pad)] * window_size
+        self._rebuild_front()
+
+    def _concat(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        """Map of the word u·v from the maps of u and v."""
+        first, then = (u, v) if self._reads_oldest_first else (v, u)
+        return tuple(map(then.__getitem__, first))
+
+    def _rebuild_front(self) -> None:
+        """Move the back's symbols onto the (empty) front, newest first, so
+        the oldest suffix ends on top."""
+        concat, maps = self._concat, self._symbol_maps
+        front = [self._identity]
+        suffix = self._identity
+        for code in reversed(self._back):
+            suffix = concat(maps[code], suffix)
+            front.append(suffix)
+        self._front = front
+        self._back = []
+        self._back_map = self._identity
 
     def feed(self, symbol: str) -> None:
-        self._machine.alphabet.code(symbol)  # validate
-        self._window.feed(symbol)
+        code = self._alphabet.code(symbol)  # validates before any change
+        self._back.append(code)
+        self._back_map = self._concat(self._back_map, self._symbol_maps[code])
+        if len(self._front) == 1:
+            self._rebuild_front()
+        self._front.pop()
 
     def decide(self) -> bool:
-        return self._machine.accepts(self._window.contents())
+        front = self._front[-1]
+        if self._reads_oldest_first:
+            return self._back_map[front[self._initial]] in self._finals
+        return front[self._back_map[self._initial]] in self._finals
 
     def state_bits(self) -> int:
         return self.window_size * self._symbol_bits

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from conftest import WRONGLY_TYPED_FIELDS, wrongly_typed
@@ -188,3 +189,73 @@ def test_cli_rejects_automaton_with_wrongly_typed_field(tmp_path, capsys, case):
     assert main(["classify", "--automaton", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{WRONGLY_TYPED_FIELDS[case][0]}'" in err
+
+
+def _periodic(repeats):
+    return {"kind": "periodic", "block": "ba", "repeats": repeats}
+
+
+def _adversarial(n, k):
+    return {"kind": "adversarial", "factor": "b", "x": "", "y": "a", "z": "", "n": n, "k": k}
+
+
+def _random(length, **extra):
+    return dict({"kind": "random", "seed": 1, "length": length}, **extra)
+
+
+# (config overrides, pattern the error must match): each names the field at fault
+BAD_CONFIGS = {
+    "eps-null": ({"eps": None}, r"^eps: "),
+    "eps-list": ({"eps": [1]}, r"^eps: "),
+    "eps-bool": ({"eps": True}, r"^eps: "),
+    "trials-bool": ({"trials": True}, r"^trials: "),
+    "timing-string": ({"timing": "no"}, r"^timing: "),
+    "stream-not-object": ({"streams": ["periodic:ba,4"]}, r"^streams\[0\]: expected a stream object"),
+    "repeats-null": ({"streams": [_periodic(None)]}, r"^streams\[0\]: repeats: "),
+    "repeats-negative": ({"streams": [_periodic(-3)]}, r"^streams\[0\]: repeats: "),
+    "word-not-string": ({"streams": [{"kind": "literal", "word": 5}]}, r"^streams\[0\]: word: "),
+    "adversarial-n-negative": ({"streams": [_adversarial(-1, 3)]}, r"^streams\[0\]: n: "),
+    "adversarial-k-negative": ({"streams": [_adversarial(4, -2)]}, r"^streams\[0\]: k: "),
+    "length-negative": ({"streams": [_random(-5)]}, r"^streams\[0\]: length: "),
+    "weights-list": ({"streams": [_random(10, weights=[1, 3])]}, r"^streams\[0\]: weights: "),
+    "weights-all-zero": ({"streams": [_random(10, weights={"a": 0, "b": 0})]}, r"^streams\[0\]: weights: "),
+    "regex-not-string": (
+        {"languages": [{"id": "x", "regex": 5, "alphabet": "ab"}]},
+        r"^languages\[0\]\.regex: ",
+    ),
+    "automaton-not-string": ({"languages": [{"id": "x", "automaton": 0}]}, r"^languages\[0\]\.automaton: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_experiment_rejects_mistyped_or_out_of_range_field(case):
+    overrides, pattern = BAD_CONFIGS[case]
+    with pytest.raises(ConfigError, match=pattern):
+        run_experiment(dict(BASE_CONFIG, **overrides))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_cli_experiment_exits_2_naming_the_field(tmp_path, capsys, case):
+    overrides, pattern = BAD_CONFIGS[case]
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(dict(BASE_CONFIG, **overrides)))
+    assert main(["experiment", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(pattern, err.removeprefix("error: "))
+
+
+@pytest.mark.parametrize(
+    "stream, field",
+    [
+        ("periodic:ba,-3", "repeats"),
+        ("periodic:ba,x", "repeats"),
+        ("random:7,-5", "length"),
+        ("random:-7,5", "seed"),
+        ("adversarial:b,,a,,-4,3", "n"),
+        ("adversarial:b,,a,,4,-3", "k"),
+    ],
+)
+def test_cli_tester_run_rejects_bad_stream_naming_the_field(capsys, stream, field):
+    argv = ["tester", "run", "--regex", "a*", "--alphabet", "ab", "--kind", "exact", "--n", "4"]
+    assert main(argv + ["--stream", stream]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected ")

@@ -2,9 +2,15 @@ import math
 
 import pytest
 from conftest import AB, CORPUS, build_analyzed, build_dfa, last_n, words_up_to
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regwin import (
+    Alphabet,
+    Dfa,
     EventuallyPeriodicSet,
+    Rdfa,
+    WindowBuffer,
     deterministic_tester,
     exact_tester,
     path_summary_of,
@@ -51,6 +57,50 @@ def test_exact_tester_works_on_rdfa_too():
 def test_exact_tester_space_is_linear():
     assert exact_tester(build_dfa("a*"), 64).state_bits() == 64
     assert exact_tester(build_dfa("a*"), 128).state_bits() == 128
+
+
+def test_exact_tester_rejects_negative_window():
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_tester(build_dfa("a*"), -1)
+
+
+@st.composite
+def exact_cases(draw):
+    """A complete Dfa or Rdfa with 1-6 states over 1-3 symbols (any
+    initial state and pad), a window of 0-12 and a stream longer than three
+    windows, so every run rebuilds the front several times; plus a stream
+    position at which a foreign symbol is fed."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 6))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    machine_class = draw(st.sampled_from([Dfa, Rdfa]))
+    alphabet = Alphabet.from_string(symbols, draw(st.sampled_from(symbols)))
+    machine = machine_class(alphabet, delta, draw(state), draw(st.sets(state)))
+    n = draw(st.integers(0, 12))
+    stream = draw(st.text(alphabet=symbols, min_size=3 * n + 1, max_size=3 * n + 12))
+    foreign_at = draw(st.integers(0, len(stream) - 1))
+    foreign = draw(st.sampled_from(["z", "", symbols + "z", "ab"]))
+    return machine, n, stream, foreign_at, foreign
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(exact_cases())
+def test_exact_tester_matches_the_window_buffer_after_every_feed(case):
+    machine, n, stream, foreign_at, foreign = case
+    symbol_bits = max(1, math.ceil(math.log2(len(machine.alphabet))))
+    tester = exact_tester(machine, n)
+    window = WindowBuffer(machine.alphabet, n)
+    assert tester.decide() == machine.accepts(window.contents())
+    for i, symbol in enumerate(stream):
+        if i == foreign_at:
+            with pytest.raises(ValueError):
+                tester.feed(foreign)
+            assert tester.decide() == machine.accepts(window.contents())
+        tester.feed(symbol)
+        window.feed(symbol)
+        assert tester.decide() == machine.accepts(window.contents()), (stream[: i + 1], n)
+        assert tester.state_bits() == n * symbol_bits
 
 
 # --- trivial-language tester -----------------------------------------------------
