@@ -163,6 +163,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _first_repeat(values: list) -> int | None:
+    """Index of the first value that equals an earlier one, or None."""
+    seen = set()
+    for i, value in enumerate(values):
+        if value in seen:
+            return i
+        seen.add(value)
+    return None
+
+
 def run_experiment(config: dict) -> list[ReportRow]:
     """Cross product of languages x testers x window sizes x streams."""
     if not isinstance(config, dict):
@@ -190,6 +200,10 @@ def run_experiment(config: dict) -> list[ReportRow]:
     languages = [
         _language_from_config(entry, f"languages[{i}]") for i, entry in enumerate(raw_languages)
     ]
+    # report rows carry the language id and the tester kind, so a repeat would make rows indistinguishable
+    i = _first_repeat([language.ident for language in languages])
+    if i is not None:
+        raise ConfigError(f"languages[{i}].id: duplicate {languages[i].ident!r}")
 
     kinds = config.get("testers", [])
     if not isinstance(kinds, list):
@@ -197,6 +211,9 @@ def run_experiment(config: dict) -> list[ReportRow]:
     for i, kind in enumerate(kinds):
         if kind not in TESTER_KINDS:
             raise ConfigError(f"testers[{i}]: unknown kind {kind!r}")
+    i = _first_repeat(kinds)
+    if i is not None:
+        raise ConfigError(f"testers[{i}]: duplicate {kinds[i]!r}")
 
     raw_streams = config.get("streams")
     if not isinstance(raw_streams, list) or not raw_streams:

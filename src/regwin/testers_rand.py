@@ -24,7 +24,10 @@ A union combinator runs testers for finitely many languages in parallel
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import length_hint
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +60,71 @@ def _ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
 # --- probabilistic counters ---------------------------------------------------
 
 
+def binomial_cdf(m: int, p: float) -> tuple[float, ...]:
+    """P(X <= k) for X ~ Binomial(m, p) and k = 0, 1, ..., cut after the
+    first entry that is 1.0 in floating point, so the last entry is 1.0.
+
+    For u uniform on [0, 1), ``bisect_right(table, u)`` is the least k with
+    P(X <= k) > u, an inverse-transform draw of X (Devroye, *Non-Uniform
+    Random Variate Generation*, 1986, ch. 3).  The probabilities are walked
+    out from the mode by the ratio of neighbouring terms and normalized by
+    their sum, so none underflows; terms below 1e-30 of the mode's are
+    dropped (entries below the walk read 0.0).  p = 0 and p = 1 give the
+    point masses at 0 and m.
+    """
+    if p >= 1.0:
+        return (0.0,) * m + (1.0,)
+    if p <= 0.0 or m == 0:
+        return (1.0,)
+    odds = p / (1.0 - p)
+    mode = min(m, int((m + 1) * p))
+    below: list[float] = []  # P(X = k) / P(X = mode) for k = mode - 1, mode - 2, ...
+    ratio, k = 1.0, mode
+    while k > 0 and ratio > 1e-30:
+        ratio *= k / ((m - k + 1) * odds)
+        k -= 1
+        below.append(ratio)
+    above: list[float] = []  # the same for k = mode + 1, mode + 2, ...
+    ratio, k = 1.0, mode
+    while k < m and ratio > 1e-30:
+        ratio *= (m - k) * odds / (k + 1)
+        k += 1
+        above.append(ratio)
+    partial = list(accumulate([*reversed(below), 1.0, *above]))
+    cdf = [s / partial[-1] for s in partial]
+    return (0.0,) * (mode - len(below)) + tuple(cdf[: cdf.index(1.0) + 1])
+
+
+class _IncrementCdfs(dict):
+    """count -> ``binomial_cdf(copies - count, per_step_p)``, the law of the
+    cells one increment sets on a counter holding ``count``; each table is
+    built on first use."""
+
+    def __init__(self, copies: int, per_step_p: float):
+        super().__init__()
+        self.copies = copies
+        self.per_step_p = per_step_p
+
+    def __missing__(self, count: int) -> tuple[float, ...]:
+        cdf = self[count] = binomial_cdf(self.copies - count, self.per_step_p)
+        return cdf
+
+
+# shared by every counter with the same (copies, per_step_p), so Monte Carlo
+# trials build each table once; the tables are values of a pure function, so
+# what a caller reads does not depend on what ran before.  The oldest
+# parameter pair is dropped first.
+_INCREMENT_CDFS: dict[tuple[int, float], _IncrementCdfs] = {}
+INCREMENT_CDF_CACHE_SIZE = 16
+
+
+class _UnitStep(dict):
+    """count -> the table of a step of exactly one, whatever the count."""
+
+    def __missing__(self, count: int) -> tuple[float, ...]:
+        return (0.0, 1.0)
+
+
 def counter_copies(qsize: int, noise_margin: float) -> int:
     """Cell count making the majority vote err with probability at most
     1/(3*qsize): ceil(96 ln(3 qsize) / margin^2)."""
@@ -77,8 +145,10 @@ class ProbabilisticCounter:
     diagnostics only; it is None on a counter rebuilt from a bare count.
 
     The two-sided tester uses one counter as the parameters of all its
-    cells and keeps the counts itself (``advance``, ``reads_high``); the
-    stateful methods serve standalone use and the reference definition
+    cells and keeps the counts itself: it reads them with ``reads_high``
+    and advances each by inverting its table in ``increment_cdfs`` at a
+    uniform.  The stateful methods (``increment_many`` draws with NumPy)
+    serve standalone use and the reference definition
     ``prolong_compact_summary``.
     """
 
@@ -124,14 +194,17 @@ class ProbabilisticCounter:
             raise RuntimeError("counter increment needs a randomness source")
         return rng
 
-    def advance(self, counts: list[int], rng: np.random.Generator | None = None) -> list[int]:
-        """One increment of every count in ``counts``, with one batched
-        draw: each count gains Binomial(copies - count, p) set cells."""
-        if not counts:
-            return counts
-        unset = [self.copies - count for count in counts]
-        draws = self._source(rng).binomial(unset, self.per_step_p).tolist()
-        return [count + drawn for count, drawn in zip(counts, draws)]
+    def increment_cdfs(self) -> Mapping[int, tuple[float, ...]]:
+        """count -> CDF table of the cells one increment sets on a counter
+        holding ``count``: Binomial(copies - count, per_step_p).  Shared by
+        every counter with these parameters."""
+        key = (self.copies, self.per_step_p)
+        cdfs = _INCREMENT_CDFS.get(key)
+        if cdfs is None:
+            if len(_INCREMENT_CDFS) >= INCREMENT_CDF_CACHE_SIZE:
+                del _INCREMENT_CDFS[next(iter(_INCREMENT_CDFS))]
+            cdfs = _INCREMENT_CDFS[key] = _IncrementCdfs(*key)
+        return cdfs
 
     def increment(self, rng: np.random.Generator | None = None) -> None:
         self.increment_many(1, rng)
@@ -196,7 +269,8 @@ def make_counter(
 
 class ThresholdCounter:
     """Deterministic test double: exact count, high iff count >= cutoff.
-    Its count is ``pulses``; ``advance`` adds 1 and ignores the rng."""
+    Its count is ``pulses``; every increment adds exactly 1, and its
+    ``increment_cdfs`` tables say so whatever the uniform."""
 
     __slots__ = ("cutoff", "pulses")
 
@@ -213,8 +287,8 @@ class ThresholdCounter:
     def is_high(self) -> bool:
         return self.reads_high(self.pulses)
 
-    def advance(self, counts: list[int], rng: np.random.Generator | None = None) -> list[int]:
-        return [count + 1 for count in counts]
+    def increment_cdfs(self) -> Mapping[int, tuple[float, ...]]:
+        return _UnitStep()
 
     def increment(self, rng: np.random.Generator | None = None) -> None:
         self.pulses += 1
@@ -314,7 +388,9 @@ def prolong_compact_summary(
     return CompactSummary(triples)
 
 
-Row = list[tuple[int, int, int]]  # (segment start state, residue mod g, counter count), oldest first
+Row = list[tuple[int, int, int]]  # (segment start state, residue mod g, counter count), oldest first, newest left out
+
+UNIFORM_BUFFER = 2048  # uniforms per refill of a two-sided tester's buffer
 
 
 class TwoSidedTester(SlidingWindowTester):
@@ -328,16 +404,24 @@ class TwoSidedTester(SlidingWindowTester):
 
     A summary is held as a flat row of ``(state, residue, count)`` tuples,
     oldest first; one counter object (from ``counter_factory``) holds the
-    parameters every count shares.  A step builds each state p's row from
-    the row of its successor q = delta[p][c]: the newest entry is dropped
-    when p and q share an SCC, every kept residue moves by 1 mod g, and
-    ``(p, 0, 0)`` is appended; then every kept count advances by one
-    increment in a single batched draw, row by row and oldest first.  This
+    parameters every count shares.  The newest triple of state p's summary
+    is always ``(p, 0, 0)``, so a row holds only the older ones.  A step
+    builds each state p's row from the summary of its successor
+    q = delta[p][c] in one pass: the newest triple ``(q, 0, 0)`` is kept
+    only when p and q lie in different SCCs, and every kept triple moves
+    its residue by 1 mod g and advances its count by one increment.  This
     is ``prolong_compact_summary`` applied to every state at once.
 
-    The coins come from one generator per tester, seeded at construction
-    by one draw from ``rng``, so trials are reproducible and every cell
-    sees independent coins.
+    An increment of a count is one Binomial(copies - count, p) draw, taken
+    by inverse transform: ``count + bisect_right(cdfs[count], u)`` with the
+    counter's ``increment_cdfs`` tables and one uniform u per kept triple,
+    row by row and oldest first (a u below the table's first entry adds
+    nothing, without the search).  The uniforms come from a buffer that
+    ``rng.random(k).tolist()`` refills from one generator per tester,
+    seeded at construction by one draw from ``rng``, so trials are
+    reproducible and every cell sees independent coins; a step itself
+    makes no NumPy call.  ``ThresholdCounter`` stubs run through the same
+    step (their tables step by exactly one) and need no generator.
     """
 
     def __init__(
@@ -355,9 +439,13 @@ class TwoSidedTester(SlidingWindowTester):
             counter_factory = lambda: make_counter(window_size, eps, rdfa.n_states, analyzed.t)
             rng = _ensure_rng(rng)  # real counters need coins even without a seed
         self._counter = counter_factory()
-        self._rng = None  # stubs given no rng need none
+        self._cdfs = self._counter.increment_cdfs()
+        self._rng = None  # stubs given no rng need none; their uniforms are zeros
         if rng is not None:
             self._rng = np.random.default_rng(int(_ensure_rng(rng).integers(0, 2**63 - 1)))
+        # a step takes one uniform per kept triple, and a summary holds at most one triple per SCC
+        self._step_draws = rdfa.n_states * len(scc.components)
+        self._uniforms = iter(())
         self._triple_bits = (
             (rdfa.n_states - 1).bit_length() + (g - 1).bit_length() + self._counter.state_bit_cost()
         )
@@ -367,48 +455,61 @@ class TwoSidedTester(SlidingWindowTester):
             [(rdfa.delta[p][code], scc.same_scc(p, rdfa.delta[p][code])) for p in range(rdfa.n_states)]
             for code in range(len(rdfa.alphabet))
         ]
-        self._rows: list[Row] = [[(q, 0, 0)] for q in range(rdfa.n_states)]
+        self._rows: list[Row] = [[] for _ in range(rdfa.n_states)]
         pad = rdfa.alphabet.code(rdfa.alphabet.pad)
         for _ in range(window_size):
             self._feed_code(pad)
 
+    def _refill_uniforms(self) -> None:
+        # the unused rest of the old buffer is dropped whatever its values, so the draws stay exact
+        size = max(UNIFORM_BUFFER, self._step_draws)
+        self._uniforms = iter(self._rng.random(size).tolist() if self._rng is not None else [0.0] * size)
+
     def _feed_code(self, code: int) -> None:
-        rows = self._rows
-        kept = [rows[q][:-1] if same else rows[q] for q, same in self._moves[code]]
-        counts = self._counter.advance([count for row in kept for _s, _r, count in row], self._rng)
-        advanced = iter(counts)  # zip stops at the end of each row, so each row takes its own counts
-        next_residue = self._next_residue
+        if length_hint(self._uniforms) < self._step_draws:
+            self._refill_uniforms()
+        rows, uniforms, cdfs, next_residue = self._rows, self._uniforms, self._cdfs, self._next_residue
+        fresh = cdfs[0]
         new_rows: list[Row] = []
-        for p, row in enumerate(kept):
-            new_row = [
-                (state, next_residue[residue], count)
-                for (state, residue, _old), count in zip(row, advanced)
-            ]
-            new_row.append((p, 0, 0))
-            new_rows.append(new_row)
+        add_row = new_rows.append
+        for q, same in self._moves[code]:
+            new_row: Row = []
+            add = new_row.append
+            # zip stops at the end of the row before it takes a uniform, so each triple takes exactly one
+            for (state, residue, count), u in zip(rows[q], uniforms):
+                cdf = cdfs[count]
+                add((state, next_residue[residue], count if u < cdf[0] else count + bisect_right(cdf, u)))
+            if not same:
+                add((q, next_residue[0], bisect_right(fresh, next(uniforms))))
+            add_row(new_row)
         self._rows = new_rows
 
     def feed(self, symbol: str) -> None:
         self._feed_code(self._a.rdfa.alphabet.code(symbol))
 
     def decide(self) -> bool:
+        analyzed, initial = self._a, self._a.rdfa.initial
         reads_high = self._counter.reads_high
         # oldest first: the first triple that reads low decides
-        for state, residue, count in self._rows[self._a.rdfa.initial]:
+        for state, residue, count in self._rows[initial]:
             if not reads_high(count):
-                return (self.window_size - residue) % self._a.g in self._a.acc_mod[state]
-        raise AssertionError("newest triple is low by invariant")
+                break
+        else:
+            state, residue = initial, 0  # the newest triple, which reads low by invariant
+        return (self.window_size - residue) % analyzed.g in analyzed.acc_mod[state]
 
     def summaries(self) -> Mapping[int, CompactSummary]:
         """The rows as ``CompactSummary`` objects (a view; not for the hot path)."""
         with_count = self._counter.with_count
         return {
-            q: CompactSummary([SummaryTriple(s, residue, with_count(count)) for s, residue, count in row])
+            q: CompactSummary(
+                [SummaryTriple(s, residue, with_count(count)) for s, residue, count in [*row, (q, 0, 0)]]
+            )
             for q, row in enumerate(self._rows)
         }
 
     def state_bits(self) -> int:
-        return self._triple_bits * sum(map(len, self._rows))
+        return self._triple_bits * (sum(map(len, self._rows)) + len(self._rows))
 
 
 def two_sided_tester(

@@ -224,6 +224,17 @@ BAD_CONFIGS = {
         r"^languages\[0\]\.regex: ",
     ),
     "automaton-not-string": ({"languages": [{"id": "x", "automaton": 0}]}, r"^languages\[0\]\.automaton: "),
+    "language-id-repeated": (
+        {
+            "languages": [
+                {"id": "a", "regex": "a*", "alphabet": "ab"},
+                {"id": "c", "regex": "ba*", "alphabet": "ab"},
+                {"id": "a", "regex": "b*", "alphabet": "ab"},
+            ]
+        },
+        r"^languages\[2\]\.id: duplicate 'a'$",
+    ),
+    "tester-kind-repeated": ({"testers": ["det", "exact", "det"]}, r"^testers\[2\]: duplicate 'det'$"),
 }
 
 
