@@ -33,6 +33,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import analysis, oracle, streams, testers_det, testers_rand
 from .automata import (
@@ -173,6 +174,15 @@ def _first_repeat(values: list) -> int | None:
     return None
 
 
+def _final_window(symbols: Iterable[str], alphabet: Alphabet, n: int) -> str:
+    """The window after the whole stream: its last n symbols, padded on the
+    left, as the oracle's window buffer holds it."""
+    window = oracle.WindowBuffer(alphabet, n)
+    for symbol in symbols:
+        window.feed(symbol)
+    return window.contents()
+
+
 def run_experiment(config: dict) -> list[ReportRow]:
     """Cross product of languages x testers x window sizes x streams."""
     if not isinstance(config, dict):
@@ -227,18 +237,17 @@ def run_experiment(config: dict) -> list[ReportRow]:
 
     rows = []
     for language in languages:
-        for kind in kinds:
+        factories = {
+            n: {kind: build_tester_factory(kind, language, n, eps) for kind in kinds} for n in window_sizes
+        }
+        for spec in specs:
+            symbols = list(streams.generate(spec, language.alphabet))
             for n in window_sizes:
-                for spec in specs:
-                    symbols = list(streams.generate(spec, language.alphabet))
-                    factory = build_tester_factory(kind, language, n, eps)
+                dist = oracle.distance_to_language(_final_window(symbols, language.alphabet, n), language.dfa)
+                for kind, factory in factories[n].items():
                     started = time.perf_counter()
                     result = streams.monte_carlo(factory, symbols, trials, seed)
                     elapsed = time.perf_counter() - started if timing else 0.0
-                    window = oracle.WindowBuffer(language.alphabet, n)
-                    for symbol in symbols:
-                        window.feed(symbol)
-                    dist = oracle.distance_to_language(window.contents(), language.dfa)
                     rows.append(
                         ReportRow(
                             language=language.ident,
@@ -358,10 +367,7 @@ def _cmd_tester_run(args: argparse.Namespace) -> int:
     symbols = list(streams.generate(spec, language.alphabet))
     factory = build_tester_factory(args.kind, language, args.n, args.eps)
     result = streams.monte_carlo(factory, symbols, args.trials, args.seed, trace=args.trace)
-    window = oracle.WindowBuffer(language.alphabet, args.n)
-    for symbol in symbols:
-        window.feed(symbol)
-    dist = oracle.distance_to_language(window.contents(), language.dfa)
+    dist = oracle.distance_to_language(_final_window(symbols, language.alphabet, args.n), language.dfa)
     report = {
         "language": language.ident,
         "kind": args.kind,
@@ -390,10 +396,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_oracle_dist(args: argparse.Namespace) -> int:
     language = _language_from_args(args)
     spec = streams.spec_from_string(args.stream)
-    window = oracle.WindowBuffer(language.alphabet, args.n)
-    for symbol in streams.generate(spec, language.alphabet):
-        window.feed(symbol)
-    contents = window.contents()
+    contents = _final_window(streams.generate(spec, language.alphabet), language.alphabet, args.n)
     dist = oracle.distance_to_language(contents, language.dfa)
     pdist = oracle.prefix_distance_to_language(contents, language.dfa)
     report = {

@@ -34,9 +34,16 @@ class SlidingWindowTester(ABC):
     ``feed`` is the only mutation; ``decide`` reports for the current
     window; ``state_bits`` is the information-theoretic size of the
     maintained state (the space measure all scaling claims refer to).
+    Every tester passes its window size through this constructor, which
+    rejects a negative one.
     """
 
     window_size: int
+
+    def __init__(self, window_size: int):
+        if window_size < 0:
+            raise ValueError("window size must be nonnegative")
+        self.window_size = window_size
 
     @abstractmethod
     def feed(self, symbol: str) -> None: ...
@@ -77,9 +84,7 @@ class ExactWindowTester(SlidingWindowTester):
     """
 
     def __init__(self, machine: Dfa | Rdfa, window_size: int):
-        if window_size < 0:
-            raise ValueError("window size must be nonnegative")
-        self.window_size = window_size
+        super().__init__(window_size)
         self._alphabet = machine.alphabet
         self._initial = machine.initial
         self._finals = machine.finals
@@ -138,7 +143,7 @@ class FixedVerdictTester(SlidingWindowTester):
     only on whether the window length is a realized length."""
 
     def __init__(self, alphabet: Alphabet, lengths: EventuallyPeriodicSet, window_size: int):
-        self.window_size = window_size
+        super().__init__(window_size)
         self._alphabet = alphabet
         self._verdict = lengths.member(window_size)
 
@@ -220,7 +225,7 @@ class PathSummaryTester(SlidingWindowTester):
     """
 
     def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
-        self.window_size = window_size
+        super().__init__(window_size)
         self._a = analyzed
         rdfa = analyzed.rdfa
         self._summaries: dict[int, list[list[int]]] = {

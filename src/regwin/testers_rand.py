@@ -10,12 +10,15 @@ up to the allowed slack without storing any length exactly.
 
 One-sided tester (double-log space for suffix-free languages): the
 machine is split into finitely many partial machines, one per chain of
-SCCs ending in a final state.  Each partial machine has essentially one
-accepting length profile, so membership reduces to "the shortest suffix
-driving the start state to the final state has length exactly n", which is
-checked modulo a random prime drawn from a pool of the first
-Θ(log window-size) primes.  Member windows are accepted for every prime;
-far windows survive for at most a third of the pool.
+SCCs ending in a final state, each completed with a sink into a machine of
+its own.  Each partial machine has essentially one accepting length
+profile, so membership reduces to "the shortest suffix driving the start
+state to the final state has length exactly n", which is checked modulo a
+random prime drawn from a pool of the first Θ(log window-size) primes.
+Member windows are accepted for every prime; far windows survive for at
+most a third of the pool.  A partial machine whose language is a single
+word, or whose slack does not fit the window, is tracked exactly by the
+same ``ExactWindowTester`` that serves the exact kind.
 
 A union combinator runs testers for finitely many languages in parallel
 (with one-sided amplification by independent copies).
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import length_hint
 from typing import Callable, Mapping, Sequence
@@ -44,9 +47,8 @@ from .analysis import (
     realized_lengths,
     retarget_finals,
 )
-from .automata import Dfa, Rdfa, StateLimitExceeded
-from .oracle import WindowBuffer
-from .testers_det import SlidingWindowTester, exact_tester, trivial_tester
+from .automata import Alphabet, Dfa, Rdfa, StateLimitExceeded
+from .testers_det import ExactWindowTester, SlidingWindowTester, exact_tester, trivial_tester
 
 PATH_DESCRIPTION_CAP = 4096
 
@@ -432,7 +434,7 @@ class TwoSidedTester(SlidingWindowTester):
         rng: np.random.Generator | int | None = None,
         counter_factory: Callable[[], ProbabilisticCounter | ThresholdCounter] | None = None,
     ):
-        self.window_size = window_size
+        super().__init__(window_size)
         self._a = analyzed
         rdfa, scc, g = analyzed.rdfa, analyzed.scc, analyzed.g
         if counter_factory is None:
@@ -538,21 +540,25 @@ class PartialRdfa:
     """Restriction of the machine to one chain of SCCs ending in a final
     state, as induced by a path description: per chain component its
     internal transitions plus one connecting transition to the next
-    component, with a single final state and a partial transition function.
+    component, with a single final state.
+
+    ``machine`` is that restriction made complete: state i is
+    ``states[i]``, and one sink after them takes every missing transition,
+    all of the final state's included.  ``start`` and ``final`` keep the
+    full machine's numbering.
 
     Derived data: per-connector residues (every crossing from one entry
     state to the next has length congruent to the residue mod g), the
-    acceptance sets of the partial machine, the thresholds beyond which
-    they become plain residue classes, and the prefix-distance slack
-    ``soundness_gap`` within which the fingerprint tester's verdict is
-    unconstrained.
+    acceptance sets of the partial machine over its own states, the
+    thresholds beyond which they become plain residue classes, and the
+    prefix-distance slack ``soundness_gap`` within which the fingerprint
+    tester's verdict is unconstrained.
     """
 
-    alphabet: object
+    machine: Rdfa
     states: tuple[int, ...]
     start: int
     final: int
-    delta: tuple[tuple[int, int, int], ...]  # (state, symbol code, target)
     connectors: tuple[tuple[int, int, int], ...]  # (target entry, symbol code, source)
     chain: tuple[int, ...]  # SCC ids, start's component first
     entries: tuple[int, ...]  # entry states, start first, final last
@@ -565,37 +571,22 @@ class PartialRdfa:
     threshold: int  # beyond it, the partial machine's acceptance sets are periodic and shift-consistent
     soundness_gap: int  # prefix distances above this must be rejected
     singleton_word: str | None
-    _table: Mapping[tuple[int, int], int] = field(default=None, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_table", {(p, a): q for p, a, q in self.delta})
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.machine.alphabet
 
     @property
     def k(self) -> int:
         return len(self.connectors)
 
     def step(self, symbol_code: int, state: int) -> int | None:
-        return self._table.get((state, symbol_code))
+        """The partial transition from ``state``; None where ``machine`` goes to its sink."""
+        target = self.machine.delta[self.states.index(state)][symbol_code]
+        return self.states[target] if target < len(self.states) else None
 
     def accepts(self, word: str) -> bool:
-        q = self.start
-        code = self.alphabet.code
-        for ch in reversed(word):
-            q = self._table.get((q, code(ch)))
-            if q is None:
-                return False
-        return q == self.final
-
-
-def _partial_acceptance_sets(
-    states: Sequence[int], table: Mapping[tuple[int, int], int], final: int
-) -> dict[int, EventuallyPeriodicSet]:
-    index = {q: i for i, q in enumerate(states)}
-    succ: list[list[int]] = [[] for _ in states]
-    for (p, _a), q in table.items():
-        succ[index[p]].append(index[q])
-    sets = _acceptance_sets_from_successors(succ, (index[final],))
-    return {q: sets[index[q]] for q in states}
+        return self.machine.accepts(word)
 
 
 def _build_partial(
@@ -607,20 +598,24 @@ def _build_partial(
     final = entries[-1]
     chain = tuple(scc.scc_id[q] for q in entries[:-1])
 
-    states: set[int] = {final}
+    members: set[int] = {final}
     for cid in chain:
-        states |= scc.components[cid]
+        members |= scc.components[cid]
+    states = tuple(sorted(members))
+    index = {q: i for i, q in enumerate(states)}
+    sink = len(states)
     connector_table = {(src, a): target for target, a, src in connectors}
-    delta = []
-    for p in sorted(states):
-        if p == final:
-            continue
-        for a in range(len(rdfa.alphabet)):
-            q = rdfa.delta[p][a]
-            if scc.same_scc(p, q) and q in states:
-                delta.append((p, a, q))
-            elif connector_table.get((p, a)) == q:
-                delta.append((p, a, q))
+    # the final state is transient and no connector leaves it, so all of its transitions go to the sink
+    delta = [
+        [
+            index[q] if scc.same_scc(p, q) or connector_table.get((p, a)) == q else sink
+            for a, q in enumerate(rdfa.delta[p])
+        ]
+        for p in states
+    ]
+    sets = _acceptance_sets_from_successors([[q for q in row if q != sink] for row in delta], (index[final],))
+    acc = dict(zip(states, sets))
+    delta.append([sink] * len(rdfa.alphabet))
 
     residue_steps = []
     for i, (target, _a, source) in enumerate(connectors):
@@ -638,9 +633,6 @@ def _build_partial(
             rdfa.alphabet.symbols[a] for _t, a, _s in reversed(connectors)
         )
 
-    table = {(p, a): q for p, a, q in delta}
-    acc = _partial_acceptance_sets(sorted(states), table, final)
-
     k = len(connectors)
     tail_thresholds: list[int] = []
     if last_recurrent is not None:
@@ -655,11 +647,10 @@ def _build_partial(
     threshold = global_threshold(acc, g, analyzed.periods)
 
     return PartialRdfa(
-        alphabet=rdfa.alphabet,
-        states=tuple(sorted(states)),
+        machine=Rdfa(rdfa.alphabet, delta, index[start], (index[final],)),
+        states=states,
         start=start,
         final=final,
-        delta=tuple(delta),
         connectors=tuple(connectors),
         chain=chain,
         entries=tuple(entries),
@@ -733,69 +724,56 @@ def sample_prime(n: int, rng: np.random.Generator | int | None = None) -> int:
     return pool[int(_ensure_rng(rng).integers(len(pool)))]
 
 
-class ModularLengthTable:
-    """Prime fingerprint of one partial machine: per state, the length of
-    the shortest suffix of the stream that drives the state to the partial
-    machine's final state, maintained mod a prime; None is the explicit
-    infinity (1 + inf = inf).  Accepts iff the start state's length is
-    congruent to the window size."""
-
-    __slots__ = ("partial", "prime", "values", "reachable_length", "target")
+class ModularLengthTable(SlidingWindowTester):
+    """Prime fingerprint of one partial machine, as a tester: per state of
+    ``partial.machine``, the length of the shortest suffix of the stream
+    that drives the state to the final state, maintained mod a prime p.
+    The value p stands for infinity (1 + inf = inf); the sink holds it for
+    good, and the final state holds 0.  A feed steps the list of values
+    over the machine's table, each through the successor table
+    ``0 -> 1 -> ... -> p-1 -> 0`` and ``p -> p``.  Accepts iff the window
+    size is a length the start state can accept and the start state's
+    length is congruent to it.  Warmed up at construction on a pad-filled
+    window."""
 
     def __init__(self, partial: PartialRdfa, window_size: int, prime: int):
+        super().__init__(window_size)
         self.partial = partial
         self.prime = prime
-        self.values: dict[int, int | None] = {
-            q: (0 if q == partial.final else None) for q in partial.states
-        }
+        machine = partial.machine
+        self._code = machine.alphabet.code
+        self._moves = list(zip(*machine.delta))  # per symbol code, per state: the target state
+        self._start = machine.initial
+        (self._final,) = machine.finals
+        self._successor = [*range(1, prime), 0, prime]
+        self.values = [prime] * machine.n_states
+        self.values[self._final] = 0
         self.reachable_length = partial.acc[partial.start].member(window_size)
         self.target = window_size % prime
+        for _ in range(window_size):
+            self.feed(machine.alphabet.pad)
 
-    def feed(self, symbol_code: int) -> None:
-        partial = self.partial
-        old = self.values
-        new: dict[int, int | None] = {}
-        for q in partial.states:
-            if q == partial.final:
-                new[q] = 0
-                continue
-            target = partial.step(symbol_code, q)
-            prev = old[target] if target is not None else None
-            new[q] = None if prev is None else (1 + prev) % self.prime
+    def feed(self, symbol: str) -> None:
+        old, successor = self.values, self._successor
+        new = [successor[old[q]] for q in self._moves[self._code(symbol)]]
+        new[self._final] = 0
         self.values = new
 
     def decide(self) -> bool:
-        if not self.reachable_length:
-            return False
-        return self.values[self.partial.start] == self.target
+        return self.reachable_length and self.values[self._start] == self.target
 
     def state_bits(self) -> int:
         return len(self.partial.states) * (self.prime.bit_length() + 1)
 
 
-class _ExactPart:
-    """Fallback for small windows and singleton partial languages: track
-    the window and test membership directly."""
-
-    def __init__(self, partial: PartialRdfa, window_size: int):
-        self.partial = partial
-        self.window = WindowBuffer(partial.alphabet, window_size)
-        self._symbol_bits = max(1, (len(partial.alphabet) - 1).bit_length())
-
-    def feed(self, code: int) -> None:
-        self.window.feed(self.partial.alphabet.symbols[code])
-
-    def decide(self) -> bool:
-        return self.partial.accepts(self.window.contents())
-
-    def state_bits(self) -> int:
-        return self.window.size * self._symbol_bits
-
-
 class OneSidedTester(SlidingWindowTester):
     """One-sided tester for a suffix-free language given its partial
-    machines: one shared random prime, one modular length table per
-    fingerprintable partial machine, exact tracking for the rest."""
+    machines: one shared random prime and one part per partial machine,
+    fed every symbol; accepts iff some part accepts.  A part is a
+    ``ModularLengthTable`` where the fingerprint applies, and otherwise an
+    ``ExactWindowTester`` over ``partial.machine``: for a partial language
+    that is a single word, or where the window is below its slack,
+    n < ``length_slack`` + |partial states|."""
 
     def __init__(
         self,
@@ -804,10 +782,9 @@ class OneSidedTester(SlidingWindowTester):
         rng: np.random.Generator | int | None = None,
         prime: int | None = None,
     ):
+        super().__init__(window_size)
         if not partials:
             raise ValueError("need at least one partial machine")
-        self.window_size = window_size
-        self._alphabet = partials[0].alphabet
         fingerprintable = [
             partial.singleton_word is None
             and window_size >= partial.length_slack + len(partial.states)
@@ -816,21 +793,16 @@ class OneSidedTester(SlidingWindowTester):
         if prime is None and any(fingerprintable):
             prime = sample_prime(window_size, rng)
         self.prime = prime  # None when every part tracks its window exactly
-        self._parts: list[ModularLengthTable | _ExactPart] = []
-        for partial, use_fingerprint in zip(partials, fingerprintable):
-            if use_fingerprint:
-                self._parts.append(ModularLengthTable(partial, window_size, self.prime))
-            else:
-                self._parts.append(_ExactPart(partial, window_size))
-        pad = self._alphabet.code(self._alphabet.pad)
-        for _ in range(window_size):
-            for part in self._parts:
-                part.feed(pad)
+        self._parts: list[ModularLengthTable | ExactWindowTester] = [
+            ModularLengthTable(partial, window_size, prime)
+            if use_fingerprint
+            else ExactWindowTester(partial.machine, window_size)
+            for partial, use_fingerprint in zip(partials, fingerprintable)
+        ]
 
     def feed(self, symbol: str) -> None:
-        code = self._alphabet.code(symbol)
         for part in self._parts:
-            part.feed(code)
+            part.feed(symbol)
 
     def decide(self) -> bool:
         return any(part.decide() for part in self._parts)
@@ -863,7 +835,7 @@ class UnionTester(SlidingWindowTester):
         sizes = {t.window_size for group in self._groups for t in group}
         if len(sizes) > 1:
             raise ValueError(f"sub-testers disagree on the window size: {sorted(sizes)}")
-        self.window_size = sizes.pop() if sizes else 0
+        super().__init__(sizes.pop() if sizes else 0)
 
     def feed(self, symbol: str) -> None:
         for group in self._groups:

@@ -13,6 +13,8 @@ import functools
 import itertools
 import re
 
+from hypothesis import settings
+
 from regwin import (
     Alphabet,
     AnalyzedRdfa,
@@ -22,6 +24,11 @@ from regwin import (
     minimize,
     parse_regex,
 )
+
+# every property test draws the same examples on every run; tests that set
+# their own settings keep their example counts and inherit the rest
+settings.register_profile("regwin", derandomize=True, deadline=None)
+settings.load_profile("regwin")
 
 CORPUS: list[tuple[str, str]] = [
     ("a-star", "a*"),

@@ -4,6 +4,7 @@ import re
 import pytest
 from conftest import WRONGLY_TYPED_FIELDS, wrongly_typed
 
+from regwin import cli
 from regwin.cli import ConfigError, main, report_to_csv, run_experiment
 
 BASE_CONFIG = {
@@ -50,6 +51,25 @@ def test_experiment_validation_errors_carry_paths():
         run_experiment(dict(BASE_CONFIG, languages=[{"id": "x", "regex": "a*"}]))
     with pytest.raises(ConfigError, match="window_sizes"):
         run_experiment(dict(BASE_CONFIG, window_sizes=[-1]))
+
+
+def test_experiment_runs_the_oracle_once_per_window_and_builds_each_factory_once(monkeypatch):
+    calls = {"distance": 0, "factory": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    distance = counting("distance", cli.oracle.distance_to_language)
+    monkeypatch.setattr(cli.oracle, "distance_to_language", distance)
+    monkeypatch.setattr(cli, "build_tester_factory", counting("factory", cli.build_tester_factory))
+    periodic = {"kind": "periodic", "block": "ab", "repeats": 40}
+    rows = run_experiment(dict(BASE_CONFIG, streams=BASE_CONFIG["streams"] + [periodic]))
+    assert len(rows) == 8  # 2 testers x 2 window sizes x 2 streams
+    assert calls == {"distance": 4, "factory": 4}  # per (window size, stream); per (tester, window size)
 
 
 def test_cli_experiment_subcommand(tmp_path, capsys):

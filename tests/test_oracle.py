@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from conftest import AB, CORPUS, build_analyzed, build_dfa, language_slice, last_n, words_up_to
@@ -150,3 +152,28 @@ def test_t_simulation_rejects_non_internal_runs():
     run = analyzed.rdfa.run("ba", q0)  # crosses into the sink component
     with pytest.raises(ValueError):
         check_t_simulation(analyzed, run, 4)
+
+
+# --- layering -------------------------------------------------------------------
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of the modules a source file of the regwin package
+    imports, relative imports resolved against the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("regwin." + (node.module or "")) if node.level else node.module
+            base = base.rstrip(".")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["testers_det.py", "testers_rand.py"])
+def test_testers_do_not_import_the_oracle(module):
+    """The oracle stays ground truth that the testers cannot lean on."""
+    path = Path(__file__).resolve().parent.parent / "src" / "regwin" / module
+    assert "regwin.oracle" not in _imported_modules(path)

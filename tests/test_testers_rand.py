@@ -4,12 +4,14 @@ from conftest import AB, build_analyzed, build_dfa, words_up_to
 
 from regwin import (
     CompactSummary,
+    ModularLengthTable,
     ProbabilisticCounter,
     SummaryTriple,
     ThresholdCounter,
     amplification_copies,
     composed_one_sided_tester,
     counter_copies,
+    deterministic_tester,
     enumerate_path_descriptions,
     make_counter,
     monte_carlo,
@@ -22,7 +24,7 @@ from regwin import (
     two_sided_tester,
     union_tester,
 )
-from regwin.testers_det import ExactWindowTester, FixedVerdictTester
+from regwin.testers_det import ExactWindowTester, FixedVerdictTester, PathSummaryTester
 from regwin.testers_rand import TwoSidedTester
 
 
@@ -492,3 +494,32 @@ def test_composed_tester_for_trivial_language_is_constant_space():
 def test_composed_tester_refuses_log_lower_bound_languages():
     with pytest.raises(ValueError, match="suffix-free"):
         composed_one_sided_tester(build_dfa("a*"), 8, rng=7)
+
+
+# --- window sizes ---------------------------------------------------------------------------
+
+
+def _ba_partials():
+    return enumerate_path_descriptions(build_analyzed("ba*"))
+
+
+NEGATIVE_WINDOW_CONSTRUCTORS = {
+    "trivial": lambda n: trivial_tester(AB, realized_lengths(build_dfa("a*")), n),
+    "path-summary": lambda n: PathSummaryTester(build_analyzed("a*"), n),
+    "deterministic": lambda n: deterministic_tester(build_analyzed("a*"), n),
+    "two-sided-stub": lambda n: TwoSidedTester(
+        build_analyzed("a*"), n, 0.5, counter_factory=lambda: ThresholdCounter(2)
+    ),
+    "two-sided": lambda n: two_sided_tester(build_analyzed("a*"), n, 0.5, rng=0),
+    "modular-table": lambda n: ModularLengthTable(_ba_partials()[0], n, 3),
+    "one-sided": lambda n: one_sided_suffix_free_tester(_ba_partials(), n, prime=3),
+    "composed-constant": lambda n: composed_one_sided_tester(build_dfa("(a|b)*a|ba*"), n, rng=0),
+    "composed-loglog": lambda n: composed_one_sided_tester(build_dfa("ba*"), n, rng=0),
+}
+
+
+@pytest.mark.parametrize("kind", NEGATIVE_WINDOW_CONSTRUCTORS)
+def test_every_tester_rejects_a_negative_window(kind):
+    with pytest.raises(ValueError, match="^window size must be nonnegative$"):
+        NEGATIVE_WINDOW_CONSTRUCTORS[kind](-1)
+    assert NEGATIVE_WINDOW_CONSTRUCTORS[kind](0).window_size == 0
