@@ -203,6 +203,10 @@ def run_experiment(config: dict) -> list[ReportRow]:
     window_sizes = config.get("window_sizes")
     if not isinstance(window_sizes, list) or not all(_is_int(n) and n >= 0 for n in window_sizes):
         raise ConfigError("window_sizes: expected a list of nonnegative integers")
+    # report rows carry the language id, tester kind, window size and stream label: a repeat of
+    # any of them would make rows indistinguishable
+    if (i := _first_repeat(window_sizes)) is not None:
+        raise ConfigError(f"window_sizes[{i}]: duplicate {window_sizes[i]}")
 
     raw_languages = config.get("languages")
     if not isinstance(raw_languages, list) or not raw_languages:
@@ -210,9 +214,7 @@ def run_experiment(config: dict) -> list[ReportRow]:
     languages = [
         _language_from_config(entry, f"languages[{i}]") for i, entry in enumerate(raw_languages)
     ]
-    # report rows carry the language id and the tester kind, so a repeat would make rows indistinguishable
-    i = _first_repeat([language.ident for language in languages])
-    if i is not None:
+    if (i := _first_repeat([language.ident for language in languages])) is not None:
         raise ConfigError(f"languages[{i}].id: duplicate {languages[i].ident!r}")
 
     kinds = config.get("testers", [])
@@ -221,8 +223,7 @@ def run_experiment(config: dict) -> list[ReportRow]:
     for i, kind in enumerate(kinds):
         if kind not in TESTER_KINDS:
             raise ConfigError(f"testers[{i}]: unknown kind {kind!r}")
-    i = _first_repeat(kinds)
-    if i is not None:
+    if (i := _first_repeat(kinds)) is not None:
         raise ConfigError(f"testers[{i}]: duplicate {kinds[i]!r}")
 
     raw_streams = config.get("streams")
@@ -234,6 +235,8 @@ def run_experiment(config: dict) -> list[ReportRow]:
             specs.append(streams.spec_from_dict(entry))
         except ValueError as exc:
             raise ConfigError(f"streams[{i}]: {exc}") from exc
+    if (i := _first_repeat([spec.label() for spec in specs])) is not None:
+        raise ConfigError(f"streams[{i}]: duplicate {specs[i].label()!r}")
 
     rows = []
     for language in languages:

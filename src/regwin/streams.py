@@ -86,7 +86,8 @@ class RandomStream:
         return data
 
     def label(self) -> str:
-        return f"random:{self.seed},{self.length}"
+        # weights as the floats the generator draws with, so 1 and 1.0 label one stream alike
+        return f"random:{self.seed},{self.length}" + "".join(f",{s}={float(w)}" for s, w in self.weights)
 
 
 @dataclass(frozen=True)

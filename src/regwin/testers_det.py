@@ -11,11 +11,12 @@ Three testers share one interface:
   language is trivial (all words of a realized length sit within bounded
   distance of the language): accept iff the window length is realized.
 * :func:`deterministic_tester` is the logarithmic-space tester: for every
-  state q it maintains the segment summary of the window's run from q in
-  the analyzed right-to-left machine, updating both ends as the window
-  slides, and accepts iff the oldest segment's length is an acceptance
-  length of the oldest segment's start state.  Accepted windows are within
-  prefix distance t (the analysis threshold) of the language.
+  state p it keeps the segment summary of the window's run from p in the
+  analyzed right-to-left machine, as a row of (start state, age) pairs
+  that each feed rebuilds from the row of p's successor, and accepts iff
+  the oldest segment's length is an acceptance length of its start state.
+  Accepted windows are within prefix distance t (the analysis threshold)
+  of the language.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ class SlidingWindowTester(ABC):
     window; ``state_bits`` is the information-theoretic size of the
     maintained state (the space measure all scaling claims refer to).
     Every tester passes its window size through this constructor, which
-    rejects a negative one.
+    rejects a negative one.  Every window starts as n pad symbols: a
+    summarizing tester feeds them at construction through
+    ``_start_on_pad``, the one warm-up loop; the exact tester stores them.
     """
 
     window_size: int
@@ -53,6 +56,10 @@ class SlidingWindowTester(ABC):
 
     @abstractmethod
     def state_bits(self) -> int: ...
+
+    def _start_on_pad(self, alphabet: Alphabet) -> None:
+        for _ in range(self.window_size):
+            self.feed(alphabet.pad)
 
     def feed_all(self, stream: Iterable[str]) -> "SlidingWindowTester":
         for symbol in stream:
@@ -214,68 +221,64 @@ def path_summary_of(window: str, q: int, analyzed: AnalyzedRdfa) -> PathSummary:
     return PathSummary(tuple(pairs))
 
 
+def summary_moves(analyzed: AnalyzedRdfa) -> list[list[tuple[int, bool]]]:
+    """Per symbol code, per start state p: (successor q, whether p and q share an SCC)."""
+    return [
+        [(q, analyzed.same_scc(p, q)) for p, q in enumerate(successors)]
+        for successors in zip(*analyzed.rdfa.delta)
+    ]
+
+
 class PathSummaryTester(SlidingWindowTester):
     """Logarithmic-space deterministic tester.
 
-    For every state q the map holds the summary of the window's run from q
-    (keyed by the run's start state; the machine is deterministic so this
-    realizes the set of summaries unambiguously).  Each feed first extends
-    every run at its start with the new symbol, then trims one step off the
-    oldest end as the window slides.
+    The summary of the window's run from each start state p is a flat row
+    of ``(segment start state, age)`` tuples, oldest first, where the age
+    counts the window symbols newer than the segment's start; the newest
+    segment, always ``(p, 0)``, is left out.  A step builds p's row from the
+    row of q = delta[p][c] in one pass: entries age by one, one that would
+    pass age n leaves the window, and ``(q, 1)`` joins when p and q lie in
+    different SCCs (the two-sided tester's rows, with exact ages for
+    residues and counters).  Accepts iff the oldest segment from the
+    initial state, of length n - age, is an acceptance length of its start.
     """
 
     def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
         super().__init__(window_size)
         self._a = analyzed
         rdfa = analyzed.rdfa
-        self._summaries: dict[int, list[list[int]]] = {
-            q: [[0, q]] for q in range(rdfa.n_states)
-        }
-        pad = rdfa.alphabet.code(rdfa.alphabet.pad)
-        for _ in range(window_size):
-            self._extend(pad)
-
-    def _extend(self, code: int) -> None:
-        rdfa, scc = self._a.rdfa, self._a.scc
-        old = self._summaries
-        new: dict[int, list[list[int]]] = {}
-        for p in range(rdfa.n_states):
-            q = rdfa.delta[p][code]
-            pairs = [pair.copy() for pair in old[q]]  # old[q] may feed several p
-            if scc.same_scc(p, q):
-                pairs[-1][0] += 1
-                pairs[-1][1] = p
-            else:
-                pairs.append([1, p])
-            new[p] = pairs
-        self._summaries = new
-
-    def _shrink(self) -> None:
-        for pairs in self._summaries.values():
-            if pairs[0][0] > 0:
-                pairs[0][0] -= 1
-            else:
-                assert len(pairs) > 1, "empty oldest segment in a single-segment summary"
-                pairs.pop(0)
-                pairs[0][0] -= 1
-                assert pairs[0][0] >= 0
+        self._code = rdfa.alphabet.code
+        self._moves = summary_moves(analyzed)
+        self._pair_bits = window_size.bit_length() + (rdfa.n_states - 1).bit_length()
+        self._rows: list[list[tuple[int, int]]] = [[] for _ in range(rdfa.n_states)]
+        self._start_on_pad(rdfa.alphabet)
 
     def feed(self, symbol: str) -> None:
-        self._extend(self._a.rdfa.alphabet.code(symbol))
-        self._shrink()
+        n, rows = self.window_size, self._rows
+        new_rows = []
+        add_row = new_rows.append
+        for q, same in self._moves[self._code(symbol)]:
+            row = [(s, age + 1) for s, age in rows[q] if age < n]
+            if not same and n:
+                row.append((q, 1))
+            add_row(row)
+        self._rows = new_rows
 
     def decide(self) -> bool:
-        oldest_len, oldest_state = self._summaries[self._a.rdfa.initial][0]
-        return self._a.acc[oldest_state].member(oldest_len)
+        row = self._rows[self._a.rdfa.initial]
+        state, age = row[0] if row else (self._a.rdfa.initial, 0)
+        return self._a.acc[state].member(self.window_size - age)
 
     def summaries(self) -> dict[int, PathSummary]:
-        """Immutable view of the maintained map (for auditing)."""
-        return {q: PathSummary(tuple((l, s) for l, s in pairs)) for q, pairs in self._summaries.items()}
+        """The rows as ``PathSummary`` objects, ages turned back into lengths (a view)."""
+        views = {}
+        for q, row in enumerate(self._rows):
+            older_ages = [self.window_size, *(age for _s, age in row)]  # the oldest runs to the far end
+            views[q] = PathSummary(tuple((older - age, s) for older, (s, age) in zip(older_ages, [*row, (q, 0)])))
+        return views
 
     def state_bits(self) -> int:
-        n_states = self._a.rdfa.n_states
-        per_pair = self.window_size.bit_length() + (n_states - 1).bit_length()
-        return sum(len(pairs) * per_pair for pairs in self._summaries.values())
+        return self._pair_bits * (sum(map(len, self._rows)) + len(self._rows))
 
 
 def deterministic_tester(analyzed: AnalyzedRdfa, window_size: int) -> SlidingWindowTester:

@@ -48,7 +48,7 @@ from .analysis import (
     retarget_finals,
 )
 from .automata import Alphabet, Dfa, Rdfa, StateLimitExceeded
-from .testers_det import ExactWindowTester, SlidingWindowTester, exact_tester, trivial_tester
+from .testers_det import ExactWindowTester, SlidingWindowTester, exact_tester, summary_moves, trivial_tester
 
 PATH_DESCRIPTION_CAP = 4096
 
@@ -452,15 +452,9 @@ class TwoSidedTester(SlidingWindowTester):
             (rdfa.n_states - 1).bit_length() + (g - 1).bit_length() + self._counter.state_bit_cost()
         )
         self._next_residue = [(r + 1) % g for r in range(g)]
-        # per symbol code, per start state p: (successor q, whether p and q share an SCC)
-        self._moves = [
-            [(rdfa.delta[p][code], scc.same_scc(p, rdfa.delta[p][code])) for p in range(rdfa.n_states)]
-            for code in range(len(rdfa.alphabet))
-        ]
+        self._moves = summary_moves(analyzed)
         self._rows: list[Row] = [[] for _ in range(rdfa.n_states)]
-        pad = rdfa.alphabet.code(rdfa.alphabet.pad)
-        for _ in range(window_size):
-            self._feed_code(pad)
+        self._start_on_pad(rdfa.alphabet)
 
     def _refill_uniforms(self) -> None:
         # the unused rest of the old buffer is dropped whatever its values, so the draws stay exact
@@ -750,8 +744,7 @@ class ModularLengthTable(SlidingWindowTester):
         self.values[self._final] = 0
         self.reachable_length = partial.acc[partial.start].member(window_size)
         self.target = window_size % prime
-        for _ in range(window_size):
-            self.feed(machine.alphabet.pad)
+        self._start_on_pad(machine.alphabet)
 
     def feed(self, symbol: str) -> None:
         old, successor = self.values, self._successor

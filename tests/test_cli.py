@@ -255,6 +255,15 @@ BAD_CONFIGS = {
         r"^languages\[2\]\.id: duplicate 'a'$",
     ),
     "tester-kind-repeated": ({"testers": ["det", "exact", "det"]}, r"^testers\[2\]: duplicate 'det'$"),
+    "window-size-repeated": ({"window_sizes": [8, 8]}, r"^window_sizes\[1\]: duplicate 8$"),
+    "stream-repeated": (
+        {"streams": [{"kind": "literal", "word": "ba"}, _periodic(2), {"kind": "literal", "word": "ba"}]},
+        r"^streams\[2\]: duplicate 'literal:ba'$",
+    ),
+    "random-stream-repeated": (
+        {"streams": [_random(10, weights={"a": 1, "b": 3}), _random(10, weights={"b": 3.0, "a": 1})]},
+        r"^streams\[1\]: duplicate 'random:1,10,a=1.0,b=3.0'$",
+    ),
 }
 
 
@@ -273,6 +282,20 @@ def test_cli_experiment_exits_2_naming_the_field(tmp_path, capsys, case):
     assert main(["experiment", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(pattern, err.removeprefix("error: "))
+
+
+def test_weighted_random_streams_differing_in_weights_get_distinct_rows():
+    config = dict(
+        BASE_CONFIG,
+        testers=["det"],
+        window_sizes=[4],
+        streams=[_random(50, weights={"a": 1, "b": 0}), _random(50, weights={"a": 0, "b": 1})],
+    )
+    rows = run_experiment(config)
+    assert [(row.stream, row.accept_freq) for row in rows] == [
+        ("random:1,50,a=0.0,b=1.0", 0.0),
+        ("random:1,50,a=1.0,b=0.0", 1.0),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from conftest import AB, CORPUS, build_analyzed, build_dfa, last_n, words_up_to
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regwin import (
@@ -10,7 +12,9 @@ from regwin import (
     Dfa,
     EventuallyPeriodicSet,
     Rdfa,
+    StateLimitExceeded,
     WindowBuffer,
+    analyze,
     deterministic_tester,
     exact_tester,
     path_summary_of,
@@ -226,6 +230,55 @@ def test_deterministic_tester_decisions_small_sweep(ident, pattern):
                 assert prefix_distance_to_language(window, dfa) <= analyzed.t, (stream, n)
 
 
+@st.composite
+def det_cases(draw):
+    """A complete DFA with 1-6 states over 1-3 symbols (any initial state and
+    pad), a window of 0-12 and a stream that slides the window over more
+    than its own length."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 6))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    alphabet = Alphabet.from_string(symbols, draw(st.sampled_from(symbols)))
+    dfa = Dfa(alphabet, delta, draw(state), draw(st.sets(state)))
+    n = draw(st.integers(0, 12))
+    stream = draw(st.text(alphabet=symbols, min_size=n + 1, max_size=2 * n + 8))
+    return dfa, n, stream
+
+
+@settings(max_examples=300)
+@given(det_cases())
+def test_deterministic_tester_is_exact_up_to_t_on_random_machines(case):
+    """After every feed, the path-summary tester holds the reference summary
+    of every start state and counts its pairs' bits, and both it and
+    ``deterministic_tester`` (an exact tester below |Q|) accept members and
+    reject windows at prefix distance beyond t."""
+    dfa, n, stream = case
+    try:
+        analyzed = analyze(dfa)
+    except StateLimitExceeded:
+        assume(False)
+    rdfa = analyzed.rdfa
+    pair_bits = n.bit_length() + (rdfa.n_states - 1).bit_length()
+    summarizing = PathSummaryTester(analyzed, n)
+    chosen = deterministic_tester(analyzed, n)
+    for i in range(len(stream) + 1):
+        if i:
+            summarizing.feed(stream[i - 1])
+            chosen.feed(stream[i - 1])
+        window = last_n(n, stream[:i], dfa.alphabet.pad)
+        summaries = summarizing.summaries()
+        assert summaries == {q: path_summary_of(window, q, analyzed) for q in range(rdfa.n_states)}, (window, n)
+        assert summarizing.state_bits() == pair_bits * sum(len(s.pairs) for s in summaries.values())
+        member = dfa.accepts(window)
+        far = prefix_distance_to_language(window, dfa) > analyzed.t
+        for tester in (summarizing, chosen):
+            if member:
+                assert tester.decide(), (window, n, type(tester).__name__)
+            if far:
+                assert not tester.decide(), (window, n, type(tester).__name__)
+
+
 def test_state_bits_grow_with_log_window():
     analyzed = build_analyzed("ba*")
     sizes = [2**k for k in range(6, 12)]
@@ -239,3 +292,34 @@ def test_state_bits_grow_with_log_window():
     # at most the number of summaries times one bit per pair
     cap = analyzed.rdfa.n_states**2 * (math.ceil(math.log2(sizes[-1])) + 3)
     assert bits[-1] <= cap
+
+
+# --- structure ----------------------------------------------------------------------
+
+
+def _window_loops(module: str) -> list[str]:
+    """Where a source file of the regwin package loops over
+    ``range(<window size>)``: ``module:Class.method`` or ``module:function``."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "regwin" / module).read_text("utf-8"))
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            scopes.append((node.name, node))
+    return [
+        f"{module}:{name}"
+        for name, scope in scopes
+        for loop in ast.walk(scope)
+        if isinstance(loop, ast.For)
+        and isinstance(loop.iter, ast.Call)
+        and getattr(loop.iter.func, "id", None) == "range"
+        and "window_size" in ast.unparse(loop.iter)
+    ]
+
+
+def test_one_pad_warm_up_loop():
+    """Every summarizing tester starts on its pad window through the base
+    class's one warm-up, so a closed-form warm-up replaces one body."""
+    loops = _window_loops("testers_det.py") + _window_loops("testers_rand.py")
+    assert loops == ["testers_det.py:SlidingWindowTester._start_on_pad"]
