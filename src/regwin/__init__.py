@@ -91,6 +91,7 @@ from .testers_rand import (
     SummaryTriple,
     ThresholdCounter,
     amplification_copies,
+    compile_one_sided,
     composed_one_sided_tester,
     counter_copies,
     enumerate_path_descriptions,

@@ -118,7 +118,7 @@ def build_tester_factory(kind: str, language: Language, n: int, eps: float):
         analyzed = analysis.analyze(language.dfa)
         return lambda rng: testers_rand.two_sided_tester(analyzed, n, eps, rng)
     if kind == "one-sided":
-        return lambda rng: testers_rand.composed_one_sided_tester(language.dfa, n, rng)
+        return testers_rand.compile_one_sided(language.dfa, n)
     raise ConfigError(f"unknown tester kind {kind!r} (choose from {', '.join(TESTER_KINDS)})")
 
 

@@ -155,9 +155,17 @@ def _parse_int(text: str, field: str) -> int:
         raise ValueError(f"{field}: expected an integer, got {text!r}") from None
 
 
+def _parse_float(text: str, field: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{field}: expected a number, got {text!r}") from None
+
+
 def spec_from_string(text: str) -> StreamSpec:
     """Compact CLI form, e.g. literal:baaa | periodic:ba,64 |
-    random:7,10000 | adversarial:b,,a,,4,3."""
+    random:7,10000 | random:7,10000,a=1.0,b=3.0 | adversarial:b,,a,,4,3.
+    Every spec's ``label()`` is this form, so a label reads back as its spec."""
     kind, _, rest = text.partition(":")
     if kind == "literal":
         return LiteralStream(rest)
@@ -168,9 +176,16 @@ def spec_from_string(text: str) -> StreamSpec:
         return PeriodicStream(block, _parse_int(repeats, "repeats"))
     if kind == "random":
         parts = rest.split(",")
-        if len(parts) != 2:
+        if len(parts) < 2:
             raise ValueError("random stream needs seed,length")
-        return RandomStream(_parse_int(parts[0], "seed"), _parse_int(parts[1], "length"))
+        weights: dict[str, float] = {}
+        for part in parts[2:]:
+            symbol, _, weight = part.partition("=")
+            if symbol in weights:
+                raise ValueError(f"weights.{symbol}: given twice")
+            weights[symbol] = _parse_float(weight, f"weights.{symbol}")
+        seed, length = _parse_int(parts[0], "seed"), _parse_int(parts[1], "length")
+        return RandomStream(seed, length, tuple(sorted(weights.items())))
     if kind == "adversarial":
         parts = rest.split(",")
         if len(parts) != 6:

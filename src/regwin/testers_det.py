@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .analysis import AnalyzedRdfa, EventuallyPeriodicSet
+from .analysis import AnalyzedRdfa, EventuallyPeriodicSet, _until_repeat
 from .automata import Alphabet, Dfa, Rdfa
 
 
@@ -36,9 +36,11 @@ class SlidingWindowTester(ABC):
     window; ``state_bits`` is the information-theoretic size of the
     maintained state (the space measure all scaling claims refer to).
     Every tester passes its window size through this constructor, which
-    rejects a negative one.  Every window starts as n pad symbols: a
-    summarizing tester feeds them at construction through
-    ``_start_on_pad``, the one warm-up loop; the exact tester stores them.
+    rejects a negative one.  ``feed_power(a, k)`` reaches the state of k
+    feeds of a; summarizing testers replace its loop with a closed form.
+    Every window starts as n pad symbols: a summarizing tester reaches it
+    at construction through ``_start_on_pad``, one ``feed_power`` of the
+    pad, in time independent of n; the exact tester stores them.
     """
 
     window_size: int
@@ -57,9 +59,13 @@ class SlidingWindowTester(ABC):
     @abstractmethod
     def state_bits(self) -> int: ...
 
+    def feed_power(self, symbol: str, k: int) -> None:
+        """The state k calls of ``feed(symbol)`` reach (k >= 0)."""
+        for _ in range(k):
+            self.feed(symbol)
+
     def _start_on_pad(self, alphabet: Alphabet) -> None:
-        for _ in range(self.window_size):
-            self.feed(alphabet.pad)
+        self.feed_power(alphabet.pad, self.window_size)
 
     def feed_all(self, stream: Iterable[str]) -> "SlidingWindowTester":
         for symbol in stream:
@@ -157,6 +163,9 @@ class FixedVerdictTester(SlidingWindowTester):
     def feed(self, symbol: str) -> None:
         self._alphabet.code(symbol)  # validate
 
+    def feed_power(self, symbol: str, k: int) -> None:
+        self.feed(symbol)
+
     def decide(self) -> bool:
         return self._verdict
 
@@ -229,6 +238,17 @@ def summary_moves(analyzed: AnalyzedRdfa) -> list[list[tuple[int, bool]]]:
     ]
 
 
+def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], int]:
+    """The path p = p_0, p_1 = successors[p_0], ... under one symbol, as
+    its distinct states in order, and its state p_k.  The path is a lasso
+    (``_until_repeat``), so p_k is read off the lasso's cycle in O(|Q|)
+    whatever k; every step that leaves an SCC lies before the cycle."""
+    if k < 0:
+        raise ValueError(f"power must be nonnegative, got {k}")
+    path, start = _until_repeat(p, successors.__getitem__)
+    return path, path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
+
+
 class PathSummaryTester(SlidingWindowTester):
     """Logarithmic-space deterministic tester.
 
@@ -241,6 +261,11 @@ class PathSummaryTester(SlidingWindowTester):
     different SCCs (the two-sided tester's rows, with exact ages for
     residues and counters).  Accepts iff the oldest segment from the
     initial state, of length n - age, is an acceptance length of its start.
+
+    ``feed_power(a, k)`` builds p's row from the row of p_k, the state k
+    steps along p's path under a: entries age by k, those past age n
+    leave, and the path's own SCC changes j < min(k, n) join, oldest
+    first, as ``(p_{j+1}, j + 1)``.  The pad warm-up is one such call.
     """
 
     def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
@@ -262,6 +287,18 @@ class PathSummaryTester(SlidingWindowTester):
             if not same and n:
                 row.append((q, 1))
             add_row(row)
+        self._rows = new_rows
+
+    def feed_power(self, symbol: str, k: int) -> None:
+        moves = self._moves[self._code(symbol)]
+        successors = [q for q, _same in moves]
+        n, rows, cut = self.window_size, self._rows, min(k, self.window_size)
+        new_rows = []
+        for p in range(len(rows)):
+            path, last = power_path(successors, p, k)
+            row = [(s, age + k) for s, age in rows[last] if age + k <= n]
+            row += [(successors[s], j + 1) for j, s in reversed([*enumerate(path[:cut])]) if not moves[s][1]]
+            new_rows.append(row)
         self._rows = new_rows
 
     def decide(self) -> bool:

@@ -48,7 +48,14 @@ from .analysis import (
     retarget_finals,
 )
 from .automata import Alphabet, Dfa, Rdfa, StateLimitExceeded
-from .testers_det import ExactWindowTester, SlidingWindowTester, exact_tester, summary_moves, trivial_tester
+from .testers_det import (
+    ExactWindowTester,
+    SlidingWindowTester,
+    exact_tester,
+    power_path,
+    summary_moves,
+    trivial_tester,
+)
 
 PATH_DESCRIPTION_CAP = 4096
 
@@ -211,21 +218,25 @@ class ProbabilisticCounter:
     def increment(self, rng: np.random.Generator | None = None) -> None:
         self.increment_many(1, rng)
 
+    def advance(self, count: int, k: int, rng: np.random.Generator | None = None) -> int:
+        """The count after k increments of a counter holding ``count``.
+        Each unset cell survives all k rounds with probability (1-p)^k, so
+        one Binomial(copies - count, 1 - (1-p)^k) draw suffices."""
+        unset = self.copies - count
+        if k <= 0 or unset == 0 or self.per_step_p <= 0.0:
+            return count
+        if self.per_step_p >= 1.0:
+            return self.copies
+        flip_p = 1.0 - (1.0 - self.per_step_p) ** k
+        return count + int(self._source(rng).binomial(unset, flip_p))
+
     def increment_many(self, k: int, rng: np.random.Generator | None = None) -> None:
-        """Apply k increments at once.  Each unset cell survives all k
-        rounds with probability (1-p)^k, so one binomial draw suffices."""
+        """Apply k increments at once (``advance``)."""
         if k <= 0:
             return
         if self.pulses is not None:
             self.pulses += k
-        unset = self.copies - self.set_copies
-        if unset == 0 or self.per_step_p <= 0.0:
-            return
-        if self.per_step_p >= 1.0:
-            self.set_copies = self.copies
-            return
-        flip_p = 1.0 - (1.0 - self.per_step_p) ** k
-        self.set_copies += int(self._source(rng).binomial(unset, flip_p))
+        self.set_copies = self.advance(self.set_copies, k, rng)
 
     def with_count(self, count: int) -> "ProbabilisticCounter":
         """A counter with these parameters holding ``count`` set cells and
@@ -294,6 +305,9 @@ class ThresholdCounter:
 
     def increment(self, rng: np.random.Generator | None = None) -> None:
         self.pulses += 1
+
+    def advance(self, count: int, k: int, rng: np.random.Generator | None = None) -> int:
+        return count + k
 
     def increment_many(self, k: int, rng: np.random.Generator | None = None) -> None:
         self.pulses += k
@@ -424,6 +438,14 @@ class TwoSidedTester(SlidingWindowTester):
     reproducible and every cell sees independent coins; a step itself
     makes no NumPy call.  ``ThresholdCounter`` stubs run through the same
     step (their tables step by exactly one) and need no generator.
+
+    ``feed_power(a, k)`` builds p's row from the row of p_k, the state k
+    steps along p's path under a, as k steps would: every entry is kept,
+    its residue moves by k and its count advances by k increments in one
+    draw (the counter's ``advance``, from the tester's generator); the
+    path's own SCC changes j < k join, oldest first, as
+    ``(p_{j+1}, (j + 1) mod g, count after j + 1 increments from 0)``.
+    The pad warm-up is one such call, O(|Q|^2) draws at most whatever n.
     """
 
     def __init__(
@@ -482,6 +504,20 @@ class TwoSidedTester(SlidingWindowTester):
 
     def feed(self, symbol: str) -> None:
         self._feed_code(self._a.rdfa.alphabet.code(symbol))
+
+    def feed_power(self, symbol: str, k: int) -> None:
+        moves = self._moves[self._a.rdfa.alphabet.code(symbol)]
+        successors = [q for q, _same in moves]
+        g, rows, advance, rng = self._a.g, self._rows, self._counter.advance, self._rng
+        new_rows: list[Row] = []
+        for p in range(len(rows)):
+            path, last = power_path(successors, p, k)
+            row = [(s, (residue + k) % g, advance(count, k, rng)) for s, residue, count in rows[last]]
+            for j, s in reversed([*enumerate(path[:k])]):
+                if not moves[s][1]:
+                    row.append((successors[s], (j + 1) % g, advance(0, j + 1, rng)))
+            new_rows.append(row)
+        self._rows = new_rows
 
     def decide(self) -> bool:
         analyzed, initial = self._a, self._a.rdfa.initial
@@ -728,7 +764,10 @@ class ModularLengthTable(SlidingWindowTester):
     ``0 -> 1 -> ... -> p-1 -> 0`` and ``p -> p``.  Accepts iff the window
     size is a length the start state can accept and the start state's
     length is congruent to it.  Warmed up at construction on a pad-filled
-    window."""
+    window by one ``feed_power``: after k feeds of a symbol, a state whose
+    path under it first meets the final state at step j <= k holds j mod p,
+    and any other state q holds the old value of q_k plus k (inf stays
+    inf)."""
 
     def __init__(self, partial: PartialRdfa, window_size: int, prime: int):
         super().__init__(window_size)
@@ -744,6 +783,7 @@ class ModularLengthTable(SlidingWindowTester):
         self.values[self._final] = 0
         self.reachable_length = partial.acc[partial.start].member(window_size)
         self.target = window_size % prime
+        self._bits = len(partial.states) * (prime.bit_length() + 1)
         self._start_on_pad(machine.alphabet)
 
     def feed(self, symbol: str) -> None:
@@ -752,11 +792,20 @@ class ModularLengthTable(SlidingWindowTester):
         new[self._final] = 0
         self.values = new
 
+    def feed_power(self, symbol: str, k: int) -> None:
+        targets, old, prime = self._moves[self._code(symbol)], self.values, self.prime
+        new = []
+        for q in range(len(old)):
+            path, last = power_path(targets, q, k)
+            hit = path.index(self._final) if self._final in path else k + 1
+            new.append(hit % prime if hit <= k else old[last] if old[last] == prime else (old[last] + k) % prime)
+        self.values = new
+
     def decide(self) -> bool:
         return self.reachable_length and self.values[self._start] == self.target
 
     def state_bits(self) -> int:
-        return len(self.partial.states) * (self.prime.bit_length() + 1)
+        return self._bits
 
 
 class OneSidedTester(SlidingWindowTester):
@@ -792,17 +841,23 @@ class OneSidedTester(SlidingWindowTester):
             else ExactWindowTester(partial.machine, window_size)
             for partial, use_fingerprint in zip(partials, fingerprintable)
         ]
+        # every part's size is fixed at construction, so the sum is too
+        prime_bits = prime.bit_length() if prime is not None else 0
+        self._bits = prime_bits + sum(part.state_bits() for part in self._parts)
 
     def feed(self, symbol: str) -> None:
         for part in self._parts:
             part.feed(symbol)
 
+    def feed_power(self, symbol: str, k: int) -> None:
+        for part in self._parts:
+            part.feed_power(symbol, k)
+
     def decide(self) -> bool:
         return any(part.decide() for part in self._parts)
 
     def state_bits(self) -> int:
-        prime_bits = self.prime.bit_length() if self.prime is not None else 0
-        return prime_bits + sum(part.state_bits() for part in self._parts)
+        return self._bits
 
 
 def one_sided_suffix_free_tester(
@@ -835,6 +890,11 @@ class UnionTester(SlidingWindowTester):
             for tester in group:
                 tester.feed(symbol)
 
+    def feed_power(self, symbol: str, k: int) -> None:
+        for group in self._groups:
+            for tester in group:
+                tester.feed_power(symbol, k)
+
     def decide(self) -> bool:
         return any(all(t.decide() for t in group) for group in self._groups)
 
@@ -862,16 +922,17 @@ def amplification_copies(k: int, beta: float = 0.5, base_error: float = 0.5) -> 
     return r
 
 
-def composed_one_sided_tester(
+def compile_one_sided(
     dfa: Dfa,
     window_size: int,
-    rng: np.random.Generator | int | None = None,
     amplification: int = 1,
     prime: int | None = None,
-) -> SlidingWindowTester:
-    """One-sided tester for a full language in the loglog class: a
-    constant-space part for the (trivial) non-transient-finals language
-    united with one suffix-free fingerprint tester per transient final."""
+) -> Callable[[np.random.Generator | int | None], SlidingWindowTester]:
+    """Compile a language in the loglog class once, into a factory mapping
+    an rng to a fresh one-sided tester: a constant-space part for the
+    (trivial) non-transient-finals language united with one suffix-free
+    fingerprint tester per transient final.  The classification, analysis
+    and path descriptions run here; a call only instantiates."""
     classification = one_sided_class(dfa)
     if classification is OneSidedClass.LOG_LOWER_BOUND:
         raise ValueError(
@@ -879,25 +940,39 @@ def composed_one_sided_tester(
             "no loglog-space one-sided tester exists"
         )
     if classification is OneSidedClass.CONSTANT_TRIVIAL:
-        return trivial_tester(dfa.alphabet, realized_lengths(dfa), window_size)
+        lengths = realized_lengths(dfa)
+        return lambda rng: trivial_tester(dfa.alphabet, lengths, window_size)
 
     analyzed = analyze(dfa)
     rdfa, scc = analyzed.rdfa, analyzed.scc
-    master = _ensure_rng(rng)
-    factories: list[Callable[[], SlidingWindowTester]] = []
+    # per part of the union, a maker of one copy from the trial's generator
+    makers: list[Callable[[np.random.Generator], SlidingWindowTester]] = []
 
     recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
     if recurrent_finals:
         lengths = realized_lengths(Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals))
-        factories.append(lambda lengths=lengths: trivial_tester(rdfa.alphabet, lengths, window_size))
+        makers.append(lambda master: trivial_tester(rdfa.alphabet, lengths, window_size))
 
     for f in sorted(rdfa.finals):
         if f in recurrent_finals:
             continue
         partials = enumerate_path_descriptions(retarget_finals(analyzed, (f,)))
+        makers.append(lambda master, partials=partials: OneSidedTester(partials, window_size, master, prime))
 
-        def factory(partials=partials):
-            return OneSidedTester(partials, window_size, rng=master, prime=prime)
+    def instantiate(rng: np.random.Generator | int | None) -> SlidingWindowTester:
+        master = _ensure_rng(rng)
+        return union_tester([lambda make=make: make(master) for make in makers], amplification)
 
-        factories.append(factory)
-    return union_tester(factories, amplification)
+    return instantiate
+
+
+def composed_one_sided_tester(
+    dfa: Dfa,
+    window_size: int,
+    rng: np.random.Generator | int | None = None,
+    amplification: int = 1,
+    prime: int | None = None,
+) -> SlidingWindowTester:
+    """One-sided tester for a full language in the loglog class
+    (``compile_one_sided`` applied to ``rng``)."""
+    return compile_one_sided(dfa, window_size, amplification, prime)(rng)

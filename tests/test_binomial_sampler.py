@@ -1,16 +1,19 @@
 """The two-sided tester's count sampler.
 
 A step advances each count by inverting a CDF table of Binomial(copies -
-count, p) at a uniform.  The tables must be the exact binomial CDF, the
-edges p = 0 and p = 1 must be point masses, and the counts a tester holds
-must follow the law Binomial(copies, 1 - (1 - p)^age) of their age however
-their draws were composed through rows.
+count, p) at a uniform; k steps at once (``feed_power``, the pad warm-up)
+advance it by one Binomial(copies - count, 1 - (1 - p)^k) draw.  The
+tables must be the exact binomial CDF, the edges p = 0 and p = 1 must be
+point masses, and the counts a tester holds must follow the law
+Binomial(copies, 1 - (1 - p)^age) of their age however their draws were
+composed through rows.
 """
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import build_analyzed
 
@@ -117,3 +120,60 @@ def test_counts_follow_the_binomial_law_of_their_age():
         assert abs(sample_mean - mean) <= 5.0 * math.sqrt(var / trials), (key, age)
         var_error = math.sqrt((fourth - var**2 * (trials - 3) / (trials - 1)) / trials)
         assert abs(sample_var - var) <= 5.0 * var_error, (key, age)
+
+
+# --- k increments in one draw -------------------------------------------------------
+
+
+def assert_binomial_moments(values, m, flip, label):
+    """Sample mean and variance of ``values`` within 5 standard errors of
+    Binomial(m, flip)'s."""
+    trials = len(values)
+    mean, var = m * flip, m * flip * (1.0 - flip)
+    fourth = var * (1.0 + 3.0 * (m - 2) * flip * (1.0 - flip))  # fourth central moment
+    sample_mean = sum(values) / trials
+    sample_var = sum((v - sample_mean) ** 2 for v in values) / (trials - 1)
+    assert abs(sample_mean - mean) <= 5.0 * math.sqrt(var / trials), label
+    var_error = math.sqrt((fourth - var**2 * (trials - 3) / (trials - 1)) / trials)
+    assert abs(sample_var - var) <= 5.0 * var_error, label
+
+
+def test_k_increments_follow_one_binomial_draw():
+    """``advance(count, k)`` adds Binomial(copies - count, 1 - (1 - p)^k)."""
+    counter = make_counter(33, 0.5, 5, 1)
+    copies, p = counter.copies, counter.per_step_p
+    rng = np.random.default_rng(2024)
+    for count, k in [(0, 1), (0, 7), (10, 5), (copies // 2, 40), (3, 400)]:
+        values = [counter.advance(count, k, rng) - count for _ in range(3000)]
+        assert_binomial_moments(values, copies - count, 1.0 - (1.0 - p) ** k, (count, k))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 1000])
+def test_k_increments_at_edge_probabilities_are_point_masses(k):
+    never = ProbabilisticCounter(10, 5, qsize=2, per_step_p=0.0)
+    always = ProbabilisticCounter(10, 5, qsize=2, per_step_p=1.0)
+    rng = np.random.default_rng(0)
+    for count in (0, 1, never.copies // 2, never.copies):
+        assert never.advance(count, k, rng) == count
+        assert always.advance(count, k, rng) == (always.copies if k else count)
+
+
+@pytest.mark.parametrize("pad", ["a", "b"])
+def test_fresh_tester_counts_follow_the_binomial_law_of_their_age(pad):
+    """A tester reaches its pad window in one ``feed_power``, whose fresh
+    entries draw their counts at once.  They must still follow
+    Binomial(copies, 1 - (1 - p)^age), the ages read off a stub tester."""
+    analyzed = build_analyzed("b(aa)*", "ab", pad)
+    n, trials = 33, 3000
+    stub = TwoSidedTester(analyzed, n, 0.5, counter_factory=lambda: ThresholdCounter(10**9))
+    ages = {(q, i): age for q, row in enumerate(stub._rows) for i, (_s, _r, age) in enumerate(row)}
+    assert ages
+    counter = make_counter(n, 0.5, analyzed.rdfa.n_states, analyzed.t)
+    samples = {key: [] for key in ages}
+    for seed in range(trials):
+        rows = TwoSidedTester(analyzed, n, 0.5, rng=seed)._rows
+        assert [[(s, r) for s, r, _c in row] for row in rows] == [[(s, r) for s, r, _c in row] for row in stub._rows]
+        for q, i in ages:
+            samples[q, i].append(rows[q][i][2])
+    for key, age in ages.items():
+        assert_binomial_moments(samples[key], counter.copies, 1.0 - (1.0 - counter.per_step_p) ** age, (key, age))

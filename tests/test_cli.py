@@ -143,6 +143,45 @@ def test_cli_tester_run_one_sided(capsys):
     assert report["accept_freq"] == 1.0  # member window, one-sided completeness
 
 
+def test_cli_tester_run_takes_a_weighted_random_stream(capsys):
+    argv = ["tester", "run", "--regex", "a*", "--alphabet", "ab", "--kind", "det", "--n", "4"]
+    assert main(argv + ["--stream", "random:1,50,a=1.0,b=0.0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["stream"] == "random:1,50,a=1.0,b=0.0"  # the label reads back as the same stream
+    assert report["accept_freq"] == 1.0 and report["oracle_dist"] == 0
+    assert main(argv + ["--stream", "random:1,50,a=1.0,b=x"]) == 2
+    assert capsys.readouterr().err.startswith("error: weights.b: expected a number")
+
+
+def test_one_sided_experiment_compiles_once_per_factory(monkeypatch):
+    """A one-sided factory analyzes its language and enumerates its path
+    descriptions when built; each trial only instantiates a tester."""
+    calls = {"analyze": 0, "paths": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    analyze = counting("analyze", cli.analysis.analyze)
+    monkeypatch.setattr(cli.analysis, "analyze", analyze)
+    monkeypatch.setattr(cli.testers_rand, "analyze", analyze)
+    paths = counting("paths", cli.testers_rand.enumerate_path_descriptions)
+    monkeypatch.setattr(cli.testers_rand, "enumerate_path_descriptions", paths)
+    config = dict(
+        BASE_CONFIG,
+        trials=5,
+        window_sizes=[64],
+        languages=[{"id": "b-even-a", "regex": "b(aa)*", "alphabet": "ab"}],
+        testers=["one-sided"],
+    )
+    rows = run_experiment(config)
+    assert [row.trials for row in rows] == [5]
+    assert calls == {"analyze": 1, "paths": 1}  # one factory, one transient final
+
+
 def test_cli_oracle_dist(capsys):
     assert (
         main(

@@ -1,0 +1,183 @@
+"""``feed_power(a, k)`` against k calls of ``feed(a)``.
+
+Every summarizing tester advances k feeds of one symbol in closed form,
+and the pad warm-up at construction is one such call.  On random machines,
+after a random prefix, the closed form must leave exactly the state the
+loop leaves: the deterministic rows, the stub two-sided rows and the
+fingerprint values compared outright, and every tester compared by its
+verdict and state size after every later feed.
+"""
+
+import pytest
+from conftest import build_analyzed, build_dfa
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from regwin import (
+    Alphabet,
+    Dfa,
+    StateLimitExceeded,
+    ThresholdCounter,
+    analyze,
+    exact_tester,
+    realized_lengths,
+    retarget_finals,
+    trivial_tester,
+)
+from regwin import testers_det, testers_rand
+from regwin.analysis import OneSidedClass, one_sided_class
+from regwin.testers_det import PathSummaryTester
+from regwin.testers_rand import (
+    ModularLengthTable,
+    OneSidedTester,
+    TwoSidedTester,
+    compile_one_sided,
+    enumerate_path_descriptions,
+)
+
+POWER = settings(
+    max_examples=600,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+@st.composite
+def power_cases(draw):
+    """A complete DFA with 1-6 states over 1-3 symbols (any initial state
+    and pad), a window of 0-12, a prefix, a symbol and power k = 0..3n+2,
+    a suffix to feed afterwards, a stub cutoff and a fingerprint prime."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 6))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    alphabet = Alphabet.from_string(symbols, draw(st.sampled_from(symbols)))
+    dfa = Dfa(alphabet, delta, draw(state), draw(st.sets(state)))
+    n = draw(st.integers(0, 12))
+    prefix = draw(st.text(alphabet=symbols, max_size=2 * n + 4))
+    symbol = draw(st.sampled_from(symbols))
+    k = draw(st.integers(0, 3 * n + 2))
+    suffix = draw(st.text(alphabet=symbols, max_size=n + 4))
+    cutoff = draw(st.integers(1, n + 3))
+    prime = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    return dfa, n, prefix, symbol, k, suffix, cutoff, prime
+
+
+def powered_and_looped(build, prefix, symbol, k):
+    """Two testers from ``build`` after ``prefix``: one advanced by
+    ``feed_power(symbol, k)``, the other by k feeds."""
+    powered, looped = build().feed_all(prefix), build().feed_all(prefix)
+    powered.feed_power(symbol, k)
+    for _ in range(k):
+        looped.feed(symbol)
+    return powered, looped
+
+
+def assert_same_run(powered, looped, suffix):
+    """Equal verdict and state size now and after every later feed."""
+    assert (powered.decide(), powered.state_bits()) == (looped.decide(), looped.state_bits())
+    for later in suffix:
+        powered.feed(later)
+        looped.feed(later)
+        assert (powered.decide(), powered.state_bits()) == (looped.decide(), looped.state_bits())
+
+
+def fingerprint_partials(analyzed):
+    """Path descriptions of every transient final, each alone a suffix-free target."""
+    scc = analyzed.scc
+    finals = [f for f in sorted(analyzed.rdfa.finals) if scc.is_transient_state(f)]
+    return [p for f in finals for p in enumerate_path_descriptions(retarget_finals(analyzed, (f,)))]
+
+
+@POWER
+@given(power_cases())
+def test_feed_power_equals_k_feeds(case):
+    dfa, n, prefix, symbol, k, suffix, cutoff, prime = case
+    try:
+        analyzed = analyze(dfa)
+        partials = fingerprint_partials(analyzed)
+        one_sided = one_sided_class(dfa) is not OneSidedClass.LOG_LOWER_BOUND
+    except StateLimitExceeded:
+        assume(False)
+
+    det = powered_and_looped(lambda: PathSummaryTester(analyzed, n), prefix, symbol, k)
+    assert det[0]._rows == det[1]._rows
+    assert_same_run(*det, suffix)
+
+    stub = powered_and_looped(
+        lambda: TwoSidedTester(analyzed, n, 0.5, counter_factory=lambda: ThresholdCounter(cutoff)), prefix, symbol, k
+    )
+    assert stub[0]._rows == stub[1]._rows
+    assert_same_run(*stub, suffix)
+
+    for partial in partials:
+        table = powered_and_looped(lambda: ModularLengthTable(partial, n, prime), prefix, symbol, k)
+        assert table[0].values == table[1].values
+        assert_same_run(*table, suffix)
+    if partials:
+        one_sided_parts = powered_and_looped(lambda: OneSidedTester(partials, n, prime=prime), prefix, symbol, k)
+        assert_same_run(*one_sided_parts, suffix)
+
+    assert_same_run(*powered_and_looped(lambda: exact_tester(dfa, n), prefix, symbol, k), suffix)
+    lengths = realized_lengths(dfa)
+    assert_same_run(*powered_and_looped(lambda: trivial_tester(dfa.alphabet, lengths, n), prefix, symbol, k), suffix)
+    if one_sided:
+        factory = compile_one_sided(dfa, n, amplification=2, prime=prime)
+        assert_same_run(*powered_and_looped(lambda: factory(0), prefix, symbol, k), suffix)
+
+
+def test_feed_power_rejects_a_negative_power():
+    dfa = Dfa(Alphabet.from_string("ab"), [[0, 0]], 0, {0})
+    with pytest.raises(ValueError, match="nonnegative"):
+        PathSummaryTester(analyze(dfa), 4).feed_power("a", -1)
+
+
+# --- construction at huge windows -------------------------------------------------
+
+
+class _CountingFeeds:
+    """Counts ``feed`` calls on every tester class while in use."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        classes = {testers_det.SlidingWindowTester}
+        while True:
+            more = {sub for cls in classes for sub in cls.__subclasses__()} - classes
+            if not more:
+                break
+            classes |= more
+        for cls in classes:
+            if "feed" in vars(cls):
+                monkeypatch.setattr(cls, "feed", self._wrap(cls.feed))
+
+    def _wrap(self, feed):
+        def counted(tester, symbol):
+            self.calls += 1
+            return feed(tester, symbol)
+
+        return counted
+
+
+HUGE = 2**30
+
+
+@pytest.mark.parametrize("pattern", ["b(aa)*", "ba*", "(aa)*|b(aa)*b"])
+def test_construction_at_a_huge_window_makes_no_feed(monkeypatch, pattern):
+    """Det, two-sided and (where the language has one) one-sided testers
+    at n = 2^30 reach their pad window without a single feed."""
+    analyzed, dfa = build_analyzed(pattern), build_dfa(pattern)
+    counting = _CountingFeeds(monkeypatch)
+    testers = [
+        testers_det.deterministic_tester(analyzed, HUGE),
+        testers_rand.two_sided_tester(analyzed, HUGE, 0.25, rng=1),
+    ]
+    if one_sided_class(dfa) is not OneSidedClass.LOG_LOWER_BOUND:  # (aa)*|b(aa)*b has none
+        testers.append(testers_rand.composed_one_sided_tester(dfa, HUGE, rng=1))
+    assert counting.calls == 0
+    det, two_sided = testers[:2]
+    assert isinstance(det, PathSummaryTester) and isinstance(two_sided, TwoSidedTester)
+    if pattern == "b(aa)*":
+        assert (det.state_bits(), two_sided.state_bits()) == (204, 102)
+    for tester in testers:
+        tester.feed("b")
+    assert counting.calls >= len(testers)  # the counting reaches every class in use

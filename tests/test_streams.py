@@ -45,10 +45,31 @@ def test_generate_rejects_foreign_symbols():
 
 
 def test_spec_string_round_trip():
-    for text in ("literal:baaa", "periodic:ba,64", "random:7,100", "adversarial:b,,a,,4,3"):
+    for text in (
+        "literal:baaa",
+        "periodic:ba,64",
+        "random:7,100",
+        "random:1,50,a=1.0,b=3.0",
+        "adversarial:b,,a,,4,3",
+    ):
         spec = spec_from_string(text)
         assert spec.label() == text
         assert spec_from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("random:1,50,a=x", "weights.a"),
+        ("random:1,50,a", "weights.a"),
+        ("random:1,50,a=-1", "weights.a"),
+        ("random:1,50,a=1.0,b=inf", "weights.b"),
+        ("random:1,50,a=1.0,a=2.0", "weights.a"),
+    ],
+)
+def test_weighted_random_spec_string_names_a_bad_weight(text, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        spec_from_string(text)
 
 
 def test_spec_parsing_errors():

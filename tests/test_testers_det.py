@@ -319,7 +319,7 @@ def _window_loops(module: str) -> list[str]:
 
 
 def test_one_pad_warm_up_loop():
-    """Every summarizing tester starts on its pad window through the base
-    class's one warm-up, so a closed-form warm-up replaces one body."""
+    """Every summarizing tester starts on its pad window through one
+    closed-form ``feed_power``, so no loop over the window remains."""
     loops = _window_loops("testers_det.py") + _window_loops("testers_rand.py")
-    assert loops == ["testers_det.py:SlidingWindowTester._start_on_pad"]
+    assert loops == []
