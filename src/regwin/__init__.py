@@ -86,6 +86,7 @@ from .testers_det import (
 from .testers_rand import (
     CompactSummary,
     ModularLengthTable,
+    OneSidedTester,
     PartialRdfa,
     ProbabilisticCounter,
     SummaryTriple,
@@ -96,7 +97,6 @@ from .testers_rand import (
     counter_copies,
     enumerate_path_descriptions,
     make_counter,
-    one_sided_suffix_free_tester,
     prime_pool,
     prolong_compact_summary,
     sample_prime,

@@ -29,6 +29,11 @@ from .analysis import AnalyzedRdfa, EventuallyPeriodicSet, _until_repeat
 from .automata import Alphabet, Dfa, Rdfa
 
 
+def check_power(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"power must be nonnegative, got {k}")
+
+
 class SlidingWindowTester(ABC):
     """Streaming decision procedure over the active window.
 
@@ -60,7 +65,9 @@ class SlidingWindowTester(ABC):
     def state_bits(self) -> int: ...
 
     def feed_power(self, symbol: str, k: int) -> None:
-        """The state k calls of ``feed(symbol)`` reach (k >= 0)."""
+        """The state k calls of ``feed(symbol)`` reach; a negative k, or a
+        symbol outside the alphabet even at k = 0, raises ``ValueError``."""
+        check_power(k)
         for _ in range(k):
             self.feed(symbol)
 
@@ -137,6 +144,10 @@ class ExactWindowTester(SlidingWindowTester):
             self._rebuild_front()
         self._front.pop()
 
+    def feed_power(self, symbol: str, k: int) -> None:
+        self._alphabet.code(symbol)  # validates even when k is 0
+        super().feed_power(symbol, k)
+
     def decide(self) -> bool:
         front = self._front[-1]
         if self._reads_oldest_first:
@@ -164,6 +175,7 @@ class FixedVerdictTester(SlidingWindowTester):
         self._alphabet.code(symbol)  # validate
 
     def feed_power(self, symbol: str, k: int) -> None:
+        check_power(k)
         self.feed(symbol)
 
     def decide(self) -> bool:
@@ -243,8 +255,7 @@ def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], in
     its distinct states in order, and its state p_k.  The path is a lasso
     (``_until_repeat``), so p_k is read off the lasso's cycle in O(|Q|)
     whatever k; every step that leaves an SCC lies before the cycle."""
-    if k < 0:
-        raise ValueError(f"power must be nonnegative, got {k}")
+    check_power(k)
     path, start = _until_repeat(p, successors.__getitem__)
     return path, path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
 

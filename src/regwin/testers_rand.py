@@ -3,10 +3,12 @@
 Two-sided tester (constant space for fixed gap fraction): for every state
 the tester keeps a *compact summary* of the run on the whole stream: per
 SCC segment a triple (segment start state, segment-end staleness mod g,
-probabilistic staleness counter).  The counter is a bank of one-bit
-Bernoulli cells whose majority flips from "low" to "high" somewhere
-between the gap's two marks, so the summary locates the window's left edge
-up to the allowed slack without storing any length exactly.
+count of a probabilistic staleness counter).  The counter is a bank of
+one-bit Bernoulli cells whose majority flips from "low" to "high"
+somewhere between the gap's two marks, so the summary locates the
+window's left edge up to the allowed slack without storing any length
+exactly.  Only the number of set cells matters: a count is a plain int,
+and a counter object holds only the parameters its counts share.
 
 One-sided tester (double-log space for suffix-free languages): the
 machine is split into finitely many partial machines, one per chain of
@@ -29,9 +31,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import length_hint
-from typing import Callable, Mapping, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,34 +144,25 @@ def counter_copies(qsize: int, noise_margin: float) -> int:
 
 
 class ProbabilisticCounter:
-    """Staleness counter reading "low" below ``low_mark`` increments and
-    "high" above ``high_mark``, erring with probability <= 1/(3*qsize).
+    """Parameters of a staleness counter reading "low" below ``low_mark``
+    increments and "high" above ``high_mark``, erring with probability
+    <= 1/(3*qsize).
 
-    Holds ``copies`` one-bit cells; an increment sets each still-unset cell
-    independently with the per-step probability, and the reading is the
-    majority vote (ties count high; ``copies`` is forced odd so ties cannot
-    occur).  Only the number of set cells is stored: its *count*.
-    ``pulses`` counts the increments applied to this object, for
-    diagnostics only; it is None on a counter rebuilt from a bare count.
-
-    The two-sided tester uses one counter as the parameters of all its
-    cells and keeps the counts itself: it reads them with ``reads_high``
-    and advances each by inverting its table in ``increment_cdfs`` at a
-    uniform.  The stateful methods (``increment_many`` draws with NumPy)
-    serve standalone use and the reference definition
-    ``prolong_compact_summary``.
+    A counter is a bank of ``copies`` one-bit cells; an increment sets each
+    still-unset cell independently with the per-step probability, and the
+    reading is the majority vote (ties count high; ``copies`` is forced odd
+    so ties cannot occur).  Only the number of set cells matters, so a
+    *count* is a plain int held by whoever keeps the counter (the
+    two-sided tester's rows, a ``SummaryTriple``); this object holds only
+    what every count shares.  ``reads_high(count)`` is the vote,
+    ``advance(count, k, rng)`` applies k increments in one draw, and
+    ``increment_cdfs()`` gives the tables by which the two-sided step
+    advances a count by one increment at a uniform.
     """
 
-    __slots__ = ("high_mark", "low_mark", "qsize", "margin", "per_step_p", "copies", "set_copies", "pulses", "rng")
+    __slots__ = ("high_mark", "low_mark", "qsize", "margin", "per_step_p", "copies")
 
-    def __init__(
-        self,
-        high_mark: int,
-        low_mark: float,
-        qsize: int,
-        rng: np.random.Generator | int | None = None,
-        per_step_p: float | None = None,
-    ):
+    def __init__(self, high_mark: int, low_mark: float, qsize: int, per_step_p: float | None = None):
         if high_mark < 1:
             raise ValueError("high mark must be at least 1")
         if not low_mark < high_mark:
@@ -186,22 +178,9 @@ class ProbabilisticCounter:
         self.per_step_p = per_step_p
         copies = counter_copies(qsize, self.margin)
         self.copies = copies + 1 if copies % 2 == 0 else copies
-        self.set_copies = 0
-        self.pulses: int | None = 0
-        self.rng = None if rng is None else _ensure_rng(rng)
 
     def reads_high(self, count: int) -> bool:
         return 2 * count >= self.copies
-
-    @property
-    def is_high(self) -> bool:
-        return self.reads_high(self.set_copies)
-
-    def _source(self, rng: np.random.Generator | None) -> np.random.Generator:
-        rng = self.rng if rng is None else rng
-        if rng is None:
-            raise RuntimeError("counter increment needs a randomness source")
-        return rng
 
     def increment_cdfs(self) -> Mapping[int, tuple[float, ...]]:
         """count -> CDF table of the cells one increment sets on a counter
@@ -215,59 +194,23 @@ class ProbabilisticCounter:
             cdfs = _INCREMENT_CDFS[key] = _IncrementCdfs(*key)
         return cdfs
 
-    def increment(self, rng: np.random.Generator | None = None) -> None:
-        self.increment_many(1, rng)
-
-    def advance(self, count: int, k: int, rng: np.random.Generator | None = None) -> int:
+    def advance(self, count: int, k: int, rng: np.random.Generator) -> int:
         """The count after k increments of a counter holding ``count``.
         Each unset cell survives all k rounds with probability (1-p)^k, so
-        one Binomial(copies - count, 1 - (1-p)^k) draw suffices."""
+        one Binomial(copies - count, 1 - (1-p)^k) draw from ``rng`` suffices."""
         unset = self.copies - count
         if k <= 0 or unset == 0 or self.per_step_p <= 0.0:
             return count
         if self.per_step_p >= 1.0:
             return self.copies
         flip_p = 1.0 - (1.0 - self.per_step_p) ** k
-        return count + int(self._source(rng).binomial(unset, flip_p))
-
-    def increment_many(self, k: int, rng: np.random.Generator | None = None) -> None:
-        """Apply k increments at once (``advance``)."""
-        if k <= 0:
-            return
-        if self.pulses is not None:
-            self.pulses += k
-        self.set_copies = self.advance(self.set_copies, k, rng)
-
-    def with_count(self, count: int) -> "ProbabilisticCounter":
-        """A counter with these parameters holding ``count`` set cells and
-        no randomness source of its own (copies are independent lineages)."""
-        dup = object.__new__(ProbabilisticCounter)
-        for name in ("high_mark", "low_mark", "qsize", "margin", "per_step_p", "copies"):
-            setattr(dup, name, getattr(self, name))
-        dup.set_copies = count
-        dup.pulses = None
-        dup.rng = None
-        return dup
-
-    def copy(self) -> "ProbabilisticCounter":
-        dup = self.with_count(self.set_copies)
-        dup.pulses = self.pulses
-        return dup
+        return count + int(rng.binomial(unset, flip_p))
 
     def state_bit_cost(self) -> int:
         return self.copies.bit_length()
 
-    def __repr__(self) -> str:
-        return f"<Counter {self.set_copies}/{self.copies} after {self.pulses} pulses>"
 
-
-def make_counter(
-    n: int,
-    eps: float,
-    qsize: int,
-    t: int,
-    rng: np.random.Generator | int | None = None,
-) -> ProbabilisticCounter:
+def make_counter(n: int, eps: float, qsize: int, t: int) -> ProbabilisticCounter:
     """Counter with marks derived from the window size: high at n - t,
     low at (1-eps)n + t + 1.  Callers must fall back to an exact tester
     when eps*n < t or the marks collapse."""
@@ -277,46 +220,29 @@ def make_counter(
     low = (1.0 - eps) * n + t + 1
     if not low < high:
         raise ValueError(f"counter marks collapsed (low {low} >= high {high})")
-    return ProbabilisticCounter(high, low, qsize, rng)
+    return ProbabilisticCounter(high, low, qsize)
 
 
 class ThresholdCounter:
-    """Deterministic test double: exact count, high iff count >= cutoff.
-    Its count is ``pulses``; every increment adds exactly 1, and its
-    ``increment_cdfs`` tables say so whatever the uniform."""
+    """Deterministic test double: the count is exact, every increment adds
+    exactly 1 (its ``increment_cdfs`` tables say so whatever the uniform),
+    and it reads high iff count >= cutoff."""
 
-    __slots__ = ("cutoff", "pulses")
+    __slots__ = ("cutoff",)
 
-    def __init__(self, cutoff: int, pulses: int = 0):
+    def __init__(self, cutoff: int):
         if cutoff < 1:
             raise ValueError("cutoff must be at least 1")
         self.cutoff = cutoff
-        self.pulses = pulses
 
     def reads_high(self, count: int) -> bool:
         return count >= self.cutoff
 
-    @property
-    def is_high(self) -> bool:
-        return self.reads_high(self.pulses)
-
     def increment_cdfs(self) -> Mapping[int, tuple[float, ...]]:
         return _UnitStep()
 
-    def increment(self, rng: np.random.Generator | None = None) -> None:
-        self.pulses += 1
-
     def advance(self, count: int, k: int, rng: np.random.Generator | None = None) -> int:
         return count + k
-
-    def increment_many(self, k: int, rng: np.random.Generator | None = None) -> None:
-        self.pulses += k
-
-    def with_count(self, count: int) -> "ThresholdCounter":
-        return ThresholdCounter(self.cutoff, count)
-
-    def copy(self) -> "ThresholdCounter":
-        return self.with_count(self.pulses)
 
     def state_bit_cost(self) -> int:
         return self.cutoff.bit_length()
@@ -325,23 +251,19 @@ class ThresholdCounter:
 # --- compact summaries and the two-sided tester --------------------------------
 
 
-@dataclass
-class SummaryTriple:
+class SummaryTriple(NamedTuple):
     """One SCC segment of a run: its start state, the residue mod g of the
-    stream length consumed after the segment ended, and the staleness
-    counter tracking that same length approximately."""
+    stream length consumed after the segment ended, and the count of its
+    staleness counter, which tracks that same length approximately."""
 
     state: int
     residue: int
-    counter: ProbabilisticCounter | ThresholdCounter
-
-    def copy(self) -> "SummaryTriple":
-        return SummaryTriple(self.state, self.residue, self.counter.copy())
+    count: int
 
 
 class CompactSummary:
     """Constant-size surrogate of a run's segment summary, oldest segment
-    first.  The newest triple always has residue 0 and a low counter."""
+    first.  The newest triple is always (start state, 0, 0)."""
 
     __slots__ = ("triples",)
 
@@ -354,13 +276,8 @@ class CompactSummary:
     def start_state(self) -> int:
         return self.triples[-1].state
 
-    def copy(self) -> "CompactSummary":
-        return CompactSummary([tr.copy() for tr in self.triples])
-
     def validate(self, analyzed: AnalyzedRdfa) -> None:
-        newest = self.triples[-1]
-        assert newest.residue == 0, "newest triple must carry residue 0"
-        assert not newest.counter.is_high, "newest triple must stay low"
+        assert self.triples[-1][1:] == (0, 0), "newest triple must carry residue 0 and count 0"
         assert len(self.triples) <= analyzed.rdfa.n_states
         scc = analyzed.scc
         ids = [scc.scc_id[tr.state] for tr in self.triples]
@@ -373,14 +290,17 @@ def prolong_compact_summary(
     symbol_code: int,
     new_start: int,
     analyzed: AnalyzedRdfa,
+    counter: ProbabilisticCounter | ThresholdCounter,
     rng: np.random.Generator | None = None,
 ) -> CompactSummary:
     """Extend the summarized run by one transition at its start.
 
     This is the one-step reference definition that ``TwoSidedTester``
-    applies to all start states at once.  ``rng`` drives the counter
-    increments, oldest triple first; with None, counters fall back to
-    their own source (deterministic stubs need none).
+    applies to all start states at once: every kept triple moves its
+    residue by 1 mod g and advances its count by ``counter.advance(count,
+    1, rng)``, oldest first; the newest triple is kept only when the
+    transition changes SCC, and ``(new_start, 0, 0)`` becomes the newest.
+    A ``ThresholdCounter`` needs no ``rng``.
     """
     rdfa, scc, g = analyzed.rdfa, analyzed.scc, analyzed.g
     q = rdfa.delta[new_start][symbol_code]
@@ -388,25 +308,14 @@ def prolong_compact_summary(
         raise ValueError(
             f"transition from {new_start} reaches {q}, but the summary starts at {cs.start_state}"
         )
-    triples = [tr.copy() for tr in cs.triples]
-    if scc.same_scc(new_start, q):
-        for tr in triples[:-1]:
-            tr.counter.increment(rng)
-            tr.residue = (tr.residue + 1) % g
-        triples[-1].state = new_start
-    else:
-        fresh = cs.triples[-1].counter.copy()  # the always-low newest counter
-        assert not fresh.is_high
-        for tr in triples:
-            tr.counter.increment(rng)
-            tr.residue = (tr.residue + 1) % g
-        triples.append(SummaryTriple(new_start, 0, fresh))
-    return CompactSummary(triples)
+    kept = cs.triples[:-1] if scc.same_scc(new_start, q) else cs.triples
+    triples = [SummaryTriple(s, (residue + 1) % g, counter.advance(count, 1, rng)) for s, residue, count in kept]
+    return CompactSummary([*triples, SummaryTriple(new_start, 0, 0)])
 
 
 Row = list[tuple[int, int, int]]  # (segment start state, residue mod g, counter count), oldest first, newest left out
 
-UNIFORM_BUFFER = 2048  # uniforms per refill of a two-sided tester's buffer
+UNIFORM_BUFFER = 2048  # uniforms per batch of a two-sided tester's stream
 
 
 class TwoSidedTester(SlidingWindowTester):
@@ -415,29 +324,30 @@ class TwoSidedTester(SlidingWindowTester):
     Keeps one compact summary per start state for the run on the entire
     stream (initialized on a pad-filled window).  Accepts iff, in the
     summary starting at the machine's initial state, the oldest triple
-    whose counter still reads low has an acceptance residue matching the
+    whose count still reads low has an acceptance residue matching the
     window size.
 
     A summary is held as a flat row of ``(state, residue, count)`` tuples,
-    oldest first; one counter object (from ``counter_factory``) holds the
-    parameters every count shares.  The newest triple of state p's summary
-    is always ``(p, 0, 0)``, so a row holds only the older ones.  A step
-    builds each state p's row from the summary of its successor
-    q = delta[p][c] in one pass: the newest triple ``(q, 0, 0)`` is kept
-    only when p and q lie in different SCCs, and every kept triple moves
-    its residue by 1 mod g and advances its count by one increment.  This
-    is ``prolong_compact_summary`` applied to every state at once.
+    oldest first, each count a plain int; one counter object (from
+    ``counter_factory``) holds the parameters every count shares.  The
+    newest triple of state p's summary is always ``(p, 0, 0)``, so a row
+    holds only the older ones.  A step builds each state p's row from the
+    summary of its successor q = delta[p][c] in one pass: the newest
+    triple ``(q, 0, 0)`` is kept only when p and q lie in different SCCs,
+    and every kept triple moves its residue by 1 mod g and advances its
+    count by one increment.  This is ``prolong_compact_summary`` applied to
+    every state at once.
 
     An increment of a count is one Binomial(copies - count, p) draw, taken
     by inverse transform: ``count + bisect_right(cdfs[count], u)`` with the
     counter's ``increment_cdfs`` tables and one uniform u per kept triple,
     row by row and oldest first (a u below the table's first entry adds
-    nothing, without the search).  The uniforms come from a buffer that
-    ``rng.random(k).tolist()`` refills from one generator per tester,
-    seeded at construction by one draw from ``rng``, so trials are
-    reproducible and every cell sees independent coins; a step itself
-    makes no NumPy call.  ``ThresholdCounter`` stubs run through the same
-    step (their tables step by exactly one) and need no generator.
+    nothing, without the search).  The tester owns one generator, seeded
+    at construction by one draw from ``rng``, so trials are reproducible
+    and every cell sees independent coins.  Its uniforms are one endless
+    stream of ``UNIFORM_BUFFER``-draw batches, so a step itself makes no
+    NumPy call.  ``ThresholdCounter`` stubs run through the same step:
+    their tables step by exactly one at any uniform.
 
     ``feed_power(a, k)`` builds p's row from the row of p_k, the state k
     steps along p's path under a, as k steps would: every entry is kept,
@@ -458,18 +368,13 @@ class TwoSidedTester(SlidingWindowTester):
     ):
         super().__init__(window_size)
         self._a = analyzed
-        rdfa, scc, g = analyzed.rdfa, analyzed.scc, analyzed.g
+        rdfa, g = analyzed.rdfa, analyzed.g
         if counter_factory is None:
             counter_factory = lambda: make_counter(window_size, eps, rdfa.n_states, analyzed.t)
-            rng = _ensure_rng(rng)  # real counters need coins even without a seed
         self._counter = counter_factory()
         self._cdfs = self._counter.increment_cdfs()
-        self._rng = None  # stubs given no rng need none; their uniforms are zeros
-        if rng is not None:
-            self._rng = np.random.default_rng(int(_ensure_rng(rng).integers(0, 2**63 - 1)))
-        # a step takes one uniform per kept triple, and a summary holds at most one triple per SCC
-        self._step_draws = rdfa.n_states * len(scc.components)
-        self._uniforms = iter(())
+        gen = self._rng = np.random.default_rng(int(_ensure_rng(rng).integers(0, 2**63 - 1)))
+        self._uniforms = chain.from_iterable(iter(lambda: gen.random(UNIFORM_BUFFER).tolist(), None))
         self._triple_bits = (
             (rdfa.n_states - 1).bit_length() + (g - 1).bit_length() + self._counter.state_bit_cost()
         )
@@ -478,14 +383,7 @@ class TwoSidedTester(SlidingWindowTester):
         self._rows: list[Row] = [[] for _ in range(rdfa.n_states)]
         self._start_on_pad(rdfa.alphabet)
 
-    def _refill_uniforms(self) -> None:
-        # the unused rest of the old buffer is dropped whatever its values, so the draws stay exact
-        size = max(UNIFORM_BUFFER, self._step_draws)
-        self._uniforms = iter(self._rng.random(size).tolist() if self._rng is not None else [0.0] * size)
-
     def _feed_code(self, code: int) -> None:
-        if length_hint(self._uniforms) < self._step_draws:
-            self._refill_uniforms()
         rows, uniforms, cdfs, next_residue = self._rows, self._uniforms, self._cdfs, self._next_residue
         fresh = cdfs[0]
         new_rows: list[Row] = []
@@ -532,11 +430,8 @@ class TwoSidedTester(SlidingWindowTester):
 
     def summaries(self) -> Mapping[int, CompactSummary]:
         """The rows as ``CompactSummary`` objects (a view; not for the hot path)."""
-        with_count = self._counter.with_count
         return {
-            q: CompactSummary(
-                [SummaryTriple(s, residue, with_count(count)) for s, residue, count in [*row, (q, 0, 0)]]
-            )
+            q: CompactSummary([*map(SummaryTriple._make, row), SummaryTriple(q, 0, 0)])
             for q, row in enumerate(self._rows)
         }
 
@@ -860,15 +755,6 @@ class OneSidedTester(SlidingWindowTester):
         return self._bits
 
 
-def one_sided_suffix_free_tester(
-    partials: Sequence[PartialRdfa],
-    window_size: int,
-    rng: np.random.Generator | int | None = None,
-    prime: int | None = None,
-) -> OneSidedTester:
-    return OneSidedTester(partials, window_size, rng, prime)
-
-
 # --- unions ---------------------------------------------------------------------
 
 
@@ -876,7 +762,11 @@ class UnionTester(SlidingWindowTester):
     """Run testers for finitely many languages in parallel; accept iff some
     language's testers accept.  For one-sided randomized parts, a group of
     independent copies accepts only if every copy accepts, driving that
-    part's false-accept probability to (base error)^copies."""
+    part's false-accept probability to (base error)^copies.
+
+    A union's parts must have fixed sizes (trivial, exact and one-sided
+    testers, which covers every union the library builds), so the sum of
+    their ``state_bits`` is taken once, at construction."""
 
     def __init__(self, groups: Sequence[Sequence[SlidingWindowTester]]):
         self._groups = [list(group) for group in groups]
@@ -884,6 +774,7 @@ class UnionTester(SlidingWindowTester):
         if len(sizes) > 1:
             raise ValueError(f"sub-testers disagree on the window size: {sorted(sizes)}")
         super().__init__(sizes.pop() if sizes else 0)
+        self._bits = sum(t.state_bits() for group in self._groups for t in group)
 
     def feed(self, symbol: str) -> None:
         for group in self._groups:
@@ -899,7 +790,7 @@ class UnionTester(SlidingWindowTester):
         return any(all(t.decide() for t in group) for group in self._groups)
 
     def state_bits(self) -> int:
-        return sum(t.state_bits() for group in self._groups for t in group)
+        return self._bits
 
 
 def union_tester(

@@ -14,6 +14,7 @@ from conftest import AB, CORPUS, build_analyzed, build_dfa, last_n, words_up_to
 
 from regwin import (
     OneSidedClass,
+    OneSidedTester,
     ProbabilisticCounter,
     check_t_simulation,
     deterministic_tester,
@@ -26,7 +27,6 @@ from regwin import (
     is_trivial,
     monte_carlo,
     one_sided_class,
-    one_sided_suffix_free_tester,
     prefix_distance_to_language,
     prime_pool,
     rdfa_to_dfa,
@@ -152,10 +152,10 @@ def test_criterion_4_counter_contract():
     for i in range(trials):
         rng = np.random.default_rng(trial_seed(404, i))
         counter = ProbabilisticCounter(1000, 800, qsize=4)
-        counter.increment_many(800, rng)
-        high_at_low_mark += counter.is_high
-        counter.increment_many(200, rng)
-        low_at_high_mark += not counter.is_high
+        count = counter.advance(0, 800, rng)
+        high_at_low_mark += counter.reads_high(count)
+        count = counter.advance(count, 200, rng)
+        low_at_high_mark += not counter.reads_high(count)
     bound = 1 / 12 + 0.02
     assert high_at_low_mark / trials <= bound, high_at_low_mark
     assert low_at_high_mark / trials <= bound, low_at_high_mark
@@ -180,7 +180,7 @@ def test_criterion_5_one_sided_tester():
         far_stream = "b" + "a" * 20
 
         for prime in pool:  # completeness is exact: every prime must accept
-            tester = one_sided_suffix_free_tester(partials, n, prime=prime)
+            tester = OneSidedTester(partials, n, prime=prime)
             tester.feed_all(member_stream)
             assert tester.decide(), (n, prime)
 
@@ -188,7 +188,7 @@ def test_criterion_5_one_sided_tester():
         assert prefix_distance_to_language(far_window, dfa) > gap
         accepting = 0
         for prime in pool:
-            tester = one_sided_suffix_free_tester(partials, n, prime=prime)
+            tester = OneSidedTester(partials, n, prime=prime)
             tester.feed_all(far_stream)
             accepting += tester.decide()
         assert accepting <= len(pool) / 3, (n, accepting)
@@ -385,7 +385,7 @@ def test_criterion_8_union_semantics():
             union = union_tester(
                 [
                     lambda: trivial_tester(AB, lengths, n),
-                    lambda prime=prime: one_sided_suffix_free_tester(partials, n, prime=prime),
+                    lambda prime=prime: OneSidedTester(partials, n, prime=prime),
                 ]
             )
             union.feed_all(stream)

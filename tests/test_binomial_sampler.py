@@ -74,11 +74,12 @@ def test_tester_with_edge_probability_sets_no_cell_or_every_cell(p):
     )
     for symbol in "abaab":
         tester.feed(symbol)
+    copies = ProbabilisticCounter(8, 3, qsize=5, per_step_p=p).copies
     for summary in tester.summaries().values():
         *older, newest = summary.triples
-        assert newest.counter.set_copies == 0
+        assert newest.count == 0
         for triple in older:  # every older triple has been incremented at least once
-            assert triple.counter.set_copies == (0 if p == 0.0 else triple.counter.copies)
+            assert triple.count == (0 if p == 0.0 else copies)
 
 
 def test_counts_follow_the_binomial_law_of_their_age():
@@ -98,7 +99,7 @@ def test_counts_follow_the_binomial_law_of_their_age():
 
     stub_rows = rows(TwoSidedTester(analyzed, n, 0.5, counter_factory=lambda: ThresholdCounter(10**9)))
     skeleton = {q: [(tr.state, tr.residue) for tr in row] for q, row in stub_rows.items()}
-    ages = {(q, i): tr.counter.pulses for q, row in stub_rows.items() for i, tr in enumerate(row)}
+    ages = {(q, i): tr.count for q, row in stub_rows.items() for i, tr in enumerate(row)}
     assert len(ages) >= 4 and len(set(ages.values())) >= 3
     counter = make_counter(n, 0.5, analyzed.rdfa.n_states, analyzed.t)
     copies, p = counter.copies, counter.per_step_p
@@ -108,7 +109,7 @@ def test_counts_follow_the_binomial_law_of_their_age():
         held = rows(TwoSidedTester(analyzed, n, 0.5, rng=seed))
         assert {q: [(tr.state, tr.residue) for tr in row] for q, row in held.items()} == skeleton
         for q, i in ages:
-            samples[q, i].append(held[q][i].counter.set_copies)
+            samples[q, i].append(held[q][i].count)
 
     for key, age in ages.items():
         flip = 1.0 - (1.0 - p) ** age

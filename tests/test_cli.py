@@ -99,6 +99,27 @@ def test_cli_classify(capsys):
     assert report["suffix_free"] is True
     assert report["one_sided_class"] == "loglog"
     assert report["excluded_factor"]["factor"] == "ab"  # no member has b after a
+    assert "excluded_factor_reason" not in report
+
+
+def test_cli_classify_names_a_trivial_language_without_a_factor(capsys):
+    assert main(["classify", "--regex", "(a|b)*a", "--alphabet", "ab"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["trivial"] is True
+    assert report["excluded_factor"] is None
+    assert report["excluded_factor_reason"] == "trivial language"
+
+
+def test_cli_classify_says_when_the_bounded_factor_search_exhausts(capsys):
+    # "no bbbbb" is nontrivial, but its excluded factor is longer than the search reaches
+    assert main(["classify", "--regex", "(a|ba|bba|bbba|bbbba)*(|b|bb|bbb|bbbb)", "--alphabet", "ab"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["trivial"] is False
+    assert report["excluded_factor"] is None
+    assert report["excluded_factor_reason"] == (
+        "bounded search exhausted (factors of length <= 4, length progressions of step "
+        "<= 8 x the realized-length period)"
+    )
 
 
 def test_cli_analyze(capsys):

@@ -132,6 +132,28 @@ def test_feed_power_rejects_a_negative_power():
         PathSummaryTester(analyze(dfa), 4).feed_power("a", -1)
 
 
+BAD_POWER_TESTERS = {
+    "exact": lambda: exact_tester(build_dfa("ba*"), 4),
+    "trivial": lambda: trivial_tester(Alphabet.from_string("ab"), realized_lengths(build_dfa("ba*")), 4),
+    "det": lambda: testers_det.deterministic_tester(build_analyzed("ba*"), 4),
+    "two-sided": lambda: testers_rand.two_sided_tester(build_analyzed("a*"), 64, 0.5, rng=0),
+    "one-sided": lambda: OneSidedTester(enumerate_path_descriptions(build_analyzed("ba*")), 8, prime=3),
+    "one-sided-exact-parts": lambda: OneSidedTester(enumerate_path_descriptions(build_analyzed("b(aa)*")), 1, rng=1),
+    "union": lambda: compile_one_sided(build_dfa("ba*"), 8, amplification=2)(0),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_POWER_TESTERS)
+def test_every_tester_rejects_a_bad_power(kind):
+    """A negative power and a symbol outside the alphabet raise, even where
+    the power is 0 and nothing would be fed."""
+    tester = BAD_POWER_TESTERS[kind]()
+    with pytest.raises(ValueError, match="^power must be nonnegative, got -1$"):
+        tester.feed_power("a", -1)
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        tester.feed_power("z", 0)
+
+
 # --- construction at huge windows -------------------------------------------------
 
 

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from regwin import (
     Alphabet,
     Dfa,
+    OneSidedTester,
     Rdfa,
     StateLimitExceeded,
     analyze,
     enumerate_path_descriptions,
-    one_sided_suffix_free_tester,
     prime_pool,
     retarget_finals,
 )
@@ -78,7 +78,7 @@ def test_one_sided_verdict_matches_its_parts_definition_after_every_step(case):
     for f in transient_finals:
         partials = enumerate_path_descriptions(retarget_finals(analyzed, (f,)))
         primes = prime_pool(max(n, 2))
-        testers = [one_sided_suffix_free_tester(partials, n, prime=prime) for prime in primes]
+        testers = [OneSidedTester(partials, n, prime=prime) for prime in primes]
         consumed = pad * n
         for symbol in [None, *stream]:
             if symbol is not None:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import AB, build_analyzed, build_dfa, words_up_to
@@ -5,17 +7,18 @@ from conftest import AB, build_analyzed, build_dfa, words_up_to
 from regwin import (
     CompactSummary,
     ModularLengthTable,
+    OneSidedTester,
     ProbabilisticCounter,
     SummaryTriple,
     ThresholdCounter,
     amplification_copies,
+    compile_one_sided,
     composed_one_sided_tester,
     counter_copies,
     deterministic_tester,
     enumerate_path_descriptions,
     make_counter,
     monte_carlo,
-    one_sided_suffix_free_tester,
     prime_pool,
     prolong_compact_summary,
     realized_lengths,
@@ -25,7 +28,7 @@ from regwin import (
     union_tester,
 )
 from regwin.testers_det import ExactWindowTester, FixedVerdictTester, PathSummaryTester
-from regwin.testers_rand import TwoSidedTester
+from regwin.testers_rand import TwoSidedTester, UnionTester
 
 
 # --- probabilistic counter -----------------------------------------------------
@@ -54,32 +57,37 @@ def test_make_counter_marks():
 
 
 def test_counter_deterministic_limits():
+    rng = np.random.default_rng(0)
     always = ProbabilisticCounter(10, 5, qsize=2, per_step_p=1.0)
-    assert not always.is_high
-    always.increment()
-    assert always.is_high  # every cell set at once, odd majority
+    assert not always.reads_high(0)
+    assert always.reads_high(always.advance(0, 1, rng))  # every cell set at once, odd majority
 
     never = ProbabilisticCounter(10, 5, qsize=2, per_step_p=0.0)
+    count = 0
     for _ in range(50):
-        never.increment()
-    assert not never.is_high
+        count = never.advance(count, 1, rng)
+    assert not never.reads_high(count)
 
 
 def test_counter_monotone_under_increments():
-    counter = ProbabilisticCounter(40, 20, qsize=2, rng=np.random.default_rng(5))
-    was_high = False
+    counter = ProbabilisticCounter(40, 20, qsize=2)
+    rng = np.random.default_rng(5)
+    count, was_high = 0, False
     for _ in range(120):
-        counter.increment()
+        count = counter.advance(count, 1, rng)
         if was_high:
-            assert counter.is_high
-        was_high = was_high or counter.is_high
-    assert counter.is_high
+            assert counter.reads_high(count)
+        was_high = was_high or counter.reads_high(count)
+    assert counter.reads_high(count)
 
 
-def test_increment_many_matches_single_steps_in_the_deterministic_limit():
+def test_advance_matches_single_steps_in_the_deterministic_limit():
     bulk = ProbabilisticCounter(10, 5, qsize=2, per_step_p=1.0)
-    bulk.increment_many(7)
-    assert bulk.pulses == 7 and bulk.set_copies == bulk.copies
+    rng = np.random.default_rng(0)
+    single = 0
+    for _ in range(7):
+        single = bulk.advance(single, 1, rng)
+    assert bulk.advance(0, 7, rng) == single == bulk.copies
 
 
 def test_counter_statistics_smoke():
@@ -89,28 +97,40 @@ def test_counter_statistics_smoke():
     trials = 400
     for _ in range(trials):
         counter = ProbabilisticCounter(1000, 800, qsize=4)
-        counter.increment_many(800, rng)
-        high_errors += counter.is_high
-        counter.increment_many(200, rng)
-        low_errors += not counter.is_high
+        count = counter.advance(0, 800, rng)
+        high_errors += counter.reads_high(count)
+        count = counter.advance(count, 200, rng)
+        low_errors += not counter.reads_high(count)
     assert high_errors / trials <= 1 / 12 + 0.05
     assert low_errors / trials <= 1 / 12 + 0.05
+
+
+def test_counters_hold_parameters_only():
+    """A count is a plain int held by the tester's rows: neither counter
+    class keeps a count or a generator, and the two-sided tester's uniforms
+    are one endless stream with no refill check."""
+    for cls in (ProbabilisticCounter, ThresholdCounter):
+        assert not {"set_copies", "pulses", "rng"} & set(cls.__slots__), cls
+        assert not any(hasattr(cls, name) for name in ("increment", "increment_many", "with_count", "copy")), cls
+    source = (Path(__file__).resolve().parent.parent / "src" / "regwin" / "testers_rand.py").read_text("utf-8")
+    assert "length_hint" not in source
 
 
 # --- compact summaries ------------------------------------------------------------
 
 
-def fresh_summary(q, cutoff=4):
-    return CompactSummary([SummaryTriple(q, 0, ThresholdCounter(cutoff))])
+def fresh_summary(q):
+    return CompactSummary([SummaryTriple(q, 0, 0)])
 
 
 def test_prolong_within_component():
     analyzed = build_analyzed("a*")
     q0 = analyzed.rdfa.initial
-    cs = prolong_compact_summary(fresh_summary(q0), AB.code("a"), q0, analyzed)
+    counter = ThresholdCounter(4)
+    cs = prolong_compact_summary(fresh_summary(q0), AB.code("a"), q0, analyzed, counter)
     assert len(cs.triples) == 1
     assert cs.triples[-1].state == q0 and cs.triples[-1].residue == 0
-    assert not cs.triples[-1].counter.is_high
+    assert not counter.reads_high(cs.triples[-1].count)
     cs.validate(analyzed)
 
 
@@ -127,12 +147,11 @@ def test_prolong_across_components():
     )
     p, a = crossing
     target = analyzed.rdfa.delta[p][a]
-    cs = prolong_compact_summary(fresh_summary(target), a, p, analyzed)
+    cs = prolong_compact_summary(fresh_summary(target), a, p, analyzed, ThresholdCounter(4))
     assert len(cs.triples) == 2
     assert cs.triples[0].state == target and cs.triples[0].residue == 1 % analyzed.g
-    assert cs.triples[0].counter.pulses == 1
-    assert cs.triples[-1].state == p and cs.triples[-1].residue == 0
-    assert cs.triples[-1].counter.pulses == 0
+    assert cs.triples[0].count == 1
+    assert cs.triples[-1] == (p, 0, 0)
     cs.validate(analyzed)
 
 
@@ -140,9 +159,10 @@ def test_prolong_rejects_mismatched_transition():
     analyzed = build_analyzed("a*")
     q0 = analyzed.rdfa.initial
     sink = 1 - q0
+    counter = ThresholdCounter(4)
     with pytest.raises(ValueError):
-        prolong_compact_summary(fresh_summary(q0), AB.code("b"), q0, analyzed)  # lands in sink
-    prolong_compact_summary(fresh_summary(sink), AB.code("b"), q0, analyzed)
+        prolong_compact_summary(fresh_summary(q0), AB.code("b"), q0, analyzed, counter)  # lands in sink
+    prolong_compact_summary(fresh_summary(sink), AB.code("b"), q0, analyzed, counter)
 
 
 def explicit_summary_facts(analyzed, full_stream, q):
@@ -181,8 +201,7 @@ def test_stub_summaries_match_explicit_runs_exhaustively(pattern, symbols, n):
         full = alphabet.pad * n + stream
         for q, cs in tester.summaries().items():
             cs.validate(analyzed)
-            got = [(tr.state, tr.residue, tr.counter.pulses) for tr in cs.triples]
-            assert got == explicit_summary_facts(analyzed, full, q), (stream, q)
+            assert cs.triples == explicit_summary_facts(analyzed, full, q), (stream, q)
         facts = explicit_summary_facts(analyzed, full, analyzed.rdfa.initial)
         assert tester.decide() == recomputed_decision(analyzed, facts, n, cutoff), stream
 
@@ -199,8 +218,7 @@ def test_stub_summaries_match_explicit_runs_on_wider_machines(pattern, n):
         full = AB.pad * n + stream
         for q, cs in tester.summaries().items():
             cs.validate(analyzed)
-            got = [(tr.state, tr.residue, tr.counter.pulses) for tr in cs.triples]
-            assert got == explicit_summary_facts(analyzed, full, q), (stream, q)
+            assert cs.triples == explicit_summary_facts(analyzed, full, q), (stream, q)
 
 
 def shortest_accepting_suffix(partial, stream):
@@ -225,7 +243,7 @@ def test_one_sided_fingerprint_tracks_definition_at_every_step():
     n = 4
     for prime in prime_pool(n):
         for stream in words_up_to(AB, 9):
-            tester = one_sided_suffix_free_tester([partial], n, prime=prime)
+            tester = OneSidedTester([partial], n, prime=prime)
             consumed = AB.pad * n
             for symbol in stream:
                 tester.feed(symbol)
@@ -369,7 +387,7 @@ def test_one_sided_member_accepted_for_every_prime():
     analyzed = build_analyzed("ba*")
     partials = enumerate_path_descriptions(analyzed)
     for prime in prime_pool(8):
-        tester = one_sided_suffix_free_tester(partials, 8, prime=prime)
+        tester = OneSidedTester(partials, 8, prime=prime)
         tester.feed_all("aaaaa" + "b" + "a" * 7)
         assert tester.decide(), prime
 
@@ -382,7 +400,7 @@ def test_one_sided_short_fingerprint_collision_fraction():
     pool = prime_pool(8)
     accepting = []
     for prime in pool:
-        tester = one_sided_suffix_free_tester(partials, 8, prime=prime)
+        tester = OneSidedTester(partials, 8, prime=prime)
         tester.feed_all("b" + "a" * 20)
         if tester.decide():
             accepting.append(prime)
@@ -394,7 +412,7 @@ def test_one_sided_rejects_surely_without_the_marker_symbol():
     analyzed = build_analyzed("ba*")
     partials = enumerate_path_descriptions(analyzed)
     for prime in prime_pool(8):
-        tester = one_sided_suffix_free_tester(partials, 8, prime=prime)
+        tester = OneSidedTester(partials, 8, prime=prime)
         tester.feed_all("a" * 30)  # no b anywhere: shortest suffix is infinite
         assert not tester.decide()
 
@@ -402,7 +420,7 @@ def test_one_sided_rejects_surely_without_the_marker_symbol():
 def test_one_sided_singleton_language():
     analyzed = build_analyzed("ab")
     partials = enumerate_path_descriptions(analyzed)
-    tester = one_sided_suffix_free_tester(partials, 2, rng=0)
+    tester = OneSidedTester(partials, 2, rng=0)
     tester.feed_all("bbab")
     assert tester.decide()
     tester.feed_all("b")
@@ -413,7 +431,7 @@ def test_one_sided_small_window_fallback_stays_exact():
     analyzed = build_analyzed("b(aa)*")
     partials = enumerate_path_descriptions(analyzed)
     n = 1  # below s + |Q_P| for the real partial machine
-    tester = one_sided_suffix_free_tester(partials, n, rng=1)
+    tester = OneSidedTester(partials, n, rng=1)
     tester.feed_all("b")
     assert tester.decide()
     tester.feed_all("a")
@@ -431,7 +449,7 @@ def test_one_sided_state_bits_track_pool_prime_size():
     for exponent in (8, 12, 16, 20):
         n = 2**exponent
         prime = max(prime_pool(n))
-        tester = one_sided_suffix_free_tester(partials, n, prime=prime)
+        tester = OneSidedTester(partials, n, prime=prime)
         states = sum(len(p.states) for p in partials)
         assert tester.state_bits() == prime.bit_length() * (1 + states) + states
         observed.append(tester.state_bits())
@@ -448,7 +466,7 @@ def test_union_accepts_when_any_part_accepts():
     union = union_tester(
         [
             lambda: trivial_tester(AB, ends_a_lengths, 4),
-            lambda: one_sided_suffix_free_tester(ba_partials, 4, rng=0),
+            lambda: OneSidedTester(ba_partials, 4, rng=0),
         ]
     )
     union.feed_all("baaa")
@@ -469,10 +487,20 @@ def test_union_amplification_runs_independent_copies():
     ba_partials = enumerate_path_descriptions(build_analyzed("ba*"))
     rng = np.random.default_rng(0)
     union = union_tester(
-        [lambda: one_sided_suffix_free_tester(ba_partials, 8, rng=rng)], amplification=3
+        [lambda: OneSidedTester(ba_partials, 8, rng=rng)], amplification=3
     )
     union.feed_all("b" + "a" * 7)
     assert union.decide()  # member: every copy accepts regardless of its prime
+
+
+def test_union_state_bits_are_the_part_sum_after_every_feed():
+    union = compile_one_sided(build_dfa("ba*"), 8, amplification=2)(0)
+    assert isinstance(union, UnionTester)
+    parts = [tester for group in union._groups for tester in group]
+    assert len(parts) == 2
+    for symbol in "aabaaaaaaabbab":
+        union.feed(symbol)
+        assert union.state_bits() == sum(part.state_bits() for part in parts)
 
 
 # --- the composed builder ---------------------------------------------------------------------
@@ -512,7 +540,7 @@ NEGATIVE_WINDOW_CONSTRUCTORS = {
     ),
     "two-sided": lambda n: two_sided_tester(build_analyzed("a*"), n, 0.5, rng=0),
     "modular-table": lambda n: ModularLengthTable(_ba_partials()[0], n, 3),
-    "one-sided": lambda n: one_sided_suffix_free_tester(_ba_partials(), n, prime=3),
+    "one-sided": lambda n: OneSidedTester(_ba_partials(), n, prime=3),
     "composed-constant": lambda n: composed_one_sided_tester(build_dfa("(a|b)*a|ba*"), n, rng=0),
     "composed-loglog": lambda n: composed_one_sided_tester(build_dfa("ba*"), n, rng=0),
 }

@@ -1,7 +1,7 @@
 """The two-sided tester's batched step against its one-step definition.
 
 ``TwoSidedTester`` advances the summaries of all start states at once, as
-flat rows with one batched counter draw.  With deterministic
+flat rows of ``(state, residue, count)`` entries.  With deterministic
 ``ThresholdCounter`` stubs it must hold exactly the summaries that a chain
 of ``prolong_compact_summary`` calls (the reference definition) builds, on
 random small machines and streams.
@@ -21,6 +21,7 @@ from regwin import (
     SummaryTriple,
     ThresholdCounter,
     analyze,
+    make_counter,
     prolong_compact_summary,
     two_sided_tester,
 )
@@ -51,14 +52,12 @@ def machines_and_streams(draw):
 
 
 def rows_of(summaries):
-    return {
-        q: [(tr.state, tr.residue, tr.counter.pulses) for tr in cs.triples] for q, cs in summaries.items()
-    }
+    return {q: cs.triples for q, cs in summaries.items()}
 
 
-def reference_decision(analyzed, summary, window_size):
+def reference_decision(analyzed, counter, summary, window_size):
     for tr in summary.triples:
-        if not tr.counter.is_high:
+        if not counter.reads_high(tr.count):
             return (window_size - tr.residue) % analyzed.g in analyzed.acc_mod[tr.state]
     raise AssertionError("newest triple is low by invariant")
 
@@ -72,13 +71,12 @@ def test_batched_step_matches_chained_prolong(case):
     except StateLimitExceeded:
         assume(False)
     rdfa = analyzed.rdfa
-    reference = {
-        q: CompactSummary([SummaryTriple(q, 0, ThresholdCounter(cutoff))]) for q in range(rdfa.n_states)
-    }
+    counter = ThresholdCounter(cutoff)
+    reference = {q: CompactSummary([SummaryTriple(q, 0, 0)]) for q in range(rdfa.n_states)}
 
     def prolong(code):
         return {
-            p: prolong_compact_summary(reference[rdfa.delta[p][code]], code, p, analyzed)
+            p: prolong_compact_summary(reference[rdfa.delta[p][code]], code, p, analyzed, counter)
             for p in range(rdfa.n_states)
         }
 
@@ -90,17 +88,19 @@ def test_batched_step_matches_chained_prolong(case):
         tester.feed(symbol)
         reference = prolong(rdfa.alphabet.code(symbol))
         assert rows_of(tester.summaries()) == rows_of(reference), stream
-        assert tester.decide() == reference_decision(analyzed, reference[rdfa.initial], window_size)
+        assert tester.decide() == reference_decision(analyzed, counter, reference[rdfa.initial], window_size)
 
 
 def per_triple_bits(tester, analyzed):
-    """The two-sided space formula as it was summed triple by triple."""
+    """The two-sided space formula as it was summed triple by triple, each
+    count costing the bits of the counter the tester was built with."""
     state_bits = (analyzed.rdfa.n_states - 1).bit_length()
     residue_bits = (analyzed.g - 1).bit_length()
+    counter = make_counter(tester.window_size, 0.5, analyzed.rdfa.n_states, analyzed.t)
     return sum(
-        state_bits + residue_bits + tr.counter.state_bit_cost()
+        state_bits + residue_bits + counter.state_bit_cost()
         for cs in tester.summaries().values()
-        for tr in cs.triples
+        for _tr in cs.triples
     )
 
 
