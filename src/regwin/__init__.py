@@ -97,6 +97,7 @@ from .testers_rand import (
     counter_copies,
     enumerate_path_descriptions,
     make_counter,
+    one_sided_tester,
     prime_pool,
     prolong_compact_summary,
     sample_prime,

@@ -8,7 +8,9 @@ one-bit Bernoulli cells whose majority flips from "low" to "high"
 somewhere between the gap's two marks, so the summary locates the
 window's left edge up to the allowed slack without storing any length
 exactly.  Only the number of set cells matters: a count is a plain int,
-and a counter object holds only the parameters its counts share.
+and a counter object holds only the parameters its counts share.  The
+summaries without their counts range over a finite set of skeletons,
+which the tester steps as an automaton interned on the fly.
 
 One-sided tester (double-log space for suffix-free languages): the
 machine is split into finitely many partial machines, one per chain of
@@ -18,7 +20,8 @@ profile, so membership reduces to "the shortest suffix driving the start
 state to the final state has length exactly n", which is checked modulo a
 random prime drawn from a pool of the first Θ(log window-size) primes.
 Member windows are accepted for every prime; far windows survive for at
-most a third of the pool.  A partial machine whose language is a single
+most a third of the pool.  A partial machine that cannot accept a window
+of size n gets no part.  A partial machine whose language is a single
 word, or whose slack does not fit the window, is tracked exactly by the
 same ``ExactWindowTester`` that serves the exact kind.
 
@@ -51,6 +54,7 @@ from .analysis import (
 from .automata import Alphabet, Dfa, Rdfa, StateLimitExceeded
 from .testers_det import (
     ExactWindowTester,
+    FixedVerdictTester,
     SlidingWindowTester,
     exact_tester,
     power_path,
@@ -172,7 +176,8 @@ class ProbabilisticCounter:
         self.qsize = qsize
         self.margin = (high_mark - low_mark) / high_mark
         if per_step_p is None:
-            per_step_p = 1.0 - (0.5 - self.margin / 8.0) ** (1.0 / high_mark)
+            # 1 - (1/2 - margin/8)^(1/high_mark), without the cancellation that rounds it to 0 at large marks
+            per_step_p = -math.expm1(math.log(0.5 - self.margin / 8.0) / high_mark)
         if not 0.0 <= per_step_p <= 1.0:
             raise ValueError("per-step probability out of range")
         self.per_step_p = per_step_p
@@ -194,17 +199,23 @@ class ProbabilisticCounter:
             cdfs = _INCREMENT_CDFS[key] = _IncrementCdfs(*key)
         return cdfs
 
+    def set_chance(self, k: float) -> float:
+        """The chance that an unset cell is set within k increments,
+        1 - (1-p)^k, computed through ``expm1`` and ``log1p`` so that it keeps
+        its digits for p down to 1e-19 (high marks up to 2^62)."""
+        return -math.expm1(k * math.log1p(-self.per_step_p))
+
     def advance(self, count: int, k: int, rng: np.random.Generator) -> int:
         """The count after k increments of a counter holding ``count``.
         Each unset cell survives all k rounds with probability (1-p)^k, so
-        one Binomial(copies - count, 1 - (1-p)^k) draw from ``rng`` suffices."""
+        one Binomial(copies - count, ``set_chance(k)``) draw from ``rng``
+        suffices."""
         unset = self.copies - count
         if k <= 0 or unset == 0 or self.per_step_p <= 0.0:
             return count
         if self.per_step_p >= 1.0:
             return self.copies
-        flip_p = 1.0 - (1.0 - self.per_step_p) ** k
-        return count + int(rng.binomial(unset, flip_p))
+        return count + int(rng.binomial(unset, self.set_chance(k)))
 
     def state_bit_cost(self) -> int:
         return self.copies.bit_length()
@@ -314,8 +325,11 @@ def prolong_compact_summary(
 
 
 Row = list[tuple[int, int, int]]  # (segment start state, residue mod g, counter count), oldest first, newest left out
+Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
+Slot = tuple[int, tuple[int, ...]]  # (next skeleton id, gather tuple)
 
 UNIFORM_BUFFER = 2048  # uniforms per batch of a two-sided tester's stream
+SKELETON_TABLE_SIZE = 4096  # skeletons a two-sided tester holds before it empties its table
 
 
 class TwoSidedTester(SlidingWindowTester):
@@ -327,21 +341,34 @@ class TwoSidedTester(SlidingWindowTester):
     whose count still reads low has an acceptance residue matching the
     window size.
 
-    A summary is held as a flat row of ``(state, residue, count)`` tuples,
-    oldest first, each count a plain int; one counter object (from
-    ``counter_factory``) holds the parameters every count shares.  The
-    newest triple of state p's summary is always ``(p, 0, 0)``, so a row
-    holds only the older ones.  A step builds each state p's row from the
-    summary of its successor q = delta[p][c] in one pass: the newest
-    triple ``(q, 0, 0)`` is kept only when p and q lie in different SCCs,
-    and every kept triple moves its residue by 1 mod g and advances its
-    count by one increment.  This is ``prolong_compact_summary`` applied to
-    every state at once.
+    The newest triple of state p's summary is always ``(p, 0, 0)``, so p's
+    row holds only the older ones, oldest first.  A step builds p's row
+    from the row of its successor q = delta[p][c]: the newest triple
+    ``(q, 0, 0)`` is kept only when p and q lie in different SCCs, and
+    every kept triple moves its residue by 1 mod g and advances its count
+    by one increment.  This is ``prolong_compact_summary`` applied to every
+    state at once.
+
+    With the counts left out, the rows are a *skeleton*: per state, its
+    ``(state, residue)`` pairs.  Skeletons are SCC chains with residues mod
+    g, finitely many, and the next skeleton is a function of the skeleton
+    and the symbol alone, so they form a finite automaton.  The tester's
+    state is the id of its skeleton, interned in a per-tester table, and
+    one flat list of counts, row by row and oldest first.  Each skeleton
+    owns, built when first needed, one slot per symbol code holding the
+    next skeleton's id and a *gather* tuple: per entry of the next
+    skeleton, the index of the old count it advances, where index
+    ``len(counts)`` stands for the fresh count 0 of a newly kept triple.
+    It also owns a decide record, ``((flat index, verdict), ..., default
+    verdict)`` over the initial state's row.  A step is one slot lookup
+    and one pass that gathers and advances the counts; a missing slot is
+    built by the row rule above.  A table that reaches
+    ``SKELETON_TABLE_SIZE`` skeletons is emptied, keeping the current one.
 
     An increment of a count is one Binomial(copies - count, p) draw, taken
     by inverse transform: ``count + bisect_right(cdfs[count], u)`` with the
-    counter's ``increment_cdfs`` tables and one uniform u per kept triple,
-    row by row and oldest first (a u below the table's first entry adds
+    counter's ``increment_cdfs`` tables and one uniform u per entry of the
+    next skeleton, in its order (a u below the table's first entry adds
     nothing, without the search).  The tester owns one generator, seeded
     at construction by one draw from ``rng``, so trials are reproducible
     and every cell sees independent coins.  Its uniforms are one endless
@@ -354,7 +381,8 @@ class TwoSidedTester(SlidingWindowTester):
     its residue moves by k and its count advances by k increments in one
     draw (the counter's ``advance``, from the tester's generator); the
     path's own SCC changes j < k join, oldest first, as
-    ``(p_{j+1}, (j + 1) mod g, count after j + 1 increments from 0)``.
+    ``(p_{j+1}, (j + 1) mod g, count after j + 1 increments from 0)``.  The
+    rows it builds are split again into an interned skeleton and counts.
     The pad warm-up is one such call, O(|Q|^2) draws at most whatever n.
     """
 
@@ -378,33 +406,78 @@ class TwoSidedTester(SlidingWindowTester):
         self._triple_bits = (
             (rdfa.n_states - 1).bit_length() + (g - 1).bit_length() + self._counter.state_bit_cost()
         )
-        self._next_residue = [(r + 1) % g for r in range(g)]
+        self._code = rdfa.alphabet.code
+        self._n_states = rdfa.n_states
         self._moves = summary_moves(analyzed)
-        self._rows: list[Row] = [[] for _ in range(rdfa.n_states)]
+        # the skeleton table: skeleton -> id, and per id its skeleton, slots and decide record
+        self._ids: dict[Skeleton, int] = {}
+        self._skeletons: list[Skeleton] = []
+        self._slots: list[list[Slot | None]] = []
+        self._decisions: list[tuple] = []
+        self._skeleton = self._intern(((),) * rdfa.n_states)
+        self._counts: list[int] = []
         self._start_on_pad(rdfa.alphabet)
 
-    def _feed_code(self, code: int) -> None:
-        rows, uniforms, cdfs, next_residue = self._rows, self._uniforms, self._cdfs, self._next_residue
-        fresh = cdfs[0]
-        new_rows: list[Row] = []
-        add_row = new_rows.append
+    def _intern(self, skeleton: Skeleton) -> int:
+        """The id of ``skeleton``, entered in the table on first sight.  A
+        full table is emptied first and the current skeleton entered again,
+        so the current id stays valid."""
+        sid = self._ids.get(skeleton)
+        if sid is None:
+            if len(self._skeletons) >= SKELETON_TABLE_SIZE:
+                current = self._skeletons[self._skeleton]
+                for table in (self._ids, self._skeletons, self._slots, self._decisions):
+                    table.clear()
+                self._skeleton = self._intern(current)
+            sid = self._ids[skeleton] = len(self._skeletons)
+            self._skeletons.append(skeleton)
+            self._slots.append([None] * len(self._moves))
+            self._decisions.append(self._decision(skeleton))
+        return sid
+
+    def _decision(self, skeleton: Skeleton) -> tuple:
+        """The decide record of ``skeleton``: per entry of the initial
+        state's row, oldest first, its flat count index and the verdict of
+        its residue; then the verdict of the newest triple."""
+        analyzed, initial = self._a, self._a.rdfa.initial
+        n, g = self.window_size, analyzed.g
+        start = sum(map(len, skeleton[:initial]))
+        entries = [
+            (start + i, (n - residue) % g in analyzed.acc_mod[state])
+            for i, (state, residue) in enumerate(skeleton[initial])
+        ]
+        return (*entries, n % g in analyzed.acc_mod[initial])
+
+    def _slot(self, code: int) -> Slot:
+        """The slot of the current skeleton under ``code``, built by the
+        row rule and entered in the table."""
+        rows, g = self._skeletons[self._skeleton], self._a.g
+        starts = [0, *accumulate(map(len, rows))]
+        next_rows, gather = [], []
         for q, same in self._moves[code]:
-            new_row: Row = []
-            add = new_row.append
-            # zip stops at the end of the row before it takes a uniform, so each triple takes exactly one
-            for (state, residue, count), u in zip(rows[q], uniforms):
-                cdf = cdfs[count]
-                add((state, next_residue[residue], count if u < cdf[0] else count + bisect_right(cdf, u)))
+            row = [(state, (residue + 1) % g) for state, residue in rows[q]]
+            gather += range(starts[q], starts[q + 1])
             if not same:
-                add((q, next_residue[0], bisect_right(fresh, next(uniforms))))
-            add_row(new_row)
-        self._rows = new_rows
+                row.append((q, 1 % g))
+                gather.append(starts[-1])  # the fresh count
+            next_rows.append(tuple(row))
+        slot = (self._intern(tuple(next_rows)), tuple(gather))
+        self._slots[self._skeleton][code] = slot  # after _intern, which may renumber the current skeleton
+        return slot
 
     def feed(self, symbol: str) -> None:
-        self._feed_code(self._a.rdfa.alphabet.code(symbol))
+        code = self._code(symbol)
+        self._skeleton, gather = self._slots[self._skeleton][code] or self._slot(code)
+        counts, cdfs = self._counts, self._cdfs
+        counts.append(0)  # the sentinel a fresh entry gathers
+        # map stops at the end of the gather before zip takes a uniform, so each entry takes exactly one
+        self._counts = [
+            c if u < (cdf := cdfs[c])[0] else c + bisect_right(cdf, u)
+            for c, u in zip(map(counts.__getitem__, gather), self._uniforms)
+        ]
 
     def feed_power(self, symbol: str, k: int) -> None:
-        moves = self._moves[self._a.rdfa.alphabet.code(symbol)]
+        moves = self._moves[self._code(symbol)]
         successors = [q for q, _same in moves]
         g, rows, advance, rng = self._a.g, self._rows, self._counter.advance, self._rng
         new_rows: list[Row] = []
@@ -415,18 +488,24 @@ class TwoSidedTester(SlidingWindowTester):
                 if not moves[s][1]:
                     row.append((successors[s], (j + 1) % g, advance(0, j + 1, rng)))
             new_rows.append(row)
-        self._rows = new_rows
+        self._skeleton = self._intern(tuple(tuple((s, r) for s, r, _c in row) for row in new_rows))
+        self._counts = [c for row in new_rows for _s, _r, c in row]
 
     def decide(self) -> bool:
-        analyzed, initial = self._a, self._a.rdfa.initial
-        reads_high = self._counter.reads_high
-        # oldest first: the first triple that reads low decides
-        for state, residue, count in self._rows[initial]:
-            if not reads_high(count):
-                break
-        else:
-            state, residue = initial, 0  # the newest triple, which reads low by invariant
-        return (self.window_size - residue) % analyzed.g in analyzed.acc_mod[state]
+        counts, reads_high = self._counts, self._counter.reads_high
+        record = self._decisions[self._skeleton]
+        # oldest first: the first entry that reads low decides
+        for index, verdict in record[:-1]:
+            if not reads_high(counts[index]):
+                return verdict
+        return record[-1]  # the newest triple, which reads low by invariant
+
+    @property
+    def _rows(self) -> list[Row]:
+        """The rows as ``(state, residue, count)`` lists, read off the
+        skeleton and the counts (a view; not for the hot path)."""
+        counts = iter(self._counts)
+        return [[(s, r, next(counts)) for s, r in row] for row in self._skeletons[self._skeleton]]
 
     def summaries(self) -> Mapping[int, CompactSummary]:
         """The rows as ``CompactSummary`` objects (a view; not for the hot path)."""
@@ -436,7 +515,7 @@ class TwoSidedTester(SlidingWindowTester):
         }
 
     def state_bits(self) -> int:
-        return self._triple_bits * (sum(map(len, self._rows)) + len(self._rows))
+        return self._triple_bits * (len(self._counts) + self._n_states)
 
 
 def two_sided_tester(
@@ -703,14 +782,21 @@ class ModularLengthTable(SlidingWindowTester):
         return self._bits
 
 
+def _fingerprintable(partial: PartialRdfa, window_size: int) -> bool:
+    """Whether a ``ModularLengthTable`` serves the partial machine at this
+    window size: its language is not a single word and the window is at
+    least its slack, ``length_slack`` + |partial states|."""
+    return partial.singleton_word is None and window_size >= partial.length_slack + len(partial.states)
+
+
 class OneSidedTester(SlidingWindowTester):
     """One-sided tester for a suffix-free language given its partial
     machines: one shared random prime and one part per partial machine,
     fed every symbol; accepts iff some part accepts.  A part is a
-    ``ModularLengthTable`` where the fingerprint applies, and otherwise an
-    ``ExactWindowTester`` over ``partial.machine``: for a partial language
-    that is a single word, or where the window is below its slack,
-    n < ``length_slack`` + |partial states|."""
+    ``ModularLengthTable`` where the fingerprint applies
+    (``_fingerprintable``), and otherwise an ``ExactWindowTester`` over
+    ``partial.machine``.  ``one_sided_tester`` builds it from the partial
+    machines that can accept at the window size only."""
 
     def __init__(
         self,
@@ -722,14 +808,12 @@ class OneSidedTester(SlidingWindowTester):
         super().__init__(window_size)
         if not partials:
             raise ValueError("need at least one partial machine")
-        fingerprintable = [
-            partial.singleton_word is None
-            and window_size >= partial.length_slack + len(partial.states)
-            for partial in partials
-        ]
-        if prime is None and any(fingerprintable):
+        fingerprintable = [_fingerprintable(partial, window_size) for partial in partials]
+        if not any(fingerprintable):
+            prime = None  # every part tracks its window exactly, so no part reads a prime
+        elif prime is None:
             prime = sample_prime(window_size, rng)
-        self.prime = prime  # None when every part tracks its window exactly
+        self.prime = prime
         self._parts: list[ModularLengthTable | ExactWindowTester] = [
             ModularLengthTable(partial, window_size, prime)
             if use_fingerprint
@@ -755,6 +839,30 @@ class OneSidedTester(SlidingWindowTester):
         return self._bits
 
 
+def one_sided_tester(
+    partials: Sequence[PartialRdfa],
+    window_size: int,
+    rng: np.random.Generator | int | None = None,
+    prime: int | None = None,
+) -> SlidingWindowTester:
+    """The one-sided tester of a suffix-free language over the partial
+    machines that can accept a window of this size.  A partial machine
+    whose acceptance set misses n never accepts, so it gets no part: a
+    single-word part survives only at n = |w|, where its exact window has
+    constant size.  With no part left, every window is rejected, by a
+    ``FixedVerdictTester``.  The prime is drawn from ``rng`` whenever some
+    partial machine, kept or not, could be fingerprinted, so the coins
+    drawn after it are those ``OneSidedTester(partials, ...)`` leaves."""
+    if not partials:
+        raise ValueError("need at least one partial machine")
+    if prime is None and any(_fingerprintable(partial, window_size) for partial in partials):
+        prime = sample_prime(window_size, rng)
+    live = [partial for partial in partials if partial.acc[partial.start].member(window_size)]
+    if not live:
+        return FixedVerdictTester(partials[0].alphabet, EventuallyPeriodicSet.empty(), window_size)
+    return OneSidedTester(live, window_size, prime=prime)
+
+
 # --- unions ---------------------------------------------------------------------
 
 
@@ -766,14 +874,18 @@ class UnionTester(SlidingWindowTester):
 
     A union's parts must have fixed sizes (trivial, exact and one-sided
     testers, which covers every union the library builds), so the sum of
-    their ``state_bits`` is taken once, at construction."""
+    their ``state_bits`` is taken once, at construction.  A union needs at
+    least one group and every group at least one tester: an empty union
+    has no alphabet and no window size to check its input against."""
 
     def __init__(self, groups: Sequence[Sequence[SlidingWindowTester]]):
         self._groups = [list(group) for group in groups]
+        if not self._groups or not all(self._groups):
+            raise ValueError("a union needs at least one group and at least one tester per group")
         sizes = {t.window_size for group in self._groups for t in group}
         if len(sizes) > 1:
             raise ValueError(f"sub-testers disagree on the window size: {sorted(sizes)}")
-        super().__init__(sizes.pop() if sizes else 0)
+        super().__init__(sizes.pop())
         self._bits = sum(t.state_bits() for group in self._groups for t in group)
 
     def feed(self, symbol: str) -> None:
@@ -822,8 +934,9 @@ def compile_one_sided(
     """Compile a language in the loglog class once, into a factory mapping
     an rng to a fresh one-sided tester: a constant-space part for the
     (trivial) non-transient-finals language united with one suffix-free
-    fingerprint tester per transient final.  The classification, analysis
-    and path descriptions run here; a call only instantiates."""
+    tester (``one_sided_tester``) per transient final.  The
+    classification, analysis and path descriptions run here; a call only
+    instantiates."""
     classification = one_sided_class(dfa)
     if classification is OneSidedClass.LOG_LOWER_BOUND:
         raise ValueError(
@@ -848,7 +961,7 @@ def compile_one_sided(
         if f in recurrent_finals:
             continue
         partials = enumerate_path_descriptions(retarget_finals(analyzed, (f,)))
-        makers.append(lambda master, partials=partials: OneSidedTester(partials, window_size, master, prime))
+        makers.append(lambda master, partials=partials: one_sided_tester(partials, window_size, master, prime))
 
     def instantiate(rng: np.random.Generator | int | None) -> SlidingWindowTester:
         master = _ensure_rng(rng)

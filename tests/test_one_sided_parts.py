@@ -8,7 +8,12 @@ the brute-force one: an exact part accepts iff the partial machine accepts
 the window; a fingerprint part accepts iff the window size is a length the
 partial machine can accept from its start state and the shortest suffix of
 the stream that it accepts is congruent to the window size mod the prime.
+``one_sided_tester`` builds no part that can never accept, and must give
+the same verdicts and leave the same coins as the tester over every
+partial machine.
 """
+
+import numpy as np
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -21,9 +26,11 @@ from regwin import (
     StateLimitExceeded,
     analyze,
     enumerate_path_descriptions,
+    one_sided_tester,
     prime_pool,
     retarget_finals,
 )
+from regwin.testers_det import FixedVerdictTester
 
 FUZZ = settings(
     max_examples=200,
@@ -88,3 +95,31 @@ def test_one_sided_verdict_matches_its_parts_definition_after_every_step(case):
             for prime, tester in zip(primes, testers):
                 expected = any(part_verdict(partial, n, prime, consumed) for partial in partials)
                 assert tester.decide() == expected, (f, n, prime, consumed)
+
+
+@FUZZ
+@given(machines_and_streams())
+def test_one_sided_tester_drops_only_parts_that_never_accept(case):
+    machine, n, stream = case
+    try:
+        analyzed = analyze(machine)
+    except StateLimitExceeded:
+        assume(False)
+    transient_finals = [f for f in sorted(analyzed.rdfa.finals) if analyzed.scc.is_transient_state(f)]
+    assume(transient_finals)
+    for f in transient_finals:
+        partials = enumerate_path_descriptions(retarget_finals(analyzed, (f,)))
+        live = [partial for partial in partials if partial.acc[partial.start].member(n)]
+        coins, reference_coins = np.random.default_rng(n), np.random.default_rng(n)
+        tester = one_sided_tester(partials, n, coins)
+        reference = OneSidedTester(partials, n, reference_coins)
+        assert coins.integers(1 << 62) == reference_coins.integers(1 << 62)  # the same draws were taken
+        if live:
+            assert isinstance(tester, OneSidedTester) and len(tester._parts) == len(live)
+        else:
+            assert isinstance(tester, FixedVerdictTester)
+        for symbol in [None, *stream]:
+            if symbol is not None:
+                tester.feed(symbol)
+                reference.feed(symbol)
+            assert tester.decide() == reference.decide(), (f, n, stream)

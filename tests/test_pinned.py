@@ -4,6 +4,8 @@ are checked value by value, not only through tester verdicts.  The
 construction pins fix state numbering too: every construction numbers its
 states breadth-first from the initial state, symbols in alphabet order."""
 
+import hashlib
+
 import pytest
 from conftest import AB, CORPUS, build_analyzed, build_dfa
 
@@ -19,8 +21,10 @@ from regwin import (
     retarget_finals,
     reverse_to_rdfa,
     trim_reachable,
+    two_sided_tester,
     uniformize_period,
 )
+from regwin import testers_rand
 
 # pattern, g, t, states after uniformization, acc_mod per state
 ANALYSIS_PINS = [
@@ -172,3 +176,60 @@ def test_length_sets_match_pinned_figures(pattern):
     else:
         progression, factor = excluded
         assert (progression.offset, progression.step, factor) == pinned_excluded
+
+
+# --- seeded two-sided traces ------------------------------------------------------
+
+TRACE_LANGUAGES = sorted({pattern for _ident, pattern in CORPUS} | {"(aa)*|b(aa)*b"})
+TRACE_WINDOW_SIZES = (64, 1000, 4097)
+TRACE_SEEDS = (0, 1)
+# sparse b's, then an a-run that carries every segment past the gap marks of
+# the largest window, then a dense burst
+TRACE_STREAM = (
+    "".join("b" if i * i % 61 == 3 else "a" for i in range(1200)) + "a" * 4200 + "babba" + "ab" * 30
+)
+
+# pattern -> SHA-256 of the two-sided testers' per-step (decide, state_bits)
+# trace over every window size and seed above (eps 0.25)
+TRACE_PINS = {
+    "((a|b)a)*": "8370c60d4b6e28486a19a44c628ac01f350e142cc0463c34509091541cf294c9",
+    "(aa)*": "092e8c6bced4c3fb20e57e290a5ef279c048aa1ed50e0d5244e6ef799250ce4c",
+    "(aa)*|b(aa)*b": "6296275c850d7be7fc9ab07747bec3b37e26802601cf7c8abc9eb0d0f0c7be66",
+    "(ab)*": "4d6ad60883cc833aa404209def3eabb9230a1a1ab75f4256a89b2768501a4ec0",
+    "(a|b)*": "027eee10ace2ee687e8d2a37e83cb99c11f3ee4aec3dc560a9dac561efe3580b",
+    "(a|b)*a": "a2d15357b1d75af441ac43bf509b537a3dbd71a3f1de3b1f903719cf9dc14766",
+    "a*": "09003a7490486dd28c8e894f4ca6bb63491e1983b3e0ea5a2e7d8015d3c77035",
+    "a*|ba*": "bc07c8992908585bb72cb8b62d9b5d356bb69066140ba98f2ee07600e6d1282b",
+    "ab": "f9ee4a1ad897fa18bfd66398240ec599ac9bc7c0fa8b9627945bcdca392264c5",
+    "a|bb": "0cc007c5aaf93225bb0245fcefa0b1c60d363f8caf31e378a58980d6be0c6a2a",
+    "b(aa)*": "f7edc7786231bb32b3b3b88dbea8def0ef50d070efd1a1a5fe0521c23b5edc08",
+    "b(a|b)*": "be672dd366c24cceea1b3f73dba7acb89bf0190025193949a07a03b44fb37b9d",
+    "ba*": "bc07c8992908585bb72cb8b62d9b5d356bb69066140ba98f2ee07600e6d1282b",
+}
+
+
+def two_sided_trace_digest(pattern: str) -> str:
+    analyzed = build_analyzed(pattern)
+    digest = hashlib.sha256()
+    for n in TRACE_WINDOW_SIZES:
+        for seed in TRACE_SEEDS:
+            tester = two_sided_tester(analyzed, n, 0.25, rng=seed)
+            steps = []
+            for symbol in TRACE_STREAM:
+                tester.feed(symbol)
+                steps.append(f"{tester.decide():d}{tester.state_bits()}")
+            digest.update(f"{n}/{seed}:{','.join(steps)};".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("pattern", TRACE_LANGUAGES)
+def test_two_sided_trace_matches_pinned_digest(pattern):
+    assert two_sided_trace_digest(pattern) == TRACE_PINS[pattern]
+
+
+@pytest.mark.parametrize("pattern", ["(aa)*|b(aa)*b", "b(aa)*"])
+def test_two_sided_trace_is_unchanged_when_the_skeleton_table_holds_two(pattern, monkeypatch):
+    """A full skeleton table is emptied and refilled; that must not touch
+    the counts, the coins or the verdicts."""
+    monkeypatch.setattr(testers_rand, "SKELETON_TABLE_SIZE", 2)
+    assert two_sided_trace_digest(pattern) == TRACE_PINS[pattern]

@@ -27,6 +27,7 @@ from regwin import (
     two_sided_tester,
     union_tester,
 )
+from regwin import testers_rand
 from regwin.testers_det import ExactWindowTester, FixedVerdictTester, PathSummaryTester
 from regwin.testers_rand import TwoSidedTester, UnionTester
 
@@ -380,6 +381,15 @@ def test_sample_prime_is_seed_deterministic():
     assert sample_prime(1024, rng=9) in prime_pool(1024)
 
 
+def test_skeleton_table_stays_within_its_size(monkeypatch):
+    monkeypatch.setattr(testers_rand, "SKELETON_TABLE_SIZE", 2)
+    tester = two_sided_tester(build_analyzed("(aa)*|b(aa)*b"), 64, 0.25, rng=0)
+    assert isinstance(tester, TwoSidedTester)
+    for symbol in "aabababbbaab" * 20:
+        tester.feed(symbol)
+        assert len(tester._skeletons) <= 2
+
+
 # --- one-sided tester -------------------------------------------------------------------
 
 
@@ -473,9 +483,13 @@ def test_union_accepts_when_any_part_accepts():
     assert union.decide()
 
 
-def test_empty_union_always_rejects():
-    union = union_tester([])
-    assert not union.decide()
+def test_empty_union_is_refused():
+    """A union with no language, or a language with no copy, has no
+    alphabet to check its input against."""
+    with pytest.raises(ValueError, match="at least one"):
+        union_tester([])
+    with pytest.raises(ValueError, match="at least one"):
+        UnionTester([[]])
 
 
 def test_amplification_copy_counts():
@@ -504,6 +518,33 @@ def test_union_state_bits_are_the_part_sum_after_every_feed():
 
 
 # --- the composed builder ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pattern", ["ab|ba*", "aab|b(aa)*"])
+def test_one_sided_tester_builds_no_single_word_part_at_a_large_window(pattern):
+    """A single-word part accepts only at n = |w|; at n = 2^20 + 1 it used
+    to be an exact window of n symbols, about 2n state bits."""
+    n = 2**20 + 1
+    union = compile_one_sided(build_dfa(pattern), n)(0)
+    testers = [tester for group in union._groups for tester in group]
+    parts = [part for tester in testers if isinstance(tester, OneSidedTester) for part in tester._parts]
+    assert not any(isinstance(part, ExactWindowTester) for part in parts)
+    assert union.state_bits() < 64
+    for symbol, member in [("b", True), ("a", False)]:  # b a^(n-1) is a member of both; a^n of neither
+        union.feed(symbol)
+        union.feed_power("a", n - 1)
+        assert union.decide() == member
+
+
+def test_one_sided_tester_with_no_part_left_rejects_every_window():
+    """``b(aa)*`` has only odd lengths, so at an even n no part can accept."""
+    tester = compile_one_sided(build_dfa("b(aa)*"), 64)(0)
+    (part,) = [t for group in tester._groups for t in group]
+    assert isinstance(part, FixedVerdictTester) and part.state_bits() == 1
+    tester.feed_all("b" + "a" * 63)
+    assert not tester.decide()
+    with pytest.raises(ValueError):
+        tester.feed("z")
 
 
 def test_composed_tester_for_suffix_free_language():
