@@ -28,7 +28,6 @@ from .analysis import (
     length_cut_witness,
     one_sided_class,
     realized_lengths,
-    retarget_finals,
     scc_decompose,
     scc_period,
     shift,
@@ -97,7 +96,6 @@ from .testers_rand import (
     counter_copies,
     enumerate_path_descriptions,
     make_counter,
-    one_sided_tester,
     prime_pool,
     prolong_compact_summary,
     sample_prime,

@@ -29,7 +29,6 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .automata import (
-    DEFAULT_STATE_CAP,
     Alphabet,
     Dfa,
     Nfa,
@@ -487,9 +486,15 @@ class AnalyzedRdfa:
         return self.scc.same_scc(p, q)
 
 
-def _analyzed(rdfa: Rdfa, g: int, info: PeriodInfo) -> AnalyzedRdfa:
-    """Acceptance sets, threshold and acceptance residues of a
-    period-uniformized machine, bundled with its SCC and period data."""
+def analyze(machine: Dfa | Rdfa) -> AnalyzedRdfa:
+    """Compile any machine for the language into an :class:`AnalyzedRdfa`."""
+    rdfa = machine if isinstance(machine, Rdfa) else reverse_to_rdfa(machine)
+    rdfa = trim_reachable(rdfa)
+    rdfa, g = uniformize_period(rdfa)
+    info = compute_period_info(rdfa)
+    for cid, period in enumerate(info.component_period):
+        if period is not None and period != g:
+            raise RuntimeError(f"uniformization left SCC {cid} with period {period} != {g}")
     acc, t = acceptance_sets(rdfa, g, info)
     acc_mod = tuple(
         frozenset(x % g for x in range(t, t + g) if acc[q].member(x))
@@ -498,29 +503,10 @@ def _analyzed(rdfa: Rdfa, g: int, info: PeriodInfo) -> AnalyzedRdfa:
     return AnalyzedRdfa(rdfa, g, info.scc, info, tuple(acc), t, acc_mod)
 
 
-def analyze(machine: Dfa | Rdfa, cap: int = DEFAULT_STATE_CAP) -> AnalyzedRdfa:
-    """Compile any machine for the language into an :class:`AnalyzedRdfa`."""
-    rdfa = machine if isinstance(machine, Rdfa) else reverse_to_rdfa(machine, cap)
-    rdfa = trim_reachable(rdfa)
-    rdfa, g = uniformize_period(rdfa)
-    info = compute_period_info(rdfa)
-    for cid, period in enumerate(info.component_period):
-        if period is not None and period != g:
-            raise RuntimeError(f"uniformization left SCC {cid} with period {period} != {g}")
-    return _analyzed(rdfa, g, info)
-
-
-def retarget_finals(analyzed: AnalyzedRdfa, finals: Iterable[int]) -> AnalyzedRdfa:
-    """Same machine with a different final-state set; SCC and period data
-    carry over, acceptance sets and threshold are recomputed."""
-    rdfa = Rdfa(analyzed.rdfa.alphabet, analyzed.rdfa.delta, analyzed.rdfa.initial, finals)
-    return _analyzed(rdfa, analyzed.g, analyzed.periods)
-
-
 # --- length sets ----------------------------------------------------------------
 
 
-def realized_lengths(machine: Dfa | Rdfa | Nfa, cap: int = DEFAULT_STATE_CAP) -> EventuallyPeriodicSet:
+def realized_lengths(machine: Dfa | Rdfa | Nfa) -> EventuallyPeriodicSet:
     """The set {|w| : w in L} as an eventually periodic set, read off the
     lasso of the exactly-k-steps reachable state sets."""
     if isinstance(machine, Nfa):
@@ -551,7 +537,7 @@ def _length_dfa(alphabet: Alphabet, lengths: EventuallyPeriodicSet) -> Dfa:
 # --- cut languages and the triviality classifier ---------------------------------
 
 
-def cut_language(dfa: Dfa, i: int, j: int, cap: int = DEFAULT_STATE_CAP) -> Nfa:
+def cut_language(dfa: Dfa, i: int, j: int) -> Nfa:
     """NFA for the words of L with i leading and j trailing symbols removed:
     initials are the states reachable in exactly i steps, finals the states
     from which a final state is reachable in exactly j steps."""
@@ -568,14 +554,14 @@ def cut_language(dfa: Dfa, i: int, j: int, cap: int = DEFAULT_STATE_CAP) -> Nfa:
     return Nfa(dfa.alphabet, dfa.n_states, initials, dfa.transitions(), finals)
 
 
-def is_length_language(machine: Nfa | Dfa, cap: int = DEFAULT_STATE_CAP) -> bool:
+def is_length_language(machine: Nfa | Dfa) -> bool:
     """True iff membership depends only on word length."""
-    dfa = determinize(machine, cap) if isinstance(machine, Nfa) else machine
+    dfa = determinize(machine) if isinstance(machine, Nfa) else machine
     lengths = realized_lengths(dfa)
     return equivalent(dfa, _length_dfa(dfa.alphabet, lengths))
 
 
-def length_cut_witness(dfa: Dfa, cap: int = DEFAULT_STATE_CAP) -> tuple[int, int] | None:
+def length_cut_witness(dfa: Dfa) -> tuple[int, int] | None:
     """A pair (i, j) whose cut language is a length language, or None.
 
     Both set sequences cycle, so scanning their distinct values covers all
@@ -589,16 +575,16 @@ def length_cut_witness(dfa: Dfa, cap: int = DEFAULT_STATE_CAP) -> tuple[int, int
             key = (front, back)
             if key not in checked:
                 nfa = Nfa(dfa.alphabet, dfa.n_states, front, dfa.transitions(), back)
-                checked[key] = is_length_language(nfa, cap)
+                checked[key] = is_length_language(nfa)
             if checked[key]:
                 return (i, j)
     return None
 
 
-def is_trivial(dfa: Dfa, cap: int = DEFAULT_STATE_CAP) -> bool:
+def is_trivial(dfa: Dfa) -> bool:
     """True iff, at every realized length, all words are within a bounded
     Hamming distance of the language."""
-    return length_cut_witness(dfa, cap) is not None
+    return length_cut_witness(dfa) is not None
 
 
 # --- suffix-freeness and the one-sided space classes ------------------------------
@@ -629,7 +615,7 @@ class OneSidedClass(Enum):
     LOG_LOWER_BOUND = "log"
 
 
-def one_sided_class(dfa: Dfa, cap: int = DEFAULT_STATE_CAP) -> OneSidedClass:
+def one_sided_class(dfa: Dfa) -> OneSidedClass:
     """Classify: trivial languages need constant space; finite unions of
     trivial and suffix-free languages admit loglog space; everything else
     sits at the log lower bound.
@@ -638,18 +624,21 @@ def one_sided_class(dfa: Dfa, cap: int = DEFAULT_STATE_CAP) -> OneSidedClass:
     non-transient part (language must be trivial) and transient finals
     (each yields a suffix-free part).
     """
-    if is_trivial(dfa, cap):
+    if is_trivial(dfa):
         return OneSidedClass.CONSTANT_TRIVIAL
-    rdfa = trim_reachable(reverse_to_rdfa(dfa, cap))
+    rdfa = trim_reachable(reverse_to_rdfa(dfa))
     scc = scc_decompose(rdfa)
     recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
-    recurrent_part = rdfa_to_dfa(Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals), cap)
-    if is_trivial(recurrent_part, cap):
+    recurrent_part = rdfa_to_dfa(Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals))
+    if is_trivial(recurrent_part):
         return OneSidedClass.LOGLOG
     return OneSidedClass.LOG_LOWER_BOUND
 
 
 # --- excluded factors (adversarial stream material) --------------------------------
+
+FACTOR_MAX_LEN = 4  # the longest factor find_excluded_factor tries
+FACTOR_MAX_STEP_MULTIPLE = 8  # its longest progression step, in realized-length periods
 
 
 @dataclass(frozen=True)
@@ -686,14 +675,14 @@ def _language_is_empty(dfa: Dfa) -> bool:
     return True
 
 
-def find_excluded_factor(
-    dfa: Dfa, max_len: int = 4, max_step_multiple: int = 8
-) -> tuple[Progression, str] | None:
+def find_excluded_factor(dfa: Dfa) -> tuple[Progression, str] | None:
     """For a nontrivial language, search for an infinite restriction to an
     arithmetic progression of lengths that excludes some factor.
 
     Every window of a length in the progression that is packed with k
     disjoint copies of the factor then has distance >= k from the language.
+    The search tries factors of length up to ``FACTOR_MAX_LEN`` and steps
+    up to ``FACTOR_MAX_STEP_MULTIPLE`` times the realized-length period.
     Returns None for trivial languages or if the bounded search exhausts.
     """
     if is_trivial(dfa):
@@ -703,12 +692,12 @@ def find_excluded_factor(
     t, d = lengths.threshold, lengths.period
     progressions = [
         Progression(offset, d * multiple)
-        for multiple in range(1, max_step_multiple + 1)
+        for multiple in range(1, FACTOR_MAX_STEP_MULTIPLE + 1)
         for offset in range(t, t + d * multiple)
         if lengths.member(offset)
     ]
     restrictions: dict[Progression, Dfa] = {}  # built on first use, shared by every factor
-    for factor_len in range(1, max_len + 1):
+    for factor_len in range(1, FACTOR_MAX_LEN + 1):
         for factor_syms in itertools.product(alphabet.symbols, repeat=factor_len):
             factor = "".join(factor_syms)
             factor_hit = _factor_dfa(alphabet, factor)

@@ -404,7 +404,7 @@ def determinize(nfa: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return Dfa(nfa.alphabet, delta, 0, finals)
 
 
-def _determinized_reversal(machine: Dfa | Rdfa, cap: int) -> Dfa:
+def _determinized_reversal(machine: Dfa | Rdfa) -> Dfa:
     """Subset construction on the reversed transition relation.  Its table
     read in the opposite direction to ``machine`` recognizes the same
     language."""
@@ -415,20 +415,20 @@ def _determinized_reversal(machine: Dfa | Rdfa, cap: int) -> Dfa:
         ((q, a, p) for p, a, q in machine.transitions()),
         (machine.initial,),
     )
-    return determinize(reversed_nfa, cap)
+    return determinize(reversed_nfa)
 
 
-def reverse_to_rdfa(dfa: Dfa, cap: int = DEFAULT_STATE_CAP) -> Rdfa:
+def reverse_to_rdfa(dfa: Dfa) -> Rdfa:
     """Build a right-to-left reader for the *same* language: reverse the
     transition relation, determinize, and reinterpret the result as a
     machine consuming the word last symbol first."""
-    det = _determinized_reversal(dfa, cap)
+    det = _determinized_reversal(dfa)
     return Rdfa(det.alphabet, det.delta, det.initial, det.finals)
 
 
-def rdfa_to_dfa(rdfa: Rdfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def rdfa_to_dfa(rdfa: Rdfa) -> Dfa:
     """Inverse direction of :func:`reverse_to_rdfa` (same language)."""
-    return _determinized_reversal(rdfa, cap)
+    return _determinized_reversal(rdfa)
 
 
 def product_intersect(a: Dfa, b: Dfa) -> Dfa:

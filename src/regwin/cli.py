@@ -55,8 +55,6 @@ class ConfigError(ValueError):
 
 TESTER_KINDS = ("exact", "trivial", "det", "two-sided", "one-sided")
 
-FACTOR_SEARCH = {"max_len": 4, "max_step_multiple": 8}  # the bounds `classify` gives find_excluded_factor
-
 
 @dataclass(frozen=True)
 class Language:
@@ -327,14 +325,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "suffix_free": analysis.is_suffix_free(rdfa),
         "one_sided_class": analysis.one_sided_class(language.dfa).value,
     }
-    excluded = analysis.find_excluded_factor(language.dfa, **FACTOR_SEARCH)
+    excluded = analysis.find_excluded_factor(language.dfa)
     if excluded is None:
         report["excluded_factor"] = None
         report["excluded_factor_reason"] = (
             "trivial language"
             if report["trivial"]
-            else "bounded search exhausted (factors of length <= {max_len}, length progressions of step "
-            "<= {max_step_multiple} x the realized-length period)".format(**FACTOR_SEARCH)
+            else f"bounded search exhausted (factors of length <= {analysis.FACTOR_MAX_LEN}, length progressions "
+            f"of step <= {analysis.FACTOR_MAX_STEP_MULTIPLE} x the realized-length period)"
         )
     else:
         progression, factor = excluded

@@ -12,18 +12,21 @@ and a counter object holds only the parameters its counts share.  The
 summaries without their counts range over a finite set of skeletons,
 which the tester steps as an automaton interned on the fly.
 
-One-sided tester (double-log space for suffix-free languages): the
+One-sided tester (double-log space for suffix-free languages): each
+transient final state of the one analysed machine is taken alone, and the
 machine is split into finitely many partial machines, one per chain of
-SCCs ending in a final state, each completed with a sink into a machine of
-its own.  Each partial machine has essentially one accepting length
-profile, so membership reduces to "the shortest suffix driving the start
-state to the final state has length exactly n", which is checked modulo a
-random prime drawn from a pool of the first Θ(log window-size) primes.
-Member windows are accepted for every prime; far windows survive for at
-most a third of the pool.  A partial machine that cannot accept a window
-of size n gets no part.  A partial machine whose language is a single
-word, or whose slack does not fit the window, is tracked exactly by the
-same ``ExactWindowTester`` that serves the exact kind.
+SCCs from the initial state to that final, each completed with a sink
+into a machine of its own.  Each partial machine has essentially one
+accepting length profile, so membership reduces to "the shortest suffix
+driving the start state to the final state has length exactly n", which
+is checked modulo a random prime drawn from a pool of the first
+Θ(log window-size) primes.  Member windows are accepted for every prime;
+far windows survive for at most a third of the pool.  ``OneSidedTester``
+is the one constructor: a partial machine that cannot accept a window of
+size n gets no part, and with no part left every window is rejected in
+one bit.  A partial machine whose language is a single word, or whose
+slack does not fit the window, is tracked exactly by the same
+``ExactWindowTester`` that serves the exact kind.
 
 A union combinator runs testers for finitely many languages in parallel
 (with one-sided amplification by independent copies).
@@ -46,12 +49,10 @@ from .analysis import (
     _acceptance_sets_from_successors,
     analyze,
     global_threshold,
-    is_suffix_free,
     one_sided_class,
     realized_lengths,
-    retarget_finals,
 )
-from .automata import Alphabet, Dfa, Rdfa, StateLimitExceeded
+from .automata import Dfa, Rdfa, StateLimitExceeded
 from .testers_det import (
     ExactWindowTester,
     FixedVerdictTester,
@@ -541,71 +542,46 @@ def two_sided_tester(
 
 @dataclass(frozen=True, eq=False)
 class PartialRdfa:
-    """Restriction of the machine to one chain of SCCs ending in a final
-    state, as induced by a path description: per chain component its
-    internal transitions plus one connecting transition to the next
-    component, with a single final state.
+    """Restriction of the machine to one chain of SCCs ending in a
+    transient final state, as induced by a path description: per chain
+    component its internal transitions plus one connecting transition to
+    the next component, with that final state as the only one.
 
     ``machine`` is that restriction made complete: state i is
     ``states[i]``, and one sink after them takes every missing transition,
     all of the final state's included.  ``start`` and ``final`` keep the
-    full machine's numbering.
-
-    Derived data: per-connector residues (every crossing from one entry
-    state to the next has length congruent to the residue mod g), the
-    acceptance sets of the partial machine over its own states, the
-    thresholds beyond which they become plain residue classes, and the
-    prefix-distance slack ``soundness_gap`` within which the fingerprint
-    tester's verdict is unconstrained.
+    full machine's numbering, and so do the keys of ``acc``, the
+    acceptance sets of the partial machine's states.  ``length_slack`` is
+    the chain's threshold s: at least its connector count, the sum of its
+    residue steps, and every length from which an entry state's
+    acceptance set is a plain residue class.  ``threshold`` is the length
+    beyond which every set in ``acc`` is periodic and shift-consistent,
+    and ``soundness_gap`` the prefix distance above which the fingerprint
+    tester must reject.  A chain without a recurrent component accepts one
+    word only, ``singleton_word``; otherwise that field is None.
     """
 
     machine: Rdfa
     states: tuple[int, ...]
     start: int
     final: int
-    connectors: tuple[tuple[int, int, int], ...]  # (target entry, symbol code, source)
-    chain: tuple[int, ...]  # SCC ids, start's component first
-    entries: tuple[int, ...]  # entry states, start first, final last
-    residue_steps: tuple[int, ...]
-    period: int
     acc: Mapping[int, EventuallyPeriodicSet]
-    tail_thresholds: tuple[int, ...]
-    last_recurrent: int | None
-    length_slack: int  # the threshold s
-    threshold: int  # beyond it, the partial machine's acceptance sets are periodic and shift-consistent
-    soundness_gap: int  # prefix distances above this must be rejected
+    length_slack: int
+    threshold: int
+    soundness_gap: int
     singleton_word: str | None
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.machine.alphabet
 
-    @property
-    def k(self) -> int:
-        return len(self.connectors)
-
-    def step(self, symbol_code: int, state: int) -> int | None:
-        """The partial transition from ``state``; None where ``machine`` goes to its sink."""
-        target = self.machine.delta[self.states.index(state)][symbol_code]
-        return self.states[target] if target < len(self.states) else None
-
-    def accepts(self, word: str) -> bool:
-        return self.machine.accepts(word)
-
-
-def _build_partial(
-    analyzed: AnalyzedRdfa, connectors: list[tuple[int, int, int]]
-) -> PartialRdfa:
+def _build_partial(analyzed: AnalyzedRdfa, connectors: list[tuple[int, int, int]]) -> PartialRdfa:
+    """The partial machine of the chain entered through ``connectors``,
+    each a ``(target entry, symbol code, source)`` transition, oldest
+    component first."""
     rdfa, scc, g = analyzed.rdfa, analyzed.scc, analyzed.g
-    start = rdfa.initial
-    entries = [start] + [target for target, _a, _src in connectors]
-    final = entries[-1]
-    chain = tuple(scc.scc_id[q] for q in entries[:-1])
+    entries = [rdfa.initial] + [target for target, _a, _src in connectors]
+    start, final = entries[0], entries[-1]
+    chain = [scc.scc_id[q] for q in entries[:-1]]
 
-    members: set[int] = {final}
-    for cid in chain:
-        members |= scc.components[cid]
-    states = tuple(sorted(members))
+    states = tuple(sorted({final}.union(*(scc.components[cid] for cid in chain))))
     index = {q: i for i, q in enumerate(states)}
     sink = len(states)
     connector_table = {(src, a): target for target, a, src in connectors}
@@ -621,33 +597,23 @@ def _build_partial(
     acc = dict(zip(states, sets))
     delta.append([sink] * len(rdfa.alphabet))
 
-    residue_steps = []
-    for i, (target, _a, source) in enumerate(connectors):
-        cid = chain[i]
-        if scc.transient[cid]:
-            residue_steps.append(1)
-        else:
-            residue_steps.append((analyzed.shift(entries[i], source) + 1) % g)
-
+    # per connector, the residue mod g of every crossing from its component's entry to the next entry
+    residue_steps = [
+        1 if scc.transient[cid] else (analyzed.shift(entry, source) + 1) % g
+        for cid, entry, (_t, _a, source) in zip(chain, entries, connectors)
+    ]
     recurrent = [i for i, cid in enumerate(chain) if not scc.transient[cid]]
-    last_recurrent = max(recurrent) if recurrent else None
-    singleton_word = None
-    if last_recurrent is None:
-        singleton_word = "".join(
-            rdfa.alphabet.symbols[a] for _t, a, _s in reversed(connectors)
-        )
-
-    k = len(connectors)
+    # a chain of transient components only spells one word, read right to left
+    singleton_word = None if recurrent else "".join(rdfa.alphabet.symbols[a] for _t, a, _s in reversed(connectors))
+    # per entry up to the last recurrent component: from where its acceptance set is the tail's residue class
     tail_thresholds: list[int] = []
-    if last_recurrent is not None:
-        for i in range(last_recurrent + 1):
-            target_set = EventuallyPeriodicSet.from_progression(sum(residue_steps[i:]), g)
-            agree = acc[entries[i]].min_threshold_agree(target_set)
-            if agree is None:
-                raise RuntimeError("partial acceptance set is not an eventual residue class")
-            tail_thresholds.append(agree)
-    length_slack = max([k, sum(residue_steps), *tail_thresholds] or [0])
-
+    for i in range(max(recurrent, default=-1) + 1):
+        target_set = EventuallyPeriodicSet.from_progression(sum(residue_steps[i:]), g)
+        agree = acc[entries[i]].min_threshold_agree(target_set)
+        if agree is None:
+            raise RuntimeError("partial acceptance set is not an eventual residue class")
+        tail_thresholds.append(agree)
+    length_slack = max(len(connectors), sum(residue_steps), *tail_thresholds)
     threshold = global_threshold(acc, g, analyzed.periods)
 
     return PartialRdfa(
@@ -655,44 +621,38 @@ def _build_partial(
         states=states,
         start=start,
         final=final,
-        connectors=tuple(connectors),
-        chain=chain,
-        entries=tuple(entries),
-        residue_steps=tuple(residue_steps),
-        period=g,
         acc=acc,
-        tail_thresholds=tuple(tail_thresholds),
-        last_recurrent=last_recurrent,
         length_slack=length_slack,
         threshold=threshold,
-        soundness_gap=1 + length_slack + k + threshold,
+        soundness_gap=1 + length_slack + len(connectors) + threshold,
         singleton_word=singleton_word,
     )
 
 
-def enumerate_path_descriptions(
-    analyzed: AnalyzedRdfa, cap: int = PATH_DESCRIPTION_CAP
-) -> list[PartialRdfa]:
-    """All chains of SCCs from the initial state to a final state, each as
-    a partial machine.  Requires a suffix-free language: no final state may
-    reach a final state (checked).  Their union recognizes the language."""
+def enumerate_path_descriptions(analyzed: AnalyzedRdfa, final: int) -> list[PartialRdfa]:
+    """All chains of SCCs from the initial state to the final state
+    ``final``, each as a partial machine; their union recognizes the words
+    the machine leads from its initial state to ``final``.  That language
+    is suffix-free exactly when ``final`` is transient, which is required
+    (checked).  At most ``PATH_DESCRIPTION_CAP`` chains are built."""
     rdfa, scc = analyzed.rdfa, analyzed.scc
-    if not is_suffix_free(rdfa):
-        raise ValueError("language is not suffix-free (final reaches final)")
+    if final not in rdfa.finals:
+        raise ValueError(f"state {final} is not a final state")
+    if not scc.is_transient_state(final):
+        raise ValueError(f"final state {final} lies on a cycle, so its language is not suffix-free")
 
     results: list[PartialRdfa] = []
-    if rdfa.initial in rdfa.finals:
+    if rdfa.initial == final:
         results.append(_build_partial(analyzed, []))
 
     def expand(connectors: list[tuple[int, int, int]], current_component: int) -> None:
         for p in sorted(scc.components[current_component]):
-            for a in range(len(rdfa.alphabet)):
-                q = rdfa.delta[p][a]
+            for a, q in enumerate(rdfa.delta[p]):
                 if scc.scc_id[q] == current_component:
                     continue
-                if q in rdfa.finals:
-                    if len(results) >= cap:
-                        raise StateLimitExceeded(f"more than {cap} path descriptions")
+                if q == final:
+                    if len(results) >= PATH_DESCRIPTION_CAP:
+                        raise StateLimitExceeded(f"more than {PATH_DESCRIPTION_CAP} path descriptions")
                     results.append(_build_partial(analyzed, connectors + [(q, a, p)]))
                 else:
                     expand(connectors + [(q, a, p)], scc.scc_id[q])
@@ -791,12 +751,21 @@ def _fingerprintable(partial: PartialRdfa, window_size: int) -> bool:
 
 class OneSidedTester(SlidingWindowTester):
     """One-sided tester for a suffix-free language given its partial
-    machines: one shared random prime and one part per partial machine,
-    fed every symbol; accepts iff some part accepts.  A part is a
-    ``ModularLengthTable`` where the fingerprint applies
-    (``_fingerprintable``), and otherwise an ``ExactWindowTester`` over
-    ``partial.machine``.  ``one_sided_tester`` builds it from the partial
-    machines that can accept at the window size only."""
+    machines: one shared random prime and one part per partial machine
+    that can accept a window of this size, fed every symbol; accepts iff
+    some part accepts.  A part is a ``ModularLengthTable`` where the
+    fingerprint applies (``_fingerprintable``), and otherwise an
+    ``ExactWindowTester`` over ``partial.machine``.
+
+    A partial machine whose acceptance set misses n never accepts, so it
+    gets no part: a single-word part survives only at n = |w|, where its
+    exact window has constant size.  With no part left, every window is
+    rejected, by one ``FixedVerdictTester`` part that still checks the
+    fed symbols.  The prime is drawn from ``rng`` whenever some partial
+    machine, kept or not, could be fingerprinted, so the coins a caller
+    draws after it do not depend on which parts were kept.  A ``prime``
+    given instead must lie in ``prime_pool(n)`` when a part reads it.
+    """
 
     def __init__(
         self,
@@ -808,18 +777,24 @@ class OneSidedTester(SlidingWindowTester):
         super().__init__(window_size)
         if not partials:
             raise ValueError("need at least one partial machine")
-        fingerprintable = [_fingerprintable(partial, window_size) for partial in partials]
+        live = [partial for partial in partials if partial.acc[partial.start].member(window_size)]
+        fingerprintable = [_fingerprintable(partial, window_size) for partial in live]
+        if prime is None:
+            if any(_fingerprintable(partial, window_size) for partial in partials):
+                prime = sample_prime(window_size, rng)
+        elif any(fingerprintable) and prime not in (pool := prime_pool(window_size)):
+            raise ValueError(
+                f"prime {prime} is not in the pool of window size {window_size}, the first {len(pool)} primes"
+            )
         if not any(fingerprintable):
             prime = None  # every part tracks its window exactly, so no part reads a prime
-        elif prime is None:
-            prime = sample_prime(window_size, rng)
         self.prime = prime
-        self._parts: list[ModularLengthTable | ExactWindowTester] = [
+        self._parts: list[SlidingWindowTester] = [
             ModularLengthTable(partial, window_size, prime)
             if use_fingerprint
             else ExactWindowTester(partial.machine, window_size)
-            for partial, use_fingerprint in zip(partials, fingerprintable)
-        ]
+            for partial, use_fingerprint in zip(live, fingerprintable)
+        ] or [FixedVerdictTester(partials[0].machine.alphabet, EventuallyPeriodicSet.empty(), window_size)]
         # every part's size is fixed at construction, so the sum is too
         prime_bits = prime.bit_length() if prime is not None else 0
         self._bits = prime_bits + sum(part.state_bits() for part in self._parts)
@@ -837,30 +812,6 @@ class OneSidedTester(SlidingWindowTester):
 
     def state_bits(self) -> int:
         return self._bits
-
-
-def one_sided_tester(
-    partials: Sequence[PartialRdfa],
-    window_size: int,
-    rng: np.random.Generator | int | None = None,
-    prime: int | None = None,
-) -> SlidingWindowTester:
-    """The one-sided tester of a suffix-free language over the partial
-    machines that can accept a window of this size.  A partial machine
-    whose acceptance set misses n never accepts, so it gets no part: a
-    single-word part survives only at n = |w|, where its exact window has
-    constant size.  With no part left, every window is rejected, by a
-    ``FixedVerdictTester``.  The prime is drawn from ``rng`` whenever some
-    partial machine, kept or not, could be fingerprinted, so the coins
-    drawn after it are those ``OneSidedTester(partials, ...)`` leaves."""
-    if not partials:
-        raise ValueError("need at least one partial machine")
-    if prime is None and any(_fingerprintable(partial, window_size) for partial in partials):
-        prime = sample_prime(window_size, rng)
-    live = [partial for partial in partials if partial.acc[partial.start].member(window_size)]
-    if not live:
-        return FixedVerdictTester(partials[0].alphabet, EventuallyPeriodicSet.empty(), window_size)
-    return OneSidedTester(live, window_size, prime=prime)
 
 
 # --- unions ---------------------------------------------------------------------
@@ -933,10 +884,13 @@ def compile_one_sided(
 ) -> Callable[[np.random.Generator | int | None], SlidingWindowTester]:
     """Compile a language in the loglog class once, into a factory mapping
     an rng to a fresh one-sided tester: a constant-space part for the
-    (trivial) non-transient-finals language united with one suffix-free
-    tester (``one_sided_tester``) per transient final.  The
-    classification, analysis and path descriptions run here; a call only
-    instantiates."""
+    (trivial) non-transient-finals language united with one
+    ``OneSidedTester`` per transient final, each group of the union
+    holding ``amplification`` copies.  The classification, analysis and
+    path descriptions run here; a call only instantiates, drawing every
+    copy's prime from one generator, group by group."""
+    if amplification < 1:
+        raise ValueError("amplification must be at least 1")
     classification = one_sided_class(dfa)
     if classification is OneSidedClass.LOG_LOWER_BOUND:
         raise ValueError(
@@ -949,23 +903,18 @@ def compile_one_sided(
 
     analyzed = analyze(dfa)
     rdfa, scc = analyzed.rdfa, analyzed.scc
-    # per part of the union, a maker of one copy from the trial's generator
-    makers: list[Callable[[np.random.Generator], SlidingWindowTester]] = []
-
     recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
-    if recurrent_finals:
-        lengths = realized_lengths(Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals))
-        makers.append(lambda master: trivial_tester(rdfa.alphabet, lengths, window_size))
-
-    for f in sorted(rdfa.finals):
-        if f in recurrent_finals:
-            continue
-        partials = enumerate_path_descriptions(retarget_finals(analyzed, (f,)))
-        makers.append(lambda master, partials=partials: one_sided_tester(partials, window_size, master, prime))
+    recurrent = Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals)
+    lengths = realized_lengths(recurrent) if recurrent_finals else None
+    per_final = [enumerate_path_descriptions(analyzed, f) for f in sorted(rdfa.finals) if f not in recurrent_finals]
 
     def instantiate(rng: np.random.Generator | int | None) -> SlidingWindowTester:
         master = _ensure_rng(rng)
-        return union_tester([lambda make=make: make(master) for make in makers], amplification)
+        copies = range(amplification)
+        groups = [[OneSidedTester(partials, window_size, master, prime) for _ in copies] for partials in per_final]
+        if lengths is not None:
+            groups.insert(0, [trivial_tester(rdfa.alphabet, lengths, window_size) for _ in copies])
+        return UnionTester(groups)
 
     return instantiate
 

@@ -21,6 +21,7 @@ from regwin import (
     Dfa,
     analyze,
     determinize,
+    enumerate_path_descriptions,
     minimize,
     parse_regex,
 )
@@ -67,6 +68,18 @@ def build_dfa(pattern: str, symbols: str = "ab", pad: str | None = None) -> Dfa:
 @functools.lru_cache(maxsize=None)
 def build_analyzed(pattern: str, symbols: str = "ab", pad: str | None = None) -> AnalyzedRdfa:
     return analyze(build_dfa(pattern, symbols, pad))
+
+
+def transient_partials(analyzed: AnalyzedRdfa) -> list:
+    """The partial machines of every transient final, finals in order: the
+    parts the compiled one-sided tester builds its testers from."""
+    finals = [f for f in sorted(analyzed.rdfa.finals) if analyzed.scc.is_transient_state(f)]
+    return [partial for f in finals for partial in enumerate_path_descriptions(analyzed, f)]
+
+
+@functools.lru_cache(maxsize=None)
+def build_partials(pattern: str, symbols: str = "ab") -> tuple:
+    return tuple(transient_partials(build_analyzed(pattern, symbols)))
 
 
 def words_up_to(alphabet: Alphabet, max_len: int):

@@ -10,7 +10,7 @@ import math
 import random
 
 import numpy as np
-from conftest import AB, CORPUS, build_analyzed, build_dfa, last_n, words_up_to
+from conftest import AB, CORPUS, build_analyzed, build_dfa, build_partials, last_n, words_up_to
 
 from regwin import (
     OneSidedClass,
@@ -19,7 +19,6 @@ from regwin import (
     check_t_simulation,
     deterministic_tester,
     distance_to_language,
-    enumerate_path_descriptions,
     equivalent,
     exact_tester,
     find_excluded_factor,
@@ -170,9 +169,8 @@ def test_criterion_4_counter_contract():
 
 
 def test_criterion_5_one_sided_tester():
-    analyzed = build_analyzed("ba*")
     dfa = build_dfa("ba*")
-    partials = enumerate_path_descriptions(analyzed)
+    partials = build_partials("ba*")
     gap = max(p.soundness_gap for p in partials)
     for n in (64, 1024, 2**16):
         pool = prime_pool(n)
@@ -379,7 +377,7 @@ def test_criterion_8_union_semantics():
     # randomized composition: members of either part accepted with probability 1
     n = 6
     lengths = realized_lengths(ends_a)
-    partials = enumerate_path_descriptions(build_analyzed("ba*"))
+    partials = build_partials("ba*")
     for prime in prime_pool(n):
         for stream in ("ababba", "b" + "a" * (n - 1)):
             union = union_tester(

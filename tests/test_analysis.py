@@ -23,7 +23,6 @@ from regwin import (
     length_cut_witness,
     one_sided_class,
     rdfa_to_dfa,
-    retarget_finals,
     reverse_to_rdfa,
     scc_decompose,
     scc_period,
@@ -325,14 +324,6 @@ def test_threshold_respects_shift_condition():
                     s = analyzed.shift(p, q)
                     for x in range(analyzed.t, analyzed.t + 3 * analyzed.g + 1):
                         assert analyzed.acc[p].member(x) == analyzed.acc[q].shifted(s).member(x)
-
-
-def test_retarget_finals_recomputes_acceptance():
-    analyzed = build_analyzed("ba*")
-    (final,) = analyzed.rdfa.finals
-    retargeted = retarget_finals(analyzed, (analyzed.rdfa.initial,))
-    assert retargeted.acc[analyzed.rdfa.initial].member(0)
-    assert retargeted.g == analyzed.g
 
 
 # --- cut languages --------------------------------------------------------------------

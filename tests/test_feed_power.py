@@ -9,7 +9,7 @@ verdict and state size after every later feed.
 """
 
 import pytest
-from conftest import build_analyzed, build_dfa
+from conftest import build_analyzed, build_dfa, build_partials, transient_partials
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from regwin import (
     analyze,
     exact_tester,
     realized_lengths,
-    retarget_finals,
     trivial_tester,
 )
 from regwin import testers_det, testers_rand
@@ -32,7 +31,6 @@ from regwin.testers_rand import (
     OneSidedTester,
     TwoSidedTester,
     compile_one_sided,
-    enumerate_path_descriptions,
 )
 
 POWER = settings(
@@ -82,20 +80,13 @@ def assert_same_run(powered, looped, suffix):
         assert (powered.decide(), powered.state_bits()) == (looped.decide(), looped.state_bits())
 
 
-def fingerprint_partials(analyzed):
-    """Path descriptions of every transient final, each alone a suffix-free target."""
-    scc = analyzed.scc
-    finals = [f for f in sorted(analyzed.rdfa.finals) if scc.is_transient_state(f)]
-    return [p for f in finals for p in enumerate_path_descriptions(retarget_finals(analyzed, (f,)))]
-
-
 @POWER
 @given(power_cases())
 def test_feed_power_equals_k_feeds(case):
     dfa, n, prefix, symbol, k, suffix, cutoff, prime = case
     try:
         analyzed = analyze(dfa)
-        partials = fingerprint_partials(analyzed)
+        partials = transient_partials(analyzed)
         one_sided = one_sided_class(dfa) is not OneSidedClass.LOG_LOWER_BOUND
     except StateLimitExceeded:
         assume(False)
@@ -137,8 +128,8 @@ BAD_POWER_TESTERS = {
     "trivial": lambda: trivial_tester(Alphabet.from_string("ab"), realized_lengths(build_dfa("ba*")), 4),
     "det": lambda: testers_det.deterministic_tester(build_analyzed("ba*"), 4),
     "two-sided": lambda: testers_rand.two_sided_tester(build_analyzed("a*"), 64, 0.5, rng=0),
-    "one-sided": lambda: OneSidedTester(enumerate_path_descriptions(build_analyzed("ba*")), 8, prime=3),
-    "one-sided-exact-parts": lambda: OneSidedTester(enumerate_path_descriptions(build_analyzed("b(aa)*")), 1, rng=1),
+    "one-sided": lambda: OneSidedTester(build_partials("ba*"), 8, prime=3),
+    "one-sided-exact-parts": lambda: OneSidedTester(build_partials("b(aa)*"), 1, rng=1),
     "union": lambda: compile_one_sided(build_dfa("ba*"), 8, amplification=2)(0),
 }
 

@@ -1,19 +1,25 @@
 """The one-sided tester against its definition, part by part.
 
-``OneSidedTester`` runs one part per partial machine: a prime fingerprint
-where the partial machine's slack fits the window, exact tracking
-otherwise.  On random small machines, window sizes that mix both kinds of
-part and every prime of the pool, its verdict after every step must equal
-the brute-force one: an exact part accepts iff the partial machine accepts
-the window; a fingerprint part accepts iff the window size is a length the
-partial machine can accept from its start state and the shortest suffix of
-the stream that it accepts is congruent to the window size mod the prime.
-``one_sided_tester`` builds no part that can never accept, and must give
-the same verdicts and leave the same coins as the tester over every
-partial machine.
+``OneSidedTester`` runs one part per partial machine that can accept a
+window of size n: a prime fingerprint where the partial machine's slack
+fits the window, exact tracking otherwise.  On random small machines,
+window sizes that mix both kinds of part and every prime of the pool, its
+verdict after every step must equal the brute-force one: an exact part
+accepts iff the partial machine accepts the window; a fingerprint part
+accepts iff the window size is a length the partial machine can accept
+from its start state and the shortest suffix of the stream that it
+accepts is congruent to the window size mod the prime.  It builds no part
+for a partial machine that can never accept, rejects outright when none
+is left, and draws its prime exactly once when some partial machine, kept
+or not, can be fingerprinted, and never otherwise.
 """
 
+import time
+from unittest import mock
+
 import numpy as np
+import pytest
+from conftest import build_dfa
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -21,16 +27,18 @@ from hypothesis import strategies as st
 from regwin import (
     Alphabet,
     Dfa,
+    ModularLengthTable,
     OneSidedTester,
     Rdfa,
     StateLimitExceeded,
     analyze,
+    compile_one_sided,
+    composed_one_sided_tester,
     enumerate_path_descriptions,
-    one_sided_tester,
     prime_pool,
-    retarget_finals,
+    testers_rand,
 )
-from regwin.testers_det import FixedVerdictTester
+from regwin.testers_det import ExactWindowTester, FixedVerdictTester
 
 FUZZ = settings(
     max_examples=200,
@@ -61,29 +69,38 @@ def machines_and_streams(draw):
 
 
 def shortest_accepted_suffix(partial, stream):
-    return next((k for k in range(len(stream) + 1) if partial.accepts(stream[len(stream) - k :])), None)
+    return next((k for k in range(len(stream) + 1) if partial.machine.accepts(stream[len(stream) - k :])), None)
+
+
+def fingerprinted(partial, n):
+    return partial.singleton_word is None and n >= partial.length_slack + len(partial.states)
 
 
 def part_verdict(partial, n, prime, stream):
-    if partial.singleton_word is not None or n < partial.length_slack + len(partial.states):
-        return partial.accepts(stream[len(stream) - n :] if n else "")
+    if not fingerprinted(partial, n):
+        return partial.machine.accepts(stream[len(stream) - n :] if n else "")
     k = shortest_accepted_suffix(partial, stream)
     return partial.acc[partial.start].member(n) and k is not None and k % prime == n % prime
 
 
-@FUZZ
-@given(machines_and_streams())
-def test_one_sided_verdict_matches_its_parts_definition_after_every_step(case):
-    machine, n, stream = case
+def transient_finals_of(machine):
     try:
         analyzed = analyze(machine)
     except StateLimitExceeded:
         assume(False)
     transient_finals = [f for f in sorted(analyzed.rdfa.finals) if analyzed.scc.is_transient_state(f)]
     assume(transient_finals)
+    return analyzed, transient_finals
+
+
+@FUZZ
+@given(machines_and_streams())
+def test_one_sided_verdict_matches_its_parts_definition_after_every_step(case):
+    machine, n, stream = case
+    analyzed, transient_finals = transient_finals_of(machine)
     pad = machine.alphabet.pad
     for f in transient_finals:
-        partials = enumerate_path_descriptions(retarget_finals(analyzed, (f,)))
+        partials = enumerate_path_descriptions(analyzed, f)
         primes = prime_pool(max(n, 2))
         testers = [OneSidedTester(partials, n, prime=prime) for prime in primes]
         consumed = pad * n
@@ -100,26 +117,76 @@ def test_one_sided_verdict_matches_its_parts_definition_after_every_step(case):
 @FUZZ
 @given(machines_and_streams())
 def test_one_sided_tester_drops_only_parts_that_never_accept(case):
+    """One part per partial machine whose acceptance set holds n, of the
+    kind the definition names; one prime draw iff some partial machine,
+    kept or not, can be fingerprinted; and the verdict of the drawn prime
+    after every step."""
     machine, n, stream = case
-    try:
-        analyzed = analyze(machine)
-    except StateLimitExceeded:
-        assume(False)
-    transient_finals = [f for f in sorted(analyzed.rdfa.finals) if analyzed.scc.is_transient_state(f)]
-    assume(transient_finals)
+    analyzed, transient_finals = transient_finals_of(machine)
+    pad = machine.alphabet.pad
     for f in transient_finals:
-        partials = enumerate_path_descriptions(retarget_finals(analyzed, (f,)))
+        partials = enumerate_path_descriptions(analyzed, f)
         live = [partial for partial in partials if partial.acc[partial.start].member(n)]
-        coins, reference_coins = np.random.default_rng(n), np.random.default_rng(n)
-        tester = one_sided_tester(partials, n, coins)
-        reference = OneSidedTester(partials, n, reference_coins)
-        assert coins.integers(1 << 62) == reference_coins.integers(1 << 62)  # the same draws were taken
-        if live:
-            assert isinstance(tester, OneSidedTester) and len(tester._parts) == len(live)
-        else:
-            assert isinstance(tester, FixedVerdictTester)
+        with mock.patch.object(testers_rand, "sample_prime", wraps=testers_rand.sample_prime) as draws:
+            tester = OneSidedTester(partials, n, np.random.default_rng(n))
+        assert draws.call_count == any(fingerprinted(partial, n) for partial in partials), (f, n)
+        kinds = [ModularLengthTable if fingerprinted(partial, n) else ExactWindowTester for partial in live]
+        assert [type(part) for part in tester._parts] == (kinds or [FixedVerdictTester]), (f, n)
+        if not live:
+            assert tester.state_bits() == 1
+        consumed = pad * n
         for symbol in [None, *stream]:
             if symbol is not None:
+                consumed += symbol
                 tester.feed(symbol)
-                reference.feed(symbol)
-            assert tester.decide() == reference.decide(), (f, n, stream)
+            expected = any(part_verdict(partial, n, tester.prime, consumed) for partial in live)
+            assert tester.decide() == expected, (f, n, consumed)
+
+
+def test_one_sided_tester_built_directly_matches_the_compiled_parts_at_2_16():
+    """Over ``ab|ba*``'s partial machines at n = 2^16 the tester reports
+    the compiled tester's state bits: 1 for the single-word final, which
+    keeps no part, and 35 for the other.  Building a part for the
+    single word used to cost 65,536 bits and about 60 ms."""
+    n, prime = 2**16, max(prime_pool(2**16))
+    dfa = build_dfa("ab|ba*")
+    analyzed = analyze(dfa)
+    compiled = compile_one_sided(dfa, n, prime=prime)(0)
+    compiled_bits = [tester.state_bits() for group in compiled._groups for tester in group]
+    direct_bits = []
+    for f in sorted(analyzed.rdfa.finals):
+        partials = enumerate_path_descriptions(analyzed, f)
+        seconds = []
+        for _ in range(3):
+            began = time.perf_counter()
+            tester = OneSidedTester(partials, n, prime=prime)
+            seconds.append(time.perf_counter() - began)
+        assert min(seconds) < 0.02, (f, seconds)
+        direct_bits.append(tester.state_bits())
+    assert direct_bits == compiled_bits == [1, 35]
+
+
+@pytest.mark.parametrize("prime", [1, 0, -3, 4, 239])
+def test_one_sided_tester_refuses_a_prime_outside_the_pool(prime):
+    """A prime outside ``prime_pool(n)`` voids the soundness bound: with
+    prime 1 the window ``aaaaabaa`` of ``ba*`` (prefix distance 6, gap 4)
+    was accepted on every run."""
+    dfa = build_dfa("ba*")
+    analyzed = analyze(dfa)
+    (final,) = analyzed.rdfa.finals
+    partials = enumerate_path_descriptions(analyzed, final)
+    with pytest.raises(ValueError, match="not in the pool"):
+        OneSidedTester(partials, 8, prime=prime)
+    with pytest.raises(ValueError, match="not in the pool"):
+        composed_one_sided_tester(dfa, 8, rng=0, prime=prime)
+
+
+def test_one_sided_tester_ignores_a_prime_no_part_reads():
+    """At n = 1 every part of ``b(aa)*`` is exact, so any given prime goes unread."""
+    dfa = build_dfa("b(aa)*")
+    analyzed = analyze(dfa)
+    (final,) = analyzed.rdfa.finals
+    tester = OneSidedTester(enumerate_path_descriptions(analyzed, final), 1, prime=0)
+    assert tester.prime is None
+    tester.feed("b")
+    assert tester.decide()

@@ -7,24 +7,23 @@ states breadth-first from the initial state, symbols in alphabet order."""
 import hashlib
 
 import pytest
-from conftest import AB, CORPUS, build_analyzed, build_dfa
+from conftest import AB, CORPUS, build_analyzed, build_dfa, build_partials
 
 from regwin import (
     OneSidedClass,
     determinize,
-    enumerate_path_descriptions,
     find_excluded_factor,
     one_sided_class,
     parse_regex,
     product_intersect,
     realized_lengths,
-    retarget_finals,
     reverse_to_rdfa,
     trim_reachable,
     two_sided_tester,
     uniformize_period,
 )
 from regwin import testers_rand
+from regwin.cli import report_to_csv, run_experiment
 
 # pattern, g, t, states after uniformization, acc_mod per state
 ANALYSIS_PINS = [
@@ -74,13 +73,7 @@ def test_partial_machines_match_pinned_figures():
     ]
     assert sorted(loglog) == sorted(PARTIAL_PINS)
     for pattern in loglog:
-        analyzed = build_analyzed(pattern)
-        figures = [
-            (partial.threshold, partial.soundness_gap)
-            for f in sorted(analyzed.rdfa.finals)
-            if analyzed.scc.is_transient_state(f)
-            for partial in enumerate_path_descriptions(retarget_finals(analyzed, (f,)))
-        ]
+        figures = [(partial.threshold, partial.soundness_gap) for partial in build_partials(pattern)]
         assert figures == PARTIAL_PINS[pattern], pattern
 
 
@@ -233,3 +226,35 @@ def test_two_sided_trace_is_unchanged_when_the_skeleton_table_holds_two(pattern,
     the counts, the coins or the verdicts."""
     monkeypatch.setattr(testers_rand, "SKELETON_TABLE_SIZE", 2)
     assert two_sided_trace_digest(pattern) == TRACE_PINS[pattern]
+
+
+# --- a seeded one-sided experiment --------------------------------------------------
+
+# CI's loglog config with the one-sided kind alone, plus aab|b(aa)* and a
+# window of 2^16 + 1: together they cover fingerprint parts, exact parts,
+# dropped single-word parts and a transient final with no part left
+ONE_SIDED_EXPERIMENT = {
+    "seed": 7,
+    "trials": 20,
+    "eps": 0.5,
+    "window_sizes": [33, 64, 65537],
+    "languages": [
+        {"id": "b-then-a", "regex": "ba*", "alphabet": "ab"},
+        {"id": "b-then-even-a", "regex": "b(aa)*", "alphabet": "ab"},
+        {"id": "ab-or-b-then-a", "regex": "ab|ba*", "alphabet": "ab"},
+        {"id": "aab-or-b-then-even-a", "regex": "aab|b(aa)*", "alphabet": "ab"},
+    ],
+    "testers": ["one-sided"],
+    "streams": [
+        {"kind": "random", "seed": 3, "length": 200, "weights": {"a": 0.9, "b": 0.1}},
+        {"kind": "adversarial", "factor": "b", "x": "", "y": "a", "z": "", "n": 8, "k": 100},
+    ],
+    "timing": False,
+}
+# SHA-256 of its CSV report: the coins, verdicts and state bits of every trial
+ONE_SIDED_EXPERIMENT_PIN = "913676255ad547fafa6898320aa34306d4daa38ae82bf6e3b3de911e1ef76cc9"
+
+
+def test_one_sided_experiment_matches_pinned_digest():
+    csv = report_to_csv(run_experiment(ONE_SIDED_EXPERIMENT))
+    assert hashlib.sha256(csv.encode()).hexdigest() == ONE_SIDED_EXPERIMENT_PIN

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import AB, build_analyzed, build_dfa, words_up_to
+from conftest import AB, build_analyzed, build_dfa, build_partials, words_up_to
 
 from regwin import (
     CompactSummary,
@@ -225,22 +225,11 @@ def test_stub_summaries_match_explicit_runs_on_wider_machines(pattern, n):
 def shortest_accepting_suffix(partial, stream):
     """Defining quantity of the fingerprint: least suffix length driving
     the partial machine's start state to its final state."""
-    for length in range(len(stream) + 1):
-        state = partial.start
-        alive = True
-        for ch in reversed(stream[len(stream) - length :]):
-            state = partial.step(partial.alphabet.code(ch), state)
-            if state is None:
-                alive = False
-                break
-        if alive and state == partial.final:
-            return length
-    return None
+    return next((k for k in range(len(stream) + 1) if partial.machine.accepts(stream[len(stream) - k :])), None)
 
 
 def test_one_sided_fingerprint_tracks_definition_at_every_step():
-    analyzed = build_analyzed("ba*")
-    (partial,) = enumerate_path_descriptions(analyzed)
+    (partial,) = build_partials("ba*")
     n = 4
     for prime in prime_pool(n):
         for stream in words_up_to(AB, 9):
@@ -256,7 +245,7 @@ def test_one_sided_fingerprint_tracks_definition_at_every_step():
                 )
                 assert tester.decide() == expected, (prime, consumed)
                 window = consumed[-n:]
-                if partial.accepts(window):  # members must pass for every prime
+                if partial.machine.accepts(window):  # members must pass for every prime
                     assert tester.decide()
 
 
@@ -322,37 +311,41 @@ def test_two_sided_with_period_two_and_component_changes():
 
 def test_path_descriptions_b_then_a():
     analyzed = build_analyzed("ba*")
-    partials = enumerate_path_descriptions(analyzed)
+    (final,) = analyzed.rdfa.finals
+    partials = enumerate_path_descriptions(analyzed, final)
     assert len(partials) == 1
     partial = partials[0]
-    assert partial.k == 1
-    assert partial.last_recurrent == 0
     assert partial.start == analyzed.rdfa.initial
-    assert partial.final in analyzed.rdfa.finals
+    assert partial.final == final
     assert partial.singleton_word is None
-    assert partial.residue_steps == (0,)  # g == 1
     assert partial.length_slack == 1
 
 
 def test_path_descriptions_finite_language_are_singletons():
-    analyzed = build_analyzed("ab")
-    partials = enumerate_path_descriptions(analyzed)
-    words = sorted(p.singleton_word for p in partials)
+    words = sorted(p.singleton_word for p in build_partials("ab"))
     assert words == ["ab"]
 
 
 @pytest.mark.parametrize("pattern", ["ba*", "ab", "a|bb", "b(aa)*"])
 def test_partial_union_recovers_language(pattern):
-    analyzed = build_analyzed(pattern)
     dfa = build_dfa(pattern)
-    partials = enumerate_path_descriptions(analyzed)
+    partials = build_partials(pattern)
     for word in words_up_to(AB, 8):
-        assert any(p.accepts(word) for p in partials) == dfa.accepts(word), word
+        assert any(p.machine.accepts(word) for p in partials) == dfa.accepts(word), word
 
 
 def test_path_descriptions_require_suffix_freeness():
+    analyzed = build_analyzed("a*")
+    (final,) = analyzed.rdfa.finals
     with pytest.raises(ValueError, match="suffix-free"):
-        enumerate_path_descriptions(build_analyzed("a*"))
+        enumerate_path_descriptions(analyzed, final)
+
+
+def test_path_descriptions_require_a_final_state():
+    analyzed = build_analyzed("ba*")
+    (other,) = set(range(analyzed.rdfa.n_states)) - analyzed.rdfa.finals - {analyzed.rdfa.initial}
+    with pytest.raises(ValueError, match="not a final state"):
+        enumerate_path_descriptions(analyzed, other)
 
 
 # --- prime pool ------------------------------------------------------------------------
@@ -394,8 +387,7 @@ def test_skeleton_table_stays_within_its_size(monkeypatch):
 
 
 def test_one_sided_member_accepted_for_every_prime():
-    analyzed = build_analyzed("ba*")
-    partials = enumerate_path_descriptions(analyzed)
+    partials = build_partials("ba*")
     for prime in prime_pool(8):
         tester = OneSidedTester(partials, 8, prime=prime)
         tester.feed_all("aaaaa" + "b" + "a" * 7)
@@ -405,8 +397,7 @@ def test_one_sided_member_accepted_for_every_prime():
 def test_one_sided_short_fingerprint_collision_fraction():
     # window a^8 (pads) after the stream b a^20: shortest accepting suffix
     # has length 21, so only primes dividing 21 - 8 = 13 may accept
-    analyzed = build_analyzed("ba*")
-    partials = enumerate_path_descriptions(analyzed)
+    partials = build_partials("ba*")
     pool = prime_pool(8)
     accepting = []
     for prime in pool:
@@ -419,8 +410,7 @@ def test_one_sided_short_fingerprint_collision_fraction():
 
 
 def test_one_sided_rejects_surely_without_the_marker_symbol():
-    analyzed = build_analyzed("ba*")
-    partials = enumerate_path_descriptions(analyzed)
+    partials = build_partials("ba*")
     for prime in prime_pool(8):
         tester = OneSidedTester(partials, 8, prime=prime)
         tester.feed_all("a" * 30)  # no b anywhere: shortest suffix is infinite
@@ -428,8 +418,7 @@ def test_one_sided_rejects_surely_without_the_marker_symbol():
 
 
 def test_one_sided_singleton_language():
-    analyzed = build_analyzed("ab")
-    partials = enumerate_path_descriptions(analyzed)
+    partials = build_partials("ab")
     tester = OneSidedTester(partials, 2, rng=0)
     tester.feed_all("bbab")
     assert tester.decide()
@@ -438,8 +427,7 @@ def test_one_sided_singleton_language():
 
 
 def test_one_sided_small_window_fallback_stays_exact():
-    analyzed = build_analyzed("b(aa)*")
-    partials = enumerate_path_descriptions(analyzed)
+    partials = build_partials("b(aa)*")
     n = 1  # below s + |Q_P| for the real partial machine
     tester = OneSidedTester(partials, n, rng=1)
     tester.feed_all("b")
@@ -453,8 +441,7 @@ def test_one_sided_state_bits_track_pool_prime_size():
     table costs one prime-sized entry per partial-machine state, so bits are
     an affine function of the largest pool prime's bit length (which is what
     grows like log log n).  Values frozen from the prime sieve."""
-    analyzed = build_analyzed("ba*")
-    partials = enumerate_path_descriptions(analyzed)
+    partials = build_partials("ba*")
     observed = []
     for exponent in (8, 12, 16, 20):
         n = 2**exponent
@@ -472,7 +459,7 @@ def test_one_sided_state_bits_track_pool_prime_size():
 
 def test_union_accepts_when_any_part_accepts():
     ends_a_lengths = realized_lengths(build_dfa("(a|b)*a"))
-    ba_partials = enumerate_path_descriptions(build_analyzed("ba*"))
+    ba_partials = build_partials("ba*")
     union = union_tester(
         [
             lambda: trivial_tester(AB, ends_a_lengths, 4),
@@ -498,13 +485,19 @@ def test_amplification_copy_counts():
 
 
 def test_union_amplification_runs_independent_copies():
-    ba_partials = enumerate_path_descriptions(build_analyzed("ba*"))
+    ba_partials = build_partials("ba*")
     rng = np.random.default_rng(0)
     union = union_tester(
         [lambda: OneSidedTester(ba_partials, 8, rng=rng)], amplification=3
     )
     union.feed_all("b" + "a" * 7)
     assert union.decide()  # member: every copy accepts regardless of its prime
+
+
+@pytest.mark.parametrize("pattern", ["ba*", "(a|b)*a"])
+def test_compile_one_sided_refuses_fewer_than_one_copy(pattern):
+    with pytest.raises(ValueError, match="amplification must be at least 1"):
+        compile_one_sided(build_dfa(pattern), 8, amplification=0)
 
 
 def test_union_state_bits_are_the_part_sum_after_every_feed():
@@ -540,7 +533,8 @@ def test_one_sided_tester_with_no_part_left_rejects_every_window():
     """``b(aa)*`` has only odd lengths, so at an even n no part can accept."""
     tester = compile_one_sided(build_dfa("b(aa)*"), 64)(0)
     (part,) = [t for group in tester._groups for t in group]
-    assert isinstance(part, FixedVerdictTester) and part.state_bits() == 1
+    assert isinstance(part, OneSidedTester) and part.state_bits() == 1
+    assert [type(p) for p in part._parts] == [FixedVerdictTester] and part.prime is None
     tester.feed_all("b" + "a" * 63)
     assert not tester.decide()
     with pytest.raises(ValueError):
@@ -568,10 +562,6 @@ def test_composed_tester_refuses_log_lower_bound_languages():
 # --- window sizes ---------------------------------------------------------------------------
 
 
-def _ba_partials():
-    return enumerate_path_descriptions(build_analyzed("ba*"))
-
-
 NEGATIVE_WINDOW_CONSTRUCTORS = {
     "trivial": lambda n: trivial_tester(AB, realized_lengths(build_dfa("a*")), n),
     "path-summary": lambda n: PathSummaryTester(build_analyzed("a*"), n),
@@ -580,8 +570,8 @@ NEGATIVE_WINDOW_CONSTRUCTORS = {
         build_analyzed("a*"), n, 0.5, counter_factory=lambda: ThresholdCounter(2)
     ),
     "two-sided": lambda n: two_sided_tester(build_analyzed("a*"), n, 0.5, rng=0),
-    "modular-table": lambda n: ModularLengthTable(_ba_partials()[0], n, 3),
-    "one-sided": lambda n: OneSidedTester(_ba_partials(), n, prime=3),
+    "modular-table": lambda n: ModularLengthTable(build_partials("ba*")[0], n, 3),
+    "one-sided": lambda n: OneSidedTester(build_partials("ba*"), n, prime=3),
     "composed-constant": lambda n: composed_one_sided_tester(build_dfa("(a|b)*a|ba*"), n, rng=0),
     "composed-loglog": lambda n: composed_one_sided_tester(build_dfa("ba*"), n, rng=0),
 }
