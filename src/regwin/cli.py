@@ -194,8 +194,8 @@ def run_experiment(config: dict) -> list[ReportRow]:
     if not _is_int(trials) or trials < 1:
         raise ConfigError("trials: expected a positive integer")
     eps = config.get("eps", 0.5)
-    if not _is_number(eps):
-        raise ConfigError(f"eps: expected a number, got {eps!r}")
+    if not _is_number(eps) or not 0 < eps <= 1:  # NaN fails the range test too
+        raise ConfigError(f"eps: expected a number in (0, 1], got {eps!r}")
     timing = config.get("timing", True)
     if not isinstance(timing, bool):
         raise ConfigError(f"timing: expected true or false, got {timing!r}")

@@ -12,17 +12,19 @@ Three testers share one interface:
   distance of the language): accept iff the window length is realized.
 * :func:`deterministic_tester` is the logarithmic-space tester: for every
   state p it keeps the segment summary of the window's run from p in the
-  analyzed right-to-left machine, as a row of (start state, age) pairs
-  that each feed rebuilds from the row of p's successor, and accepts iff
-  the oldest segment's length is an acceptance length of its start state.
-  Accepted windows are within prefix distance t (the analysis threshold)
-  of the language.
+  analyzed right-to-left machine, and accepts iff the oldest segment's
+  length is an acceptance length of its start state.  Accepted windows are
+  within prefix distance t (the analysis threshold) of the language.
+
+The last shares its engine, :class:`SkeletonTester`, with the two-sided
+tester; its segments carry exact ages, frozen at n + 1 out of the window.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .analysis import AnalyzedRdfa, EventuallyPeriodicSet, _until_repeat
@@ -242,14 +244,6 @@ def path_summary_of(window: str, q: int, analyzed: AnalyzedRdfa) -> PathSummary:
     return PathSummary(tuple(pairs))
 
 
-def summary_moves(analyzed: AnalyzedRdfa) -> list[list[tuple[int, bool]]]:
-    """Per symbol code, per start state p: (successor q, whether p and q share an SCC)."""
-    return [
-        [(q, analyzed.same_scc(p, q)) for p, q in enumerate(successors)]
-        for successors in zip(*analyzed.rdfa.delta)
-    ]
-
-
 def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], int]:
     """The path p = p_0, p_1 = successors[p_0], ... under one symbol, as
     its distinct states in order, and its state p_k.  The path is a lasso
@@ -260,73 +254,183 @@ def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], in
     return path, path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
 
 
-class PathSummaryTester(SlidingWindowTester):
-    """Logarithmic-space deterministic tester.
+Row = list[tuple[int, int, int]]  # (segment start state, residue, count), oldest first, newest left out
+Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
+Slot = tuple[int, tuple[int, ...]]  # (next skeleton id, gather tuple)
 
-    The summary of the window's run from each start state p is a flat row
-    of ``(segment start state, age)`` tuples, oldest first, where the age
-    counts the window symbols newer than the segment's start; the newest
-    segment, always ``(p, 0)``, is left out.  A step builds p's row from the
-    row of q = delta[p][c] in one pass: entries age by one, one that would
-    pass age n leaves the window, and ``(q, 1)`` joins when p and q lie in
-    different SCCs (the two-sided tester's rows, with exact ages for
-    residues and counters).  Accepts iff the oldest segment from the
-    initial state, of length n - age, is an acceptance length of its start.
+SKELETON_TABLE_SIZE = 4096  # skeletons a tester holds before it empties its table
 
-    ``feed_power(a, k)`` builds p's row from the row of p_k, the state k
-    steps along p's path under a: entries age by k, those past age n
-    leave, and the path's own SCC changes j < min(k, n) join, oldest
-    first, as ``(p_{j+1}, j + 1)``.  The pad warm-up is one such call.
+
+class SkeletonTester(SlidingWindowTester):
+    """Segment summaries of the run from every start state, stepped as a
+    finite automaton over their skeletons.
+
+    State p's *row* holds one ``(segment start state, residue, count)``
+    entry per SCC segment of the run from p, oldest first, the newest (p's
+    own) left out.  The residue is the length consumed since the segment's
+    start, mod the tester's period; the count is what the subclass keeps
+    of that length.  A step builds p's row from the row of q = delta[p][c]:
+    each entry moves its residue by 1 and its count by one step, and
+    ``(q, 1, one step from 0)`` joins when p and q lie in different SCCs.
+
+    Without the counts, the rows are a *skeleton* of ``(state, residue)``
+    pairs: SCC chains, finitely many, whose successor depends only on the
+    skeleton and the symbol.  The state is an interned skeleton id and one
+    flat list of counts, row by row.  Each skeleton owns, built when first
+    needed, one slot per symbol code (the next skeleton's id and a
+    *gather* tuple naming, per new entry, the old count it advances, with
+    ``len(counts)`` standing for a fresh 0) and a decide record over the
+    initial state's row.  A table that reaches ``SKELETON_TABLE_SIZE``
+    skeletons is emptied, keeping the current one.
+
+    ``feed_power(a, k)`` builds p's row from the row of p_k, k steps along
+    p's path under a: every entry moves by k steps, and the path's own SCC
+    changes j < k join, oldest first, as ``(p_{j+1}, j + 1, count after
+    j + 1 steps from 0)``.  The pad warm-up is one such call.
+
+    A subclass says what a count is: ``feed`` steps the gathered counts,
+    ``_advance(count, k)`` moves one by k steps, and ``_decision(start,
+    row)`` is the decide record of a skeleton whose initial-state row
+    ``row`` starts at flat index ``start``.  It calls ``_start_on_pad``
+    once its counts can advance.
     """
 
-    def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
+    def __init__(self, analyzed: AnalyzedRdfa, window_size: int, period: int):
         super().__init__(window_size)
         self._a = analyzed
+        self._period = period
         rdfa = analyzed.rdfa
         self._code = rdfa.alphabet.code
-        self._moves = summary_moves(analyzed)
-        self._pair_bits = window_size.bit_length() + (rdfa.n_states - 1).bit_length()
-        self._rows: list[list[tuple[int, int]]] = [[] for _ in range(rdfa.n_states)]
-        self._start_on_pad(rdfa.alphabet)
+        self._n_states = rdfa.n_states
+        # per symbol code, per start state p: (successor q, whether p and q share an SCC)
+        self._moves = [
+            [(q, analyzed.same_scc(p, q)) for p, q in enumerate(successors)] for successors in zip(*rdfa.delta)
+        ]
+        # the skeleton table: skeleton -> id, and per id its skeleton, slots and decide record
+        self._ids: dict[Skeleton, int] = {}
+        self._skeletons: list[Skeleton] = []
+        self._slots: list[list[Slot | None]] = []
+        self._decisions: list[tuple] = []
+        self._skeleton = self._intern(((),) * rdfa.n_states)
+        self._counts: list[int] = []
 
-    def feed(self, symbol: str) -> None:
-        n, rows = self.window_size, self._rows
-        new_rows = []
-        add_row = new_rows.append
-        for q, same in self._moves[self._code(symbol)]:
-            row = [(s, age + 1) for s, age in rows[q] if age < n]
-            if not same and n:
-                row.append((q, 1))
-            add_row(row)
-        self._rows = new_rows
+    def _intern(self, skeleton: Skeleton) -> int:
+        """The id of ``skeleton``, entered in the table on first sight.  A
+        full table is emptied first and the current skeleton entered again,
+        so the current id stays valid."""
+        sid = self._ids.get(skeleton)
+        if sid is None:
+            if len(self._skeletons) >= SKELETON_TABLE_SIZE:
+                current = self._skeletons[self._skeleton]
+                for table in (self._ids, self._skeletons, self._slots, self._decisions):
+                    table.clear()
+                self._skeleton = self._intern(current)
+            sid = self._ids[skeleton] = len(self._skeletons)
+            self._skeletons.append(skeleton)
+            self._slots.append([None] * len(self._moves))
+            initial = self._a.rdfa.initial
+            self._decisions.append(self._decision(sum(map(len, skeleton[:initial])), skeleton[initial]))
+        return sid
+
+    def _slot(self, code: int) -> Slot:
+        """The slot of the current skeleton under ``code``, built by the
+        row rule and entered in the table."""
+        rows, g = self._skeletons[self._skeleton], self._period
+        starts = [0, *accumulate(map(len, rows))]
+        next_rows, gather = [], []
+        for q, same in self._moves[code]:
+            row = [(state, (residue + 1) % g) for state, residue in rows[q]]
+            gather += range(starts[q], starts[q + 1])
+            if not same:
+                row.append((q, 1 % g))
+                gather.append(starts[-1])  # the fresh count
+            next_rows.append(tuple(row))
+        slot = (self._intern(tuple(next_rows)), tuple(gather))
+        self._slots[self._skeleton][code] = slot  # after _intern, which may renumber the current skeleton
+        return slot
 
     def feed_power(self, symbol: str, k: int) -> None:
         moves = self._moves[self._code(symbol)]
         successors = [q for q, _same in moves]
-        n, rows, cut = self.window_size, self._rows, min(k, self.window_size)
-        new_rows = []
+        g, rows, advance = self._period, self._rows, self._advance
+        new_rows: list[Row] = []
         for p in range(len(rows)):
             path, last = power_path(successors, p, k)
-            row = [(s, age + k) for s, age in rows[last] if age + k <= n]
-            row += [(successors[s], j + 1) for j, s in reversed([*enumerate(path[:cut])]) if not moves[s][1]]
+            row = [(s, (residue + k) % g, advance(count, k)) for s, residue, count in rows[last]]
+            for j, s in reversed([*enumerate(path[:k])]):
+                if not moves[s][1]:
+                    row.append((successors[s], (j + 1) % g, advance(0, j + 1)))
             new_rows.append(row)
-        self._rows = new_rows
+        self._skeleton = self._intern(tuple(tuple((s, r) for s, r, _c in row) for row in new_rows))
+        self._counts = [c for row in new_rows for _s, _r, c in row]
+
+    @property
+    def _rows(self) -> list[Row]:
+        """The rows as ``(state, residue, count)`` lists, read off the
+        skeleton and the counts (a view; not for the hot path)."""
+        counts = iter(self._counts)
+        return [[(s, r, next(counts)) for s, r in row] for row in self._skeletons[self._skeleton]]
+
+
+class PathSummaryTester(SkeletonTester):
+    """Logarithmic-space deterministic tester: the skeleton engine with
+    period 1 and exact ages for counts.
+
+    An entry's age counts the window symbols newer than its segment's
+    start.  A step adds one to every age up to n; an entry that leaves the
+    window stays in its row, frozen at age n + 1, so the next skeleton
+    still depends only on the skeleton and the symbol.  Accepts iff the
+    oldest segment of the initial state's row still in the window, of
+    length n - age, is an acceptance length of its start state (the
+    initial state's own, of length n, when there is none).  ``state_bits``
+    counts the entries of age at most n plus each state's newest segment;
+    frozen entries are kept but not counted.
+    """
+
+    def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
+        super().__init__(analyzed, window_size, 1)
+        self._dead = window_size + 1
+        self._pair_bits = window_size.bit_length() + (self._n_states - 1).bit_length()
+        self._start_on_pad(analyzed.rdfa.alphabet)
+
+    def _decision(self, start: int, row: tuple[tuple[int, int], ...]) -> tuple:
+        acc = self._a.acc
+        return (
+            *((start + i, acc[state]) for i, (state, _r) in enumerate(row)),
+            acc[self._a.rdfa.initial].member(self.window_size),
+        )
+
+    def _advance(self, age: int, k: int) -> int:
+        return min(age + k, self._dead)
+
+    def feed(self, symbol: str) -> None:
+        code = self._code(symbol)
+        self._skeleton, gather = self._slots[self._skeleton][code] or self._slot(code)
+        counts, dead = self._counts, self._dead
+        counts.append(0)  # the sentinel a fresh entry gathers
+        self._counts = [c + 1 if c < dead else dead for c in map(counts.__getitem__, gather)]
 
     def decide(self) -> bool:
-        row = self._rows[self._a.rdfa.initial]
-        state, age = row[0] if row else (self._a.rdfa.initial, 0)
-        return self._a.acc[state].member(self.window_size - age)
+        n, counts = self.window_size, self._counts
+        record = self._decisions[self._skeleton]
+        for index, acc in record[:-1]:
+            age = counts[index]
+            if age <= n:
+                return acc.member(n - age)
+        return record[-1]
 
     def summaries(self) -> dict[int, PathSummary]:
-        """The rows as ``PathSummary`` objects, ages turned back into lengths (a view)."""
-        views = {}
+        """The rows' entries in the window as ``PathSummary`` objects (a view)."""
+        n, views = self.window_size, {}
         for q, row in enumerate(self._rows):
-            older_ages = [self.window_size, *(age for _s, age in row)]  # the oldest runs to the far end
-            views[q] = PathSummary(tuple((older - age, s) for older, (s, age) in zip(older_ages, [*row, (q, 0)])))
+            live = [(s, age) for s, _r, age in row if age <= n]
+            older_ages = [n, *(age for _s, age in live)]  # the oldest runs to the far end
+            views[q] = PathSummary(tuple((older - age, s) for older, (s, age) in zip(older_ages, [*live, (q, 0)])))
         return views
 
     def state_bits(self) -> int:
-        return self._pair_bits * (sum(map(len, self._rows)) + len(self._rows))
+        counts = self._counts
+        return self._pair_bits * (len(counts) - counts.count(self._dead) + self._n_states)
 
 
 def deterministic_tester(analyzed: AnalyzedRdfa, window_size: int) -> SlidingWindowTester:

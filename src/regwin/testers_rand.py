@@ -10,7 +10,8 @@ window's left edge up to the allowed slack without storing any length
 exactly.  Only the number of set cells matters: a count is a plain int,
 and a counter object holds only the parameters its counts share.  The
 summaries without their counts range over a finite set of skeletons,
-which the tester steps as an automaton interned on the fly.
+which the tester steps as an automaton interned on the fly: the
+``SkeletonTester`` engine it shares with the deterministic tester.
 
 One-sided tester (double-log space for suffix-free languages): each
 transient final state of the one analysed machine is taken alone, and the
@@ -56,10 +57,10 @@ from .automata import Dfa, Rdfa, StateLimitExceeded
 from .testers_det import (
     ExactWindowTester,
     FixedVerdictTester,
+    SkeletonTester,
     SlidingWindowTester,
     exact_tester,
     power_path,
-    summary_moves,
     trivial_tester,
 )
 
@@ -325,46 +326,18 @@ def prolong_compact_summary(
     return CompactSummary([*triples, SummaryTriple(new_start, 0, 0)])
 
 
-Row = list[tuple[int, int, int]]  # (segment start state, residue mod g, counter count), oldest first, newest left out
-Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
-Slot = tuple[int, tuple[int, ...]]  # (next skeleton id, gather tuple)
-
 UNIFORM_BUFFER = 2048  # uniforms per batch of a two-sided tester's stream
-SKELETON_TABLE_SIZE = 4096  # skeletons a two-sided tester holds before it empties its table
 
 
-class TwoSidedTester(SlidingWindowTester):
-    """Constant-space tester with two-sided error for gap eps*n.
+class TwoSidedTester(SkeletonTester):
+    """Constant-space tester with two-sided error for gap eps*n: the
+    skeleton engine with period g and staleness-counter counts.
 
-    Keeps one compact summary per start state for the run on the entire
-    stream (initialized on a pad-filled window).  Accepts iff, in the
-    summary starting at the machine's initial state, the oldest triple
-    whose count still reads low has an acceptance residue matching the
-    window size.
-
-    The newest triple of state p's summary is always ``(p, 0, 0)``, so p's
-    row holds only the older ones, oldest first.  A step builds p's row
-    from the row of its successor q = delta[p][c]: the newest triple
-    ``(q, 0, 0)`` is kept only when p and q lie in different SCCs, and
-    every kept triple moves its residue by 1 mod g and advances its count
-    by one increment.  This is ``prolong_compact_summary`` applied to every
-    state at once.
-
-    With the counts left out, the rows are a *skeleton*: per state, its
-    ``(state, residue)`` pairs.  Skeletons are SCC chains with residues mod
-    g, finitely many, and the next skeleton is a function of the skeleton
-    and the symbol alone, so they form a finite automaton.  The tester's
-    state is the id of its skeleton, interned in a per-tester table, and
-    one flat list of counts, row by row and oldest first.  Each skeleton
-    owns, built when first needed, one slot per symbol code holding the
-    next skeleton's id and a *gather* tuple: per entry of the next
-    skeleton, the index of the old count it advances, where index
-    ``len(counts)`` stands for the fresh count 0 of a newly kept triple.
-    It also owns a decide record, ``((flat index, verdict), ..., default
-    verdict)`` over the initial state's row.  A step is one slot lookup
-    and one pass that gathers and advances the counts; a missing slot is
-    built by the row rule above.  A table that reaches
-    ``SKELETON_TABLE_SIZE`` skeletons is emptied, keeping the current one.
+    p's summary is its row of triples plus the newest, ``(p, 0, 0)``, and a
+    step is ``prolong_compact_summary`` applied to every state at once.
+    Accepts iff, in the initial state's summary, the oldest triple whose
+    count still reads low has an acceptance residue matching the window
+    size; the decide record holds that verdict per entry, then the newest's.
 
     An increment of a count is one Binomial(copies - count, p) draw, taken
     by inverse transform: ``count + bisect_right(cdfs[count], u)`` with the
@@ -375,16 +348,10 @@ class TwoSidedTester(SlidingWindowTester):
     and every cell sees independent coins.  Its uniforms are one endless
     stream of ``UNIFORM_BUFFER``-draw batches, so a step itself makes no
     NumPy call.  ``ThresholdCounter`` stubs run through the same step:
-    their tables step by exactly one at any uniform.
-
-    ``feed_power(a, k)`` builds p's row from the row of p_k, the state k
-    steps along p's path under a, as k steps would: every entry is kept,
-    its residue moves by k and its count advances by k increments in one
-    draw (the counter's ``advance``, from the tester's generator); the
-    path's own SCC changes j < k join, oldest first, as
-    ``(p_{j+1}, (j + 1) mod g, count after j + 1 increments from 0)``.  The
-    rows it builds are split again into an interned skeleton and counts.
-    The pad warm-up is one such call, O(|Q|^2) draws at most whatever n.
+    their tables step by exactly one at any uniform.  ``feed_power``
+    advances a count by k increments in one draw (the counter's
+    ``advance``, from the tester's generator), so the pad warm-up takes
+    O(|Q|^2) draws at most whatever n.
     """
 
     def __init__(
@@ -395,76 +362,25 @@ class TwoSidedTester(SlidingWindowTester):
         rng: np.random.Generator | int | None = None,
         counter_factory: Callable[[], ProbabilisticCounter | ThresholdCounter] | None = None,
     ):
-        super().__init__(window_size)
-        self._a = analyzed
-        rdfa, g = analyzed.rdfa, analyzed.g
+        super().__init__(analyzed, window_size, analyzed.g)
         if counter_factory is None:
-            counter_factory = lambda: make_counter(window_size, eps, rdfa.n_states, analyzed.t)
+            counter_factory = lambda: make_counter(window_size, eps, self._n_states, analyzed.t)
         self._counter = counter_factory()
         self._cdfs = self._counter.increment_cdfs()
         gen = self._rng = np.random.default_rng(int(_ensure_rng(rng).integers(0, 2**63 - 1)))
         self._uniforms = chain.from_iterable(iter(lambda: gen.random(UNIFORM_BUFFER).tolist(), None))
         self._triple_bits = (
-            (rdfa.n_states - 1).bit_length() + (g - 1).bit_length() + self._counter.state_bit_cost()
+            (self._n_states - 1).bit_length() + (self._period - 1).bit_length() + self._counter.state_bit_cost()
         )
-        self._code = rdfa.alphabet.code
-        self._n_states = rdfa.n_states
-        self._moves = summary_moves(analyzed)
-        # the skeleton table: skeleton -> id, and per id its skeleton, slots and decide record
-        self._ids: dict[Skeleton, int] = {}
-        self._skeletons: list[Skeleton] = []
-        self._slots: list[list[Slot | None]] = []
-        self._decisions: list[tuple] = []
-        self._skeleton = self._intern(((),) * rdfa.n_states)
-        self._counts: list[int] = []
-        self._start_on_pad(rdfa.alphabet)
+        self._start_on_pad(analyzed.rdfa.alphabet)
 
-    def _intern(self, skeleton: Skeleton) -> int:
-        """The id of ``skeleton``, entered in the table on first sight.  A
-        full table is emptied first and the current skeleton entered again,
-        so the current id stays valid."""
-        sid = self._ids.get(skeleton)
-        if sid is None:
-            if len(self._skeletons) >= SKELETON_TABLE_SIZE:
-                current = self._skeletons[self._skeleton]
-                for table in (self._ids, self._skeletons, self._slots, self._decisions):
-                    table.clear()
-                self._skeleton = self._intern(current)
-            sid = self._ids[skeleton] = len(self._skeletons)
-            self._skeletons.append(skeleton)
-            self._slots.append([None] * len(self._moves))
-            self._decisions.append(self._decision(skeleton))
-        return sid
+    def _decision(self, start: int, row: tuple[tuple[int, int], ...]) -> tuple:
+        analyzed, n, g = self._a, self.window_size, self._period
+        entries = [(start + i, (n - residue) % g in analyzed.acc_mod[state]) for i, (state, residue) in enumerate(row)]
+        return (*entries, n % g in analyzed.acc_mod[analyzed.rdfa.initial])
 
-    def _decision(self, skeleton: Skeleton) -> tuple:
-        """The decide record of ``skeleton``: per entry of the initial
-        state's row, oldest first, its flat count index and the verdict of
-        its residue; then the verdict of the newest triple."""
-        analyzed, initial = self._a, self._a.rdfa.initial
-        n, g = self.window_size, analyzed.g
-        start = sum(map(len, skeleton[:initial]))
-        entries = [
-            (start + i, (n - residue) % g in analyzed.acc_mod[state])
-            for i, (state, residue) in enumerate(skeleton[initial])
-        ]
-        return (*entries, n % g in analyzed.acc_mod[initial])
-
-    def _slot(self, code: int) -> Slot:
-        """The slot of the current skeleton under ``code``, built by the
-        row rule and entered in the table."""
-        rows, g = self._skeletons[self._skeleton], self._a.g
-        starts = [0, *accumulate(map(len, rows))]
-        next_rows, gather = [], []
-        for q, same in self._moves[code]:
-            row = [(state, (residue + 1) % g) for state, residue in rows[q]]
-            gather += range(starts[q], starts[q + 1])
-            if not same:
-                row.append((q, 1 % g))
-                gather.append(starts[-1])  # the fresh count
-            next_rows.append(tuple(row))
-        slot = (self._intern(tuple(next_rows)), tuple(gather))
-        self._slots[self._skeleton][code] = slot  # after _intern, which may renumber the current skeleton
-        return slot
+    def _advance(self, count: int, k: int) -> int:
+        return self._counter.advance(count, k, self._rng)
 
     def feed(self, symbol: str) -> None:
         code = self._code(symbol)
@@ -477,21 +393,6 @@ class TwoSidedTester(SlidingWindowTester):
             for c, u in zip(map(counts.__getitem__, gather), self._uniforms)
         ]
 
-    def feed_power(self, symbol: str, k: int) -> None:
-        moves = self._moves[self._code(symbol)]
-        successors = [q for q, _same in moves]
-        g, rows, advance, rng = self._a.g, self._rows, self._counter.advance, self._rng
-        new_rows: list[Row] = []
-        for p in range(len(rows)):
-            path, last = power_path(successors, p, k)
-            row = [(s, (residue + k) % g, advance(count, k, rng)) for s, residue, count in rows[last]]
-            for j, s in reversed([*enumerate(path[:k])]):
-                if not moves[s][1]:
-                    row.append((successors[s], (j + 1) % g, advance(0, j + 1, rng)))
-            new_rows.append(row)
-        self._skeleton = self._intern(tuple(tuple((s, r) for s, r, _c in row) for row in new_rows))
-        self._counts = [c for row in new_rows for _s, _r, c in row]
-
     def decide(self) -> bool:
         counts, reads_high = self._counts, self._counter.reads_high
         record = self._decisions[self._skeleton]
@@ -500,13 +401,6 @@ class TwoSidedTester(SlidingWindowTester):
             if not reads_high(counts[index]):
                 return verdict
         return record[-1]  # the newest triple, which reads low by invariant
-
-    @property
-    def _rows(self) -> list[Row]:
-        """The rows as ``(state, residue, count)`` lists, read off the
-        skeleton and the counts (a view; not for the hot path)."""
-        counts = iter(self._counts)
-        return [[(s, r, next(counts)) for s, r in row] for row in self._skeletons[self._skeleton]]
 
     def summaries(self) -> Mapping[int, CompactSummary]:
         """The rows as ``CompactSummary`` objects (a view; not for the hot path)."""

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -288,6 +289,12 @@ BAD_CONFIGS = {
     "eps-null": ({"eps": None}, r"^eps: "),
     "eps-list": ({"eps": [1]}, r"^eps: "),
     "eps-bool": ({"eps": True}, r"^eps: "),
+    # an eps outside (0, 1] is refused whatever the kinds, before any language is compiled
+    "eps-above-one": ({"eps": 2, "testers": ["det"]}, r"^eps: "),
+    "eps-zero": ({"eps": 0, "testers": ["exact"]}, r"^eps: "),
+    "eps-negative": ({"eps": -1, "testers": ["trivial"]}, r"^eps: "),
+    "eps-infinite": ({"eps": math.inf, "testers": ["one-sided"]}, r"^eps: "),
+    "eps-nan": ({"eps": math.nan}, r"^eps: "),
     "trials-bool": ({"trials": True}, r"^trials: "),
     "timing-string": ({"timing": "no"}, r"^timing: "),
     "stream-not-object": ({"streams": ["periodic:ba,4"]}, r"^streams\[0\]: expected a stream object"),

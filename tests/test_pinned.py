@@ -12,6 +12,7 @@ from conftest import AB, CORPUS, build_analyzed, build_dfa, build_partials
 from regwin import (
     OneSidedClass,
     determinize,
+    deterministic_tester,
     find_excluded_factor,
     one_sided_class,
     parse_regex,
@@ -22,7 +23,7 @@ from regwin import (
     two_sided_tester,
     uniformize_period,
 )
-from regwin import testers_rand
+from regwin import testers_det
 from regwin.cli import report_to_csv, run_experiment
 
 # pattern, g, t, states after uniformization, acc_mod per state
@@ -171,7 +172,7 @@ def test_length_sets_match_pinned_figures(pattern):
         assert (progression.offset, progression.step, factor) == pinned_excluded
 
 
-# --- seeded two-sided traces ------------------------------------------------------
+# --- seeded tester traces ----------------------------------------------------------
 
 TRACE_LANGUAGES = sorted({pattern for _ident, pattern in CORPUS} | {"(aa)*|b(aa)*b"})
 TRACE_WINDOW_SIZES = (64, 1000, 4097)
@@ -224,8 +225,51 @@ def test_two_sided_trace_matches_pinned_digest(pattern):
 def test_two_sided_trace_is_unchanged_when_the_skeleton_table_holds_two(pattern, monkeypatch):
     """A full skeleton table is emptied and refilled; that must not touch
     the counts, the coins or the verdicts."""
-    monkeypatch.setattr(testers_rand, "SKELETON_TABLE_SIZE", 2)
+    monkeypatch.setattr(testers_det, "SKELETON_TABLE_SIZE", 2)
     assert two_sided_trace_digest(pattern) == TRACE_PINS[pattern]
+
+
+# pattern -> SHA-256 of the deterministic testers' per-step (decide,
+# state_bits) trace over every window size above
+DET_TRACE_PINS = {
+    "((a|b)a)*": "781c50ccfaf2b18afe1924abe6d6e6e140ae7eec143c741453d0c200bdfb9a1c",
+    "(aa)*": "07a0254916870fc6492a1ad7f546ea0187d31c27c6b5d361bbc809ea693fd954",
+    "(aa)*|b(aa)*b": "e11e9354c28890ea33aa9fb267a06068cef090967a6267f2801656a560dae374",
+    "(ab)*": "62e31bcd60e8eace50dcf8e8ce66bac909995c683f89c157f7c5d23a18b8a19e",
+    "(a|b)*": "c39b8b1f3e954576cb516f3c5885bb20fedb191792e86edffc09cedb62563cac",
+    "(a|b)*a": "8a7872246f19dcb9ae01c8086e0a1d7abc323b4006f4215a885070e034007ac4",
+    "a*": "af27f94e27e002aaad933a8084fe80e093734c1288c980f3ac4338571b6f7e71",
+    "a*|ba*": "098d3010607095ebe8d0b7e486ea500a0e0c32aee94b55a91c2aafd9bc9f547a",
+    "ab": "da3c041f40cb3480be85087c68a274e32bd53e180371b45c07dfe920fb8b7a80",
+    "a|bb": "926b135690ea118950f02c5a569a114aa827847852b6dae8beb35491701a9164",
+    "b(aa)*": "092c4ee196f0aecd842a00fb0c567cc7dc80f00de780c54c7b04f5b45be118bb",
+    "b(a|b)*": "67880c358c49b174ea96e4be1bde488c90b4efee30b34e2d5285b152049706e4",
+    "ba*": "098d3010607095ebe8d0b7e486ea500a0e0c32aee94b55a91c2aafd9bc9f547a",
+}
+
+
+def det_trace_digest(pattern: str) -> str:
+    analyzed = build_analyzed(pattern)
+    digest = hashlib.sha256()
+    for n in TRACE_WINDOW_SIZES:
+        tester = deterministic_tester(analyzed, n)
+        steps = []
+        for symbol in TRACE_STREAM:
+            tester.feed(symbol)
+            steps.append(f"{tester.decide():d}{tester.state_bits()}")
+        digest.update(f"{n}:{','.join(steps)};".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("pattern", TRACE_LANGUAGES)
+def test_det_trace_matches_pinned_digest(pattern):
+    assert det_trace_digest(pattern) == DET_TRACE_PINS[pattern]
+
+
+@pytest.mark.parametrize("pattern", TRACE_LANGUAGES)
+def test_det_trace_is_unchanged_when_the_skeleton_table_holds_two(pattern, monkeypatch):
+    monkeypatch.setattr(testers_det, "SKELETON_TABLE_SIZE", 2)
+    assert det_trace_digest(pattern) == DET_TRACE_PINS[pattern]
 
 
 # --- a seeded one-sided experiment --------------------------------------------------

@@ -294,15 +294,43 @@ def test_state_bits_grow_with_log_window():
     assert bits[-1] <= cap
 
 
+# bits per log2 n of the b(aa)* tester at n = 2^10 + 1: 126 bits after b^n,
+# its largest state, over log2 n = 10.0014
+DET_BITS_PER_LOG_N = 12.6
+
+
+@pytest.mark.parametrize("k", [20, 40, 62])
+def test_deterministic_tester_at_windows_up_to_2_62(monkeypatch, k):
+    """Built without a feed, the b(aa)* tester accepts b a^(n-1) and
+    rejects b^n at n = 2^k + 1, in at most c log2 n state bits."""
+    n = 2**k + 1
+    feeds = []
+    monkeypatch.setattr(PathSummaryTester, "feed", lambda tester, symbol: feeds.append(symbol))
+    analyzed = analyze(build_dfa("b(aa)*"))
+    member, far = deterministic_tester(analyzed, n), deterministic_tester(analyzed, n)
+    assert isinstance(member, PathSummaryTester) and feeds == []
+    monkeypatch.undo()
+    bits = [member.state_bits()]
+    member.feed("b")
+    member.feed_power("a", n - 1)
+    far.feed_power("b", n)
+    assert member.decide() and not far.decide()
+    bits += [member.state_bits(), far.state_bits()]
+    assert max(bits) <= DET_BITS_PER_LOG_N * math.log2(n)
+
+
 # --- structure ----------------------------------------------------------------------
+
+
+def _module_tree(module: str) -> ast.Module:
+    return ast.parse((Path(__file__).resolve().parent.parent / "src" / "regwin" / module).read_text("utf-8"))
 
 
 def _window_loops(module: str) -> list[str]:
     """Where a source file of the regwin package loops over
     ``range(<window size>)``: ``module:Class.method`` or ``module:function``."""
-    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "regwin" / module).read_text("utf-8"))
     scopes = []
-    for node in tree.body:
+    for node in _module_tree(module).body:
         if isinstance(node, ast.ClassDef):
             scopes += [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
         elif isinstance(node, ast.FunctionDef):
@@ -323,3 +351,24 @@ def test_one_pad_warm_up_loop():
     closed-form ``feed_power``, so no loop over the window remains."""
     loops = _window_loops("testers_det.py") + _window_loops("testers_rand.py")
     assert loops == []
+
+
+def test_one_row_rule():
+    """The skeleton engine (interning, slots, the rows' closed-form
+    ``feed_power``) is written once, in the base both summary testers
+    subclass."""
+    engine = ("_intern", "_slot", "feed_power")
+    classes = {
+        node.name: node
+        for module in ("testers_det.py", "testers_rand.py")
+        for node in _module_tree(module).body
+        if isinstance(node, ast.ClassDef)
+    }
+    methods = {name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)} for name, node in classes.items()}
+    owners = {name for name, defined in methods.items() if {"_intern", "_slot"} & defined}
+    assert len(owners) == 1
+    (base,) = owners
+    assert set(engine) <= methods[base]
+    for tester in ("PathSummaryTester", "TwoSidedTester"):
+        assert [ast.unparse(b) for b in classes[tester].bases] == [base]
+        assert not set(engine) & methods[tester], tester

@@ -27,7 +27,7 @@ from regwin import (
     two_sided_tester,
     union_tester,
 )
-from regwin import testers_rand
+from regwin import testers_det
 from regwin.testers_det import ExactWindowTester, FixedVerdictTester, PathSummaryTester
 from regwin.testers_rand import TwoSidedTester, UnionTester
 
@@ -375,12 +375,15 @@ def test_sample_prime_is_seed_deterministic():
 
 
 def test_skeleton_table_stays_within_its_size(monkeypatch):
-    monkeypatch.setattr(testers_rand, "SKELETON_TABLE_SIZE", 2)
-    tester = two_sided_tester(build_analyzed("(aa)*|b(aa)*b"), 64, 0.25, rng=0)
-    assert isinstance(tester, TwoSidedTester)
-    for symbol in "aabababbbaab" * 20:
-        tester.feed(symbol)
-        assert len(tester._skeletons) <= 2
+    """Both skeleton testers read the one table size."""
+    monkeypatch.setattr(testers_det, "SKELETON_TABLE_SIZE", 2)
+    analyzed = build_analyzed("(aa)*|b(aa)*b")
+    testers = [two_sided_tester(analyzed, 64, 0.25, rng=0), PathSummaryTester(analyzed, 64)]
+    assert isinstance(testers[0], TwoSidedTester)
+    for tester in testers:
+        for symbol in "aabababbbaab" * 20:
+            tester.feed(symbol)
+            assert len(tester._skeletons) <= 2
 
 
 # --- one-sided tester -------------------------------------------------------------------
