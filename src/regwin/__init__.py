@@ -84,7 +84,6 @@ from .testers_det import (
 )
 from .testers_rand import (
     CompactSummary,
-    ModularLengthTable,
     OneSidedTester,
     PartialRdfa,
     ProbabilisticCounter,

@@ -373,6 +373,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_tester_run(args: argparse.Namespace) -> int:
+    if not 0 < args.eps <= 1:  # NaN fails the range test too
+        raise ConfigError(f"--eps: expected a number in (0, 1], got {args.eps!r}")
     language = _language_from_args(args)
     spec = streams.spec_from_string(args.stream)
     symbols = list(streams.generate(spec, language.alphabet))

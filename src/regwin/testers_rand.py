@@ -23,18 +23,20 @@ driving the start state to the final state has length exactly n", which
 is checked modulo a random prime drawn from a pool of the first
 Θ(log window-size) primes.  Member windows are accepted for every prime;
 far windows survive for at most a third of the pool.  ``OneSidedTester``
-is the one constructor: a partial machine that cannot accept a window of
-size n gets no part, and with no part left every window is rejected in
-one bit.  A partial machine whose language is a single word, or whose
-slack does not fit the window, is tracked exactly by the same
+keeps these lengths for all its partial machines in one flat table, which
+a feed steps by one list comprehension.  A partial machine that cannot
+accept a window of size n is dropped; one whose language is a single
+word, or whose slack does not fit the window, is tracked exactly by the
 ``ExactWindowTester`` that serves the exact kind.
 
 A union combinator runs testers for finitely many languages in parallel
-(with one-sided amplification by independent copies).
+(with one-sided amplification by independent copies); the compiled
+one-sided tester is a union only when it holds more than one tester.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -56,9 +58,9 @@ from .analysis import (
 from .automata import Dfa, Rdfa, StateLimitExceeded
 from .testers_det import (
     ExactWindowTester,
-    FixedVerdictTester,
     SkeletonTester,
     SlidingWindowTester,
+    check_power,
     exact_tester,
     power_path,
     trivial_tester,
@@ -558,86 +560,38 @@ def enumerate_path_descriptions(analyzed: AnalyzedRdfa, final: int) -> list[Part
 # --- prime fingerprints and the one-sided tester ---------------------------------
 
 
-def _first_primes(count: int) -> list[int]:
+@functools.cache
+def _first_primes(count: int) -> tuple[int, ...]:
     primes: list[int] = []
     candidate = 2
     while len(primes) < count:
         if all(candidate % p for p in primes):
             primes.append(candidate)
         candidate += 1
-    return primes
+    return tuple(primes)
 
 
-def prime_pool(n: int) -> list[int]:
-    """First max(2, 3*ceil(log2(n+1))) primes.  Any D <= n has at most
-    log2(n) distinct prime factors, so at most a third of the pool can
-    divide a fixed nonzero difference D."""
+def _pool(n: int) -> tuple[int, ...]:
     if n < 2:
         raise ValueError("window size must be at least 2")
     return _first_primes(max(2, 3 * n.bit_length()))
 
 
+def prime_pool(n: int) -> list[int]:
+    """First max(2, 3*ceil(log2(n+1))) primes.  Any D <= n has at most
+    log2(n) distinct prime factors, so at most a third of the pool can
+    divide a fixed nonzero difference D.  Each pool is computed once; the
+    caller gets its own list."""
+    return list(_pool(n))
+
+
 def sample_prime(n: int, rng: np.random.Generator | int | None = None) -> int:
-    pool = prime_pool(n)
+    pool = _pool(n)
     return pool[int(_ensure_rng(rng).integers(len(pool)))]
 
 
-class ModularLengthTable(SlidingWindowTester):
-    """Prime fingerprint of one partial machine, as a tester: per state of
-    ``partial.machine``, the length of the shortest suffix of the stream
-    that drives the state to the final state, maintained mod a prime p.
-    The value p stands for infinity (1 + inf = inf); the sink holds it for
-    good, and the final state holds 0.  A feed steps the list of values
-    over the machine's table, each through the successor table
-    ``0 -> 1 -> ... -> p-1 -> 0`` and ``p -> p``.  Accepts iff the window
-    size is a length the start state can accept and the start state's
-    length is congruent to it.  Warmed up at construction on a pad-filled
-    window by one ``feed_power``: after k feeds of a symbol, a state whose
-    path under it first meets the final state at step j <= k holds j mod p,
-    and any other state q holds the old value of q_k plus k (inf stays
-    inf)."""
-
-    def __init__(self, partial: PartialRdfa, window_size: int, prime: int):
-        super().__init__(window_size)
-        self.partial = partial
-        self.prime = prime
-        machine = partial.machine
-        self._code = machine.alphabet.code
-        self._moves = list(zip(*machine.delta))  # per symbol code, per state: the target state
-        self._start = machine.initial
-        (self._final,) = machine.finals
-        self._successor = [*range(1, prime), 0, prime]
-        self.values = [prime] * machine.n_states
-        self.values[self._final] = 0
-        self.reachable_length = partial.acc[partial.start].member(window_size)
-        self.target = window_size % prime
-        self._bits = len(partial.states) * (prime.bit_length() + 1)
-        self._start_on_pad(machine.alphabet)
-
-    def feed(self, symbol: str) -> None:
-        old, successor = self.values, self._successor
-        new = [successor[old[q]] for q in self._moves[self._code(symbol)]]
-        new[self._final] = 0
-        self.values = new
-
-    def feed_power(self, symbol: str, k: int) -> None:
-        targets, old, prime = self._moves[self._code(symbol)], self.values, self.prime
-        new = []
-        for q in range(len(old)):
-            path, last = power_path(targets, q, k)
-            hit = path.index(self._final) if self._final in path else k + 1
-            new.append(hit % prime if hit <= k else old[last] if old[last] == prime else (old[last] + k) % prime)
-        self.values = new
-
-    def decide(self) -> bool:
-        return self.reachable_length and self.values[self._start] == self.target
-
-    def state_bits(self) -> int:
-        return self._bits
-
-
 def _fingerprintable(partial: PartialRdfa, window_size: int) -> bool:
-    """Whether a ``ModularLengthTable`` serves the partial machine at this
+    """Whether the prime fingerprint serves the partial machine at this
     window size: its language is not a single word and the window is at
     least its slack, ``length_slack`` + |partial states|."""
     return partial.singleton_word is None and window_size >= partial.length_slack + len(partial.states)
@@ -645,20 +599,29 @@ def _fingerprintable(partial: PartialRdfa, window_size: int) -> bool:
 
 class OneSidedTester(SlidingWindowTester):
     """One-sided tester for a suffix-free language given its partial
-    machines: one shared random prime and one part per partial machine
-    that can accept a window of this size, fed every symbol; accepts iff
-    some part accepts.  A part is a ``ModularLengthTable`` where the
-    fingerprint applies (``_fingerprintable``), and otherwise an
-    ``ExactWindowTester`` over ``partial.machine``.
+    machines and one random prime p; accepts iff some partial machine
+    accepts.  A partial machine whose acceptance set misses n never
+    accepts and is dropped (a single-word one survives only at n = |w|).
+    The kept ones where the fingerprint applies (``_fingerprintable``)
+    are the ``_parts``; each other one is an ``ExactWindowTester`` over
+    ``partial.machine``.
 
-    A partial machine whose acceptance set misses n never accepts, so it
-    gets no part: a single-word part survives only at n = |w|, where its
-    exact window has constant size.  With no part left, every window is
-    rejected, by one ``FixedVerdictTester`` part that still checks the
-    fed symbols.  The prime is drawn from ``rng`` whenever some partial
-    machine, kept or not, could be fingerprinted, so the coins a caller
-    draws after it do not depend on which parts were kept.  A ``prime``
-    given instead must lie in ``prime_pool(n)`` when a part reads it.
+    The parts share one flat table over their completed machines' states,
+    laid end to end: per state, the length mod p of the shortest suffix
+    of the stream that drives it to its machine's final state, with p for
+    infinity.  A feed steps every value over the symbol's move tuple
+    through the successor table ``0 -> 1 -> ... -> p-1 -> 0, p -> p``,
+    then resets the finals to 0; a part accepts iff its start state holds
+    n mod p.  ``feed_power`` (the pad warm-up included) is closed form:
+    after k feeds of a symbol, a state whose path under it first meets a
+    final at step j <= k holds j mod p, any other state q the old value
+    of q_k plus k (inf stays inf).  With nothing kept the table is empty
+    and every window is rejected in one state bit.
+
+    The prime is drawn from ``rng`` whenever some partial machine, kept
+    or not, could be fingerprinted, so the coins a caller draws after it
+    do not depend on which parts were kept.  A ``prime`` given instead
+    must lie in ``prime_pool(n)`` when a part reads it.
     """
 
     def __init__(
@@ -672,37 +635,68 @@ class OneSidedTester(SlidingWindowTester):
         if not partials:
             raise ValueError("need at least one partial machine")
         live = [partial for partial in partials if partial.acc[partial.start].member(window_size)]
-        fingerprintable = [_fingerprintable(partial, window_size) for partial in live]
+        parts = self._parts = tuple(partial for partial in live if _fingerprintable(partial, window_size))
         if prime is None:
             if any(_fingerprintable(partial, window_size) for partial in partials):
                 prime = sample_prime(window_size, rng)
-        elif any(fingerprintable) and prime not in (pool := prime_pool(window_size)):
+        elif parts and prime not in (pool := _pool(window_size)):
             raise ValueError(
                 f"prime {prime} is not in the pool of window size {window_size}, the first {len(pool)} primes"
             )
-        if not any(fingerprintable):
-            prime = None  # every part tracks its window exactly, so no part reads a prime
+        if not parts:
+            prime = None  # every kept partial machine is tracked exactly, so nothing reads a prime
         self.prime = prime
-        self._parts: list[SlidingWindowTester] = [
-            ModularLengthTable(partial, window_size, prime)
-            if use_fingerprint
-            else ExactWindowTester(partial.machine, window_size)
-            for partial, use_fingerprint in zip(live, fingerprintable)
-        ] or [FixedVerdictTester(partials[0].machine.alphabet, EventuallyPeriodicSet.empty(), window_size)]
-        # every part's size is fixed at construction, so the sum is too
-        prime_bits = prime.bit_length() if prime is not None else 0
-        self._bits = prime_bits + sum(part.state_bits() for part in self._parts)
+
+        alphabet = partials[0].machine.alphabet
+        self._code = alphabet.code
+        offsets = list(accumulate((partial.machine.n_states for partial in parts), initial=0))
+        blocks = list(zip(offsets, (partial.machine for partial in parts)))
+        self._moves = [
+            tuple(offset + row[a] for offset, machine in blocks for row in machine.delta) for a in range(len(alphabet))
+        ]
+        self._starts = tuple(offset + machine.initial for offset, machine in blocks)
+        self._finals = tuple(offset + final for offset, machine in blocks for final in machine.finals)
+        self._successor = [*range(1, prime), 0, prime] if parts else []
+        self._target = window_size % prime if parts else None
+        self.values = [prime] * offsets[-1]  # the warm-up sets the finals to 0 and reads no other final
+        self._exact = ()  # an exact part starts on the pad window the warm-up makes, so it joins after it
+        self._start_on_pad(alphabet)
+        self._exact = [ExactWindowTester(p.machine, window_size) for p in live if not _fingerprintable(p, window_size)]
+        width = prime.bit_length() if parts else 0
+        table_bits = width + sum(len(partial.states) for partial in parts) * (width + 1)
+        self._bits = table_bits + sum(part.state_bits() for part in self._exact) if live else 1
 
     def feed(self, symbol: str) -> None:
-        for part in self._parts:
+        old, successor = self.values, self._successor
+        new = [successor[old[q]] for q in self._moves[self._code(symbol)]]
+        for final in self._finals:
+            new[final] = 0
+        self.values = new
+        for part in self._exact:
             part.feed(symbol)
 
     def feed_power(self, symbol: str, k: int) -> None:
-        for part in self._parts:
+        targets = self._moves[self._code(symbol)]
+        check_power(k)
+        old, prime, finals = self.values, self.prime, frozenset(self._finals)
+        new = []
+        for q in range(len(old)):
+            path, last = power_path(targets, q, k)
+            hit = next((j for j, p in enumerate(path) if p in finals), k + 1)
+            new.append(hit % prime if hit <= k else old[last] if old[last] == prime else (old[last] + k) % prime)
+        self.values = new
+        for part in self._exact:
             part.feed_power(symbol, k)
 
     def decide(self) -> bool:
-        return any(part.decide() for part in self._parts)
+        values, target = self.values, self._target
+        for start in self._starts:
+            if values[start] == target:
+                return True
+        for part in self._exact:
+            if part.decide():
+                return True
+        return False
 
     def state_bits(self) -> int:
         return self._bits
@@ -727,24 +721,29 @@ class UnionTester(SlidingWindowTester):
         self._groups = [list(group) for group in groups]
         if not self._groups or not all(self._groups):
             raise ValueError("a union needs at least one group and at least one tester per group")
-        sizes = {t.window_size for group in self._groups for t in group}
+        self._testers = [t for group in self._groups for t in group]
+        sizes = {t.window_size for t in self._testers}
         if len(sizes) > 1:
             raise ValueError(f"sub-testers disagree on the window size: {sorted(sizes)}")
         super().__init__(sizes.pop())
-        self._bits = sum(t.state_bits() for group in self._groups for t in group)
+        self._bits = sum(t.state_bits() for t in self._testers)
 
     def feed(self, symbol: str) -> None:
-        for group in self._groups:
-            for tester in group:
-                tester.feed(symbol)
+        for tester in self._testers:
+            tester.feed(symbol)
 
     def feed_power(self, symbol: str, k: int) -> None:
-        for group in self._groups:
-            for tester in group:
-                tester.feed_power(symbol, k)
+        for tester in self._testers:
+            tester.feed_power(symbol, k)
 
     def decide(self) -> bool:
-        return any(all(t.decide() for t in group) for group in self._groups)
+        for group in self._groups:
+            for tester in group:
+                if not tester.decide():
+                    break
+            else:
+                return True
+        return False
 
     def state_bits(self) -> int:
         return self._bits
@@ -780,9 +779,10 @@ def compile_one_sided(
     an rng to a fresh one-sided tester: a constant-space part for the
     (trivial) non-transient-finals language united with one
     ``OneSidedTester`` per transient final, each group of the union
-    holding ``amplification`` copies.  The classification, analysis and
-    path descriptions run here; a call only instantiates, drawing every
-    copy's prime from one generator, group by group."""
+    holding ``amplification`` copies; a union of one tester is that
+    tester.  The classification, analysis and path descriptions run
+    here; a call only instantiates, drawing every copy's prime from one
+    generator, group by group."""
     if amplification < 1:
         raise ValueError("amplification must be at least 1")
     classification = one_sided_class(dfa)
@@ -808,7 +808,7 @@ def compile_one_sided(
         groups = [[OneSidedTester(partials, window_size, master, prime) for _ in copies] for partials in per_final]
         if lengths is not None:
             groups.insert(0, [trivial_tester(rdfa.alphabet, lengths, window_size) for _ in copies])
-        return UnionTester(groups)
+        return groups[0][0] if len(groups) == 1 == len(groups[0]) else UnionTester(groups)
 
     return instantiate
 

@@ -165,6 +165,14 @@ def test_cli_tester_run_one_sided(capsys):
     assert report["accept_freq"] == 1.0  # member window, one-sided completeness
 
 
+@pytest.mark.parametrize("kind", ["exact", "trivial", "det", "two-sided", "one-sided"])
+@pytest.mark.parametrize("eps", ["2", "0", "-0.5", "nan", "inf"])
+def test_cli_tester_run_rejects_an_eps_outside_0_1_naming_the_flag(capsys, kind, eps):
+    argv = ["tester", "run", "--regex", "ba*", "--alphabet", "ab", "--kind", kind, "--n", "8"]
+    assert main(argv + ["--eps", eps, "--stream", "periodic:ba,4"]) == 2
+    assert capsys.readouterr().err.startswith("error: --eps: expected a number in (0, 1], got ")
+
+
 def test_cli_tester_run_takes_a_weighted_random_stream(capsys):
     argv = ["tester", "run", "--regex", "a*", "--alphabet", "ab", "--kind", "det", "--n", "4"]
     assert main(argv + ["--stream", "random:1,50,a=1.0,b=0.0"]) == 0

@@ -27,7 +27,6 @@ from regwin import testers_det, testers_rand
 from regwin.analysis import OneSidedClass, one_sided_class
 from regwin.testers_det import PathSummaryTester
 from regwin.testers_rand import (
-    ModularLengthTable,
     OneSidedTester,
     TwoSidedTester,
     compile_one_sided,
@@ -101,13 +100,13 @@ def test_feed_power_equals_k_feeds(case):
     assert stub[0]._rows == stub[1]._rows
     assert_same_run(*stub, suffix)
 
-    for partial in partials:
-        table = powered_and_looped(lambda: ModularLengthTable(partial, n, prime), prefix, symbol, k)
-        assert table[0].values == table[1].values
-        assert_same_run(*table, suffix)
+    groups = [[partial] for partial in partials]
     if partials:
-        one_sided_parts = powered_and_looped(lambda: OneSidedTester(partials, n, prime=prime), prefix, symbol, k)
-        assert_same_run(*one_sided_parts, suffix)
+        groups.append(partials)  # all of them in one table
+    for group in groups:
+        one_sided = powered_and_looped(lambda: OneSidedTester(group, n, prime=prime), prefix, symbol, k)
+        assert one_sided[0].values == one_sided[1].values
+        assert_same_run(*one_sided, suffix)
 
     assert_same_run(*powered_and_looped(lambda: exact_tester(dfa, n), prefix, symbol, k), suffix)
     lengths = realized_lengths(dfa)
@@ -115,6 +114,18 @@ def test_feed_power_equals_k_feeds(case):
     if one_sided:
         factory = compile_one_sided(dfa, n, amplification=2, prime=prime)
         assert_same_run(*powered_and_looped(lambda: factory(0), prefix, symbol, k), suffix)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_fingerprint_power_meets_a_final_steps_on(k):
+    """Under b the start state of ``bbba*``'s partial machine meets the
+    final three steps on, which random machines of at most six states
+    rarely show."""
+    partials = build_partials("bbba*")
+    for prefix in ["", "a", "ab", "bba"]:
+        powered, looped = powered_and_looped(lambda: OneSidedTester(partials, 16, prime=3), prefix, "b", k)
+        assert powered._parts and powered.values == looped.values
+        assert_same_run(powered, looped, "abbbaaab")
 
 
 def test_feed_power_rejects_a_negative_power():

@@ -1,14 +1,15 @@
 """The one-sided tester against its definition, part by part.
 
 ``OneSidedTester`` runs one part per partial machine that can accept a
-window of size n: a prime fingerprint where the partial machine's slack
-fits the window, exact tracking otherwise.  On random small machines,
-window sizes that mix both kinds of part and every prime of the pool, its
-verdict after every step must equal the brute-force one: an exact part
-accepts iff the partial machine accepts the window; a fingerprint part
-accepts iff the window size is a length the partial machine can accept
-from its start state and the shortest suffix of the stream that it
-accepts is congruent to the window size mod the prime.  It builds no part
+window of size n: a prime fingerprint in its one flat table where the
+partial machine's slack fits the window, exact tracking otherwise.  On
+random small machines, window sizes that mix both kinds of part and every
+prime of the pool, its verdict after every step must equal the
+brute-force one: an exact part accepts iff the partial machine accepts
+the window; a fingerprint part accepts iff the window size is a length
+the partial machine can accept from its start state and the shortest
+suffix of the stream that it accepts is congruent to the window size mod
+the prime.  It builds no part
 for a partial machine that can never accept, rejects outright when none
 is left, and draws its prime exactly once when some partial machine, kept
 or not, can be fingerprinted, and never otherwise.
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 from regwin import (
     Alphabet,
     Dfa,
-    ModularLengthTable,
     OneSidedTester,
     Rdfa,
     StateLimitExceeded,
@@ -38,7 +38,7 @@ from regwin import (
     prime_pool,
     testers_rand,
 )
-from regwin.testers_det import ExactWindowTester, FixedVerdictTester
+from regwin.testers_det import ExactWindowTester
 
 FUZZ = settings(
     max_examples=200,
@@ -118,22 +118,30 @@ def test_one_sided_verdict_matches_its_parts_definition_after_every_step(case):
 @given(machines_and_streams())
 def test_one_sided_tester_drops_only_parts_that_never_accept(case):
     """One part per partial machine whose acceptance set holds n, of the
-    kind the definition names; one prime draw iff some partial machine,
-    kept or not, can be fingerprinted; and the verdict of the drawn prime
-    after every step."""
+    kind the definition names (the fingerprinted ones in the table, in
+    order, the others exact, which start on their own pad window and are
+    not fed the table's warm-up); one prime draw iff some partial
+    machine, kept or not, can be fingerprinted; and the verdict of the
+    drawn prime after every step."""
     machine, n, stream = case
     analyzed, transient_finals = transient_finals_of(machine)
     pad = machine.alphabet.pad
     for f in transient_finals:
         partials = enumerate_path_descriptions(analyzed, f)
         live = [partial for partial in partials if partial.acc[partial.start].member(n)]
-        with mock.patch.object(testers_rand, "sample_prime", wraps=testers_rand.sample_prime) as draws:
+        with (
+            mock.patch.object(testers_rand, "sample_prime", wraps=testers_rand.sample_prime) as draws,
+            mock.patch.object(ExactWindowTester, "feed_power") as exact_powers,
+        ):
             tester = OneSidedTester(partials, n, np.random.default_rng(n))
         assert draws.call_count == any(fingerprinted(partial, n) for partial in partials), (f, n)
-        kinds = [ModularLengthTable if fingerprinted(partial, n) else ExactWindowTester for partial in live]
-        assert [type(part) for part in tester._parts] == (kinds or [FixedVerdictTester]), (f, n)
+        assert exact_powers.call_count == 0, (f, n)
+        assert tester._parts == tuple(partial for partial in live if fingerprinted(partial, n)), (f, n)
+        assert len(tester.values) == sum(partial.machine.n_states for partial in tester._parts), (f, n)
+        exact_count = sum(not fingerprinted(partial, n) for partial in live)
+        assert [type(part) for part in tester._exact] == [ExactWindowTester] * exact_count, (f, n)
         if not live:
-            assert tester.state_bits() == 1
+            assert tester.state_bits() == 1 and tester.values == [], (f, n)
         consumed = pad * n
         for symbol in [None, *stream]:
             if symbol is not None:
@@ -152,7 +160,7 @@ def test_one_sided_tester_built_directly_matches_the_compiled_parts_at_2_16():
     dfa = build_dfa("ab|ba*")
     analyzed = analyze(dfa)
     compiled = compile_one_sided(dfa, n, prime=prime)(0)
-    compiled_bits = [tester.state_bits() for group in compiled._groups for tester in group]
+    compiled_bits = [tester.state_bits() for tester in compiled._testers]
     direct_bits = []
     for f in sorted(analyzed.rdfa.finals):
         partials = enumerate_path_descriptions(analyzed, f)
@@ -190,3 +198,100 @@ def test_one_sided_tester_ignores_a_prime_no_part_reads():
     assert tester.prime is None
     tester.feed("b")
     assert tester.decide()
+
+
+# --- the accept path at scale ------------------------------------------------------
+
+
+def step_map(machine, code):
+    """One feed of a symbol as a map on exact shortest-suffix lengths: per
+    state, ``(None, 0)`` for the final state, which holds 0, or
+    ``(q, 1)``, one more than state q's old length (None is infinite)."""
+    (final,) = machine.finals
+    return [(None, 0) if p == final else (row[code], 1) for p, row in enumerate(machine.delta)]
+
+
+def then(first, second):
+    """The map of ``first`` followed by ``second``."""
+    return [(q, add) if q is None else (first[q][0], first[q][1] + add) for q, add in second]
+
+
+def power(step, k):
+    """``step`` applied k times, by repeated squaring."""
+    result, square = [(q, 0) for q in range(len(step))], step
+    while k:
+        if k & 1:
+            result = then(result, square)
+        square, k = then(square, square), k >> 1
+    return result
+
+
+def apply(mapping, lengths):
+    return [add if q is None else None if lengths[q] is None else lengths[q] + add for q, add in mapping]
+
+
+class IntegerReference:
+    """Exact shortest-suffix lengths of every partial machine, as Python
+    ints stepped through the maps above: no residue, no lasso."""
+
+    def __init__(self, partials, n):
+        self.partials, self.n = partials, n
+        self.lengths = [[0 if q in p.machine.finals else None for q in range(p.machine.n_states)] for p in partials]
+        self.feed_power(partials[0].machine.alphabet.pad, n)
+
+    def feed_power(self, symbol, k):
+        for i, partial in enumerate(self.partials):
+            code = partial.machine.alphabet.code(symbol)
+            self.lengths[i] = apply(power(step_map(partial.machine, code), k), self.lengths[i])
+
+    def member(self):
+        """Whether the window is in the language, for a language that is the
+        union of the partial machines' languages: a window in a suffix-free
+        language is the shortest suffix it accepts, so its length is n."""
+        return any(lengths[p.machine.initial] == self.n for p, lengths in zip(self.partials, self.lengths))
+
+    def verdict(self, prime):
+        """The fingerprint definition: some partial machine that can accept
+        a window of size n has a shortest accepted suffix congruent to n."""
+        return any(
+            partial.acc[partial.start].member(self.n)
+            and lengths[partial.machine.initial] is not None
+            and lengths[partial.machine.initial] % prime == self.n % prime
+            for partial, lengths in zip(self.partials, self.lengths)
+        )
+
+
+@pytest.mark.parametrize("pattern", ["ba*", "b(aa)*", "ab|ba*", "aab|b(aa)*"])
+@pytest.mark.parametrize("n", [2**12 + 1, 2**12 + 3, 2**20 + 1, 2**20 + 3])
+def test_one_sided_verdict_matches_integer_lengths_at_scale(pattern, n):
+    """The compiled tester of every pool prime, driven by ``feed`` and
+    ``feed_power`` through member windows ``b a^(n-1)`` and windows near
+    them, against the fingerprint definition read off exact integer
+    lengths after every step; every prime accepts every member window.
+    These languages have no recurrent final, so they are the union of
+    their partial machines' languages."""
+    dfa = build_dfa(pattern)
+    analyzed = analyze(dfa)
+    partials = [
+        partial
+        for f in sorted(analyzed.rdfa.finals)
+        if analyzed.scc.is_transient_state(f)
+        for partial in enumerate_path_descriptions(analyzed, f)
+    ]
+    assert all(fingerprinted(p, n) for p in partials if p.acc[p.start].member(n))
+    primes = prime_pool(n)
+    testers = [compile_one_sided(dfa, n, prime=prime)(0) for prime in primes]
+    reference = IntegerReference(partials, n)
+    steps = [("b", None), ("a", n - 1), ("a", None), ("a", None), ("a", 40), ("b", None), ("a", n - 2),
+             ("a", None), ("b", 5), ("a", None), ("b", None), ("a", n + 7), ("b", None), ("a", n - 1)]
+    accepted_members = 0
+    for symbol, k in steps:
+        for tester in testers:
+            tester.feed(symbol) if k is None else tester.feed_power(symbol, k)
+        reference.feed_power(symbol, 1 if k is None else k)
+        member = reference.member()
+        for prime, tester in zip(primes, testers):
+            assert tester.decide() == reference.verdict(prime), (pattern, n, prime, symbol, k)
+            assert tester.decide() or not member, (pattern, n, prime, symbol, k)
+        accepted_members += member
+    assert accepted_members == 3

@@ -6,12 +6,12 @@ from conftest import AB, build_analyzed, build_dfa, build_partials, words_up_to
 
 from regwin import (
     CompactSummary,
-    ModularLengthTable,
     OneSidedTester,
     ProbabilisticCounter,
     SummaryTriple,
     ThresholdCounter,
     amplification_copies,
+    analyze,
     compile_one_sided,
     composed_one_sided_tester,
     counter_copies,
@@ -363,6 +363,16 @@ def test_prime_pool_floor_case():
     assert len(pool) >= 2 and pool[:2] == [2, 3]
 
 
+def test_prime_pool_hands_each_caller_its_own_list():
+    """Each pool is computed once per size; a caller that changes its list
+    changes no later caller's."""
+    pool = prime_pool(2**10)
+    pool[0] = 4
+    pool.clear()
+    fresh = prime_pool(2**10)
+    assert len(fresh) == 33 and fresh[:3] == [2, 3, 5] and fresh[-1] == 137
+
+
 def test_prime_pool_divisibility_bound():
     pool = prime_pool(2**10)
     dividing = [p for p in pool if 2**10 % p == 0]
@@ -506,7 +516,7 @@ def test_compile_one_sided_refuses_fewer_than_one_copy(pattern):
 def test_union_state_bits_are_the_part_sum_after_every_feed():
     union = compile_one_sided(build_dfa("ba*"), 8, amplification=2)(0)
     assert isinstance(union, UnionTester)
-    parts = [tester for group in union._groups for tester in group]
+    parts = union._testers
     assert len(parts) == 2
     for symbol in "aabaaaaaaabbab":
         union.feed(symbol)
@@ -522,9 +532,8 @@ def test_one_sided_tester_builds_no_single_word_part_at_a_large_window(pattern):
     to be an exact window of n symbols, about 2n state bits."""
     n = 2**20 + 1
     union = compile_one_sided(build_dfa(pattern), n)(0)
-    testers = [tester for group in union._groups for tester in group]
-    parts = [part for tester in testers if isinstance(tester, OneSidedTester) for part in tester._parts]
-    assert not any(isinstance(part, ExactWindowTester) for part in parts)
+    one_sided = [tester for tester in union._testers if isinstance(tester, OneSidedTester)]
+    assert len(one_sided) == 2 and not any(tester._exact for tester in one_sided)
     assert union.state_bits() < 64
     for symbol, member in [("b", True), ("a", False)]:  # b a^(n-1) is a member of both; a^n of neither
         union.feed(symbol)
@@ -535,13 +544,49 @@ def test_one_sided_tester_builds_no_single_word_part_at_a_large_window(pattern):
 def test_one_sided_tester_with_no_part_left_rejects_every_window():
     """``b(aa)*`` has only odd lengths, so at an even n no part can accept."""
     tester = compile_one_sided(build_dfa("b(aa)*"), 64)(0)
-    (part,) = [t for group in tester._groups for t in group]
-    assert isinstance(part, OneSidedTester) and part.state_bits() == 1
-    assert [type(p) for p in part._parts] == [FixedVerdictTester] and part.prime is None
+    assert isinstance(tester, OneSidedTester) and tester.state_bits() == 1
+    assert tester._parts == () and tester._exact == [] and tester.values == [] and tester.prime is None
     tester.feed_all("b" + "a" * 63)
     assert not tester.decide()
     with pytest.raises(ValueError):
         tester.feed("z")
+
+
+def union_wrapped_primes(dfa, n, amplification, seed):
+    """The primes of the union-wrapped form, one ``OneSidedTester`` per
+    transient final and copy drawn from one generator, final by final,
+    and the generator's next draw after them."""
+    analyzed = analyze(dfa)
+    finals = [f for f in sorted(analyzed.rdfa.finals) if analyzed.scc.is_transient_state(f)]
+    master = np.random.default_rng(seed)
+    testers = [
+        OneSidedTester(enumerate_path_descriptions(analyzed, f), n, master) for f in finals for _ in range(amplification)
+    ]
+    return [tester.prime for tester in testers], int(master.integers(2**62))
+
+
+@pytest.mark.parametrize(
+    "pattern, amplification, union",
+    [
+        ("ba*", 1, False),
+        ("b(aa)*", 1, False),
+        ("ab|ba*", 1, True),  # two transient finals
+        ("ba*", 3, True),  # three copies
+        ("((a|b)(a|b))*b|ba*", 1, True),  # a trivial group for the recurrent finals
+    ],
+)
+def test_compile_one_sided_unwraps_a_union_of_one(pattern, amplification, union):
+    """A union of one tester is that tester; either way the primes are
+    drawn as the union-wrapped form draws them, in the same order, and
+    the caller's generator is left in the same state."""
+    dfa, n = build_dfa(pattern), 65
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        tester = compile_one_sided(dfa, n, amplification)(rng)
+        assert isinstance(tester, UnionTester) == union
+        testers = tester._testers if union else [tester]
+        primes = [t.prime for t in testers if isinstance(t, OneSidedTester)]
+        assert (primes, int(rng.integers(2**62))) == union_wrapped_primes(dfa, n, amplification, seed)
 
 
 def test_composed_tester_for_suffix_free_language():
@@ -573,7 +618,6 @@ NEGATIVE_WINDOW_CONSTRUCTORS = {
         build_analyzed("a*"), n, 0.5, counter_factory=lambda: ThresholdCounter(2)
     ),
     "two-sided": lambda n: two_sided_tester(build_analyzed("a*"), n, 0.5, rng=0),
-    "modular-table": lambda n: ModularLengthTable(build_partials("ba*")[0], n, 3),
     "one-sided": lambda n: OneSidedTester(build_partials("ba*"), n, prime=3),
     "composed-constant": lambda n: composed_one_sided_tester(build_dfa("(a|b)*a|ba*"), n, rng=0),
     "composed-loglog": lambda n: composed_one_sided_tester(build_dfa("ba*"), n, rng=0),
