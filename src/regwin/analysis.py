@@ -521,8 +521,17 @@ def realized_lengths(machine: Dfa | Rdfa | Nfa) -> EventuallyPeriodicSet:
         raise StateLimitExceeded(
             f"length-set iteration is limited to {VECTOR_ITERATION_STATE_LIMIT} states"
         )
+    return _path_lengths(starts, succ, machine.finals)
+
+
+def _path_lengths(
+    starts: Iterable[int], succ: Sequence[Iterable[int]], finals: frozenset[int]
+) -> EventuallyPeriodicSet:
+    """Lengths of the paths from ``starts`` into ``finals``: the lengths i
+    whose exactly-i-steps front meets ``finals``, read off the fronts'
+    lasso.  Uncapped; :func:`realized_lengths` is the capped entry point."""
     fronts, start = _fronts(starts, succ)
-    return EventuallyPeriodicSet.from_lasso([not front.isdisjoint(machine.finals) for front in fronts], start)
+    return EventuallyPeriodicSet.from_lasso([not front.isdisjoint(finals) for front in fronts], start)
 
 
 def _length_dfa(alphabet: Alphabet, lengths: EventuallyPeriodicSet) -> Dfa:
@@ -664,30 +673,23 @@ def _factor_dfa(alphabet: Alphabet, factor: str) -> Dfa:
     return determinize(Nfa(alphabet, m + 1, (0,), transitions, (m,)))
 
 
-def _language_is_empty(dfa: Dfa) -> bool:
-    frontier = {dfa.initial}
-    seen = set(frontier)
-    while frontier:
-        if frontier & dfa.finals:
-            return False
-        frontier = {dfa.delta[q][a] for q in frontier for a in range(len(dfa.alphabet))} - seen
-        seen |= frontier
-    return True
-
-
 def find_excluded_factor(dfa: Dfa) -> tuple[Progression, str] | None:
     """For a nontrivial language, search for an infinite restriction to an
     arithmetic progression of lengths that excludes some factor.
 
     Every window of a length in the progression that is packed with k
     disjoint copies of the factor then has distance >= k from the language.
-    The search tries factors of length up to ``FACTOR_MAX_LEN`` and steps
-    up to ``FACTOR_MAX_STEP_MULTIPLE`` times the realized-length period.
+    The first hit in this order is returned, and callers rely on it:
+    factors by length (1 to ``FACTOR_MAX_LEN``), then in alphabet order;
+    for each factor, progressions by step (d, 2d, ... up to
+    ``FACTOR_MAX_STEP_MULTIPLE`` * d, d the realized-length period), then
+    by offset (each realized length in [t, t + step), t the threshold).
     Returns None for trivial languages or if the bounded search exhausts.
+    ``StateLimitExceeded`` comes only from the triviality test.
     """
     if is_trivial(dfa):
         return None
-    lengths = realized_lengths(dfa)
+    lengths = _path_lengths((dfa.initial,), dfa.delta, dfa.finals)
     alphabet = dfa.alphabet
     t, d = lengths.threshold, lengths.period
     progressions = [
@@ -696,18 +698,15 @@ def find_excluded_factor(dfa: Dfa) -> tuple[Progression, str] | None:
         for offset in range(t, t + d * multiple)
         if lengths.member(offset)
     ]
-    restrictions: dict[Progression, Dfa] = {}  # built on first use, shared by every factor
     for factor_len in range(1, FACTOR_MAX_LEN + 1):
         for factor_syms in itertools.product(alphabet.symbols, repeat=factor_len):
             factor = "".join(factor_syms)
-            factor_hit = _factor_dfa(alphabet, factor)
-            for progression in progressions:
-                restriction = restrictions.get(progression)
-                if restriction is None:
-                    lengths_dfa = _length_dfa(
-                        alphabet, EventuallyPeriodicSet.from_progression(progression.offset, progression.step)
-                    )
-                    restriction = restrictions[progression] = product_intersect(dfa, lengths_dfa)
-                if _language_is_empty(product_intersect(restriction, factor_hit)):
-                    return progression, factor
+            # w excludes P iff P misses the lengths of L ∩ Σ*wΣ*; beyond
+            # max(offset, threshold) both repeat with lcm(step, period)
+            hits = product_intersect(dfa, _factor_dfa(alphabet, factor))
+            hit_lengths = _path_lengths((hits.initial,), hits.delta, hits.finals)
+            for p in progressions:
+                end = max(p.offset, hit_lengths.threshold) + math.lcm(p.step, hit_lengths.period)
+                if not any(map(hit_lengths.member, range(p.offset, end, p.step))):
+                    return p, factor
     return None

@@ -100,9 +100,11 @@ class ExactWindowTester(SlidingWindowTester):
     ``feed`` pops the front and extends the back map in O(|Q|); once the
     front runs empty, the back's codes become the new front, in
     O(n·|Q|) once every n + 1 feeds (amortized O(|Q|) per feed).  ``decide``
-    looks the initial state up in the two maps, O(1).  The maps are a
-    function of the window, so the state is still the window itself:
-    ``state_bits`` counts n symbols of ceil(log2 |Σ|) bits.
+    looks the initial state up in the two maps, O(1).  ``feed_power(a, k)``
+    feeds k < n symbols one by one; for k >= n the window is a^n, which it
+    builds as construction builds the pad window, O(n·|Q|) whatever k.
+    The maps are a function of the window, so the state is still the
+    window itself: ``state_bits`` counts n symbols of ceil(log2 |Σ|) bits.
     """
 
     def __init__(self, machine: Dfa | Rdfa, window_size: int):
@@ -147,8 +149,13 @@ class ExactWindowTester(SlidingWindowTester):
         self._front.pop()
 
     def feed_power(self, symbol: str, k: int) -> None:
-        self._alphabet.code(symbol)  # validates even when k is 0
-        super().feed_power(symbol, k)
+        code = self._alphabet.code(symbol)  # validates even when k is 0
+        if k < self.window_size:
+            super().feed_power(symbol, k)
+            return
+        # the window is now a^n whatever came before: refill it as __init__ does
+        self._back = [code] * self.window_size
+        self._rebuild_front()
 
     def decide(self) -> bool:
         front = self._front[-1]

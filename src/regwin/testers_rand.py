@@ -354,6 +354,13 @@ class TwoSidedTester(SkeletonTester):
     advances a count by k increments in one draw (the counter's
     ``advance``, from the tester's generator), so the pad warm-up takes
     O(|Q|^2) draws at most whatever n.
+
+    A uniform is a multiple of 2^-53, so a per-step draw resolves a set
+    chance only to 2^-53.  Near n = 2^62 the chance that an increment sets
+    any cell of a zero count is about 7e-16, so a window fed symbol by
+    symbol there follows a law off by up to 2.6% (-2.6% for
+    ``make_counter(2**62 + 1, 0.25, 5, 2)``, -2.3e-4 at 2^56).
+    ``feed_power`` draws through ``set_chance`` and is exact.
     """
 
     def __init__(

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import pytest
@@ -6,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regwin import (
+    Alphabet,
+    Dfa,
     EventuallyPeriodicSet,
     OneSidedClass,
     Progression,
     Rdfa,
+    StateLimitExceeded,
     analyze,
     compute_period_info,
     cut_language,
@@ -22,13 +27,23 @@ from regwin import (
     is_trivial,
     length_cut_witness,
     one_sided_class,
+    product_intersect,
     rdfa_to_dfa,
+    realized_lengths,
     reverse_to_rdfa,
     scc_decompose,
     scc_period,
     trim_reachable,
     uniformize_period,
 )
+from regwin.analysis import (
+    FACTOR_MAX_LEN,
+    FACTOR_MAX_STEP_MULTIPLE,
+    VECTOR_ITERATION_STATE_LIMIT,
+    _factor_dfa,
+    _length_dfa,
+)
+from regwin.cli import main
 
 
 def brute_accept_length_flags(rdfa, q: int, up_to: int) -> list[bool]:
@@ -455,3 +470,91 @@ def test_excluded_factor_packing_gives_linear_distance():
         packed = (factor * (n // len(factor) + 1))[:n]
         copies = n // len(factor)
         assert distance_to_language(packed, dfa) >= copies, pattern
+
+
+def reference_excluded_factor(dfa):
+    """``find_excluded_factor`` by brute force, in its documented order:
+    for each (factor, progression), intersect the language with the
+    progression's length DFA and the factor's DFA, and walk the product for
+    a reachable final state."""
+    if is_trivial(dfa):
+        return None
+    lengths = realized_lengths(dfa)
+    t, d = lengths.threshold, lengths.period
+    progressions = [
+        Progression(offset, d * multiple)
+        for multiple in range(1, FACTOR_MAX_STEP_MULTIPLE + 1)
+        for offset in range(t, t + d * multiple)
+        if lengths.member(offset)
+    ]
+    restrictions = {
+        p: product_intersect(dfa, _length_dfa(dfa.alphabet, EventuallyPeriodicSet.from_progression(p.offset, p.step)))
+        for p in progressions
+    }
+    for factor_len in range(1, FACTOR_MAX_LEN + 1):
+        for factor in map("".join, itertools.product(dfa.alphabet.symbols, repeat=factor_len)):
+            hits = _factor_dfa(dfa.alphabet, factor)
+            for p in progressions:
+                if not trim_reachable(product_intersect(restrictions[p], hits)).finals:
+                    return p, factor
+    return None
+
+
+def search_outcome(search, dfa):
+    try:
+        return search(dfa)
+    except StateLimitExceeded:
+        return "state limit"
+
+
+@st.composite
+def complete_dfas(draw):
+    """A complete DFA with 1-6 states over 1-3 symbols, any initial state.
+    Most machines of two or more states make their last state a rejecting
+    sink: random machines without one are nearly all trivial."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 6))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    finals = draw(st.sets(state))
+    if n_states >= 2 and draw(st.integers(0, 4)):
+        delta[-1] = [n_states - 1] * len(symbols)
+        finals.discard(n_states - 1)
+    return Dfa(Alphabet.from_string(symbols), delta, draw(state), finals)
+
+
+@settings(max_examples=600)
+@given(complete_dfas())
+def test_excluded_factor_matches_the_per_progression_reference(dfa):
+    assert search_outcome(find_excluded_factor, dfa) == search_outcome(reference_excluded_factor, dfa)
+
+
+@pytest.mark.parametrize(
+    "pattern, symbols",
+    [(pattern, "ab") for _, pattern in CORPUS]
+    + [
+        ("(a|ba|bba|bbba|bbbba)*(|b|bb|bbb|bbbb)", "ab"),  # nontrivial; the bounded search exhausts
+        ("(aa)*|b(aa)*b", "ab"),
+        ("(aa)*b(aaa)*c(aaaaa)*", "abc"),  # the triviality test exceeds the state limit
+    ],
+)
+def test_excluded_factor_matches_the_per_progression_reference_on_the_corpus(pattern, symbols):
+    dfa = build_dfa(pattern, symbols)
+    assert search_outcome(find_excluded_factor, dfa) == search_outcome(reference_excluded_factor, dfa)
+
+
+LARGE_PRODUCT = "(ab|ba)*bb(aaaa)*"
+
+
+def test_excluded_factor_needs_no_length_set_cap(capsys):
+    """On the way to the factor ``aaab`` the search meets products with
+    more states than ``realized_lengths`` takes (29, for ``bab``); it still
+    finds that factor, and ``classify`` reports it."""
+    dfa = build_dfa(LARGE_PRODUCT)
+    assert product_intersect(dfa, _factor_dfa(AB, "bab")).n_states > VECTOR_ITERATION_STATE_LIMIT
+    assert find_excluded_factor(dfa) == (Progression(2, 2), "aaab")
+    assert main(["classify", "--regex", LARGE_PRODUCT, "--alphabet", "ab"]) == 0
+    assert json.loads(capsys.readouterr().out)["excluded_factor"] == {
+        "factor": "aaab",
+        "lengths": {"offset": 2, "step": 2},
+    }

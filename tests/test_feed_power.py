@@ -8,6 +8,8 @@ fingerprint values compared outright, and every tester compared by its
 verdict and state size after every later feed.
 """
 
+import random
+
 import pytest
 from conftest import build_analyzed, build_dfa, build_partials, transient_partials
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,6 +23,7 @@ from regwin import (
     analyze,
     exact_tester,
     realized_lengths,
+    reverse_to_rdfa,
     trivial_tester,
 )
 from regwin import testers_det, testers_rand
@@ -154,6 +157,40 @@ def test_every_tester_rejects_a_bad_power(kind):
         tester.feed_power("a", -1)
     with pytest.raises(ValueError, match="not in the alphabet"):
         tester.feed_power("z", 0)
+
+
+# --- exact windows under a huge power --------------------------------------------
+
+
+HUGE_POWER = 2**40  # far more feeds than a loop over k could make
+
+
+@pytest.mark.parametrize("pattern", ["b(aa)*", "(a|b)*a", "(aa)*|b(aa)*b"])
+@pytest.mark.parametrize("read", [build_dfa, lambda p: reverse_to_rdfa(build_dfa(p))], ids=["dfa", "rdfa"])
+def test_exact_power_past_the_window_leaves_the_window_of_one_symbol(pattern, read):
+    """For k >= n the window after ``feed_power(a, k)`` is a^n, whatever
+    came before: at n = 64 the tester agrees with one fed a^64, now and
+    after each of 200 random feeds."""
+    machine, n = read(pattern), 64
+    rng = random.Random(pattern)
+    powered = exact_tester(machine, n).feed_all(rng.choices("ab", k=90))
+    powered.feed_power("a", HUGE_POWER)
+    fed = exact_tester(machine, n).feed_all("a" * n)
+    assert powered.decide() == fed.decide()
+    for symbol in rng.choices("ab", k=200):
+        powered.feed(symbol)
+        fed.feed(symbol)
+        assert powered.decide() == fed.decide(), pattern
+
+
+def test_one_sided_exact_part_takes_a_huge_power():
+    """At n = 3 the one partial machine of ``b(aa)*`` is tracked exactly;
+    a power of 2^40 reaches the window aaa as three feeds do."""
+    powered, fed = (OneSidedTester(build_partials("b(aa)*"), 3, rng=1).feed_all("aab") for _ in range(2))
+    assert powered._exact and not powered._parts
+    powered.feed_power("a", HUGE_POWER)
+    fed.feed_all("aaa")
+    assert_same_run(powered, fed, "baabaabaa")
 
 
 # --- construction at huge windows -------------------------------------------------
