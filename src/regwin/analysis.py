@@ -16,8 +16,15 @@ into an :class:`AnalyzedRdfa`:
    acceptance sets equal up to their residue shift.
 
 The classifiers at the bottom (length language, trivial, suffix-free,
-one-sided space class, excluded factor) all reduce to finite automaton
-constructions plus the machinery above.
+one-sided space class, excluded factor) reduce to finite automaton
+constructions plus the machinery above.  The length-language and
+triviality tests share one level check: a DFA accepts a length language
+iff every level, the set of its states reachable in exactly k steps, is
+all-final or all-nonfinal.  The triviality test explores, once per front
+(the DFA's states reachable in exactly i steps), the image sets of that
+front under every word, and then checks the levels of that exploration
+against each back (the states with a final reachable in exactly j
+steps) in turn.
 """
 
 from __future__ import annotations
@@ -36,15 +43,15 @@ from .automata import (
     StateLimitExceeded,
     _explore,
     determinize,
-    equivalent,
     product_intersect,
     rdfa_to_dfa,
     reverse_to_rdfa,
     trim_reachable,
 )
 
-# Boolean-vector iteration is exponential in the worst case; keep it on a
-# short leash since this is a desk-scale tool.
+# Boolean-vector iteration and the triviality test's subset construction
+# are exponential in the worst case; keep them on a short leash since this
+# is a desk-scale tool.
 VECTOR_ITERATION_STATE_LIMIT = 24
 
 
@@ -534,15 +541,6 @@ def _path_lengths(
     return EventuallyPeriodicSet.from_lasso([not front.isdisjoint(finals) for front in fronts], start)
 
 
-def _length_dfa(alphabet: Alphabet, lengths: EventuallyPeriodicSet) -> Dfa:
-    """DFA accepting exactly the words whose length lies in ``lengths``."""
-    t, d = lengths.threshold, lengths.period
-    n = t + d
-    delta = [[i + 1 if i + 1 < n else t] * len(alphabet) for i in range(n)]
-    finals = [i for i in range(n) if lengths.member(i)]
-    return Dfa(alphabet, delta, 0, finals)
-
-
 # --- cut languages and the triviality classifier ---------------------------------
 
 
@@ -563,30 +561,56 @@ def cut_language(dfa: Dfa, i: int, j: int) -> Nfa:
     return Nfa(dfa.alphabet, dfa.n_states, initials, dfa.transitions(), finals)
 
 
+def _uniform_levels(levels: Iterable[frozenset[int]], finals: frozenset[int]) -> bool:
+    """True iff every level lies wholly inside or wholly outside ``finals``."""
+    return all(finals.issuperset(level) or finals.isdisjoint(level) for level in levels)
+
+
 def is_length_language(machine: Nfa | Dfa) -> bool:
-    """True iff membership depends only on word length."""
+    """True iff membership depends only on word length: every set of
+    states the DFA reaches in exactly k steps is all-final or all-nonfinal."""
     dfa = determinize(machine) if isinstance(machine, Nfa) else machine
-    lengths = realized_lengths(dfa)
-    return equivalent(dfa, _length_dfa(dfa.alphabet, lengths))
+    levels, _ = _fronts((dfa.initial,), dfa.delta)
+    return _uniform_levels(levels, dfa.finals)
 
 
 def length_cut_witness(dfa: Dfa) -> tuple[int, int] | None:
-    """A pair (i, j) whose cut language is a length language, or None.
+    """The first pair (i, j) whose cut language is a length language, or
+    None.  The language is trivial exactly when a witness exists.
 
-    Both set sequences cycle, so scanning their distinct values covers all
-    cut languages; the language is trivial exactly when a witness exists.
+    Scan order, a contract callers rely on: i ascending over the distinct
+    fronts F_0, F_1, ... (F_i the states reachable in exactly i steps),
+    and for each i, j ascending over the distinct backs B_0, B_1, ...
+    (B_j the states with a final state exactly j steps away); the first
+    witness in that order is returned.  Both sequences are lassos, so
+    their distinct values cover every cut language.
+
+    Per front F_i, one subset construction numbers the image sets
+    δ(F_i, w) of all words w, and the lasso of its levels (the image sets
+    of the words of each length) is read once.  The cut by back B_j is a
+    length language iff every level meets B_j in all of its image sets or
+    in none.  Raises StateLimitExceeded when a front has more than
+    ``VECTOR_ITERATION_STATE_LIMIT`` image sets.
     """
     fronts, _ = _fronts((dfa.initial,), dfa.delta)
     backs, _ = _backs(dfa.finals, dfa.delta)
-    checked: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
+    columns = list(zip(*dfa.delta))
+
+    def row_of(image: frozenset[int]):
+        return (frozenset(column[q] for q in image) for column in columns)
+
     for i, front in enumerate(fronts):
+        try:
+            images, table = _explore(front, row_of, VECTOR_ITERATION_STATE_LIMIT)
+        except StateLimitExceeded:
+            raise StateLimitExceeded(
+                f"the triviality test's subset construction is limited to {VECTOR_ITERATION_STATE_LIMIT} states"
+            ) from None
+        levels, _ = _fronts((0,), table)
         for j, back in enumerate(backs):
-            key = (front, back)
-            if key not in checked:
-                nfa = Nfa(dfa.alphabet, dfa.n_states, front, dfa.transitions(), back)
-                checked[key] = is_length_language(nfa)
-            if checked[key]:
-                return (i, j)
+            meets = frozenset(k for k, image in enumerate(images) if not image.isdisjoint(back))
+            if _uniform_levels(levels, meets):
+                return i, j
     return None
 
 

@@ -11,6 +11,7 @@ from regwin import (
     Alphabet,
     Dfa,
     EventuallyPeriodicSet,
+    Nfa,
     OneSidedClass,
     Progression,
     Rdfa,
@@ -40,8 +41,9 @@ from regwin.analysis import (
     FACTOR_MAX_LEN,
     FACTOR_MAX_STEP_MULTIPLE,
     VECTOR_ITERATION_STATE_LIMIT,
+    _backs,
     _factor_dfa,
-    _length_dfa,
+    _fronts,
 )
 from regwin.cli import main
 
@@ -472,6 +474,15 @@ def test_excluded_factor_packing_gives_linear_distance():
         assert distance_to_language(packed, dfa) >= copies, pattern
 
 
+def _length_dfa(alphabet, lengths):
+    """DFA accepting exactly the words whose length lies in ``lengths``."""
+    t, d = lengths.threshold, lengths.period
+    n = t + d
+    delta = [[i + 1 if i + 1 < n else t] * len(alphabet) for i in range(n)]
+    finals = [i for i in range(n) if lengths.member(i)]
+    return Dfa(alphabet, delta, 0, finals)
+
+
 def reference_excluded_factor(dfa):
     """``find_excluded_factor`` by brute force, in its documented order:
     for each (factor, progression), intersect the language with the
@@ -523,6 +534,20 @@ def complete_dfas(draw):
     return Dfa(Alphabet.from_string(symbols), delta, draw(state), finals)
 
 
+def reference_length_cut_witness(dfa):
+    """``length_cut_witness`` by brute force, in its documented order: for
+    each (front i, back j) pair, determinize the cut language and compare
+    it with the DFA of its own length set."""
+    fronts, _ = _fronts((dfa.initial,), dfa.delta)
+    backs, _ = _backs(dfa.finals, dfa.delta)
+    for i in range(len(fronts)):
+        for j in range(len(backs)):
+            cut = determinize(cut_language(dfa, i, j))
+            if equivalent(cut, _length_dfa(dfa.alphabet, realized_lengths(cut))):
+                return i, j
+    return None
+
+
 @settings(max_examples=600)
 @given(complete_dfas())
 def test_excluded_factor_matches_the_per_progression_reference(dfa):
@@ -541,6 +566,80 @@ def test_excluded_factor_matches_the_per_progression_reference(dfa):
 def test_excluded_factor_matches_the_per_progression_reference_on_the_corpus(pattern, symbols):
     dfa = build_dfa(pattern, symbols)
     assert search_outcome(find_excluded_factor, dfa) == search_outcome(reference_excluded_factor, dfa)
+
+
+# languages whose triviality test exceeds VECTOR_ITERATION_STATE_LIMIT
+REFUSED = [("(aa)*b(aaa)*c(aaaaa)*", "abc"), ("(a|b)*b(a|b)(a|b)(a|b)(a|b)(a|b)", "ab")]
+
+
+@settings(max_examples=600)
+@given(complete_dfas())
+def test_length_cut_witness_matches_the_per_pair_reference(dfa):
+    assert search_outcome(length_cut_witness, dfa) == search_outcome(reference_length_cut_witness, dfa)
+
+
+@pytest.mark.parametrize("pattern", [pattern for _, pattern in CORPUS])
+def test_length_cut_witness_matches_the_per_pair_reference_on_the_corpus(pattern):
+    dfa = build_dfa(pattern)
+    assert search_outcome(length_cut_witness, dfa) == search_outcome(reference_length_cut_witness, dfa)
+
+
+@pytest.mark.parametrize("pattern, symbols", REFUSED)
+def test_length_cut_witness_refuses_where_the_reference_does(pattern, symbols):
+    dfa = build_dfa(pattern, symbols)
+    assert search_outcome(length_cut_witness, dfa) == search_outcome(reference_length_cut_witness, dfa) == "state limit"
+
+
+def test_classify_names_the_triviality_test_when_it_refuses(capsys):
+    assert main(["classify", "--regex", REFUSED[0][0], "--alphabet", REFUSED[0][1]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the triviality test's subset construction is limited to {VECTOR_ITERATION_STATE_LIMIT} states\n"
+    )
+
+
+@st.composite
+def small_nfas(draw):
+    """An NFA with 1-5 states over 1-3 symbols: any transitions, initials
+    and finals."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 5))
+    state = st.integers(0, n_states - 1)
+    transitions = draw(st.sets(st.tuples(state, st.integers(0, len(symbols) - 1), state)))
+    return Nfa(Alphabet.from_string(symbols), n_states, draw(st.sets(state)), transitions, draw(st.sets(state)))
+
+
+def cut_to_length(nfa, bound):
+    """NFA for the words of L of length at most ``bound``: state (k, q) is
+    q after k symbols."""
+    s = nfa.n_states
+    transitions = [(k * s + p, a, (k + 1) * s + q) for p, a, q in nfa.transitions for k in range(bound)]
+    finals = [k * s + f for f in nfa.finals for k in range(bound + 1)]
+    return Nfa(nfa.alphabet, s * (bound + 1), nfa.initials, transitions, finals)
+
+
+def uniform_up_to(nfa, bound):
+    """Brute force: at every length up to ``bound`` the NFA accepts all
+    words or none.  Runs every word, one length at a time."""
+    succ = nfa.successors()
+    symbols = range(len(nfa.alphabet))
+    level = [nfa.initials]  # the states each word of the current length reaches
+    for _ in range(bound):
+        level = [frozenset(q for p in states for q in succ.get((p, a), ())) for states in level for a in symbols]
+        if len({not states.isdisjoint(nfa.finals) for states in level}) > 1:
+            return False
+    return True
+
+
+@settings(max_examples=300)
+@given(small_nfas())
+def test_is_length_language_matches_brute_force(nfa):
+    """Brute force over every word up to length 8 decides the language cut
+    to those lengths exactly, and a length language must pass it."""
+    uniform = uniform_up_to(nfa, 8)
+    assert is_length_language(cut_to_length(nfa, 8)) == uniform
+    assert not is_length_language(nfa) or uniform
 
 
 LARGE_PRODUCT = "(ab|ba)*bb(aaaa)*"
