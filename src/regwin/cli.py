@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 from . import analysis, oracle, streams, testers_det, testers_rand
 from .automata import (
@@ -64,6 +65,12 @@ class Language:
     @property
     def alphabet(self) -> Alphabet:
         return self.dfa.alphabet
+
+    @functools.cached_property
+    def analyzed(self) -> analysis.AnalyzedRdfa:
+        """The analysis of ``dfa``, run on first use and kept, so every
+        tester kind and window size built from this language shares it."""
+        return analysis.analyze(self.dfa)
 
 
 def language_from_regex(ident: str, pattern: str, alphabet: Alphabet) -> Language:
@@ -112,10 +119,10 @@ def build_tester_factory(kind: str, language: Language, n: int, eps: float):
         lengths = analysis.realized_lengths(language.dfa)
         return lambda rng: testers_det.trivial_tester(language.dfa.alphabet, lengths, n)
     if kind == "det":
-        analyzed = analysis.analyze(language.dfa)
+        analyzed = language.analyzed
         return lambda rng: testers_det.deterministic_tester(analyzed, n)
     if kind == "two-sided":
-        analyzed = analysis.analyze(language.dfa)
+        analyzed = language.analyzed
         return lambda rng: testers_rand.two_sided_tester(analyzed, n, eps, rng)
     if kind == "one-sided":
         return testers_rand.compile_one_sided(language.dfa, n)
@@ -174,13 +181,13 @@ def _first_repeat(values: list) -> int | None:
     return None
 
 
-def _final_window(symbols: Iterable[str], alphabet: Alphabet, n: int) -> str:
+def _final_window(symbols: Sequence[str], alphabet: Alphabet, n: int) -> str:
     """The window after the whole stream: its last n symbols, padded on the
     left, as the oracle's window buffer holds it."""
-    window = oracle.WindowBuffer(alphabet, n)
-    for symbol in symbols:
-        window.feed(symbol)
-    return window.contents()
+    if n < 0:
+        raise ValueError("window size must be nonnegative")
+    last = symbols[max(0, len(symbols) - n) :]  # not symbols[-n:], which is the whole list at n = 0
+    return alphabet.pad * (n - len(last)) + "".join(last)
 
 
 def run_experiment(config: dict) -> list[ReportRow]:
@@ -409,7 +416,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_oracle_dist(args: argparse.Namespace) -> int:
     language = _language_from_args(args)
     spec = streams.spec_from_string(args.stream)
-    contents = _final_window(streams.generate(spec, language.alphabet), language.alphabet, args.n)
+    contents = _final_window(list(streams.generate(spec, language.alphabet)), language.alphabet, args.n)
     dist = oracle.distance_to_language(contents, language.dfa)
     pdist = oracle.prefix_distance_to_language(contents, language.dfa)
     report = {

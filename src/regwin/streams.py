@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -249,26 +250,45 @@ def monte_carlo(
     """Fraction of independent tester instances accepting at end of stream.
 
     Every trial runs a fresh tester (from ``factory`` with a derived rng)
-    over the same materialized stream.  ``trace=True`` additionally records
-    each trial's per-step decisions.
+    over the same materialized stream, which is split into runs of one
+    symbol once per call.  A library tester (a ``SlidingWindowTester``) is
+    fed run by run: a one-symbol run by ``feed``, a longer one by
+    ``feed_run``, which also gives the run's largest ``state_bits``.  A
+    run that a randomized tester feeds in closed form (``feed_power``)
+    draws each count's law exactly, in fewer coins than symbol by symbol,
+    so a two-sided trial's coins for a seed differ between the two feeds
+    but its acceptance law does not.  ``trace=True``, which records each
+    trial's per-step decisions, and any other tester (one offering only
+    ``feed``, ``decide`` and ``state_bits``) are fed symbol by symbol.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     symbols = list(stream)
+    runs = [(symbol, len(list(group))) for symbol, group in groupby(symbols)]
     accepted = 0
     max_bits = 0
     traces: list[tuple[bool, ...]] = []
     for i in range(trials):
         tester = factory(np.random.default_rng(trial_seed(master_seed, i)))
         max_bits = max(max_bits, tester.state_bits())
-        steps: list[bool] = []
-        for symbol in symbols:
-            tester.feed(symbol)
+        if trace or not isinstance(tester, SlidingWindowTester):
+            steps: list[bool] = []
+            for symbol in symbols:
+                tester.feed(symbol)
+                if trace:
+                    steps.append(tester.decide())
+                max_bits = max(max_bits, tester.state_bits())
             if trace:
-                steps.append(tester.decide())
-            max_bits = max(max_bits, tester.state_bits())
-        if trace:
-            traces.append(tuple(steps))
+                traces.append(tuple(steps))
+        else:
+            for symbol, k in runs:
+                if k == 1:
+                    tester.feed(symbol)
+                    bits = tester.state_bits()
+                else:
+                    bits = tester.feed_run(symbol, k)
+                if bits > max_bits:
+                    max_bits = bits
         if tester.decide():
             accepted += 1
     return MonteCarloResult(

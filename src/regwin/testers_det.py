@@ -36,6 +36,11 @@ def check_power(k: int) -> None:
         raise ValueError(f"power must be nonnegative, got {k}")
 
 
+def check_run(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"a run holds at least one symbol, got {k}")
+
+
 class SlidingWindowTester(ABC):
     """Streaming decision procedure over the active window.
 
@@ -45,6 +50,9 @@ class SlidingWindowTester(ABC):
     Every tester passes its window size through this constructor, which
     rejects a negative one.  ``feed_power(a, k)`` reaches the state of k
     feeds of a; summarizing testers replace its loop with a closed form.
+    ``feed_run(a, k)`` does the same for a run of k >= 1 symbols and also
+    returns the largest ``state_bits`` over the k states it passes; a
+    tester whose size never changes answers it with one ``feed_power``.
     Every window starts as n pad symbols: a summarizing tester reaches it
     at construction through ``_start_on_pad``, one ``feed_power`` of the
     pad, in time independent of n; the exact tester stores them.
@@ -72,6 +80,18 @@ class SlidingWindowTester(ABC):
         check_power(k)
         for _ in range(k):
             self.feed(symbol)
+
+    def feed_run(self, symbol: str, k: int) -> int:
+        """The state of k >= 1 calls of ``feed(symbol)``, and the largest
+        ``state_bits()`` over the k states after each of them."""
+        check_run(k)
+        feed, state_bits, most = self.feed, self.state_bits, 0
+        for _ in range(k):
+            feed(symbol)
+            bits = state_bits()
+            if bits > most:
+                most = bits
+        return most
 
     def _start_on_pad(self, alphabet: Alphabet) -> None:
         self.feed_power(alphabet.pad, self.window_size)
@@ -157,6 +177,11 @@ class ExactWindowTester(SlidingWindowTester):
         self._back = [code] * self.window_size
         self._rebuild_front()
 
+    def feed_run(self, symbol: str, k: int) -> int:
+        check_run(k)
+        self.feed_power(symbol, k)
+        return self.state_bits()
+
     def decide(self) -> bool:
         front = self._front[-1]
         if self._reads_oldest_first:
@@ -186,6 +211,11 @@ class FixedVerdictTester(SlidingWindowTester):
     def feed_power(self, symbol: str, k: int) -> None:
         check_power(k)
         self.feed(symbol)
+
+    def feed_run(self, symbol: str, k: int) -> int:
+        check_run(k)
+        self.feed_power(symbol, k)
+        return self.state_bits()
 
     def decide(self) -> bool:
         return self._verdict
@@ -288,7 +318,7 @@ class SkeletonTester(SlidingWindowTester):
     *gather* tuple naming, per new entry, the old count it advances, with
     ``len(counts)`` standing for a fresh 0) and a decide record over the
     initial state's row.  A table that reaches ``SKELETON_TABLE_SIZE``
-    skeletons is emptied, keeping the current one.
+    skeletons is replaced by a new one holding only the current skeleton.
 
     ``feed_power(a, k)`` builds p's row from the row of p_k, k steps along
     p's path under a: every entry moves by k steps, and the path's own SCC
@@ -329,8 +359,8 @@ class SkeletonTester(SlidingWindowTester):
         if sid is None:
             if len(self._skeletons) >= SKELETON_TABLE_SIZE:
                 current = self._skeletons[self._skeleton]
-                for table in (self._ids, self._skeletons, self._slots, self._decisions):
-                    table.clear()
+                # new table objects, so a walk holding the old ones can tell its ids went stale
+                self._ids, self._skeletons, self._slots, self._decisions = {}, [], [], []
                 self._skeleton = self._intern(current)
             sid = self._ids[skeleton] = len(self._skeletons)
             self._skeletons.append(skeleton)
@@ -357,9 +387,13 @@ class SkeletonTester(SlidingWindowTester):
         return slot
 
     def feed_power(self, symbol: str, k: int) -> None:
-        moves = self._moves[self._code(symbol)]
+        self._power(self._rows, self._code(symbol), k)
+
+    def _power(self, rows: list[Row], code: int, k: int) -> None:
+        """Set the state that k feeds of symbol ``code`` reach from ``rows``."""
+        moves = self._moves[code]
         successors = [q for q, _same in moves]
-        g, rows, advance = self._period, self._rows, self._advance
+        g, advance = self._period, self._advance
         new_rows: list[Row] = []
         for p in range(len(rows)):
             path, last = power_path(successors, p, k)

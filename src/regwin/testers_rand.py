@@ -61,6 +61,7 @@ from .testers_det import (
     SkeletonTester,
     SlidingWindowTester,
     check_power,
+    check_run,
     exact_tester,
     power_path,
     trivial_tester,
@@ -355,12 +356,22 @@ class TwoSidedTester(SkeletonTester):
     ``advance``, from the tester's generator), so the pad warm-up takes
     O(|Q|^2) draws at most whatever n.
 
+    The state size depends only on the skeleton, so ``feed_run(a, k)``
+    walks the skeleton's slots under a, ids only, up to the first skeleton
+    it has seen before (from there on the walk cycles through seen ones;
+    a table replaced on the way starts the seen set afresh), reads each
+    one's entry count off its slot's gather, and then advances the counts
+    by one ``feed_power``.  A run shorter than |Q| plus the number of
+    entries is fed step by step instead: there the closed form's |Q|
+    lassos and one draw per entry cost more than the steps.
+
     A uniform is a multiple of 2^-53, so a per-step draw resolves a set
     chance only to 2^-53.  Near n = 2^62 the chance that an increment sets
     any cell of a zero count is about 7e-16, so a window fed symbol by
     symbol there follows a law off by up to 2.6% (-2.6% for
     ``make_counter(2**62 + 1, 0.25, 5, 2)``, -2.3e-4 at 2^56).
-    ``feed_power`` draws through ``set_chance`` and is exact.
+    ``feed_power``, and so ``feed_run`` on a long run, draws through
+    ``set_chance`` and is exact.
     """
 
     def __init__(
@@ -401,6 +412,23 @@ class TwoSidedTester(SkeletonTester):
             c if u < (cdf := cdfs[c])[0] else c + bisect_right(cdf, u)
             for c, u in zip(map(counts.__getitem__, gather), self._uniforms)
         ]
+
+    def feed_run(self, symbol: str, k: int) -> int:
+        if k < self._n_states + len(self._counts):
+            return super().feed_run(symbol, k)
+        code = self._code(symbol)
+        rows, slots = self._rows, self._slots
+        seen, most = {self._skeleton}, 0
+        for _ in range(k):
+            self._skeleton, gather = slots[self._skeleton][code] or self._slot(code)
+            most = max(most, len(gather))
+            if self._slots is not slots:  # the table was replaced: the ids seen name other skeletons now
+                slots, seen = self._slots, set()
+            elif self._skeleton in seen:
+                break
+            seen.add(self._skeleton)
+        self._power(rows, code, k)
+        return self._triple_bits * (most + self._n_states)
 
     def decide(self) -> bool:
         counts, reads_high = self._counts, self._counter.reads_high
@@ -619,11 +647,13 @@ class OneSidedTester(SlidingWindowTester):
     infinity.  A feed steps every value over the symbol's move tuple
     through the successor table ``0 -> 1 -> ... -> p-1 -> 0, p -> p``,
     then resets the finals to 0; a part accepts iff its start state holds
-    n mod p.  ``feed_power`` (the pad warm-up included) is closed form:
-    after k feeds of a symbol, a state whose path under it first meets a
-    final at step j <= k holds j mod p, any other state q the old value
-    of q_k plus k (inf stays inf).  With nothing kept the table is empty
-    and every window is rejected in one state bit.
+    n mod p.  ``feed_power`` (the pad warm-up included) steps a k below
+    the table's size and is closed form otherwise: after k feeds of a
+    symbol, a state whose path under it first meets a final at step
+    j <= k holds j mod p, any other state q the old value of q_k plus k
+    (inf stays inf).  The table's size never changes, so ``feed_run`` is
+    one ``feed_power``.  With nothing kept the table is empty and every
+    window is rejected in one state bit.
 
     The prime is drawn from ``rng`` whenever some partial machine, kept
     or not, could be fingerprinted, so the coins a caller draws after it
@@ -685,6 +715,8 @@ class OneSidedTester(SlidingWindowTester):
     def feed_power(self, symbol: str, k: int) -> None:
         targets = self._moves[self._code(symbol)]
         check_power(k)
+        if k < len(self.values):  # a power shorter than the table costs less in steps than in its lassos
+            return super().feed_power(symbol, k)
         old, prime, finals = self.values, self.prime, frozenset(self._finals)
         new = []
         for q in range(len(old)):
@@ -694,6 +726,11 @@ class OneSidedTester(SlidingWindowTester):
         self.values = new
         for part in self._exact:
             part.feed_power(symbol, k)
+
+    def feed_run(self, symbol: str, k: int) -> int:
+        check_run(k)
+        self.feed_power(symbol, k)
+        return self.state_bits()
 
     def decide(self) -> bool:
         values, target = self.values, self._target
@@ -742,6 +779,11 @@ class UnionTester(SlidingWindowTester):
     def feed_power(self, symbol: str, k: int) -> None:
         for tester in self._testers:
             tester.feed_power(symbol, k)
+
+    def feed_run(self, symbol: str, k: int) -> int:
+        check_run(k)
+        self.feed_power(symbol, k)
+        return self.state_bits()
 
     def decide(self) -> bool:
         for group in self._groups:

@@ -55,7 +55,7 @@ def test_experiment_validation_errors_carry_paths():
 
 
 def test_experiment_runs_the_oracle_once_per_window_and_builds_each_factory_once(monkeypatch):
-    calls = {"distance": 0, "factory": 0}
+    calls = {"distance": 0, "factory": 0, "analyze": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -67,10 +67,31 @@ def test_experiment_runs_the_oracle_once_per_window_and_builds_each_factory_once
     distance = counting("distance", cli.oracle.distance_to_language)
     monkeypatch.setattr(cli.oracle, "distance_to_language", distance)
     monkeypatch.setattr(cli, "build_tester_factory", counting("factory", cli.build_tester_factory))
+    monkeypatch.setattr(cli.analysis, "analyze", counting("analyze", cli.analysis.analyze))
     periodic = {"kind": "periodic", "block": "ab", "repeats": 40}
-    rows = run_experiment(dict(BASE_CONFIG, streams=BASE_CONFIG["streams"] + [periodic]))
-    assert len(rows) == 8  # 2 testers x 2 window sizes x 2 streams
-    assert calls == {"distance": 4, "factory": 4}  # per (window size, stream); per (tester, window size)
+    second = {"id": "b-even-a", "regex": "b(aa)*", "alphabet": "ab"}
+    rows = run_experiment(dict(BASE_CONFIG, streams=BASE_CONFIG["streams"] + [periodic],
+                               languages=BASE_CONFIG["languages"] + [second]))
+    assert len(rows) == 16  # 2 languages x 2 testers x 2 window sizes x 2 streams
+    # per (language, window size, stream); per (language, tester, window size); per language
+    assert calls == {"distance": 8, "factory": 8, "analyze": 2}
+
+
+@pytest.mark.parametrize("n", [0, 3, 7, 12])
+def test_final_window_is_what_the_window_buffer_holds(n):
+    """The last n symbols padded on the left, for n = 0, n below the
+    stream's length, equal to it and above it."""
+    alphabet = cli.Alphabet.from_string("abc", "c")
+    symbols = list("abbabba")
+    window = cli.oracle.WindowBuffer(alphabet, n)
+    for symbol in symbols:
+        window.feed(symbol)
+    assert cli._final_window(symbols, alphabet, n) == window.contents()
+
+
+def test_cli_oracle_dist_rejects_a_negative_window(capsys):
+    assert main(["oracle", "dist", "--regex", "a*", "--alphabet", "ab", "--n", "-1", "--stream", "literal:ab"]) == 2
+    assert "window size must be nonnegative" in capsys.readouterr().err
 
 
 def test_cli_experiment_subcommand(tmp_path, capsys):

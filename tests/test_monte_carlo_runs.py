@@ -1,0 +1,213 @@
+"""``monte_carlo`` fed run by run against the per-symbol loop it replaced.
+
+A library tester is fed one run of equal symbols at a time through
+``feed_run``, which also reports the run's largest state size.  On random
+machines and streams that mix long runs with single symbols, every
+deterministic kind must give exactly the per-symbol loop's acceptance
+rate, and every kind its largest state size; the two-sided kind draws its
+counts in closed form, so its rate is compared as a law, in a fixed-seed
+two-sample check.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from conftest import AB, CORPUS, build_analyzed, build_dfa
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from regwin import Alphabet, Dfa, StateLimitExceeded, analyze, monte_carlo
+from regwin import testers_det
+from regwin.cli import Language, build_tester_factory
+from regwin.streams import MonteCarloResult, trial_seed
+from regwin.testers_rand import TwoSidedTester, two_sided_tester
+
+RUNS = settings(
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+def per_symbol_monte_carlo(factory, stream, trials, master_seed) -> MonteCarloResult:
+    """The reference: every trial fed symbol by symbol, its state size read
+    after every feed."""
+    symbols = list(stream)
+    accepted = max_bits = 0
+    for i in range(trials):
+        tester = factory(np.random.default_rng(trial_seed(master_seed, i)))
+        max_bits = max(max_bits, tester.state_bits())
+        for symbol in symbols:
+            tester.feed(symbol)
+            max_bits = max(max_bits, tester.state_bits())
+        accepted += tester.decide()
+    return MonteCarloResult(accepted / trials, max_bits)
+
+
+@st.composite
+def machines_and_run_streams(draw):
+    """A complete DFA with 1-6 states over 1-3 symbols (any initial state
+    and pad; most machines of two or more states make their last state a
+    rejecting sink, without which nearly all are trivial), a window size,
+    and a stream of runs: single symbols between runs as long as a few
+    windows."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 6))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    finals = draw(st.sets(state))
+    if n_states >= 2 and draw(st.integers(0, 4)):
+        delta[-1] = [n_states - 1] * len(symbols)
+        finals.discard(n_states - 1)
+    alphabet = Alphabet.from_string(symbols, draw(st.sampled_from(symbols)))
+    dfa = Dfa(alphabet, delta, draw(state), finals)
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 13, 40, 64]))
+    lengths = st.one_of(st.just(1), st.integers(2, 8), st.integers(9, 3 * n + 9))
+    runs = draw(st.lists(st.tuples(st.sampled_from(symbols), lengths), min_size=1, max_size=8))
+    return dfa, n, "".join(symbol * k for symbol, k in runs)
+
+
+KINDS = ("exact", "trivial", "det", "two-sided", "one-sided")
+
+
+def assert_run_fed_matches(language, n, stream):
+    """Every kind the language has: the same largest state size fed by runs
+    as symbol by symbol, and the same acceptance rate but for two-sided."""
+    for kind in KINDS:
+        try:
+            factory = build_tester_factory(kind, language, n, 0.5)
+        except ValueError:  # no one-sided tester for this language
+            continue
+        fed, reference = (run(factory, stream, 2, 5) for run in (monte_carlo, per_symbol_monte_carlo))
+        assert fed.max_state_bits == reference.max_state_bits, kind
+        if kind != "two-sided":
+            assert fed.accept_rate == reference.accept_rate, kind
+
+
+@pytest.mark.parametrize("table_size", [testers_det.SKELETON_TABLE_SIZE, 2])
+def test_run_fed_monte_carlo_matches_the_per_symbol_loop(table_size):
+    @RUNS
+    @given(machines_and_run_streams())
+    def check(case):
+        dfa, n, stream = case
+        language = Language("random", dfa)
+        try:
+            language.analyzed
+        except StateLimitExceeded:
+            assume(False)
+        assert_run_fed_matches(language, n, stream)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(testers_det, "SKELETON_TABLE_SIZE", table_size)
+        check()
+
+
+# machines over {a, b} as (delta, initial, finals), each with runs to feed
+# after the pad warm-up at n = 64
+FEED_RUN_MACHINES = {
+    # the run's first step holds the most entries of the b-run
+    "peak-first": (([[2, 3], [3, 1], [0, 2], [0, 1]], 2, {0, 1, 2}), [("b", 40)]),
+    # after one b, an a-run's entry counts cycle 4, 6, 4, 4, 6, ...
+    "cycling": (([[1, 4], [2, 3], [3, 0], [1, 4], [3, 1]], 4, {0, 1, 3}), [("b", 1), ("a", 40)]),
+    # with a table of 3, the walk refills the table, and an id seen before names another skeleton
+    "stale-ids": (([[1, 3], [2, 2], [3, 0], [4, 5], [1, 5], [5, 5]], 3, {1}), [("b", 50), ("b", 50)]),
+}
+FEED_RUN_CASES = {
+    "(aa)*|b(aa)*b": (
+        build_analyzed("(aa)*|b(aa)*b"),
+        [("b", 1), ("a", 40), ("b", 2), ("a", 3), ("b", 30), ("a", 200), ("b", 70)],
+    ),
+    **{name: (analyze(Dfa(AB, *machine)), runs) for name, (machine, runs) in FEED_RUN_MACHINES.items()},
+}
+
+
+@pytest.mark.parametrize("table_size", [testers_det.SKELETON_TABLE_SIZE, 2, 3])
+@pytest.mark.parametrize("case", sorted(FEED_RUN_CASES))
+def test_two_sided_feed_run_leaves_the_skeleton_of_its_feeds(case, table_size, monkeypatch):
+    """The skeleton walk and the closed-form counts end where k feeds end,
+    and the run reports the largest state size those feeds pass."""
+    monkeypatch.setattr(testers_det, "SKELETON_TABLE_SIZE", table_size)
+    analyzed, runs = FEED_RUN_CASES[case]
+    run_fed, stepped = (two_sided_tester(analyzed, 64, 0.5, rng=3) for _ in range(2))
+    assert isinstance(run_fed, TwoSidedTester)
+    for symbol, k in runs:
+        most = run_fed.feed_run(symbol, k)
+        bits = []
+        for _ in range(k):
+            stepped.feed(symbol)
+            bits.append(stepped.state_bits())
+        assert most == max(bits)
+        assert run_fed._skeletons[run_fed._skeleton] == stepped._skeletons[stepped._skeleton]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_feed_run_rejects_an_empty_run(k):
+    language = Language("b(aa)*", build_dfa("b(aa)*"))
+    for kind in ("exact", "trivial", "det", "two-sided", "one-sided"):
+        tester = build_tester_factory(kind, language, 64, 0.5)(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one symbol"):
+            tester.feed_run("a", k)
+
+
+class FeedOnly:
+    """A tester that offers only ``feed``, ``decide`` and ``state_bits``, as
+    a delegating proxy does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def feed(self, symbol):
+        self.inner.feed(symbol)
+
+    def decide(self):
+        return self.inner.decide()
+
+    def state_bits(self):
+        return self.inner.state_bits()
+
+
+def test_monte_carlo_feeds_a_duck_typed_tester_symbol_by_symbol():
+    language = Language("b(aa)*", build_dfa("b(aa)*"))
+    stream = "b" + "a" * 100 + "ab" * 5 + "a" * 30
+    for kind in ("det", "two-sided", "one-sided"):
+        factory = build_tester_factory(kind, language, 64, 0.5)
+        proxied = monte_carlo(lambda rng: FeedOnly(factory(rng)), stream, 3, 9)
+        assert proxied == per_symbol_monte_carlo(factory, stream, 3, 9)
+
+
+def test_two_sided_accept_rate_has_the_same_law_fed_by_runs():
+    """``a*`` at n = 256, eps 0.5: the stream b a^214 leaves a window one
+    symbol from the language with its b 214 symbols old, between the
+    counter marks (129 and 256), where a trial accepts about half the time.
+    Closed-form and per-symbol feeding must agree on it (|z| <= 4)."""
+    factory = build_tester_factory("two-sided", Language("a*", build_dfa("a*")), 256, 0.5)
+    assert isinstance(factory(np.random.default_rng(0)), TwoSidedTester)
+    stream, trials = "b" + "a" * 214, 2000
+    fed = monte_carlo(factory, stream, trials, 17).accept_rate
+    reference = per_symbol_monte_carlo(factory, stream, trials, 18).accept_rate
+    pooled = (fed + reference) / 2
+    assert 0.2 < pooled < 0.8
+    z = (fed - reference) / math.sqrt(pooled * (1 - pooled) * 2 / trials)
+    assert abs(z) <= 4, (fed, reference, z)
+
+
+# languages with one-sided testers of every shape (fingerprinted parts, exact
+# parts, unions), few of which random machines give
+CORPUS_PATTERNS = sorted({pattern for _ident, pattern in CORPUS} | {"ab|ba*", "aab|b(aa)*", "(aa)*|b(aa)*b"})
+RUN_STREAMS = ("b" + "a" * 70 + "ab" * 3 + "bb" + "a" * 40, "ba" * 20 + "b" * 90 + "a")
+
+
+@pytest.mark.parametrize("pattern", CORPUS_PATTERNS)
+def test_run_fed_monte_carlo_matches_the_per_symbol_loop_on_the_corpus(pattern):
+    language = Language(pattern, build_dfa(pattern))
+    for n in (3, 33, 64):
+        for stream in RUN_STREAMS:
+            assert_run_fed_matches(language, n, stream)
+
+
+def test_run_fed_monte_carlo_counts_the_state_of_a_one_symbol_run():
+    """On the peak-first machine a single b leaves the most entries of the
+    whole stream."""
+    machine, _runs = FEED_RUN_MACHINES["peak-first"]
+    assert_run_fed_matches(Language("peak-first", Dfa(AB, *machine)), 64, "b" + "a" * 40)
