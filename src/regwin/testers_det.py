@@ -25,6 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import accumulate
+from math import lcm
 from typing import Iterable, Sequence
 
 from .analysis import AnalyzedRdfa, EventuallyPeriodicSet, _until_repeat
@@ -52,7 +53,11 @@ class SlidingWindowTester(ABC):
     feeds of a; summarizing testers replace its loop with a closed form.
     ``feed_run(a, k)`` does the same for a run of k >= 1 symbols and also
     returns the largest ``state_bits`` over the k states it passes; a
-    tester whose size never changes answers it with one ``feed_power``.
+    tester whose size never changes answers it with one ``feed_power``,
+    and the deterministic tester steps at most tau + L symbols of the run
+    (tau the longest tail, L the lcm of the cycle lengths of a's functional
+    graph), past which its size cannot grow, then takes one ``feed_power``
+    (a repeated skeleton is no such bound; see ``PathSummaryTester``).
     Every window starts as n pad symbols: a summarizing tester reaches it
     at construction through ``_start_on_pad``, one ``feed_power`` of the
     pad, in time independent of n; the exact tester stores them.
@@ -294,6 +299,9 @@ def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], in
 Row = list[tuple[int, int, int]]  # (segment start state, residue, count), oldest first, newest left out
 Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
 Slot = tuple[int, tuple[int, ...]]  # (next skeleton id, gather tuple)
+# per start state p: (p's path under one symbol as its distinct states, the index its cycle starts at,
+# and (age, state) per SCC change on the path, oldest first); then the longest tail and the lcm of the cycles
+Lassos = tuple[tuple[tuple[list[int], int, tuple[tuple[int, int], ...]], ...], int, int]
 
 SKELETON_TABLE_SIZE = 4096  # skeletons a tester holds before it empties its table
 
@@ -323,7 +331,10 @@ class SkeletonTester(SlidingWindowTester):
     ``feed_power(a, k)`` builds p's row from the row of p_k, k steps along
     p's path under a: every entry moves by k steps, and the path's own SCC
     changes j < k join, oldest first, as ``(p_{j+1}, j + 1, count after
-    j + 1 steps from 0)``.  The pad warm-up is one such call.
+    j + 1 steps from 0)``.  The paths are a's lassos, one table per symbol
+    code built on first use like the slots: per state its path, the index
+    its cycle starts at and its SCC changes, then the longest tail tau and
+    the lcm L of the cycle lengths.  The pad warm-up is one such call.
 
     A subclass says what a count is: ``feed`` steps the gathered counts,
     ``_advance(count, k)`` moves one by k steps, and ``_decision(start,
@@ -350,6 +361,7 @@ class SkeletonTester(SlidingWindowTester):
         self._decisions: list[tuple] = []
         self._skeleton = self._intern(((),) * rdfa.n_states)
         self._counts: list[int] = []
+        self._lassos: list[Lassos | None] = [None] * len(self._moves)
 
     def _intern(self, skeleton: Skeleton) -> int:
         """The id of ``skeleton``, entered in the table on first sight.  A
@@ -386,21 +398,49 @@ class SkeletonTester(SlidingWindowTester):
         self._slots[self._skeleton][code] = slot  # after _intern, which may renumber the current skeleton
         return slot
 
+    def _lasso(self, code: int) -> Lassos:
+        """The lassos of symbol ``code``'s functional graph, entered in the
+        table.  One walk per state stops at the first state whose lasso is
+        known or that closes a new cycle; a cycle state's path is the cycle
+        from it, and a tail state's is its own step, then its successor's
+        path.  Every step that leaves an SCC lies on a tail."""
+        moves = self._moves[code]
+        lassos: list = [None] * self._n_states
+        tail, cycles = 0, 1
+        for p in range(self._n_states):
+            walk, index, q = [], {}, p
+            while lassos[q] is None and q not in index:
+                index[q] = len(walk)
+                walk.append(q)
+                q = moves[q][0]
+            if lassos[q] is None:
+                cycle = walk[index[q] :]
+                cycles = lcm(cycles, len(cycle))
+                for i, s in enumerate(cycle):
+                    lassos[s] = (cycle[i:] + cycle[:i], 0, ())
+                del walk[index[q] :]
+            for s in reversed(walk):
+                q, same = moves[s]
+                path, start, exits = lassos[q]
+                exits = tuple((age + 1, e) for age, e in exits)
+                lassos[s] = ([s, *path], start + 1, exits if same else (*exits, (1, q)))
+                tail = max(tail, start + 1)
+        self._lassos[code] = table = (tuple(lassos), tail, cycles)
+        return table
+
     def feed_power(self, symbol: str, k: int) -> None:
         self._power(self._rows, self._code(symbol), k)
 
     def _power(self, rows: list[Row], code: int, k: int) -> None:
         """Set the state that k feeds of symbol ``code`` reach from ``rows``."""
-        moves = self._moves[code]
-        successors = [q for q, _same in moves]
+        check_power(k)
+        lassos = (self._lassos[code] or self._lasso(code))[0]
         g, advance = self._period, self._advance
         new_rows: list[Row] = []
-        for p in range(len(rows)):
-            path, last = power_path(successors, p, k)
+        for path, start, exits in lassos:
+            last = path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
             row = [(s, (residue + k) % g, advance(count, k)) for s, residue, count in rows[last]]
-            for j, s in reversed([*enumerate(path[:k])]):
-                if not moves[s][1]:
-                    row.append((successors[s], (j + 1) % g, advance(0, j + 1)))
+            row += [(s, age % g, advance(0, age)) for age, s in exits if age <= k]
             new_rows.append(row)
         self._skeleton = self._intern(tuple(tuple((s, r) for s, r, _c in row) for row in new_rows))
         self._counts = [c for row in new_rows for _s, _r, c in row]
@@ -426,6 +466,16 @@ class PathSummaryTester(SkeletonTester):
     initial state's own, of length n, when there is none).  ``state_bits``
     counts the entries of age at most n plus each state's newest segment;
     frozen entries are kept but not counted.
+
+    ``feed_run(a, k)`` steps min(k, tau + L) symbols, then takes one
+    ``feed_power`` for the rest.  After t >= tau feeds of a, p's row is the
+    run-start row of p_t, every age moved by t, plus the SCC changes of p's
+    path, all within its tail, at fixed ages.  p_t has period L, so along
+    t -> t + L the same entries come back, each older: the count of ages at
+    most n can only fall, and the run's largest size lies in its first
+    tau + L states.  A repeated skeleton is no stopping point: the same
+    skeleton can gather its ages from other rows, and so hold more live
+    entries at its next visit.
     """
 
     def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
@@ -450,6 +500,16 @@ class PathSummaryTester(SkeletonTester):
         counts, dead = self._counts, self._dead
         counts.append(0)  # the sentinel a fresh entry gathers
         self._counts = [c + 1 if c < dead else dead for c in map(counts.__getitem__, gather)]
+
+    def feed_run(self, symbol: str, k: int) -> int:
+        check_run(k)
+        code = self._code(symbol)
+        _lassos, tail, cycle = self._lassos[code] or self._lasso(code)
+        steps = min(k, tail + cycle)
+        most = super().feed_run(symbol, steps)
+        if k > steps:
+            self._power(self._rows, code, k - steps)
+        return most
 
     def decide(self) -> bool:
         n, counts = self.window_size, self._counts

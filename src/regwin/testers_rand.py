@@ -363,7 +363,7 @@ class TwoSidedTester(SkeletonTester):
     one's entry count off its slot's gather, and then advances the counts
     by one ``feed_power``.  A run shorter than |Q| plus the number of
     entries is fed step by step instead: there the closed form's |Q|
-    lassos and one draw per entry cost more than the steps.
+    rows and one draw per entry cost more than the steps.
 
     A uniform is a multiple of 2^-53, so a per-step draw resolves a set
     chance only to 2^-53.  Near n = 2^62 the chance that an increment sets

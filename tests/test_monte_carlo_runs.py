@@ -21,6 +21,7 @@ from regwin import Alphabet, Dfa, StateLimitExceeded, analyze, monte_carlo
 from regwin import testers_det
 from regwin.cli import Language, build_tester_factory
 from regwin.streams import MonteCarloResult, trial_seed
+from regwin.testers_det import PathSummaryTester, SlidingWindowTester
 from regwin.testers_rand import TwoSidedTester, two_sided_tester
 
 RUNS = settings(
@@ -139,6 +140,90 @@ def test_two_sided_feed_run_leaves_the_skeleton_of_its_feeds(case, table_size, m
             bits.append(stepped.state_bits())
         assert most == max(bits)
         assert run_fed._skeletons[run_fed._skeleton] == stepped._skeletons[stepped._skeleton]
+
+
+def test_det_feed_run_steps_past_a_repeated_skeleton():
+    """The c-run's skeleton repeats from its first step, while the sizes
+    read 16, then 20: the ages, not the skeleton, decide which entries
+    count, so a run stopped at the first repeated skeleton would report 16."""
+    machine = Dfa(Alphabet.from_string("abc"), [[1, 0, 2], [2, 1, 0], [2, 2, 2]], 0, [1])
+    run_fed, stepped = (PathSummaryTester(analyze(machine), 3) for _ in range(2))
+    for tester in (run_fed, stepped):
+        tester.feed_power("b", 6)
+    assert run_fed.feed_run("c", 4) == 20
+    skeletons, bits = [], []
+    for _ in range(4):
+        stepped.feed("c")
+        skeletons.append(stepped._skeleton)
+        bits.append(stepped.state_bits())
+    assert skeletons == [1] * 4 and bits[:2] == [16, 20]
+    assert run_fed._rows == stepped._rows
+
+
+@st.composite
+def det_runs(draw):
+    """An analyzed random complete DFA (1-6 states over 1-3 symbols), a
+    window size from its state count to ten more, so that entries leave
+    the window within a run, and runs of up to four windows."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 6))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    dfa = Dfa(Alphabet.from_string(symbols), delta, draw(state), draw(st.sets(state)))
+    try:
+        analyzed = analyze(dfa)
+    except StateLimitExceeded:
+        assume(False)
+    n = analyzed.rdfa.n_states + draw(st.integers(0, 10))
+    runs = draw(st.lists(st.tuples(st.sampled_from(symbols), st.integers(1, 4 * n)), min_size=1, max_size=6))
+    return analyzed, n, runs
+
+
+@pytest.mark.parametrize("table_size", [testers_det.SKELETON_TABLE_SIZE, 2])
+def test_det_feed_run_matches_the_stepping_loop(table_size):
+    """The closed-form run against the base class's loop of feeds: the
+    same largest size, rows and verdict after every run."""
+
+    @RUNS
+    @given(det_runs())
+    def check(case):
+        analyzed, n, runs = case
+        run_fed, stepped = (PathSummaryTester(analyzed, n) for _ in range(2))
+        for symbol, k in runs:
+            assert run_fed.feed_run(symbol, k) == SlidingWindowTester.feed_run(stepped, symbol, k)
+            assert run_fed._rows == stepped._rows
+            assert run_fed.decide() == stepped.decide()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(testers_det, "SKELETON_TABLE_SIZE", table_size)
+        check()
+
+
+@pytest.mark.parametrize("symbol, k", [("a", 0), ("a", -1), ("c", 5), ("", 5)])
+def test_det_feed_run_raises_before_any_change(symbol, k):
+    tester = PathSummaryTester(build_analyzed("(aa)*|b(aa)*b"), 20)
+    tester.feed_power("b", 3)
+    before = (tester._skeleton, tester._rows)
+    with pytest.raises(ValueError):
+        tester.feed_run(symbol, k)
+    assert (tester._skeleton, tester._rows) == before
+
+
+def test_det_feed_run_steps_at_most_the_longest_tail_plus_the_cycles():
+    """A run of 10^6 at n = 2^20 feeds at most tau + L symbols one by one;
+    the rest is one closed-form power."""
+    analyzed = build_analyzed("b(aa)*")
+    run_fed, powered = (PathSummaryTester(analyzed, 2**20) for _ in range(2))
+    run_fed.feed_run("b", 1)
+    feeds = []
+    feed = run_fed.feed
+    run_fed.feed = lambda symbol: (feeds.append(symbol), feed(symbol))
+    run_fed.feed_run("a", 10**6)
+    _lassos, tail, cycle = run_fed._lassos[analyzed.rdfa.alphabet.code("a")]
+    assert len(feeds) <= tail + cycle == 3
+    powered.feed("b")
+    powered.feed_power("a", 10**6)
+    assert run_fed._rows == powered._rows
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -302,3 +302,33 @@ ONE_SIDED_EXPERIMENT_PIN = "913676255ad547fafa6898320aa34306d4daa38ae82bf6e3b3de
 def test_one_sided_experiment_matches_pinned_digest():
     csv = report_to_csv(run_experiment(ONE_SIDED_EXPERIMENT))
     assert hashlib.sha256(csv.encode()).hexdigest() == ONE_SIDED_EXPERIMENT_PIN
+
+
+# --- a seeded deterministic experiment ----------------------------------------------
+
+# CI's two reproducibility configs as one, with the det kind alone and
+# windows of 7 and 255 added: exact fallbacks below |Q|, and the periodic
+# stream's 39-symbol a-runs, fed by run, at every other window
+DET_EXPERIMENT = {
+    "seed": 7,
+    "trials": 20,
+    "eps": 0.5,
+    "window_sizes": [7, 33, 64, 255],
+    "languages": [
+        *ONE_SIDED_EXPERIMENT["languages"],
+        {"id": "even-a-or-b-even-a-b", "regex": "(aa)*|b(aa)*b", "alphabet": "ab"},
+    ],
+    "testers": ["det"],
+    "streams": [
+        *ONE_SIDED_EXPERIMENT["streams"],
+        {"kind": "periodic", "block": "b" + "a" * 39, "repeats": 5},
+    ],
+    "timing": False,
+}
+# SHA-256 of its CSV report: the verdicts and largest state bits of every row
+DET_EXPERIMENT_PIN = "62caecd875e560ee40bc721e7682081fc3c6edb02f91e7bde7317090bc4cf556"
+
+
+def test_det_experiment_matches_pinned_digest():
+    csv = report_to_csv(run_experiment(DET_EXPERIMENT))
+    assert hashlib.sha256(csv.encode()).hexdigest() == DET_EXPERIMENT_PIN
