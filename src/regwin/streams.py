@@ -220,10 +220,13 @@ def generate(spec: StreamSpec, alphabet: Alphabet) -> Iterator[str]:
         return
     else:
         raise TypeError(f"not a stream spec: {spec!r}")
+    checked: set[str] = set()
     for part in literal_parts:
-        for ch in part:
-            alphabet.code(ch)  # validate
-            yield ch
+        if part not in checked:  # a part repeats n or k times; check its symbols once, before yielding any
+            for ch in part:
+                alphabet.code(ch)
+            checked.add(part)
+        yield from part
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 
 from hypothesis import settings
@@ -96,6 +97,32 @@ def language_slice(dfa: Dfa, length: int) -> set[str]:
         for combo in itertools.product(dfa.alphabet.symbols, repeat=length)
         if dfa.accepts("".join(combo))
     }
+
+
+def reference_distance_to_language(word: str, dfa: Dfa) -> int | float:
+    """Hamming distance from ``word`` to L ∩ Σ^|word| by the plain DP over
+    the forward machine: cost[q] after i symbols is the least number of
+    mismatches over length-i words leading to q, every state and symbol
+    stepped at every position."""
+    inf = math.inf
+    cost: list[int | float] = [inf] * dfa.n_states
+    cost[dfa.initial] = 0
+    n_symbols = len(dfa.alphabet)
+    for ch in word:
+        actual = dfa.alphabet.code(ch)
+        nxt: list[int | float] = [inf] * dfa.n_states
+        for q, c in enumerate(cost):
+            if c is inf:
+                continue
+            row = dfa.delta[q]
+            for a in range(n_symbols):
+                target = row[a]
+                edited = c + (a != actual)
+                if edited < nxt[target]:
+                    nxt[target] = edited
+        cost = nxt
+    best = min((cost[f] for f in dfa.finals), default=inf)
+    return best if best is inf else int(best)
 
 
 def last_n(window_size: int, stream: str, pad: str) -> str:

@@ -3,9 +3,9 @@ import math
 import re
 
 import pytest
-from conftest import WRONGLY_TYPED_FIELDS, wrongly_typed
+from conftest import AB, WRONGLY_TYPED_FIELDS, reference_distance_to_language, wrongly_typed
 
-from regwin import cli
+from regwin import cli, find_excluded_factor, streams
 from regwin.cli import ConfigError, main, report_to_csv, run_experiment
 
 BASE_CONFIG = {
@@ -75,6 +75,46 @@ def test_experiment_runs_the_oracle_once_per_window_and_builds_each_factory_once
     assert len(rows) == 16  # 2 languages x 2 testers x 2 window sizes x 2 streams
     # per (language, window size, stream); per (language, tester, window size); per language
     assert calls == {"distance": 8, "factory": 8, "analyze": 2}
+
+
+def _member_word(dfa, n):
+    """Some member of L ∩ Σ^n, or None: left to right, the first symbol
+    whose target reaches a final state in exactly the remaining steps."""
+    backs = [set(dfa.finals)]  # backs[r]: states reaching a final in exactly r steps
+    for _ in range(n):
+        backs.append({q for q, row in enumerate(dfa.delta) if any(t in backs[-1] for t in row)})
+    if dfa.initial not in backs[n]:
+        return None
+    word, q = [], dfa.initial
+    for remaining in range(n - 1, -1, -1):
+        a = next(a for a, t in enumerate(dfa.delta[q]) if t in backs[remaining])
+        word.append(dfa.alphabet.symbols[a])
+        q = dfa.delta[q][a]
+    return "".join(word)
+
+
+@pytest.mark.parametrize("n", [255, 1023])
+@pytest.mark.parametrize("regex", ["b(aa)*", "ba*", ".(aa)*"])
+def test_experiment_oracle_dist_matches_the_reference_on_benchmark_shapes(regex, n):
+    """The Monte Carlo benchmark's streams: a periodic member block, and
+    factor^m x y^k z packing the window with an excluded factor."""
+    dfa = cli.language_from_regex(regex, regex, AB).dfa
+    member = _member_word(dfa, n)
+    assert member is not None
+    specs = [{"kind": "periodic", "block": member, "repeats": 2}]
+    excluded = find_excluded_factor(dfa)
+    if excluded is not None:
+        factor = excluded[1]
+        for x, y, z in [("", "a", ""), ("ab", "b", "ba")]:
+            specs.append({"kind": "adversarial", "factor": factor, "x": x, "y": y, "z": z,
+                          "n": -(-n // len(factor)), "k": n // 10})
+    config = {"seed": 1, "window_sizes": [n], "languages": [{"id": regex, "regex": regex, "alphabet": "ab"}],
+              "testers": ["exact"], "streams": specs, "timing": False}
+    rows = run_experiment(config)
+    assert len(rows) == len(specs)
+    for row in rows:
+        window = cli._final_window(list(streams.generate(streams.spec_from_string(row.stream), AB)), AB, n)
+        assert row.oracle_dist == reference_distance_to_language(window, dfa), row.stream
 
 
 @pytest.mark.parametrize("n", [0, 3, 7, 12])

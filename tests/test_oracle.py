@@ -1,13 +1,25 @@
 import ast
 import math
+import random
 from pathlib import Path
 
 import pytest
-from conftest import AB, CORPUS, build_analyzed, build_dfa, language_slice, last_n, words_up_to
+from conftest import (
+    AB,
+    CORPUS,
+    build_analyzed,
+    build_dfa,
+    language_slice,
+    last_n,
+    reference_distance_to_language,
+    words_up_to,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regwin import (
+    Alphabet,
+    Dfa,
     WindowBuffer,
     check_t_simulation,
     distance_to_language,
@@ -15,6 +27,7 @@ from regwin import (
     hamming_distance,
     prefix_distance_to_language,
 )
+from regwin import oracle
 
 ab_words = st.text(alphabet="ab", max_size=12)
 
@@ -66,6 +79,82 @@ def test_distance_dp_matches_enumeration():
         for word in words_up_to(AB, 8):
             expected = brute_distance(word, slices[len(word)])
             assert distance_to_language(word, dfa) == expected, (pattern, word)
+
+
+@st.composite
+def machines_and_words(draw):
+    """A complete DFA with 1-8 states over 1-3 symbols, each state final
+    with one drawn chance (so empty languages and finals that reach no
+    final again both appear), and a word of length 0-64 over its symbols."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 8))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    final_chance = draw(st.floats(0, 1))
+    finals = [q for q in range(n_states) if draw(st.floats(0, 1)) < final_chance]
+    dfa = Dfa(Alphabet.from_string(symbols), delta, draw(state), finals)
+    return dfa, draw(st.text(alphabet=symbols, max_size=64))
+
+
+@settings(max_examples=1500)
+@given(machines_and_words())
+def test_distance_matches_the_plain_dp(machine_and_word):
+    dfa, word = machine_and_word
+    assert distance_to_language(word, dfa) == reference_distance_to_language(word, dfa)
+
+
+class RecordingTable(dict):
+    """A step table that records its largest size and how often it was emptied."""
+
+    def __init__(self):
+        super().__init__()
+        self.largest = 0
+        self.emptied = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+    def clear(self):
+        super().clear()
+        self.emptied += 1
+
+
+# languages whose live tracks drift apart on these words, so the normalized
+# cost vectors rarely recur: (pattern, symbols, the word's symbol weights)
+DIVERGENT = [
+    ("a*|b*", "ab", "aaaaaaaaab"),
+    ("a*|b(a|b)*", "ab", "aaab"),
+    ("((a|b)(a|b)(a|b)(a|b)(a|b))*|c(a|b|c)*", "abc", "abcc"),
+]
+
+
+@pytest.mark.parametrize("pattern, symbols, weights", DIVERGENT)
+def test_distance_on_long_divergent_words_keeps_the_table_bounded(pattern, symbols, weights):
+    dfa = build_dfa(pattern, symbols)
+    rng = random.Random(pattern)
+    word = "".join(rng.choice(weights) for _ in range(4096))
+    table = RecordingTable()
+    expected = reference_distance_to_language(word, dfa)
+    assert oracle._memoized_distance(word, dfa, table) == expected
+    assert distance_to_language(word, dfa) == expected
+    assert table.largest == oracle.STEP_TABLE_SIZE
+    assert table.emptied  # the leading track's lead outgrows the table mid-word
+
+
+@pytest.mark.parametrize(
+    "pattern, word",
+    [
+        ("(ab)*", "c" + "ab" * 10),  # at position 0
+        ("(ab)*", "ab" * 200 + "c" + "ab"),  # after the table is warm
+        ("ab", "abab" + "c"),  # after every live state became unreachable
+        ("", "ab" + "c"),  # the language is empty from the start
+    ],
+)
+def test_distance_rejects_a_foreign_symbol_anywhere(pattern, word):
+    dfa = build_dfa(pattern) if pattern else Dfa(AB, [[0, 0]], 0, [])
+    with pytest.raises(ValueError, match="'c'"):
+        distance_to_language(word, dfa)
 
 
 # --- prefix distance ---------------------------------------------------------------

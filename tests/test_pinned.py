@@ -332,3 +332,59 @@ DET_EXPERIMENT_PIN = "62caecd875e560ee40bc721e7682081fc3c6edb02f91e7bde7317090bc
 def test_det_experiment_matches_pinned_digest():
     csv = report_to_csv(run_experiment(DET_EXPERIMENT))
     assert hashlib.sha256(csv.encode()).hexdigest() == DET_EXPERIMENT_PIN
+
+
+# --- oracle distances of CI's reproducibility configs -------------------------------
+
+CI_STREAMS = [
+    {"kind": "random", "seed": 3, "length": 200, "weights": {"a": 0.9, "b": 0.1}},
+    {"kind": "adversarial", "factor": "b", "x": "", "y": "a", "z": "", "n": 8, "k": 100},
+    {"kind": "periodic", "block": "b" + "a" * 39, "repeats": 5},
+]
+# the configs of CI's "Seeded experiment reproducibility" step, in its order
+CI_EXPERIMENTS = [
+    {
+        "seed": 7,
+        "trials": 20,
+        "eps": 0.5,
+        "window_sizes": [33, 64],
+        "languages": ONE_SIDED_EXPERIMENT["languages"],
+        "testers": ["exact", "trivial", "det", "two-sided", "one-sided"],
+        "streams": CI_STREAMS,
+        "timing": False,
+    },
+    {
+        "seed": 7,
+        "trials": 20,
+        "eps": 0.5,
+        "window_sizes": [33, 64],
+        "languages": [{"id": "even-a-or-b-even-a-b", "regex": "(aa)*|b(aa)*b", "alphabet": "ab"}],
+        "testers": ["exact", "trivial", "det", "two-sided"],
+        "streams": CI_STREAMS,
+        "timing": False,
+    },
+    {
+        # the a-track's lead over the b-track grows through the 5000-symbol window, so the
+        # oracle's cost vectors never recur and its step table fills and is emptied
+        "seed": 7,
+        "trials": 2,
+        "eps": 0.5,
+        "window_sizes": [64, 5000],
+        "languages": [{"id": "all-a-or-all-b", "regex": "a*|b*", "alphabet": "ab"}],
+        "testers": ["exact", "det"],
+        "streams": [{"kind": "random", "seed": 3, "length": 6000, "weights": {"a": 0.9, "b": 0.1}}],
+        "timing": False,
+    },
+]
+ORACLE_DIST_COLUMNS = ("language", "tester", "n", "stream", "oracle_dist")
+# SHA-256 of those columns of every row of every config, one comma-joined line per row
+ORACLE_DIST_PIN = "cda94b27030ad8e331843b79bee4902afb7f75df2443e2fc7ef9a85ab7c99827"
+
+
+def test_ci_oracle_distances_match_pinned_digest():
+    digest = hashlib.sha256()
+    for config in CI_EXPERIMENTS:
+        for row in run_experiment(config):
+            record = row.as_record()
+            digest.update((",".join(str(record[col]) for col in ORACLE_DIST_COLUMNS) + "\n").encode())
+    assert digest.hexdigest() == ORACLE_DIST_PIN

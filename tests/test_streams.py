@@ -44,6 +44,14 @@ def test_generate_rejects_foreign_symbols():
         list(generate(LiteralStream("abc"), AB))
 
 
+def test_generate_raises_before_yielding_any_symbol_of_a_foreign_part():
+    yielded = []
+    with pytest.raises(ValueError, match="'c'"):
+        for symbol in generate(AdversarialStream(factor="ab", x="", y="ac", z="", n=3, k=2), AB):
+            yielded.append(symbol)
+    assert "".join(yielded) == "ababab"
+
+
 def test_spec_string_round_trip():
     for text in (
         "literal:baaa",
