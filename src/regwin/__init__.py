@@ -70,6 +70,7 @@ from .streams import (
     StreamSpec,
     generate,
     monte_carlo,
+    pieces,
     spec_from_dict,
     spec_from_string,
     trial_seed,

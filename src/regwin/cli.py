@@ -251,12 +251,13 @@ def run_experiment(config: dict) -> list[ReportRow]:
             n: {kind: build_tester_factory(kind, language, n, eps) for kind in kinds} for n in window_sizes
         }
         for spec in specs:
-            symbols = list(streams.generate(spec, language.alphabet))
+            pieces = streams.pieces(spec, language.alphabet)
+            symbols = "".join(word * k for word, k in pieces)
             for n in window_sizes:
                 dist = oracle.distance_to_language(_final_window(symbols, language.alphabet, n), language.dfa)
                 for kind, factory in factories[n].items():
                     started = time.perf_counter()
-                    result = streams.monte_carlo(factory, symbols, trials, seed)
+                    result = streams.monte_carlo(factory, pieces, trials, seed)
                     elapsed = time.perf_counter() - started if timing else 0.0
                     rows.append(
                         ReportRow(
@@ -384,9 +385,10 @@ def _cmd_tester_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--eps: expected a number in (0, 1], got {args.eps!r}")
     language = _language_from_args(args)
     spec = streams.spec_from_string(args.stream)
-    symbols = list(streams.generate(spec, language.alphabet))
+    pieces = streams.pieces(spec, language.alphabet)
+    symbols = "".join(word * k for word, k in pieces)
     factory = build_tester_factory(args.kind, language, args.n, args.eps)
-    result = streams.monte_carlo(factory, symbols, args.trials, args.seed, trace=args.trace)
+    result = streams.monte_carlo(factory, pieces, args.trials, args.seed, trace=args.trace)
     dist = oracle.distance_to_language(_final_window(symbols, language.alphabet, args.n), language.dfa)
     report = {
         "language": language.ident,

@@ -4,7 +4,9 @@ Stream specs are small declarative records so experiment configs and CLI
 flags can describe inputs reproducibly.  The adversarial kind expands to
 ``factor^n · x · y^k · z``, the shape used to drive testers onto windows
 that are provably far from a language (pack the window with disjoint
-copies of an excluded factor).
+copies of an excluded factor).  ``pieces`` gives a spec's stream as the
+(word, repeats) parts it holds, which ``monte_carlo`` feeds a power at a
+time; ``generate`` is their flattening.
 
 Monte Carlo trials derive per-trial seeds by hashing (master seed, trial
 index) with BLAKE2, so results do not depend on scheduling or on Python's
@@ -17,12 +19,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .automata import Alphabet
-from .testers_det import SlidingWindowTester
+from .testers_det import SlidingWindowTester, check_power
 
 
 def _check_text(value, field: str) -> None:
@@ -195,14 +197,18 @@ def spec_from_string(text: str) -> StreamSpec:
     raise ValueError(f"unknown stream kind {kind!r}")
 
 
-def generate(spec: StreamSpec, alphabet: Alphabet) -> Iterator[str]:
-    """Lazily yield the stream's symbols; deterministic given the spec."""
+Piece = tuple[str, int]  # (word, repeats): the word repeated that many times
+
+
+def _pieces(spec: StreamSpec, alphabet: Alphabet) -> Iterator[Piece]:
+    """The spec's pieces, each checked against ``alphabet`` before it is
+    yielded."""
     if isinstance(spec, LiteralStream):
-        literal_parts: Iterable[str] = (spec.word,)
+        parts: list[Piece] = [(spec.word, 1)]
     elif isinstance(spec, PeriodicStream):
-        literal_parts = (spec.block,) * spec.repeats
+        parts = [(spec.block, spec.repeats)]
     elif isinstance(spec, AdversarialStream):
-        literal_parts = (spec.factor,) * spec.n + (spec.x,) + (spec.y,) * spec.k + (spec.z,)
+        parts = [(spec.factor, spec.n), (spec.x, 1), (spec.y, spec.k), (spec.z, 1)]
     elif isinstance(spec, RandomStream):
         symbols = alphabet.symbols
         if spec.weights:
@@ -215,18 +221,33 @@ def generate(spec: StreamSpec, alphabet: Alphabet) -> Iterator[str]:
             probs = None
         rng = np.random.default_rng(spec.seed)
         draws = rng.choice(len(symbols), size=spec.length, p=probs)
-        for i in draws:
-            yield symbols[int(i)]
+        yield "".join(symbols[int(i)] for i in draws), 1
         return
     else:
         raise TypeError(f"not a stream spec: {spec!r}")
-    checked: set[str] = set()
-    for part in literal_parts:
-        if part not in checked:  # a part repeats n or k times; check its symbols once, before yielding any
-            for ch in part:
-                alphabet.code(ch)
-            checked.add(part)
-        yield from part
+    for word, repeats in parts:
+        for symbol in word:
+            alphabet.code(symbol)
+        yield word, repeats
+
+
+def pieces(spec: StreamSpec, alphabet: Alphabet) -> list[Piece]:
+    """The stream as the literal parts the spec holds, in order: a literal
+    is ``[(word, 1)]``, a periodic stream ``[(block, repeats)]``, an
+    adversarial one ``[(factor, n), (x, 1), (y, k), (z, 1)]`` and a random
+    one its drawn symbols as one word.  Every symbol is checked against
+    ``alphabet`` first, so a foreign one raises ``ValueError`` before any
+    piece is returned."""
+    return list(_pieces(spec, alphabet))
+
+
+def generate(spec: StreamSpec, alphabet: Alphabet) -> Iterator[str]:
+    """Lazily yield the stream's symbols, the flattening of its pieces;
+    deterministic given the spec.  A piece is checked before any of its
+    symbols is yielded."""
+    for word, repeats in _pieces(spec, alphabet):
+        for _ in range(repeats):
+            yield from word
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -243,9 +264,31 @@ class MonteCarloResult:
     traces: tuple[tuple[bool, ...], ...] | None = None
 
 
+def _feeds(pieces: Iterable[Piece]) -> list[Piece]:
+    """The feeds of a library tester: a piece (w, k) with k > |w| >= 2 as
+    one word power, every other piece's symbols joined into runs of one
+    symbol, as ``(symbol, run length)``."""
+    feeds: list[Piece] = []
+    for word, k in pieces:
+        check_power(k)
+        if k > len(word) >= 2:
+            feeds.append((word, k))
+            continue
+        if len(word) == 1:
+            runs = [(word, k)] if k else []
+        else:
+            runs = [(symbol, len(list(run))) for symbol, run in groupby(word * k)]
+        for symbol, length in runs:
+            if feeds and feeds[-1][0] == symbol:  # a run goes on across pieces
+                feeds[-1] = (symbol, feeds[-1][1] + length)
+            else:
+                feeds.append((symbol, length))
+    return feeds
+
+
 def monte_carlo(
     factory: Callable[[np.random.Generator], SlidingWindowTester],
-    stream: Sequence[str] | Iterable[str],
+    stream: Iterable[str | Piece],
     trials: int,
     master_seed: int,
     trace: bool = False,
@@ -253,21 +296,27 @@ def monte_carlo(
     """Fraction of independent tester instances accepting at end of stream.
 
     Every trial runs a fresh tester (from ``factory`` with a derived rng)
-    over the same materialized stream, which is split into runs of one
-    symbol once per call.  A library tester (a ``SlidingWindowTester``) is
-    fed run by run: a one-symbol run by ``feed``, a longer one by
-    ``feed_run``, which also gives the run's largest ``state_bits``.  A
-    run that a randomized tester feeds in closed form (``feed_power``)
-    draws each count's law exactly, in fewer coins than symbol by symbol,
-    so a two-sided trial's coins for a seed differ between the two feeds
-    but its acceptance law does not.  ``trace=True``, which records each
-    trial's per-step decisions, and any other tester (one offering only
-    ``feed``, ``decide`` and ``state_bits``) are fed symbol by symbol.
+    over the same materialized stream.  The stream's items are words,
+    read symbol by symbol (a plain string or a list of symbols is a
+    stream of one-symbol words), and ``(word, k)`` pieces, the word
+    repeated k times (``pieces`` gives a spec's).  Once per call, a piece
+    with k > |w| >= 2 becomes one word power, and the words of every other
+    piece are joined and split into runs of one symbol.  A library tester
+    (a ``SlidingWindowTester``) is fed feed by feed: a one-symbol run by
+    ``feed``, a longer run or a power by ``feed_run``, which also gives its
+    largest ``state_bits``.  A power or run that a randomized tester feeds
+    in closed form (``feed_power``) draws each count's law exactly, in
+    fewer coins than symbol by symbol, so a two-sided trial's coins for a
+    seed differ between the feeds but its acceptance law does not.
+    ``trace=True``, which records each trial's per-step decisions, and
+    any other tester (one offering only ``feed``, ``decide`` and
+    ``state_bits``) are fed symbol by symbol.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    symbols = list(stream)
-    runs = [(symbol, len(list(group))) for symbol, group in groupby(symbols)]
+    items = [(item, 1) if isinstance(item, str) else item for item in stream]
+    feeds = _feeds(items)
+    symbols: list[str] | None = None  # materialized for the first trial fed symbol by symbol
     accepted = 0
     max_bits = 0
     traces: list[tuple[bool, ...]] = []
@@ -275,6 +324,8 @@ def monte_carlo(
         tester = factory(np.random.default_rng(trial_seed(master_seed, i)))
         max_bits = max(max_bits, tester.state_bits())
         if trace or not isinstance(tester, SlidingWindowTester):
+            if symbols is None:
+                symbols = [symbol for word, k in items for symbol in word * k]
             steps: list[bool] = []
             for symbol in symbols:
                 tester.feed(symbol)
@@ -284,12 +335,12 @@ def monte_carlo(
             if trace:
                 traces.append(tuple(steps))
         else:
-            for symbol, k in runs:
+            for word, k in feeds:
                 if k == 1:
-                    tester.feed(symbol)
+                    tester.feed(word)
                     bits = tester.state_bits()
                 else:
-                    bits = tester.feed_run(symbol, k)
+                    bits = tester.feed_run(word, k)
                 if bits > max_bits:
                     max_bits = bits
         if tester.decide():

@@ -26,7 +26,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .analysis import AnalyzedRdfa, EventuallyPeriodicSet, _until_repeat
 from .automata import Alphabet, Dfa, Rdfa
@@ -42,6 +42,14 @@ def check_run(k: int) -> None:
         raise ValueError(f"a run holds at least one symbol, got {k}")
 
 
+def word_codes(code: Callable[[str], int], word: str) -> tuple[int, ...]:
+    """The codes of ``word``'s symbols; an empty word, or a symbol ``code``
+    rejects, raises ``ValueError``."""
+    if not word:
+        raise ValueError("a word holds at least one symbol")
+    return tuple(map(code, word))
+
+
 class SlidingWindowTester(ABC):
     """Streaming decision procedure over the active window.
 
@@ -49,18 +57,24 @@ class SlidingWindowTester(ABC):
     window; ``state_bits`` is the information-theoretic size of the
     maintained state (the space measure all scaling claims refer to).
     Every tester passes its window size through this constructor, which
-    rejects a negative one.  ``feed_power(a, k)`` reaches the state of k
-    feeds of a; summarizing testers replace its loop with a closed form.
-    ``feed_run(a, k)`` does the same for a run of k >= 1 symbols and also
-    returns the largest ``state_bits`` over the k states it passes; a
-    tester whose size never changes answers it with one ``feed_power``,
-    and the deterministic tester steps at most tau + L symbols of the run
-    (tau the longest tail, L the lcm of the cycle lengths of a's functional
-    graph), past which its size cannot grow, then takes one ``feed_power``
-    (a repeated skeleton is no such bound; see ``PathSummaryTester``).
-    Every window starts as n pad symbols: a summarizing tester reaches it
-    at construction through ``_start_on_pad``, one ``feed_power`` of the
-    pad, in time independent of n; the exact tester stores them.
+    rejects a negative one.  ``feed_power(w, k)`` reaches the state of k
+    copies of the word w, fed symbol by symbol (a symbol is a word of
+    length 1); summarizing testers replace its loop with a closed form
+    over the lassos of the product Q x Z_|w|.  ``feed_run(w, k)`` does the
+    same for k >= 1 copies and also returns the largest ``state_bits``
+    over the k·|w| states it passes; a tester whose size never changes
+    answers it with one ``feed_power``, and the deterministic tester steps
+    at most ceil((tau + L)/|w|) copies (tau the longest tail, L the lcm of
+    the cycle lengths of the product), past which its size cannot grow,
+    then takes one ``feed_power`` (a repeated skeleton is no such bound;
+    see ``PathSummaryTester``).  Every library tester checks the whole
+    word before it changes anything, so an empty word, a symbol outside
+    the alphabet anywhere in it or a bad k raises ``ValueError`` and
+    leaves the state as it was; the loops here check each symbol as they
+    feed it.  Every window starts as n pad symbols: a summarizing tester
+    reaches it at construction through ``_start_on_pad``, one
+    ``feed_power`` of the pad, in time independent of n; the exact tester
+    stores them.
     """
 
     window_size: int
@@ -79,19 +93,21 @@ class SlidingWindowTester(ABC):
     @abstractmethod
     def state_bits(self) -> int: ...
 
-    def feed_power(self, symbol: str, k: int) -> None:
-        """The state k calls of ``feed(symbol)`` reach; a negative k, or a
-        symbol outside the alphabet even at k = 0, raises ``ValueError``."""
+    def feed_power(self, word: str, k: int) -> None:
+        """The state k copies of ``word``, fed symbol by symbol, reach; a
+        negative k raises ``ValueError``, and so does an empty or foreign
+        word, even at k = 0, in every library tester."""
         check_power(k)
-        for _ in range(k):
+        for symbol in word * k:
             self.feed(symbol)
 
-    def feed_run(self, symbol: str, k: int) -> int:
-        """The state of k >= 1 calls of ``feed(symbol)``, and the largest
-        ``state_bits()`` over the k states after each of them."""
+    def feed_run(self, word: str, k: int) -> int:
+        """The state of k >= 1 copies of ``word``, fed symbol by symbol, and
+        the largest ``state_bits()`` over the k·|word| states after each
+        feed."""
         check_run(k)
         feed, state_bits, most = self.feed, self.state_bits, 0
-        for _ in range(k):
+        for symbol in word * k:
             feed(symbol)
             bits = state_bits()
             if bits > most:
@@ -125,9 +141,10 @@ class ExactWindowTester(SlidingWindowTester):
     ``feed`` pops the front and extends the back map in O(|Q|); once the
     front runs empty, the back's codes become the new front, in
     O(n·|Q|) once every n + 1 feeds (amortized O(|Q|) per feed).  ``decide``
-    looks the initial state up in the two maps, O(1).  ``feed_power(a, k)``
-    feeds k < n symbols one by one; for k >= n the window is a^n, which it
-    builds as construction builds the pad window, O(n·|Q|) whatever k.
+    looks the initial state up in the two maps, O(1).  ``feed_power(w, k)``
+    feeds k·|w| < n symbols one by one; otherwise the window is the last n
+    symbols of w^k, which it builds as construction builds the pad window,
+    O(n·|Q|) whatever k.
     The maps are a function of the window, so the state is still the
     window itself: ``state_bits`` counts n symbols of ceil(log2 |Σ|) bits.
     """
@@ -173,18 +190,21 @@ class ExactWindowTester(SlidingWindowTester):
             self._rebuild_front()
         self._front.pop()
 
-    def feed_power(self, symbol: str, k: int) -> None:
-        code = self._alphabet.code(symbol)  # validates even when k is 0
-        if k < self.window_size:
-            super().feed_power(symbol, k)
+    def feed_power(self, word: str, k: int) -> None:
+        codes = word_codes(self._alphabet.code, word)  # validates even when k is 0
+        check_power(k)
+        n = self.window_size
+        if k * len(codes) < n:
+            super().feed_power(word, k)
             return
-        # the window is now a^n whatever came before: refill it as __init__ does
-        self._back = [code] * self.window_size
+        # the window is now the last n symbols of w^k whatever came before: refill it as __init__ does
+        copies = -(-n // len(codes))
+        self._back = list(codes * copies)[copies * len(codes) - n :]
         self._rebuild_front()
 
-    def feed_run(self, symbol: str, k: int) -> int:
+    def feed_run(self, word: str, k: int) -> int:
         check_run(k)
-        self.feed_power(symbol, k)
+        self.feed_power(word, k)
         return self.state_bits()
 
     def decide(self) -> bool:
@@ -213,13 +233,13 @@ class FixedVerdictTester(SlidingWindowTester):
     def feed(self, symbol: str) -> None:
         self._alphabet.code(symbol)  # validate
 
-    def feed_power(self, symbol: str, k: int) -> None:
+    def feed_power(self, word: str, k: int) -> None:
+        word_codes(self._alphabet.code, word)  # validate
         check_power(k)
-        self.feed(symbol)
 
-    def feed_run(self, symbol: str, k: int) -> int:
+    def feed_run(self, word: str, k: int) -> int:
         check_run(k)
-        self.feed_power(symbol, k)
+        self.feed_power(word, k)
         return self.state_bits()
 
     def decide(self) -> bool:
@@ -287,10 +307,11 @@ def path_summary_of(window: str, q: int, analyzed: AnalyzedRdfa) -> PathSummary:
 
 
 def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], int]:
-    """The path p = p_0, p_1 = successors[p_0], ... under one symbol, as
-    its distinct states in order, and its state p_k.  The path is a lasso
-    (``_until_repeat``), so p_k is read off the lasso's cycle in O(|Q|)
-    whatever k; every step that leaves an SCC lies before the cycle."""
+    """The path p = p_0, p_1 = successors[p_0], ... in a functional graph,
+    as its distinct nodes in order, and its node p_k.  The path is a lasso
+    (``_until_repeat``), so p_k is read off the lasso's cycle in time
+    linear in the graph whatever k; every step that leaves an SCC lies
+    before the cycle."""
     check_power(k)
     path, start = _until_repeat(p, successors.__getitem__)
     return path, path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
@@ -299,11 +320,12 @@ def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], in
 Row = list[tuple[int, int, int]]  # (segment start state, residue, count), oldest first, newest left out
 Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
 Slot = tuple[int, tuple[int, ...]]  # (next skeleton id, gather tuple)
-# per start state p: (p's path under one symbol as its distinct states, the index its cycle starts at,
-# and (age, state) per SCC change on the path, oldest first); then the longest tail and the lcm of the cycles
+# per start state p: (the states of p's path under copies of one word, up to its first repeated node of
+# Q x Z_|w|, the index its cycle starts at, and (age, state) per SCC change on the path, oldest first);
+# then the longest tail and the lcm of the cycle lengths, both in symbols
 Lassos = tuple[tuple[tuple[list[int], int, tuple[tuple[int, int], ...]], ...], int, int]
 
-SKELETON_TABLE_SIZE = 4096  # skeletons a tester holds before it empties its table
+SKELETON_TABLE_SIZE = 4096  # skeletons (and lasso tables) a tester holds before it empties its table
 
 
 class SkeletonTester(SlidingWindowTester):
@@ -328,13 +350,21 @@ class SkeletonTester(SlidingWindowTester):
     initial state's row.  A table that reaches ``SKELETON_TABLE_SIZE``
     skeletons is replaced by a new one holding only the current skeleton.
 
-    ``feed_power(a, k)`` builds p's row from the row of p_k, k steps along
-    p's path under a: every entry moves by k steps, and the path's own SCC
-    changes j < k join, oldest first, as ``(p_{j+1}, j + 1, count after
-    j + 1 steps from 0)``.  The paths are a's lassos, one table per symbol
-    code built on first use like the slots: per state its path, the index
-    its cycle starts at and its SCC changes, then the longest tail tau and
-    the lcm L of the cycle lengths.  The pad warm-up is one such call.
+    ``feed_power(w, k)`` builds p's row from the row of p_K, K = k·|w|
+    steps along p's path under copies of w: every entry moves by K steps,
+    and the path's own SCC changes j < K join, oldest first, as
+    ``(p_{j+1}, j + 1, count after j + 1 steps from 0)``.  The run from p
+    reads the newest symbol first, so the path is the lasso from (p, 0) in
+    the functional graph of the product Q x Z_|w|, where (q, j) moves to
+    (delta(q, reversed(w)[j]), j + 1 mod |w|).  A cycle of the product
+    stays in one SCC, so every SCC change lies on a tail, and its length
+    is a multiple of |w|, so p_K is a state at a copy boundary.  The
+    lassos are one table per word, keyed by its codes and built on first
+    use like the slots: per state its path, the index its cycle starts at
+    and its SCC changes, then the longest tail tau and the lcm L of the
+    cycle lengths.  A table that reaches ``SKELETON_TABLE_SIZE`` words is
+    emptied.  For a symbol the product is the symbol's own functional
+    graph; the pad warm-up is one such call.
 
     A subclass says what a count is: ``feed`` steps the gathered counts,
     ``_advance(count, k)`` moves one by k steps, and ``_decision(start,
@@ -361,7 +391,7 @@ class SkeletonTester(SlidingWindowTester):
         self._decisions: list[tuple] = []
         self._skeleton = self._intern(((),) * rdfa.n_states)
         self._counts: list[int] = []
-        self._lassos: list[Lassos | None] = [None] * len(self._moves)
+        self._lassos: dict[tuple[int, ...], Lassos] = {}
 
     def _intern(self, skeleton: Skeleton) -> int:
         """The id of ``skeleton``, entered in the table on first sight.  A
@@ -398,49 +428,43 @@ class SkeletonTester(SlidingWindowTester):
         self._slots[self._skeleton][code] = slot  # after _intern, which may renumber the current skeleton
         return slot
 
-    def _lasso(self, code: int) -> Lassos:
-        """The lassos of symbol ``code``'s functional graph, entered in the
-        table.  One walk per state stops at the first state whose lasso is
-        known or that closes a new cycle; a cycle state's path is the cycle
-        from it, and a tail state's is its own step, then its successor's
-        path.  Every step that leaves an SCC lies on a tail."""
-        moves = self._moves[code]
-        lassos: list = [None] * self._n_states
-        tail, cycles = 0, 1
-        for p in range(self._n_states):
-            walk, index, q = [], {}, p
-            while lassos[q] is None and q not in index:
-                index[q] = len(walk)
-                walk.append(q)
-                q = moves[q][0]
-            if lassos[q] is None:
-                cycle = walk[index[q] :]
-                cycles = lcm(cycles, len(cycle))
-                for i, s in enumerate(cycle):
-                    lassos[s] = (cycle[i:] + cycle[:i], 0, ())
-                del walk[index[q] :]
-            for s in reversed(walk):
-                q, same = moves[s]
-                path, start, exits = lassos[q]
-                exits = tuple((age + 1, e) for age, e in exits)
-                lassos[s] = ([s, *path], start + 1, exits if same else (*exits, (1, q)))
-                tail = max(tail, start + 1)
-        self._lassos[code] = table = (tuple(lassos), tail, cycles)
+    def _lasso(self, codes: tuple[int, ...]) -> Lassos:
+        """The lassos of the word ``codes``: one walk per start state p over
+        the product Q x Z_|w| from (p, 0) to its first repeated node,
+        entered in the table."""
+        n, width = self._n_states, len(codes)
+        steps = [self._moves[code] for code in reversed(codes)]  # the moves a run from a state reads, in order
+        lassos, tail, cycles = [], 0, 1
+        for p in range(n):
+            path, exits, index, q, j = [], [], {}, p, 0
+            while (node := j * n + q) not in index:
+                index[node] = len(path)
+                path.append(q)
+                q, same = steps[j][q]
+                j = j + 1 if j + 1 < width else 0
+                if not same:
+                    exits.append((len(path), q))
+            start = index[node]
+            lassos.append((path, start, tuple(reversed(exits))))
+            tail, cycles = max(tail, start), lcm(cycles, len(path) - start)
+        if len(self._lassos) >= SKELETON_TABLE_SIZE:
+            self._lassos.clear()
+        self._lassos[codes] = table = (tuple(lassos), tail, cycles)
         return table
 
-    def feed_power(self, symbol: str, k: int) -> None:
-        self._power(self._rows, self._code(symbol), k)
+    def feed_power(self, word: str, k: int) -> None:
+        self._power(self._rows, word_codes(self._code, word), k)
 
-    def _power(self, rows: list[Row], code: int, k: int) -> None:
-        """Set the state that k feeds of symbol ``code`` reach from ``rows``."""
+    def _power(self, rows: list[Row], codes: tuple[int, ...], k: int) -> None:
+        """Set the state that k copies of the word ``codes`` reach from ``rows``."""
         check_power(k)
-        lassos = (self._lassos[code] or self._lasso(code))[0]
-        g, advance = self._period, self._advance
+        lassos = (self._lassos.get(codes) or self._lasso(codes))[0]
+        g, advance, steps = self._period, self._advance, k * len(codes)
         new_rows: list[Row] = []
         for path, start, exits in lassos:
-            last = path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
-            row = [(s, (residue + k) % g, advance(count, k)) for s, residue, count in rows[last]]
-            row += [(s, age % g, advance(0, age)) for age, s in exits if age <= k]
+            last = path[steps] if steps < len(path) else path[start + (steps - start) % (len(path) - start)]
+            row = [(s, (residue + steps) % g, advance(count, steps)) for s, residue, count in rows[last]]
+            row += [(s, age % g, advance(0, age)) for age, s in exits if age <= steps]
             new_rows.append(row)
         self._skeleton = self._intern(tuple(tuple((s, r) for s, r, _c in row) for row in new_rows))
         self._counts = [c for row in new_rows for _s, _r, c in row]
@@ -467,15 +491,16 @@ class PathSummaryTester(SkeletonTester):
     counts the entries of age at most n plus each state's newest segment;
     frozen entries are kept but not counted.
 
-    ``feed_run(a, k)`` steps min(k, tau + L) symbols, then takes one
-    ``feed_power`` for the rest.  After t >= tau feeds of a, p's row is the
-    run-start row of p_t, every age moved by t, plus the SCC changes of p's
-    path, all within its tail, at fixed ages.  p_t has period L, so along
-    t -> t + L the same entries come back, each older: the count of ages at
-    most n can only fall, and the run's largest size lies in its first
-    tau + L states.  A repeated skeleton is no stopping point: the same
-    skeleton can gather its ages from other rows, and so hold more live
-    entries at its next visit.
+    ``feed_run(w, k)`` steps min(k, ceil((tau + L)/|w|)) copies of w, then
+    takes one ``feed_power`` for the rest, tau and L the longest tail and
+    the lcm of the cycle lengths of w's product lassos.  After t >= tau
+    symbols, p's row is the run-start row of p_t, every age moved by t,
+    plus the SCC changes of p's path, all within its tail, at fixed ages.
+    p_t has period L, so along t -> t + L the same entries come back, each
+    older: the count of ages at most n can only fall, and the run's
+    largest size lies in its first tau + L states.  A repeated skeleton is
+    no stopping point: the same skeleton can gather its ages from other
+    rows, and so hold more live entries at its next visit.
     """
 
     def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
@@ -501,14 +526,14 @@ class PathSummaryTester(SkeletonTester):
         counts.append(0)  # the sentinel a fresh entry gathers
         self._counts = [c + 1 if c < dead else dead for c in map(counts.__getitem__, gather)]
 
-    def feed_run(self, symbol: str, k: int) -> int:
+    def feed_run(self, word: str, k: int) -> int:
+        codes = word_codes(self._code, word)
         check_run(k)
-        code = self._code(symbol)
-        _lassos, tail, cycle = self._lassos[code] or self._lasso(code)
-        steps = min(k, tail + cycle)
-        most = super().feed_run(symbol, steps)
-        if k > steps:
-            self._power(self._rows, code, k - steps)
+        _lassos, tail, cycle = self._lassos.get(codes) or self._lasso(codes)
+        copies = min(k, -(-(tail + cycle) // len(codes)))
+        most = super().feed_run(word, copies)
+        if k > copies:
+            self._power(self._rows, codes, k - copies)
         return most
 
     def decide(self) -> bool:

@@ -65,6 +65,7 @@ from .testers_det import (
     exact_tester,
     power_path,
     trivial_tester,
+    word_codes,
 )
 
 PATH_DESCRIPTION_CAP = 4096
@@ -356,14 +357,17 @@ class TwoSidedTester(SkeletonTester):
     ``advance``, from the tester's generator), so the pad warm-up takes
     O(|Q|^2) draws at most whatever n.
 
-    The state size depends only on the skeleton, so ``feed_run(a, k)``
-    walks the skeleton's slots under a, ids only, up to the first skeleton
-    it has seen before (from there on the walk cycles through seen ones;
-    a table replaced on the way starts the seen set afresh), reads each
-    one's entry count off its slot's gather, and then advances the counts
-    by one ``feed_power``.  A run shorter than |Q| plus the number of
-    entries is fed step by step instead: there the closed form's |Q|
-    rows and one draw per entry cost more than the steps.
+    The state size depends only on the skeleton, so ``feed_run(w, k)``
+    walks the skeleton's slots under w, ids only, copy by copy, up to the
+    first skeleton it has seen before at a copy boundary (from there on
+    the walk cycles through seen ones; a table replaced on the way starts
+    the seen set afresh), reads each one's entry count off its slot's
+    gather, and then advances the counts by one ``feed_power``.  A power
+    of fewer than |Q| plus the number of entries symbols is fed step by
+    step instead: there the closed form's |Q| rows and one draw per entry
+    cost more than the steps.  A closed form draws each count's law
+    exactly in fewer coins than the steps, so the coins for a seed, not
+    the law, depend on which powers are fed in closed form.
 
     A uniform is a multiple of 2^-53, so a per-step draw resolves a set
     chance only to 2^-53.  Near n = 2^62 the chance that an increment sets
@@ -413,21 +417,22 @@ class TwoSidedTester(SkeletonTester):
             for c, u in zip(map(counts.__getitem__, gather), self._uniforms)
         ]
 
-    def feed_run(self, symbol: str, k: int) -> int:
-        if k < self._n_states + len(self._counts):
-            return super().feed_run(symbol, k)
-        code = self._code(symbol)
+    def feed_run(self, word: str, k: int) -> int:
+        codes = word_codes(self._code, word)
+        if k * len(codes) < self._n_states + len(self._counts):
+            return super().feed_run(word, k)
         rows, slots = self._rows, self._slots
         seen, most = {self._skeleton}, 0
         for _ in range(k):
-            self._skeleton, gather = slots[self._skeleton][code] or self._slot(code)
-            most = max(most, len(gather))
+            for code in codes:
+                self._skeleton, gather = self._slots[self._skeleton][code] or self._slot(code)
+                most = max(most, len(gather))
             if self._slots is not slots:  # the table was replaced: the ids seen name other skeletons now
                 slots, seen = self._slots, set()
             elif self._skeleton in seen:
                 break
             seen.add(self._skeleton)
-        self._power(rows, code, k)
+        self._power(rows, codes, k)
         return self._triple_bits * (most + self._n_states)
 
     def decide(self) -> bool:
@@ -647,12 +652,14 @@ class OneSidedTester(SlidingWindowTester):
     infinity.  A feed steps every value over the symbol's move tuple
     through the successor table ``0 -> 1 -> ... -> p-1 -> 0, p -> p``,
     then resets the finals to 0; a part accepts iff its start state holds
-    n mod p.  ``feed_power`` (the pad warm-up included) steps a k below
-    the table's size and is closed form otherwise: after k feeds of a
-    symbol, a state whose path under it first meets a final at step
-    j <= k holds j mod p, any other state q the old value of q_k plus k
-    (inf stays inf).  The table's size never changes, so ``feed_run`` is
-    one ``feed_power``.  With nothing kept the table is empty and every
+    n mod p.  ``feed_power(w, k)`` (the pad warm-up included) steps fewer
+    than the table's size of symbols and is closed form otherwise: after
+    K = k·|w| symbols, a state whose path first meets a final at step
+    j <= K holds j mod p, any other state q the old value of q_K plus K
+    (inf stays inf), the path read by ``power_path`` in the product of
+    the table's states with Z_|w|, as ``SkeletonTester`` reads its rows.
+    The table's size never changes, so ``feed_run`` is one
+    ``feed_power``.  With nothing kept the table is empty and every
     window is rejected in one state bit.
 
     The prime is drawn from ``rng`` whenever some partial machine, kept
@@ -712,24 +719,30 @@ class OneSidedTester(SlidingWindowTester):
         for part in self._exact:
             part.feed(symbol)
 
-    def feed_power(self, symbol: str, k: int) -> None:
-        targets = self._moves[self._code(symbol)]
+    def feed_power(self, word: str, k: int) -> None:
+        codes = word_codes(self._code, word)
         check_power(k)
-        if k < len(self.values):  # a power shorter than the table costs less in steps than in its lassos
-            return super().feed_power(symbol, k)
-        old, prime, finals = self.values, self.prime, frozenset(self._finals)
+        old, width = self.values, len(codes)
+        size, steps = len(old), k * width
+        if steps < size:  # a power shorter than the table costs less in steps than in its lassos
+            return super().feed_power(word, k)
+        # node j·size + q of the product is q before the j-th symbol of the reversed word
+        moves = [self._moves[code] for code in reversed(codes)]
+        successors = [moves[j][q] + (j + 1) % width * size for j in range(width) for q in range(size)]
+        prime, finals = self.prime, frozenset(self._finals)
         new = []
-        for q in range(len(old)):
-            path, last = power_path(targets, q, k)
-            hit = next((j for j, p in enumerate(path) if p in finals), k + 1)
-            new.append(hit % prime if hit <= k else old[last] if old[last] == prime else (old[last] + k) % prime)
+        for q in range(size):
+            path, last = power_path(successors, q, steps)  # last lies at a copy boundary: last < size
+            hit = next((j for j, node in enumerate(path) if node % size in finals), steps + 1)
+            value = old[last]
+            new.append(hit % prime if hit <= steps else value if value == prime else (value + steps) % prime)
         self.values = new
         for part in self._exact:
-            part.feed_power(symbol, k)
+            part.feed_power(word, k)
 
-    def feed_run(self, symbol: str, k: int) -> int:
+    def feed_run(self, word: str, k: int) -> int:
         check_run(k)
-        self.feed_power(symbol, k)
+        self.feed_power(word, k)
         return self.state_bits()
 
     def decide(self) -> bool:
@@ -776,13 +789,13 @@ class UnionTester(SlidingWindowTester):
         for tester in self._testers:
             tester.feed(symbol)
 
-    def feed_power(self, symbol: str, k: int) -> None:
-        for tester in self._testers:
-            tester.feed_power(symbol, k)
+    def feed_power(self, word: str, k: int) -> None:
+        for tester in self._testers:  # the first checks the word and k before any changes
+            tester.feed_power(word, k)
 
-    def feed_run(self, symbol: str, k: int) -> int:
+    def feed_run(self, word: str, k: int) -> int:
         check_run(k)
-        self.feed_power(symbol, k)
+        self.feed_power(word, k)
         return self.state_bits()
 
     def decide(self) -> bool:

@@ -15,6 +15,7 @@ import math
 import re
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from regwin import (
     Alphabet,
@@ -69,6 +70,23 @@ def build_dfa(pattern: str, symbols: str = "ab", pad: str | None = None) -> Dfa:
 @functools.lru_cache(maxsize=None)
 def build_analyzed(pattern: str, symbols: str = "ab", pad: str | None = None) -> AnalyzedRdfa:
     return analyze(build_dfa(pattern, symbols, pad))
+
+
+@st.composite
+def complete_dfas(draw) -> Dfa:
+    """A complete DFA with 1-6 states over 1-3 symbols, any initial state
+    and pad.  Most machines of two or more states make their last state a
+    rejecting sink: random machines without one are nearly all trivial."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 6))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    finals = draw(st.sets(state))
+    if n_states >= 2 and draw(st.integers(0, 4)):
+        delta[-1] = [n_states - 1] * len(symbols)
+        finals.discard(n_states - 1)
+    alphabet = Alphabet.from_string(symbols, draw(st.sampled_from(symbols)))
+    return Dfa(alphabet, delta, draw(state), finals)
 
 
 def transient_partials(analyzed: AnalyzedRdfa) -> list:

@@ -1,11 +1,13 @@
-"""``monte_carlo`` fed run by run against the per-symbol loop it replaced.
+"""``monte_carlo`` fed run by run and power by power against the
+per-symbol loop it replaced.
 
-A library tester is fed one run of equal symbols at a time through
-``feed_run``, which also reports the run's largest state size.  On random
-machines and streams that mix long runs with single symbols, every
-deterministic kind must give exactly the per-symbol loop's acceptance
-rate, and every kind its largest state size; the two-sided kind draws its
-counts in closed form, so its rate is compared as a law, in a fixed-seed
+A library tester is fed one run of equal symbols, or one power of a word,
+at a time through ``feed_run``, which also reports the largest state size
+it passes.  On random machines and streams that mix long runs with single
+symbols, and on random word powers, every deterministic kind must give
+exactly the per-symbol loop's state, acceptance rate and largest state
+size; the two-sided kind draws its counts in closed form, so its skeleton
+and sizes are compared outright and its rate as a law, in a fixed-seed
 two-sample check.
 """
 
@@ -13,16 +15,30 @@ import math
 
 import numpy as np
 import pytest
-from conftest import AB, CORPUS, build_analyzed, build_dfa
+from conftest import AB, CORPUS, build_analyzed, build_dfa, complete_dfas, transient_partials
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from regwin import Alphabet, Dfa, StateLimitExceeded, analyze, monte_carlo
+from regwin import (
+    Alphabet,
+    Dfa,
+    StateLimitExceeded,
+    ThresholdCounter,
+    analyze,
+    exact_tester,
+    generate,
+    monte_carlo,
+    prime_pool,
+    realized_lengths,
+    spec_from_string,
+    trivial_tester,
+)
 from regwin import testers_det
-from regwin.cli import Language, build_tester_factory
+from regwin.analysis import OneSidedClass, one_sided_class
+from regwin.cli import Language, build_tester_factory, run_experiment
 from regwin.streams import MonteCarloResult, trial_seed
-from regwin.testers_det import PathSummaryTester, SlidingWindowTester
-from regwin.testers_rand import TwoSidedTester, two_sided_tester
+from regwin.testers_det import ExactWindowTester, PathSummaryTester, SkeletonTester, SlidingWindowTester
+from regwin.testers_rand import OneSidedTester, TwoSidedTester, UnionTester, compile_one_sided, two_sided_tester
 
 RUNS = settings(
     max_examples=250,
@@ -219,7 +235,7 @@ def test_det_feed_run_steps_at_most_the_longest_tail_plus_the_cycles():
     feed = run_fed.feed
     run_fed.feed = lambda symbol: (feeds.append(symbol), feed(symbol))
     run_fed.feed_run("a", 10**6)
-    _lassos, tail, cycle = run_fed._lassos[analyzed.rdfa.alphabet.code("a")]
+    _lassos, tail, cycle = run_fed._lassos[(analyzed.rdfa.alphabet.code("a"),)]
     assert len(feeds) <= tail + cycle == 3
     powered.feed("b")
     powered.feed_power("a", 10**6)
@@ -296,3 +312,233 @@ def test_run_fed_monte_carlo_counts_the_state_of_a_one_symbol_run():
     whole stream."""
     machine, _runs = FEED_RUN_MACHINES["peak-first"]
     assert_run_fed_matches(Language("peak-first", Dfa(AB, *machine)), 64, "b" + "a" * 40)
+
+
+# --- powers of words ----------------------------------------------------------
+
+
+@st.composite
+def word_powers(draw, sizes=(2, 3, 5, 8, 13, 40)):
+    """A complete DFA, a window size, a prefix of up to n + 4 symbols, and
+    one to three powers: a word of 2-5 symbols repeated up to 4n times."""
+    dfa = draw(complete_dfas())
+    symbols = "".join(dfa.alphabet.symbols)
+    n = draw(st.sampled_from(sizes))
+    prefix = draw(st.text(alphabet=symbols, max_size=n + 4))
+    word = st.text(alphabet=symbols, min_size=2, max_size=5)
+    powers = draw(st.lists(st.tuples(word, st.integers(1, 4 * n)), min_size=1, max_size=3))
+    return dfa, n, prefix, powers
+
+
+def analyzed_or_reject(dfa):
+    try:
+        return analyze(dfa)
+    except StateLimitExceeded:
+        assume(False)
+
+
+def run_fed_and_stepped(build, prefix):
+    """Two testers from ``build`` after ``prefix``: one for ``feed_run``, one
+    for the base class's loop of feeds."""
+    return build().feed_all(prefix), build().feed_all(prefix)
+
+
+def feed_both(run_fed, stepped, word, k):
+    """One power fed in closed form and by the loop: the same largest size."""
+    assert run_fed.feed_run(word, k) == SlidingWindowTester.feed_run(stepped, word, k)
+
+
+@pytest.mark.parametrize("table_size", [testers_det.SKELETON_TABLE_SIZE, 2])
+def test_word_feed_run_matches_the_stepping_loop_on_the_skeleton_testers(table_size):
+    """Det and stub two-sided rows equal outright, two-sided skeletons
+    (their coins differ), and the same largest size and verdict."""
+
+    @RUNS
+    @given(word_powers())
+    def check(case):
+        dfa, n, prefix, powers = case
+        analyzed = analyzed_or_reject(dfa)
+        stub = lambda: ThresholdCounter(n // 2 + 1)  # noqa: E731
+        det = run_fed_and_stepped(lambda: PathSummaryTester(analyzed, n), prefix)
+        stubbed = run_fed_and_stepped(lambda: TwoSidedTester(analyzed, n, 0.5, counter_factory=stub), prefix)
+        sampled = run_fed_and_stepped(lambda: two_sided_tester(analyzed, n, 0.5, rng=3), prefix)
+        for word, k in powers:
+            for pair in (det, stubbed, sampled):
+                feed_both(*pair, word, k)
+                assert pair[0].decide() == pair[1].decide() or pair is sampled
+            assert det[0]._rows == det[1]._rows
+            assert stubbed[0]._rows == stubbed[1]._rows
+            if isinstance(sampled[0], TwoSidedTester):
+                assert sampled[0]._skeletons[sampled[0]._skeleton] == sampled[1]._skeletons[sampled[1]._skeleton]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(testers_det, "SKELETON_TABLE_SIZE", table_size)
+        check()
+
+
+@RUNS
+@given(word_powers())
+def test_word_feed_run_matches_the_stepping_loop_on_the_fixed_size_testers(case):
+    """One-sided values and verdicts for every pool prime, and the verdict
+    and size of the exact testers (both reading orders), the trivial
+    tester and the compiled one-sided tester, a union of two copies."""
+    dfa, n, prefix, powers = case
+    analyzed = analyzed_or_reject(dfa)
+    try:
+        lengths = realized_lengths(dfa)
+        partials = transient_partials(analyzed)
+        loglog = one_sided_class(dfa) is not OneSidedClass.LOG_LOWER_BOUND
+    except StateLimitExceeded:
+        assume(False)
+    one_sided = [
+        run_fed_and_stepped(lambda: OneSidedTester(partials, n, prime=prime), prefix)
+        for prime in (prime_pool(n) if partials else ())
+    ]
+    others = [
+        run_fed_and_stepped(lambda: exact_tester(dfa, n), prefix),
+        run_fed_and_stepped(lambda: exact_tester(analyzed.rdfa, n), prefix),
+        run_fed_and_stepped(lambda: trivial_tester(dfa.alphabet, lengths, n), prefix),
+    ]
+    if loglog:
+        factory = compile_one_sided(dfa, n, amplification=2)
+        others.append(run_fed_and_stepped(lambda: factory(7), prefix))
+    for word, k in powers:
+        for run_fed, stepped in one_sided:
+            feed_both(run_fed, stepped, word, k)
+            assert (run_fed.values, run_fed.decide()) == (stepped.values, stepped.decide())
+        for run_fed, stepped in others:
+            feed_both(run_fed, stepped, word, k)
+            assert (run_fed.decide(), run_fed.state_bits()) == (stepped.decide(), stepped.state_bits())
+
+
+BAD_POWERS = [("", 3), ("ab", 0), ("ab", -1), ("abc", 3), ("cab", 0), ("abac", 2)]
+
+
+def snapshot(tester):
+    """What a feed changes: the rows (and a two-sided tester's generator),
+    the fingerprint values, the window's stacks, per sub-tester of a union;
+    a trivial tester keeps nothing."""
+    if isinstance(tester, UnionTester):
+        return [snapshot(t) for t in tester._testers]
+    if isinstance(tester, SkeletonTester):
+        rng = getattr(tester, "_rng", None)
+        return tester._rows, rng and rng.bit_generator.state
+    if isinstance(tester, OneSidedTester):
+        return list(tester.values), [snapshot(part) for part in tester._exact]
+    if isinstance(tester, ExactWindowTester):
+        return list(tester._front), list(tester._back), tester._back_map
+    return tester.decide(), tester.state_bits()
+
+
+@pytest.mark.parametrize("pattern", ["b(aa)*", "aab|b(aa)*", "ab|ba*"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_bad_word_power_raises_before_any_change(kind, pattern):
+    """An empty word, k <= 0 for a run (k < 0 for a power) or a foreign
+    symbol anywhere in the word raises ValueError, and the tester goes on
+    as its twin that never saw the call."""
+    factory = build_tester_factory(kind, Language(pattern, build_dfa(pattern)), 64, 0.5)
+    tester, twin = (factory(np.random.default_rng(5)) for _ in range(2))
+    for t in (tester, twin):
+        t.feed_run("ba", 3)
+    before = snapshot(tester)
+    for word, k in BAD_POWERS:
+        with pytest.raises(ValueError):
+            tester.feed_run(word, k)
+        if (word, k) != ("ab", 0):
+            with pytest.raises(ValueError):
+                tester.feed_power(word, k)
+        assert snapshot(tester) == before, (word, k)
+    for symbol in "abaab" + "a" * 70:
+        tester.feed(symbol)
+        twin.feed(symbol)
+        assert (tester.decide(), tester.state_bits()) == (twin.decide(), twin.state_bits())
+
+
+def test_det_word_feed_run_steps_at_most_the_copies_its_lassos_bound():
+    """10^6 copies of ab at n = 2^20 feed at most ceil((tau + L)/2) copies
+    one symbol at a time, tau and L read off the product's lassos; the
+    rest is one closed-form power."""
+    analyzed = build_analyzed("b(aa)*")
+    run_fed, powered = (PathSummaryTester(analyzed, 2**20) for _ in range(2))
+    feeds = []
+    feed = run_fed.feed
+    run_fed.feed = lambda symbol: (feeds.append(symbol), feed(symbol))
+    run_fed.feed_run("ab", 10**6)
+    code = analyzed.rdfa.alphabet.code
+    _lassos, tail, cycle = run_fed._lassos[(code("a"), code("b"))]
+    assert 0 < len(feeds) <= -(-(tail + cycle) // 2) * 2 <= 8
+    powered.feed_power("ab", 10**6)
+    assert run_fed._rows == powered._rows
+
+
+def flatten(pieces):
+    return "".join(word * k for word, k in pieces)
+
+
+@pytest.mark.parametrize("pattern", CORPUS_PATTERNS)
+def test_monte_carlo_fed_pieces_matches_the_per_symbol_loop_on_the_corpus(pattern):
+    """Word powers, runs and single symbols as pieces: every deterministic
+    kind's rate and every kind's largest size as fed symbol by symbol."""
+    language = Language(pattern, build_dfa(pattern))
+    pieces = [("b", 1), ("ab", 40), ("a", 3), ("ba", 1), ("bba", 30), ("aab", 2), ("a", 70)]
+    for n in (3, 33, 64):
+        for kind in KINDS:
+            try:
+                factory = build_tester_factory(kind, language, n, 0.5)
+            except ValueError:  # no one-sided tester for this language
+                continue
+            fed, reference = monte_carlo(factory, pieces, 2, 5), per_symbol_monte_carlo(factory, flatten(pieces), 2, 5)
+            assert fed.max_state_bits == reference.max_state_bits, kind
+            if kind != "two-sided":
+                assert fed.accept_rate == reference.accept_rate, kind
+
+
+def test_two_sided_accept_rate_has_the_same_law_fed_by_word_powers():
+    """``(ab)*`` at n = 256, eps 0.5: bb then (ab)^107 leaves the bb 214
+    symbols old, between the counter marks, where a trial accepts about
+    half the time.  The closed-form power of ab and per-symbol feeding
+    must agree on it (|z| <= 4), as for runs above."""
+    factory = build_tester_factory("two-sided", Language("(ab)*", build_dfa("(ab)*")), 256, 0.5)
+    assert isinstance(factory(np.random.default_rng(0)), TwoSidedTester)
+    pieces, trials = [("bb", 1), ("ab", 107)], 2000
+    fed = monte_carlo(factory, pieces, trials, 17).accept_rate
+    reference = per_symbol_monte_carlo(factory, flatten(pieces), trials, 18).accept_rate
+    pooled = (fed + reference) / 2
+    assert 0.2 < pooled < 0.8
+    z = (fed - reference) / math.sqrt(pooled * (1 - pooled) * 2 / trials)
+    assert abs(z) <= 4, (fed, reference, z)
+
+
+def test_run_experiment_on_an_ab_factor_stream_gives_the_per_symbol_rows():
+    """The adversarial stream (ab)^128 a^20 is fed as one power of ab: det
+    and one-sided rows equal those of the per-symbol loop."""
+    label = "adversarial:ab,,a,,128,20"
+    config = {
+        "seed": 7,
+        "trials": 5,
+        "eps": 0.5,
+        "window_sizes": [64, 255],
+        "languages": [{"id": pattern, "regex": pattern, "alphabet": "ab"} for pattern in ("b(aa)*", "ba*")],
+        "testers": ["det", "one-sided"],
+        "streams": [spec_from_string(label).to_dict()],
+        "timing": False,
+    }
+    rows = run_experiment(config)
+    assert len(rows) == 8
+    for row in rows:
+        language = Language(row.language, build_dfa(row.language))
+        factory = build_tester_factory(row.tester, language, row.n, 0.5)
+        reference = per_symbol_monte_carlo(factory, generate(spec_from_string(label), AB), 5, 7)
+        assert (row.accept_freq, row.state_bits) == (reference.accept_rate, reference.max_state_bits), row
+
+
+def test_det_word_feed_run_steps_into_a_partial_last_copy():
+    """Under bbaaa this machine's product lassos have tau = 7 and L = 5, and
+    the largest size, 450, first shows in the third copy: stepping
+    floor((tau + L)/|w|) = 2 copies would report 440."""
+    analyzed = analyze(Dfa(AB, [[3, 4], [4, 3], [0, 4], [1, 2], [1, 0]], 0, [2, 3]))
+    run_fed, stepped, two_copies = (PathSummaryTester(analyzed, 26).feed_all("ab") for _ in range(3))
+    assert run_fed._lasso((1, 1, 0, 0, 0))[1:] == (7, 5)  # the codes of bbaaa
+    assert SlidingWindowTester.feed_run(two_copies, "bbaaa", 2) == 440
+    assert run_fed.feed_run("bbaaa", 9) == SlidingWindowTester.feed_run(stepped, "bbaaa", 9) == 450
+    assert run_fed._rows == stepped._rows

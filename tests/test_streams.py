@@ -9,10 +9,12 @@ from regwin import (
     deterministic_tester,
     generate,
     monte_carlo,
+    pieces,
     spec_from_dict,
     spec_from_string,
     trial_seed,
 )
+from regwin.streams import _feeds
 
 
 def test_adversarial_expansion():
@@ -50,6 +52,61 @@ def test_generate_raises_before_yielding_any_symbol_of_a_foreign_part():
         for symbol in generate(AdversarialStream(factor="ab", x="", y="ac", z="", n=3, k=2), AB):
             yielded.append(symbol)
     assert "".join(yielded) == "ababab"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LiteralStream("baab"),
+        LiteralStream(""),
+        PeriodicStream("ba", 3),
+        PeriodicStream("ab", 0),
+        RandomStream(seed=7, length=50),
+        RandomStream(seed=1, length=40, weights=(("a", 1.0), ("b", 3.0))),
+        AdversarialStream(factor="ab", x="b", y="a", z="bb", n=5, k=4),
+        AdversarialStream(factor="b", x="", y="a", z="", n=0, k=3),
+    ],
+)
+def test_pieces_flatten_to_the_generated_stream(spec):
+    assert "".join(word * k for word, k in pieces(spec, AB)) == "".join(generate(spec, AB))
+
+
+def test_pieces_hold_the_literal_parts_of_the_spec():
+    assert pieces(AdversarialStream(factor="ab", x="b", y="a", z="", n=5, k=4), AB) == [
+        ("ab", 5),
+        ("b", 1),
+        ("a", 4),
+        ("", 1),
+    ]
+    assert pieces(PeriodicStream("ba", 3), AB) == [("ba", 3)]
+    assert pieces(LiteralStream("baab"), AB) == [("baab", 1)]
+
+
+@pytest.mark.parametrize("field", ["factor", "x", "y", "z"])
+def test_pieces_raise_on_a_foreign_symbol_in_any_part(field):
+    parts = dict(factor="ab", x="", y="a", z="b", n=3, k=2)
+    parts[field] += "c"
+    with pytest.raises(ValueError, match="'c'"):
+        pieces(AdversarialStream(**parts), AB)
+
+
+def test_monte_carlo_feeds_powers_of_two_or_more_symbols_and_runs_of_the_rest():
+    """A piece (w, k) with k > |w| >= 2 is one power; the symbols of every
+    other piece join the runs around them."""
+    items = [("ab", 3), ("ba", 2), ("a", 4), ("", 5), ("b", 0), ("aab", 3), ("a", 1)]
+    assert _feeds(items) == [
+        ("ab", 3),
+        ("b", 1),
+        ("a", 1),
+        ("b", 1),
+        ("a", 7),
+        ("b", 1),
+        ("a", 2),
+        ("b", 1),
+        ("a", 2),
+        ("b", 1),
+        ("a", 1),
+    ]
 
 
 def test_spec_string_round_trip():
