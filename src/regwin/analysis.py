@@ -147,13 +147,13 @@ class EventuallyPeriodicSet:
     def is_finite(self) -> bool:
         return not any(self.residues)
 
-    def shifted(self, offset: int) -> "EventuallyPeriodicSet":
-        """The set ``{x + offset : x in self}``."""
-        if offset == 0:
-            return self
-        return EventuallyPeriodicSet.from_member_fn(
-            lambda x: x >= offset and self.member(x - offset), self.threshold + offset, self.period
-        )
+    def bits(self, length: int) -> int:
+        """The members below ``length`` as the set bits of an int: bit x
+        is set iff x is a member."""
+        t, d = self.threshold, self.period
+        cycle = "".join("1" if self.residues[x % d] else "0" for x in range(t, t + d))
+        flags = "".join("1" if b else "0" for b in self.prefix) + cycle * (max(0, length - t) // d + 1)
+        return int(flags[length - 1 :: -1], 2) if length > 0 else 0
 
     def min_threshold_agree(self, other: "EventuallyPeriodicSet") -> int | None:
         """Least t with self(x) == other(x) for all x >= t, or None if the
@@ -164,17 +164,6 @@ class EventuallyPeriodicSet:
             return None
         t = start
         while t > 0 and self.member(t - 1) == other.member(t - 1):
-            t -= 1
-        return t
-
-    def min_threshold_periodic(self, step: int) -> int:
-        """Least t with member(x) == member(x + step) for all x >= t."""
-        window = math.lcm(self.period, step)
-        start = self.threshold
-        if any(self.member(x) != self.member(x + step) for x in range(start, start + window)):
-            raise ValueError(f"set is not eventually periodic with step {step}")
-        t = start
-        while t > 0 and self.member(t - 1) == self.member(t - 1 + step):
             t -= 1
         return t
 
@@ -445,19 +434,51 @@ def global_threshold(
     """Least t such that every acceptance set in ``acc`` (state -> set) is
     g-periodic from t on and same-SCC sets agree (after the residue shift)
     from t on.  Only non-transient SCCs lying wholly inside ``acc`` are
-    compared, so a partial machine passes the sets of its own states."""
-    t = 0
+    compared, so a partial machine passes the sets of its own states.
+
+    A set is g-periodic from its canonical threshold on, or never, so the
+    periodic part is the largest threshold ``top``.  For the rest, each
+    SCC is one scan: state q's set becomes a bit row shifted up by its
+    class c_q, so p and q agree at x exactly where p's row and q's row
+    agree at bit x + c_p; a q of a smaller class than p's wraps, and its
+    row is shifted up by the SCC period P more.  Sorted by class, the
+    rows p must agree with are a suffix of plain rows and a prefix of
+    wrapped ones, kept as running ORs and ANDs: p differs from some row
+    of a group at a bit iff it differs there from the group's OR or AND.
+    From bit top + 2P - 1 on, every difference recurs with period g, so
+    rows of top + 2P + g bits show the last difference, or one at or past
+    bit top + 2P when the sets do not almost agree.
+    """
     for a in acc.values():
-        t = max(t, a.min_threshold_periodic(g))
+        if g % a.period:
+            raise ValueError(f"set is not eventually periodic with step {g}")
+    top = t = max((a.threshold for a in acc.values()), default=0)
     for cid, component in enumerate(info.scc.components):
-        if info.component_period[cid] is None or not acc.keys() >= component:
+        period = info.component_period[cid]
+        if period is None or len(component) < 2 or not acc.keys() >= component:
             continue
-        for p, q in itertools.permutations(sorted(component), 2):
-            shifted = acc[q].shifted(shift(p, q, info))
-            agree = acc[p].min_threshold_agree(shifted)
-            if agree is None:
+        members = sorted(component, key=info.class_of.__getitem__)
+        classes = [info.class_of[q] for q in members]
+        width = top + 2 * period + g
+        mask = (1 << width) - 1
+        rows = [(acc[q].bits(width) << c) & mask for q, c in zip(members, classes)]
+        suffix_or, suffix_and = rows + [0], rows + [mask]
+        for i in range(len(rows) - 1, -1, -1):
+            suffix_or[i] |= suffix_or[i + 1]
+            suffix_and[i] &= suffix_and[i + 1]
+        wrap_or, wrap_and, first = 0, mask, 0
+        for i, (row, c) in enumerate(zip(rows, classes)):
+            if c != classes[first]:
+                for wrapped in rows[first:i]:
+                    wrap_or |= (wrapped << period) & mask
+                    wrap_and &= wrapped << period
+                first = i
+            diff = (row ^ suffix_or[first]) | (row ^ suffix_and[first])
+            if first:
+                diff |= (row ^ wrap_or) | (row ^ wrap_and)
+            if diff >> (top + 2 * period):
                 raise RuntimeError("same-SCC acceptance sets failed to almost agree")
-            t = max(t, agree)
+            t = max(t, diff.bit_length() - c)
     return t
 
 

@@ -3,8 +3,8 @@ import json
 import math
 
 import pytest
-from conftest import AB, UNARY, CORPUS, build_analyzed, build_dfa, words_up_to
-from hypothesis import given, settings
+from conftest import AB, UNARY, CORPUS, build_analyzed, build_dfa, complete_dfas, transient_partials, words_up_to
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regwin import (
@@ -34,6 +34,7 @@ from regwin import (
     reverse_to_rdfa,
     scc_decompose,
     scc_period,
+    shift,
     trim_reachable,
     uniformize_period,
 )
@@ -44,6 +45,7 @@ from regwin.analysis import (
     _backs,
     _factor_dfa,
     _fronts,
+    global_threshold,
 )
 from regwin.cli import main
 
@@ -106,14 +108,14 @@ def test_ep_set_constructors():
 
 def test_ep_set_shift_and_agreement():
     evens = EventuallyPeriodicSet.from_member_fn(lambda x: x % 2 == 0, 0, 2)
-    odds_from_one = evens.shifted(1)
+    odds_from_one = shifted(evens, 1)
     assert [x for x in range(7) if odds_from_one.member(x)] == [1, 3, 5]
     assert evens.min_threshold_agree(evens) == 0
     # evens vs evens-shifted-by-2 differ only at 0 and 1
-    assert evens.min_threshold_agree(evens.shifted(2)) == 1
+    assert evens.min_threshold_agree(shifted(evens, 2)) == 1
     assert evens.min_threshold_agree(odds_from_one) is None
-    assert evens.min_threshold_periodic(2) == 0
-    assert evens.min_threshold_periodic(4) == 0
+    assert min_threshold_periodic(evens, 2) == 0
+    assert min_threshold_periodic(evens, 4) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -340,7 +342,164 @@ def test_threshold_respects_shift_condition():
                 for q in comp:
                     s = analyzed.shift(p, q)
                     for x in range(analyzed.t, analyzed.t + 3 * analyzed.g + 1):
-                        assert analyzed.acc[p].member(x) == analyzed.acc[q].shifted(s).member(x)
+                        assert analyzed.acc[p].member(x) == shifted(analyzed.acc[q], s).member(x)
+
+
+# --- the global threshold against its pairwise reference ---------------------------
+
+
+def shifted(a, offset):
+    """The set ``{x + offset : x in a}``."""
+    if offset == 0:
+        return a
+    return EventuallyPeriodicSet.from_member_fn(
+        lambda x: x >= offset and a.member(x - offset), a.threshold + offset, a.period
+    )
+
+
+def min_threshold_periodic(a, step):
+    """Least t with a.member(x) == a.member(x + step) for all x >= t."""
+    window = math.lcm(a.period, step)
+    start = a.threshold
+    if any(a.member(x) != a.member(x + step) for x in range(start, start + window)):
+        raise ValueError(f"set is not eventually periodic with step {step}")
+    t = start
+    while t > 0 and a.member(t - 1) == a.member(t - 1 + step):
+        t -= 1
+    return t
+
+
+def reference_global_threshold(acc, g, info):
+    """``global_threshold`` by definition: every set's least g-periodic
+    threshold, and one shifted set and one agreement threshold for every
+    ordered pair of states of each non-transient SCC inside ``acc``."""
+    t = 0
+    for a in acc.values():
+        t = max(t, min_threshold_periodic(a, g))
+    for cid, component in enumerate(info.scc.components):
+        if info.component_period[cid] is None or not acc.keys() >= component:
+            continue
+        for p, q in itertools.permutations(sorted(component), 2):
+            agree = acc[p].min_threshold_agree(shifted(acc[q], shift(p, q, info)))
+            if agree is None:
+                raise RuntimeError("same-SCC acceptance sets failed to almost agree")
+            t = max(t, agree)
+    return t
+
+
+def threshold_outcome(routine, acc, g, info):
+    try:
+        return routine(acc, g, info)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def threshold_cases(dfa):
+    """The (state -> set) maps ``global_threshold`` sees for one machine:
+    the analysis's own, then each transient final's partial machines'."""
+    try:
+        analyzed = analyze(dfa)
+        partials = transient_partials(analyzed)
+    except StateLimitExceeded:
+        assume(False)
+    return analyzed, [dict(enumerate(analyzed.acc))] + [partial.acc for partial in partials]
+
+
+@settings(max_examples=400)
+@given(complete_dfas())
+def test_global_threshold_matches_the_pairwise_reference(dfa):
+    analyzed, cases = threshold_cases(dfa)
+    for acc in cases:
+        got = threshold_outcome(global_threshold, acc, analyzed.g, analyzed.periods)
+        assert got == threshold_outcome(reference_global_threshold, acc, analyzed.g, analyzed.periods)
+    assert analyzed.t == reference_global_threshold(cases[0], analyzed.g, analyzed.periods)
+
+
+@settings(max_examples=400)
+@given(complete_dfas(), st.data())
+def test_global_threshold_matches_the_pairwise_reference_on_edited_sets(dfa, data):
+    """One state's set replaced by a drawn one, so that sets of one SCC
+    often fail to almost agree, or agree only late; a drawn period that
+    does not divide g makes both routines refuse the map."""
+    analyzed, cases = threshold_cases(dfa)
+    g = analyzed.g
+    acc = dict(data.draw(st.sampled_from(cases)))
+    threshold = data.draw(st.integers(0, 2 * g + 3))
+    period = data.draw(st.sampled_from([g, g, g, 2 * g, g + 1]))
+    flags = data.draw(st.lists(st.booleans(), min_size=threshold + period, max_size=threshold + period))
+    acc[data.draw(st.sampled_from(sorted(acc)))] = EventuallyPeriodicSet(
+        threshold, period, flags[:threshold], flags[threshold:]
+    )
+    got = threshold_outcome(global_threshold, acc, g, analyzed.periods)
+    assert got == threshold_outcome(reference_global_threshold, acc, g, analyzed.periods)
+
+
+def cycle_periods(length):
+    """Periods of a unary machine that is one cycle of ``length`` states,
+    state i in class i."""
+    info = compute_period_info(Rdfa(UNARY, [[(q + 1) % length] for q in range(length)], 0, [0]))
+    assert info.class_of == tuple(range(length))
+    return info
+
+
+def test_global_threshold_refuses_sets_of_one_scc_that_do_not_almost_agree():
+    evens = EventuallyPeriodicSet.from_progression(0, 2)
+    # state 1 lies one step past state 0, so its set should be the odd numbers
+    acc = {0: evens, 1: evens}
+    for routine in (global_threshold, reference_global_threshold):
+        with pytest.raises(RuntimeError, match="failed to almost agree"):
+            routine(acc, 2, cycle_periods(2))
+
+
+def test_global_threshold_refuses_a_set_that_is_not_g_periodic():
+    acc = {0: EventuallyPeriodicSet.from_progression(1, 3)}
+    for routine in (global_threshold, reference_global_threshold):
+        with pytest.raises(ValueError, match="not eventually periodic with step 2"):
+            routine(acc, 2, cycle_periods(2))
+
+
+def test_global_threshold_counts_pairs_whose_shift_wraps():
+    """State 1 compares its set with state 0's shifted by (0 - 1) mod 2 = 1,
+    the only pair whose shift wraps: {1, 3, ...} against {3, 5, ...} differ
+    at 1, so t = 2, above both the sets' thresholds and the pair the other
+    way round."""
+    acc = {0: EventuallyPeriodicSet.from_progression(2, 2), 1: EventuallyPeriodicSet.from_progression(1, 2)}
+    info = cycle_periods(2)
+    assert max(a.threshold for a in acc.values()) == 1
+    assert acc[0].min_threshold_agree(shifted(acc[1], shift(0, 1, info))) == 0
+    assert global_threshold(acc, 2, info) == reference_global_threshold(acc, 2, info) == 2
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_global_threshold_of_a_cycle(length):
+    """State c of the cycle reaches the final state 0 in lengths -c mod L.
+    Shifted by (1 - 2) mod L = L - 1, state 1's set has no member below
+    2L - 2, so state 2's member L - 2 sets t = L - 1."""
+    analyzed = analyze(Rdfa(UNARY, [[(q + 1) % length] for q in range(length)], 0, [0]))
+    assert (analyzed.g, analyzed.t) == (length, length - 1)
+    assert reference_global_threshold(dict(enumerate(analyzed.acc)), length, analyzed.periods) == length - 1
+
+
+@pytest.mark.parametrize("length", [2, 3, 5])
+def test_global_threshold_of_a_cycle_that_never_accepts_is_zero(length):
+    """Empty sets agree everywhere, whatever the shift: no bit below the
+    SCC period may count as a difference."""
+    acc = {q: EventuallyPeriodicSet.empty() for q in range(length)}
+    for routine in (global_threshold, reference_global_threshold):
+        assert routine(acc, length, cycle_periods(length)) == 0
+
+
+@pytest.mark.parametrize("width", [0, 1, 5, 17])
+def test_ep_set_bits_list_the_members_below_the_width(width):
+    sets = [
+        EventuallyPeriodicSet.from_progression(3, 4),
+        EventuallyPeriodicSet(4, 3, [True, False, False, True], [False, True, True]),
+        EventuallyPeriodicSet.from_finite([0, 2, 9]),
+        EventuallyPeriodicSet.empty(),
+        EventuallyPeriodicSet.universal(),
+    ]
+    for a in sets:
+        assert a.bits(width) == sum(1 << x for x in range(width) if a.member(x)), a
 
 
 # --- cut languages --------------------------------------------------------------------
@@ -516,22 +675,6 @@ def search_outcome(search, dfa):
         return search(dfa)
     except StateLimitExceeded:
         return "state limit"
-
-
-@st.composite
-def complete_dfas(draw):
-    """A complete DFA with 1-6 states over 1-3 symbols, any initial state.
-    Most machines of two or more states make their last state a rejecting
-    sink: random machines without one are nearly all trivial."""
-    symbols = "abc"[: draw(st.integers(1, 3))]
-    n_states = draw(st.integers(1, 6))
-    state = st.integers(0, n_states - 1)
-    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
-    finals = draw(st.sets(state))
-    if n_states >= 2 and draw(st.integers(0, 4)):
-        delta[-1] = [n_states - 1] * len(symbols)
-        finals.discard(n_states - 1)
-    return Dfa(Alphabet.from_string(symbols), delta, draw(state), finals)
 
 
 def reference_length_cut_witness(dfa):

@@ -78,6 +78,41 @@ def test_partial_machines_match_pinned_figures():
         assert figures == PARTIAL_PINS[pattern], pattern
 
 
+# pattern -> (g, t, [(threshold, soundness_gap) of each partial machine]):
+# every threshold global_threshold sets, for the corpus and the languages of
+# CI's experiments, partial machines in the order of their transient finals
+THRESHOLD_PINS = {
+    "a*": (1, 0, []),
+    "(aa)*": (2, 1, []),
+    "(a|b)*a": (1, 1, []),
+    "ba*": (1, 1, [(1, 4)]),
+    "((a|b)a)*": (2, 1, []),
+    "(ab)*": (2, 1, []),
+    "ab": (1, 3, [(3, 8)]),
+    "a|bb": (1, 3, [(2, 5), (3, 8)]),
+    "a*|ba*": (1, 1, [(1, 4)]),
+    "(a|b)*": (1, 0, []),
+    "b(a|b)*": (1, 1, []),
+    "b(aa)*": (2, 2, [(2, 5)]),
+    "(aa)*|b(aa)*b": (4, 4, [(1, 2), (4, 9), (4, 11)]),
+    "(aa)*b(aaa)*": (6, 10, []),
+    "ab|ba*": (1, 2, [(2, 5), (2, 7), (3, 8)]),
+    "aab|b(aa)*": (2, 3, [(2, 5), (2, 7), (4, 11)]),
+}
+
+
+def test_threshold_pins_cover_the_corpus():
+    assert {pattern for _ident, pattern in CORPUS} <= set(THRESHOLD_PINS)
+
+
+@pytest.mark.parametrize("pattern", sorted(THRESHOLD_PINS))
+def test_thresholds_match_pinned_figures(pattern):
+    g, t, partials = THRESHOLD_PINS[pattern]
+    analyzed = build_analyzed(pattern)
+    assert (analyzed.g, analyzed.t) == (g, t)
+    assert [(partial.threshold, partial.soundness_gap) for partial in build_partials(pattern)] == partials
+
+
 # pattern -> (table, finals) of the subset construction on its Glushkov NFA
 DETERMINIZE_PINS = {
     "a*": (((1, 2), (1, 2), (2, 2)), (0, 1)),
