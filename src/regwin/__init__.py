@@ -90,7 +90,6 @@ from .testers_rand import (
     ProbabilisticCounter,
     SummaryTriple,
     ThresholdCounter,
-    amplification_copies,
     compile_one_sided,
     composed_one_sided_tester,
     counter_copies,

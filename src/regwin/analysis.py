@@ -36,6 +36,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .automata import (
+    DEFAULT_STATE_CAP,
     Alphabet,
     Dfa,
     Nfa,
@@ -372,7 +373,8 @@ def shift(p: int, q: int, info: PeriodInfo) -> int:
 def uniformize_period(rdfa: Rdfa) -> tuple[Rdfa, int]:
     """Product with a counter mod g (g = product of all non-transient SCC
     periods) that resets on SCC-leaving transitions.  The result accepts
-    the same language and every non-transient SCC has period exactly g."""
+    the same language and every non-transient SCC has period exactly g.
+    Raises StateLimitExceeded beyond ``DEFAULT_STATE_CAP`` states."""
     info = compute_period_info(rdfa)
     g = info.global_period
     scc = info.scc
@@ -381,7 +383,12 @@ def uniformize_period(rdfa: Rdfa) -> tuple[Rdfa, int]:
         q, counter = key
         return ((target, (counter + 1) % g if scc.same_scc(q, target) else 0) for target in rdfa.delta[q])
 
-    order, delta = _explore((rdfa.initial, 0), row_of)
+    try:
+        order, delta = _explore((rdfa.initial, 0), row_of, DEFAULT_STATE_CAP)
+    except StateLimitExceeded:
+        raise StateLimitExceeded(
+            f"period uniformization (g = {g}) exceeded {DEFAULT_STATE_CAP} states"
+        ) from None
     finals = [i for i, (q, _c) in enumerate(order) if q in rdfa.finals]
     return Rdfa(rdfa.alphabet, delta, 0, finals), g
 

@@ -13,25 +13,27 @@ summaries without their counts range over a finite set of skeletons,
 which the tester steps as an automaton interned on the fly: the
 ``SkeletonTester`` engine it shares with the deterministic tester.
 
-One-sided tester (double-log space for suffix-free languages): each
-transient final state of the one analysed machine is taken alone, and the
-machine is split into finitely many partial machines, one per chain of
-SCCs from the initial state to that final, each completed with a sink
-into a machine of its own.  Each partial machine has essentially one
-accepting length profile, so membership reduces to "the shortest suffix
-driving the start state to the final state has length exactly n", which
-is checked modulo a random prime drawn from a pool of the first
-Θ(log window-size) primes.  Member windows are accepted for every prime;
+One-sided tester (double-log space for finite unions of trivial and
+suffix-free languages): the one analysed machine is split into finitely
+many partial machines, one per chain of SCCs from the initial state to a
+transient final state, each completed with a sink into a machine of its
+own.  Each partial machine has essentially one accepting length profile,
+so membership reduces to "the shortest suffix driving the start state to
+the final state has length exactly n", which is checked modulo one random
+prime drawn from a pool of the first Θ(k log window-size) primes, k the
+number of transient finals.  Member windows are accepted for every prime;
 far windows survive for at most a third of the pool.  ``OneSidedTester``
-keeps these lengths for all its partial machines in one flat table, which
-a feed steps by one list comprehension.  A partial machine that cannot
-accept a window of size n is dropped; one whose language is a single
-word, or whose slack does not fit the window, is tracked exactly by the
-``ExactWindowTester`` that serves the exact kind.
+keeps these lengths for the partial machines of every transient final in
+one flat table, which a feed steps by one list comprehension.  A partial
+machine that cannot accept a window of size n is dropped; one whose
+language is a single word, or whose slack does not fit the window, is
+tracked exactly by the ``ExactWindowTester`` that serves the exact kind.
+The recurrent finals' language is trivial, so it is a constant at a fixed
+window size: ``compile_one_sided`` returns its trivial tester where it
+holds n and leaves it out otherwise.
 
-A union combinator runs testers for finitely many languages in parallel
-(with one-sided amplification by independent copies); the compiled
-one-sided tester is a union only when it holds more than one tester.
+``UnionTester`` runs testers for finitely many languages in parallel and
+accepts iff one of them accepts; the compiled one-sided tester is never one.
 """
 
 from __future__ import annotations
@@ -132,10 +134,8 @@ class _IncrementCdfs(dict):
 
 # shared by every counter with the same (copies, per_step_p), so Monte Carlo
 # trials build each table once; the tables are values of a pure function, so
-# what a caller reads does not depend on what ran before.  The oldest
-# parameter pair is dropped first.
-_INCREMENT_CDFS: dict[tuple[int, float], _IncrementCdfs] = {}
-INCREMENT_CDF_CACHE_SIZE = 16
+# what a caller reads does not depend on what ran before
+_shared_increment_cdfs = functools.lru_cache(maxsize=16)(_IncrementCdfs)
 
 
 class _UnitStep(dict):
@@ -197,13 +197,7 @@ class ProbabilisticCounter:
         """count -> CDF table of the cells one increment sets on a counter
         holding ``count``: Binomial(copies - count, per_step_p).  Shared by
         every counter with these parameters."""
-        key = (self.copies, self.per_step_p)
-        cdfs = _INCREMENT_CDFS.get(key)
-        if cdfs is None:
-            if len(_INCREMENT_CDFS) >= INCREMENT_CDF_CACHE_SIZE:
-                del _INCREMENT_CDFS[next(iter(_INCREMENT_CDFS))]
-            cdfs = _INCREMENT_CDFS[key] = _IncrementCdfs(*key)
-        return cdfs
+        return _shared_increment_cdfs(self.copies, self.per_step_p)
 
     def set_chance(self, k: float) -> float:
         """The chance that an unset cell is set within k increments,
@@ -611,22 +605,29 @@ def _first_primes(count: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _pool(n: int) -> tuple[int, ...]:
+def _pool(n: int, k: int = 1) -> tuple[int, ...]:
     if n < 2:
         raise ValueError("window size must be at least 2")
-    return _first_primes(max(2, 3 * n.bit_length()))
+    return _first_primes(max(2, 3 * k * n.bit_length()))
 
 
-def prime_pool(n: int) -> list[int]:
-    """First max(2, 3*ceil(log2(n+1))) primes.  Any D <= n has at most
-    log2(n) distinct prime factors, so at most a third of the pool can
-    divide a fixed nonzero difference D.  Each pool is computed once; the
-    caller gets its own list."""
-    return list(_pool(n))
+def prime_pool(n: int, k: int = 1) -> list[int]:
+    """First max(2, 3*k*ceil(log2(n+1))) primes, the pool of a one-sided
+    tester over the partial machines of k transient finals.
+
+    A stream has at most one suffix in a suffix-free language, so within
+    one transient final at most one partial machine has a finite shortest
+    accepted suffix, and at most k parts of the tester are live.  A far
+    window gives each live part a nonzero difference D <= n between that
+    length and n, and D has at most log2(n) distinct prime factors; so at
+    most k*log2(n) primes, a third of the pool, make some part accept.
+    ``prime_pool(n)`` is a prefix of every larger pool.  Each pool is
+    computed once; the caller gets its own list."""
+    return list(_pool(n, k))
 
 
-def sample_prime(n: int, rng: np.random.Generator | int | None = None) -> int:
-    pool = _pool(n)
+def sample_prime(n: int, rng: np.random.Generator | int | None = None, k: int = 1) -> int:
+    pool = _pool(n, k)
     return pool[int(_ensure_rng(rng).integers(len(pool)))]
 
 
@@ -638,9 +639,10 @@ def _fingerprintable(partial: PartialRdfa, window_size: int) -> bool:
 
 
 class OneSidedTester(SlidingWindowTester):
-    """One-sided tester for a suffix-free language given its partial
-    machines and one random prime p; accepts iff some partial machine
-    accepts.  A partial machine whose acceptance set misses n never
+    """One-sided tester for a finite union of suffix-free languages given
+    their partial machines, of any number k of transient finals, and one
+    random prime p from ``prime_pool(n, k)``; accepts iff some partial
+    machine accepts.  A partial machine whose acceptance set misses n never
     accepts and is dropped (a single-word one survives only at n = |w|).
     The kept ones where the fingerprint applies (``_fingerprintable``)
     are the ``_parts``; each other one is an ``ExactWindowTester`` over
@@ -665,7 +667,7 @@ class OneSidedTester(SlidingWindowTester):
     The prime is drawn from ``rng`` whenever some partial machine, kept
     or not, could be fingerprinted, so the coins a caller draws after it
     do not depend on which parts were kept.  A ``prime`` given instead
-    must lie in ``prime_pool(n)`` when a part reads it.
+    must lie in ``prime_pool(n, k)`` when a part reads it.
     """
 
     def __init__(
@@ -680,10 +682,11 @@ class OneSidedTester(SlidingWindowTester):
             raise ValueError("need at least one partial machine")
         live = [partial for partial in partials if partial.acc[partial.start].member(window_size)]
         parts = self._parts = tuple(partial for partial in live if _fingerprintable(partial, window_size))
+        k = len({partial.final for partial in partials})
         if prime is None:
             if any(_fingerprintable(partial, window_size) for partial in partials):
-                prime = sample_prime(window_size, rng)
-        elif parts and prime not in (pool := _pool(window_size)):
+                prime = sample_prime(window_size, rng, k)
+        elif parts and prime not in (pool := _pool(window_size, k)):
             raise ValueError(
                 f"prime {prime} is not in the pool of window size {window_size}, the first {len(pool)} primes"
             )
@@ -759,26 +762,22 @@ class OneSidedTester(SlidingWindowTester):
         return self._bits
 
 
-# --- unions ---------------------------------------------------------------------
+# --- unions and the compiled one-sided tester ----------------------------------
 
 
 class UnionTester(SlidingWindowTester):
-    """Run testers for finitely many languages in parallel; accept iff some
-    language's testers accept.  For one-sided randomized parts, a group of
-    independent copies accepts only if every copy accepts, driving that
-    part's false-accept probability to (base error)^copies.
+    """Run testers for finitely many languages in parallel; accept iff one
+    of them accepts.
 
     A union's parts must have fixed sizes (trivial, exact and one-sided
-    testers, which covers every union the library builds), so the sum of
-    their ``state_bits`` is taken once, at construction.  A union needs at
-    least one group and every group at least one tester: an empty union
-    has no alphabet and no window size to check its input against."""
+    testers), so the sum of their ``state_bits`` is taken once, at
+    construction.  A union needs at least one tester: an empty union has
+    no alphabet and no window size to check its input against."""
 
-    def __init__(self, groups: Sequence[Sequence[SlidingWindowTester]]):
-        self._groups = [list(group) for group in groups]
-        if not self._groups or not all(self._groups):
-            raise ValueError("a union needs at least one group and at least one tester per group")
-        self._testers = [t for group in self._groups for t in group]
+    def __init__(self, testers: Sequence[SlidingWindowTester]):
+        self._testers = list(testers)
+        if not self._testers:
+            raise ValueError("a union needs at least one tester")
         sizes = {t.window_size for t in self._testers}
         if len(sizes) > 1:
             raise ValueError(f"sub-testers disagree on the window size: {sorted(sizes)}")
@@ -799,54 +798,33 @@ class UnionTester(SlidingWindowTester):
         return self.state_bits()
 
     def decide(self) -> bool:
-        for group in self._groups:
-            for tester in group:
-                if not tester.decide():
-                    break
-            else:
-                return True
-        return False
+        return any(tester.decide() for tester in self._testers)
 
     def state_bits(self) -> int:
         return self._bits
 
 
-def union_tester(
-    factories: Sequence[Callable[[], SlidingWindowTester]], amplification: int = 1
-) -> UnionTester:
-    """Build ``amplification`` independent copies per language (factories
-    must return fresh, independently seeded testers on each call)."""
-    if amplification < 1:
-        raise ValueError("amplification must be at least 1")
-    return UnionTester([[factory() for _ in range(amplification)] for factory in factories])
-
-
-def amplification_copies(k: int, beta: float = 0.5, base_error: float = 0.5) -> int:
-    """Smallest copy count r with base_error^r <= beta/k."""
-    if not 0 < base_error < 1:
-        raise ValueError("base error must lie in (0, 1)")
-    r = 1
-    while base_error**r > beta / k:
-        r += 1
-    return r
+def union_tester(factories: Sequence[Callable[[], SlidingWindowTester]]) -> UnionTester:
+    """The union of one fresh tester from each factory."""
+    return UnionTester([factory() for factory in factories])
 
 
 def compile_one_sided(
     dfa: Dfa,
     window_size: int,
-    amplification: int = 1,
     prime: int | None = None,
 ) -> Callable[[np.random.Generator | int | None], SlidingWindowTester]:
     """Compile a language in the loglog class once, into a factory mapping
-    an rng to a fresh one-sided tester: a constant-space part for the
-    (trivial) non-transient-finals language united with one
-    ``OneSidedTester`` per transient final, each group of the union
-    holding ``amplification`` copies; a union of one tester is that
-    tester.  The classification, analysis and path descriptions run
-    here; a call only instantiates, drawing every copy's prime from one
-    generator, group by group."""
-    if amplification < 1:
-        raise ValueError("amplification must be at least 1")
+    an rng to a fresh one-sided tester.  The classification, analysis and
+    path descriptions run here; a call only instantiates.
+
+    The language is the union of a trivial part, the recurrent finals'
+    language, and one suffix-free part per transient final.  At a fixed
+    window size the trivial part is a constant: where its realized
+    lengths hold n every window is accepted, and the factory returns its
+    ``trivial_tester`` (no prime drawn); otherwise it never accepts and
+    is left out.  What is left is one ``OneSidedTester`` over the partial
+    machines of every transient final, drawing one prime."""
     classification = one_sided_class(dfa)
     if classification is OneSidedClass.LOG_LOWER_BOUND:
         raise ValueError(
@@ -860,28 +838,25 @@ def compile_one_sided(
     analyzed = analyze(dfa)
     rdfa, scc = analyzed.rdfa, analyzed.scc
     recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
-    recurrent = Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals)
-    lengths = realized_lengths(recurrent) if recurrent_finals else None
-    per_final = [enumerate_path_descriptions(analyzed, f) for f in sorted(rdfa.finals) if f not in recurrent_finals]
-
-    def instantiate(rng: np.random.Generator | int | None) -> SlidingWindowTester:
-        master = _ensure_rng(rng)
-        copies = range(amplification)
-        groups = [[OneSidedTester(partials, window_size, master, prime) for _ in copies] for partials in per_final]
-        if lengths is not None:
-            groups.insert(0, [trivial_tester(rdfa.alphabet, lengths, window_size) for _ in copies])
-        return groups[0][0] if len(groups) == 1 == len(groups[0]) else UnionTester(groups)
-
-    return instantiate
+    if recurrent_finals:
+        lengths = realized_lengths(Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals))
+        if lengths.member(window_size):
+            return lambda rng: trivial_tester(rdfa.alphabet, lengths, window_size)
+    partials = [
+        partial
+        for f in sorted(rdfa.finals)
+        if f not in recurrent_finals
+        for partial in enumerate_path_descriptions(analyzed, f)
+    ]
+    return lambda rng: OneSidedTester(partials, window_size, rng, prime)
 
 
 def composed_one_sided_tester(
     dfa: Dfa,
     window_size: int,
     rng: np.random.Generator | int | None = None,
-    amplification: int = 1,
     prime: int | None = None,
 ) -> SlidingWindowTester:
     """One-sided tester for a full language in the loglog class
     (``compile_one_sided`` applied to ``rng``)."""
-    return compile_one_sided(dfa, window_size, amplification, prime)(rng)
+    return compile_one_sided(dfa, window_size, prime)(rng)

@@ -51,6 +51,15 @@ CORPUS: list[tuple[str, str]] = [
 AB = Alphabet.from_string("ab")
 UNARY = Alphabet.from_string("a")
 
+# g = 2^20: the product of this machine with a counter mod g is far past any
+# machine the acceptance sets can take
+WIDE_PERIOD_DFA = Dfa(
+    AB,
+    [[8, 7], [3, 3], [7, 8], [0, 1], [4, 7], [7, 7], [4, 4], [5, 4], [2, 0]],
+    5,
+    {1, 5, 6, 7},
+)
+
 _SAFE_PATTERN = re.compile(r"^[ab.|*+?()]*$")
 
 

@@ -17,6 +17,7 @@ from regwin import (
     OneSidedTester,
     ProbabilisticCounter,
     check_t_simulation,
+    compile_one_sided,
     deterministic_tester,
     distance_to_language,
     equivalent,
@@ -198,6 +199,26 @@ def test_criterion_5_one_sided_tester():
     print(
         "ACCEPTANCE 5 PASS: one-sided tester exact completeness and <=1/3 pool collisions "
         f"at n=64,1024,65536 (gap c={gap}); pool prime bits {pool_bits}"
+    )
+
+
+def test_criterion_5_one_sided_tester_over_six_transient_finals():
+    """One prime for a union of six suffix-free parts: the compiled tester
+    of ``(|c|cc|ccc|cccc|ccccc)ba*`` draws from the first 3*6*7 = 126
+    primes, and the window c^58 b a^5 at n = 64, 54 substitutions from
+    the language, passes for at most a third of them (the exact law, over
+    the whole pool)."""
+    dfa = build_dfa("(|c|cc|ccc|cccc|ccccc)ba*", "abc")
+    n, window = 64, "c" * 58 + "b" + "a" * 5
+    assert len({partial.final for partial in build_partials("(|c|cc|ccc|cccc|ccccc)ba*", "abc")}) == 6
+    assert distance_to_language(window, dfa) == 54
+    pool = prime_pool(n, 6)
+    accepting = [prime for prime in pool if compile_one_sided(dfa, n, prime=prime)(0).feed_all(window).decide()]
+    share = len(accepting) / len(pool)
+    assert share <= 1 / 3, accepting
+    print(
+        "ACCEPTANCE 5 PASS: one prime over six transient finals; the 54-far window c^58 b a^5 "
+        f"at n=64 passes {len(accepting)}/{len(pool)} = {share:.3f} of the pool (<= 1/3)"
     )
 
 

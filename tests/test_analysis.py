@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from conftest import AB, UNARY, CORPUS, build_analyzed, build_dfa, complete_dfas, transient_partials, words_up_to
+from conftest import AB, UNARY, CORPUS, WIDE_PERIOD_DFA, build_analyzed, build_dfa, complete_dfas, transient_partials, words_up_to
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -242,6 +242,13 @@ def test_analyze_checks_uniform_periods_on_corpus():
         analyzed = build_analyzed(pattern)
         for cid, period in enumerate(analyzed.periods.component_period):
             assert period in (None, analyzed.g)
+
+
+def test_analyze_refuses_a_uniformization_past_the_state_cap():
+    """Uniformization explores at most ``DEFAULT_STATE_CAP`` states: this
+    9-state machine used to run out of memory in the product."""
+    with pytest.raises(StateLimitExceeded, match=r"^period uniformization \(g = 1048576\) exceeded 65536 states$"):
+        analyze(WIDE_PERIOD_DFA)
 
 
 # --- shift ------------------------------------------------------------------------

@@ -3,9 +3,9 @@ import math
 import re
 
 import pytest
-from conftest import AB, WRONGLY_TYPED_FIELDS, reference_distance_to_language, wrongly_typed
+from conftest import AB, WIDE_PERIOD_DFA, WRONGLY_TYPED_FIELDS, reference_distance_to_language, wrongly_typed
 
-from regwin import cli, find_excluded_factor, streams
+from regwin import automaton_to_json, cli, find_excluded_factor, streams
 from regwin.cli import ConfigError, main, report_to_csv, run_experiment
 
 BASE_CONFIG = {
@@ -190,6 +190,15 @@ def test_cli_analyze(capsys):
     assert report["period"] == 2
     assert report["threshold"] == 1
     assert len(report["sccs"]) >= 1
+
+
+def test_cli_analyze_refuses_a_uniformization_past_the_state_cap(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(automaton_to_json(WIDE_PERIOD_DFA)))
+    assert main(["analyze", "--automaton", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: period uniformization (g = 1048576) exceeded 65536 states\n"
 
 
 def test_cli_tester_run(capsys):

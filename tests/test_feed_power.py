@@ -33,6 +33,7 @@ from regwin.testers_rand import (
     OneSidedTester,
     TwoSidedTester,
     compile_one_sided,
+    union_tester,
 )
 
 POWER = settings(
@@ -107,16 +108,18 @@ def test_feed_power_equals_k_feeds(case):
     if partials:
         groups.append(partials)  # all of them in one table
     for group in groups:
-        one_sided = powered_and_looped(lambda: OneSidedTester(group, n, prime=prime), prefix, symbol, k)
-        assert one_sided[0].values == one_sided[1].values
-        assert_same_run(*one_sided, suffix)
+        fingerprints = powered_and_looped(lambda: OneSidedTester(group, n, prime=prime), prefix, symbol, k)
+        assert fingerprints[0].values == fingerprints[1].values
+        assert_same_run(*fingerprints, suffix)
 
     assert_same_run(*powered_and_looped(lambda: exact_tester(dfa, n), prefix, symbol, k), suffix)
     lengths = realized_lengths(dfa)
     assert_same_run(*powered_and_looped(lambda: trivial_tester(dfa.alphabet, lengths, n), prefix, symbol, k), suffix)
     if one_sided:
-        factory = compile_one_sided(dfa, n, amplification=2, prime=prime)
+        factory = compile_one_sided(dfa, n, prime=prime)
         assert_same_run(*powered_and_looped(lambda: factory(0), prefix, symbol, k), suffix)
+        union = lambda: union_tester([lambda: factory(0), lambda: trivial_tester(dfa.alphabet, lengths, n)])
+        assert_same_run(*powered_and_looped(union, prefix, symbol, k), suffix)
 
 
 @pytest.mark.parametrize("k", range(8))
@@ -144,7 +147,7 @@ BAD_POWER_TESTERS = {
     "two-sided": lambda: testers_rand.two_sided_tester(build_analyzed("a*"), 64, 0.5, rng=0),
     "one-sided": lambda: OneSidedTester(build_partials("ba*"), 8, prime=3),
     "one-sided-exact-parts": lambda: OneSidedTester(build_partials("b(aa)*"), 1, rng=1),
-    "union": lambda: compile_one_sided(build_dfa("ba*"), 8, amplification=2)(0),
+    "union": lambda: union_tester([lambda: compile_one_sided(build_dfa("ba*"), 8)(seed) for seed in (0, 1)]),
 }
 
 

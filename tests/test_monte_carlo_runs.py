@@ -38,7 +38,14 @@ from regwin.analysis import OneSidedClass, one_sided_class
 from regwin.cli import Language, build_tester_factory, run_experiment
 from regwin.streams import MonteCarloResult, trial_seed
 from regwin.testers_det import ExactWindowTester, PathSummaryTester, SkeletonTester, SlidingWindowTester
-from regwin.testers_rand import OneSidedTester, TwoSidedTester, UnionTester, compile_one_sided, two_sided_tester
+from regwin.testers_rand import (
+    OneSidedTester,
+    TwoSidedTester,
+    UnionTester,
+    compile_one_sided,
+    two_sided_tester,
+    union_tester,
+)
 
 RUNS = settings(
     max_examples=250,
@@ -381,7 +388,7 @@ def test_word_feed_run_matches_the_stepping_loop_on_the_skeleton_testers(table_s
 def test_word_feed_run_matches_the_stepping_loop_on_the_fixed_size_testers(case):
     """One-sided values and verdicts for every pool prime, and the verdict
     and size of the exact testers (both reading orders), the trivial
-    tester and the compiled one-sided tester, a union of two copies."""
+    tester, the compiled one-sided tester and a union of two of them."""
     dfa, n, prefix, powers = case
     analyzed = analyzed_or_reject(dfa)
     try:
@@ -400,8 +407,9 @@ def test_word_feed_run_matches_the_stepping_loop_on_the_fixed_size_testers(case)
         run_fed_and_stepped(lambda: trivial_tester(dfa.alphabet, lengths, n), prefix),
     ]
     if loglog:
-        factory = compile_one_sided(dfa, n, amplification=2)
+        factory = compile_one_sided(dfa, n)
         others.append(run_fed_and_stepped(lambda: factory(7), prefix))
+        others.append(run_fed_and_stepped(lambda: union_tester([lambda: factory(7), lambda: factory(8)]), prefix))
     for word, k in powers:
         for run_fed, stepped in one_sided:
             feed_both(run_fed, stepped, word, k)

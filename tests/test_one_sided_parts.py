@@ -16,11 +16,12 @@ or not, can be fingerprinted, and never otherwise.
 """
 
 import time
+from itertools import chain
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import build_dfa
+from conftest import build_dfa, build_partials, complete_dfas, language_slice
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,10 @@ from regwin import (
     composed_one_sided_tester,
     enumerate_path_descriptions,
     prime_pool,
+    reverse_to_rdfa,
+    scc_decompose,
     testers_rand,
+    trim_reachable,
 )
 from regwin.testers_det import ExactWindowTester
 
@@ -152,15 +156,15 @@ def test_one_sided_tester_drops_only_parts_that_never_accept(case):
 
 
 def test_one_sided_tester_built_directly_matches_the_compiled_parts_at_2_16():
-    """Over ``ab|ba*``'s partial machines at n = 2^16 the tester reports
-    the compiled tester's state bits: 1 for the single-word final, which
-    keeps no part, and 35 for the other.  Building a part for the
-    single word used to cost 65,536 bits and about 60 ms."""
+    """Over ``ab|ba*``'s partial machines at n = 2^16 a tester per final
+    reports 1 state bit for the single-word final, which keeps no part,
+    and 35 for the other; the compiled tester over both finals keeps that
+    one part in the same 35 bits.  Building a part for the single word
+    used to cost 65,536 bits and about 60 ms."""
     n, prime = 2**16, max(prime_pool(2**16))
     dfa = build_dfa("ab|ba*")
     analyzed = analyze(dfa)
     compiled = compile_one_sided(dfa, n, prime=prime)(0)
-    compiled_bits = [tester.state_bits() for tester in compiled._testers]
     direct_bits = []
     for f in sorted(analyzed.rdfa.finals):
         partials = enumerate_path_descriptions(analyzed, f)
@@ -171,7 +175,8 @@ def test_one_sided_tester_built_directly_matches_the_compiled_parts_at_2_16():
             seconds.append(time.perf_counter() - began)
         assert min(seconds) < 0.02, (f, seconds)
         direct_bits.append(tester.state_bits())
-    assert direct_bits == compiled_bits == [1, 35]
+    assert direct_bits == [1, 35]
+    assert compiled.state_bits() == 35
 
 
 @pytest.mark.parametrize("prime", [1, 0, -3, 4, 239])
@@ -198,6 +203,94 @@ def test_one_sided_tester_ignores_a_prime_no_part_reads():
     assert tester.prime is None
     tester.feed("b")
     assert tester.decide()
+
+
+# --- one tester over every transient final ------------------------------------------
+
+# languages with several transient finals and no recurrent one, so the
+# compiled tester is one OneSidedTester over all of their partial machines
+MULTI_FINAL_LANGUAGES = [("ab|ba*", "ab"), ("aab|b(aa)*", "ab"), ("(|c|cc|ccc|cccc|ccccc)ba*", "abc")]
+
+
+def assert_merged_is_the_or(merged_of, analyzed, finals, n, steps):
+    """For every prime of ``prime_pool(n)``: before and after every step,
+    a ``feed`` (k None) or a ``feed_run``, the tester ``merged_of(prime)``
+    decides as the OR of one ``OneSidedTester`` per final at that prime."""
+    primes = prime_pool(n)
+    merged = [merged_of(prime) for prime in primes]
+    per_final = [
+        [OneSidedTester(enumerate_path_descriptions(analyzed, f), n, prime=prime) for f in finals] for prime in primes
+    ]
+    for step in [None, *steps]:
+        if step is not None:
+            word, k = step
+            for tester in chain(merged, *per_final):
+                tester.feed(word) if k is None else tester.feed_run(word, k)
+        for prime, tester, parts in zip(primes, merged, per_final):
+            assert tester.decide() == any(part.decide() for part in parts), (n, prime, step)
+
+
+def steps_over(symbols):
+    """Single feeds and runs of a word of up to three symbols."""
+    word = st.text(alphabet=symbols, min_size=1, max_size=3)
+    feed = st.tuples(st.sampled_from(symbols), st.none())
+    return st.lists(st.one_of(feed, st.tuples(word, st.integers(1, 40))), max_size=10)
+
+
+def several_transient_finals(dfa):
+    """Whether the right-to-left machine has two or more transient finals:
+    the cheap filter before the analysis, whose uniformization keeps every
+    transient state as it is."""
+    rdfa = trim_reachable(reverse_to_rdfa(dfa))
+    scc = scc_decompose(rdfa)
+    return sum(scc.is_transient_state(f) for f in rdfa.finals) >= 2
+
+
+@settings(FUZZ, max_examples=100)
+@given(complete_dfas().filter(several_transient_finals), st.integers(2, 10), st.data())
+def test_merged_tester_is_the_or_of_its_per_final_testers(dfa, n, data):
+    analyzed, finals = transient_finals_of(dfa)
+    partials = [partial for f in finals for partial in enumerate_path_descriptions(analyzed, f)]
+    steps = data.draw(steps_over(dfa.alphabet.symbols))
+    assert_merged_is_the_or(lambda prime: OneSidedTester(partials, n, prime=prime), analyzed, finals, n, steps)
+
+
+@pytest.mark.parametrize("pattern, symbols", MULTI_FINAL_LANGUAGES)
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_compiled_tester_is_the_or_of_its_per_final_testers(pattern, symbols, n):
+    """The same over a seeded random stream, for the compiled tester."""
+    dfa = build_dfa(pattern, symbols)
+    analyzed = analyze(dfa)
+    finals = sorted(analyzed.rdfa.finals)
+    assert all(analyzed.scc.is_transient_state(f) for f in finals) and len(finals) >= 2
+    rng = np.random.default_rng(n)
+    steps = []
+    for _ in range(40):
+        word = "".join(rng.choice(list(symbols), size=int(rng.integers(1, 4))))
+        steps.append((word[0], None) if rng.random() < 0.5 else (word, int(rng.integers(1, 70))))
+    assert_merged_is_the_or(lambda prime: compile_one_sided(dfa, n, prime=prime)(0), analyzed, finals, n, steps)
+
+
+@pytest.mark.parametrize("pattern, symbols", MULTI_FINAL_LANGUAGES)
+def test_compiled_tester_accepts_every_member_window_for_every_prime_of_its_pool(pattern, symbols):
+    """Completeness over the whole pool of k transient finals, of which
+    ``prime_pool(n)`` is the first part: every window of the language at
+    n = 2..10, fed alone or after a prefix."""
+    dfa = build_dfa(pattern, symbols)
+    k = len({partial.final for partial in build_partials(pattern, symbols)})
+    assert k >= 2
+    checked = 0
+    for n in range(2, 11):
+        pool = prime_pool(n, k)
+        assert pool[: len(prime_pool(n))] == prime_pool(n)
+        members = sorted(language_slice(dfa, n))
+        for prime in pool:
+            factory = compile_one_sided(dfa, n, prime=prime)
+            for member in members:
+                for prefix in ("", symbols[::-1] * 3):
+                    assert factory(0).feed_all(prefix + member).decide(), (n, prime, prefix, member)
+                    checked += 1
+    assert checked
 
 
 # --- the accept path at scale ------------------------------------------------------

@@ -2,15 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import AB, build_analyzed, build_dfa, build_partials, words_up_to
+from conftest import AB, CORPUS, build_analyzed, build_dfa, build_partials, transient_partials, words_up_to
 
 from regwin import (
     CompactSummary,
     OneSidedTester,
     ProbabilisticCounter,
     SummaryTriple,
+    OneSidedClass,
     ThresholdCounter,
-    amplification_copies,
     analyze,
     compile_one_sided,
     composed_one_sided_tester,
@@ -19,6 +19,7 @@ from regwin import (
     enumerate_path_descriptions,
     make_counter,
     monte_carlo,
+    one_sided_class,
     prime_pool,
     prolong_compact_summary,
     realized_lengths,
@@ -484,38 +485,16 @@ def test_union_accepts_when_any_part_accepts():
 
 
 def test_empty_union_is_refused():
-    """A union with no language, or a language with no copy, has no
-    alphabet to check its input against."""
+    """A union with no tester has no alphabet to check its input against."""
     with pytest.raises(ValueError, match="at least one"):
         union_tester([])
     with pytest.raises(ValueError, match="at least one"):
-        UnionTester([[]])
-
-
-def test_amplification_copy_counts():
-    assert amplification_copies(2, beta=1.0) == 1
-    assert amplification_copies(2, beta=0.5) == 2  # (1/2)^r <= 1/4
-
-
-def test_union_amplification_runs_independent_copies():
-    ba_partials = build_partials("ba*")
-    rng = np.random.default_rng(0)
-    union = union_tester(
-        [lambda: OneSidedTester(ba_partials, 8, rng=rng)], amplification=3
-    )
-    union.feed_all("b" + "a" * 7)
-    assert union.decide()  # member: every copy accepts regardless of its prime
-
-
-@pytest.mark.parametrize("pattern", ["ba*", "(a|b)*a"])
-def test_compile_one_sided_refuses_fewer_than_one_copy(pattern):
-    with pytest.raises(ValueError, match="amplification must be at least 1"):
-        compile_one_sided(build_dfa(pattern), 8, amplification=0)
+        UnionTester([])
 
 
 def test_union_state_bits_are_the_part_sum_after_every_feed():
-    union = compile_one_sided(build_dfa("ba*"), 8, amplification=2)(0)
-    assert isinstance(union, UnionTester)
+    ba_partials = build_partials("ba*")
+    union = union_tester([lambda: OneSidedTester(ba_partials, 8, rng=0), lambda: OneSidedTester(ba_partials, 8, rng=1)])
     parts = union._testers
     assert len(parts) == 2
     for symbol in "aabaaaaaaabbab":
@@ -531,14 +510,13 @@ def test_one_sided_tester_builds_no_single_word_part_at_a_large_window(pattern):
     """A single-word part accepts only at n = |w|; at n = 2^20 + 1 it used
     to be an exact window of n symbols, about 2n state bits."""
     n = 2**20 + 1
-    union = compile_one_sided(build_dfa(pattern), n)(0)
-    one_sided = [tester for tester in union._testers if isinstance(tester, OneSidedTester)]
-    assert len(one_sided) == 2 and not any(tester._exact for tester in one_sided)
-    assert union.state_bits() < 64
+    tester = compile_one_sided(build_dfa(pattern), n)(0)
+    assert isinstance(tester, OneSidedTester) and not tester._exact
+    assert tester.state_bits() < 64
     for symbol, member in [("b", True), ("a", False)]:  # b a^(n-1) is a member of both; a^n of neither
-        union.feed(symbol)
-        union.feed_power("a", n - 1)
-        assert union.decide() == member
+        tester.feed(symbol)
+        tester.feed_power("a", n - 1)
+        assert tester.decide() == member
 
 
 def test_one_sided_tester_with_no_part_left_rejects_every_window():
@@ -552,41 +530,42 @@ def test_one_sided_tester_with_no_part_left_rejects_every_window():
         tester.feed("z")
 
 
-def union_wrapped_primes(dfa, n, amplification, seed):
-    """The primes of the union-wrapped form, one ``OneSidedTester`` per
-    transient final and copy drawn from one generator, final by final,
-    and the generator's next draw after them."""
-    analyzed = analyze(dfa)
-    finals = [f for f in sorted(analyzed.rdfa.finals) if analyzed.scc.is_transient_state(f)]
-    master = np.random.default_rng(seed)
-    testers = [
-        OneSidedTester(enumerate_path_descriptions(analyzed, f), n, master) for f in finals for _ in range(amplification)
-    ]
-    return [tester.prime for tester in testers], int(master.integers(2**62))
+@pytest.mark.parametrize("pattern", ["ba*", "b(aa)*", "ab|ba*", "((a|b)(a|b))*b|ba*"])
+def test_compile_one_sided_builds_one_tester_drawing_one_prime(pattern):
+    """Never a union: one ``OneSidedTester`` over the partial machines of
+    every transient final, which draws its one prime from the caller's
+    generator as a tester built over them directly does.  Where the
+    recurrent finals' lengths hold n (odd n for ``((a|b)(a|b))*b``) it is
+    their trivial tester instead, which accepts every window and draws
+    nothing."""
+    dfa = build_dfa(pattern)
+    partials = transient_partials(analyze(dfa))
+    for n in (64, 65):
+        for seed in range(5):
+            rng, master = np.random.default_rng(seed), np.random.default_rng(seed)
+            tester = compile_one_sided(dfa, n)(rng)
+            if pattern.startswith("((a|b)(a|b))*b") and n % 2:
+                assert isinstance(tester, FixedVerdictTester) and tester.decide()
+            else:
+                direct = OneSidedTester(partials, n, master)
+                assert isinstance(tester, OneSidedTester)
+                chains = [[(part.final, part.states) for part in t._parts] for t in (tester, direct)]
+                assert tester.prime == direct.prime and chains[0] == chains[1]
+            assert int(rng.integers(2**62)) == int(master.integers(2**62))
 
 
-@pytest.mark.parametrize(
-    "pattern, amplification, union",
-    [
-        ("ba*", 1, False),
-        ("b(aa)*", 1, False),
-        ("ab|ba*", 1, True),  # two transient finals
-        ("ba*", 3, True),  # three copies
-        ("((a|b)(a|b))*b|ba*", 1, True),  # a trivial group for the recurrent finals
-    ],
-)
-def test_compile_one_sided_unwraps_a_union_of_one(pattern, amplification, union):
-    """A union of one tester is that tester; either way the primes are
-    drawn as the union-wrapped form draws them, in the same order, and
-    the caller's generator is left in the same state."""
-    dfa, n = build_dfa(pattern), 65
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        tester = compile_one_sided(dfa, n, amplification)(rng)
-        assert isinstance(tester, UnionTester) == union
-        testers = tester._testers if union else [tester]
-        primes = [t.prime for t in testers if isinstance(t, OneSidedTester)]
-        assert (primes, int(rng.integers(2**62))) == union_wrapped_primes(dfa, n, amplification, seed)
+def test_compile_one_sided_never_returns_a_union():
+    languages = [(pattern, "ab") for _, pattern in CORPUS]
+    languages += [("ab|ba*", "ab"), ("aab|b(aa)*", "ab"), ("(|c|cc|ccc|cccc|ccccc)ba*", "abc")]
+    compiled = 0
+    for pattern, symbols in languages:
+        dfa = build_dfa(pattern, symbols)
+        if one_sided_class(dfa) is OneSidedClass.LOG_LOWER_BOUND:
+            continue
+        for n in (8, 64, 255, 1023):
+            assert not isinstance(compile_one_sided(dfa, n)(0), UnionTester), (pattern, n)
+            compiled += 1
+    assert compiled >= 4 * 8
 
 
 def test_composed_tester_for_suffix_free_language():
