@@ -7,7 +7,8 @@ constant-space tester for trivial languages, a deterministic tester in
 O(log n) bits, a two-sided randomized tester in O(1) bits, and a one-sided
 randomized tester in O(log log n) bits for unions of trivial and
 suffix-free languages -- plus the automaton analyses those testers compile
-from and brute-force oracles to audit them.
+from and the distance oracles that label a window: its exact Hamming and
+prefix distance to the words of the language of the window's length.
 """
 
 from .analysis import (
@@ -20,7 +21,6 @@ from .analysis import (
     acceptance_sets,
     analyze,
     compute_period_info,
-    cut_language,
     find_excluded_factor,
     is_length_language,
     is_suffix_free,
@@ -29,7 +29,6 @@ from .analysis import (
     one_sided_class,
     realized_lengths,
     scc_decompose,
-    scc_period,
     shift,
     uniformize_period,
 )
@@ -53,14 +52,7 @@ from .automata import (
     reverse_to_rdfa,
     trim_reachable,
 )
-from .oracle import (
-    WindowBuffer,
-    check_t_simulation,
-    distance_to_language,
-    exhaustive_accepting_run,
-    hamming_distance,
-    prefix_distance_to_language,
-)
+from .oracle import distance_to_language, prefix_distance_to_language
 from .streams import (
     AdversarialStream,
     LiteralStream,
@@ -76,30 +68,23 @@ from .streams import (
     trial_seed,
 )
 from .testers_det import (
-    PathSummary,
     SlidingWindowTester,
     deterministic_tester,
     exact_tester,
-    path_summary_of,
     trivial_tester,
 )
 from .testers_rand import (
-    CompactSummary,
     OneSidedTester,
     PartialRdfa,
     ProbabilisticCounter,
-    SummaryTriple,
-    ThresholdCounter,
     compile_one_sided,
     composed_one_sided_tester,
     counter_copies,
     enumerate_path_descriptions,
     make_counter,
     prime_pool,
-    prolong_compact_summary,
     sample_prime,
     two_sided_tester,
-    union_tester,
 )
 
 __version__ = "0.1.0"

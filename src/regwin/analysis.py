@@ -199,26 +199,20 @@ class EventuallyPeriodicSet:
 
 @dataclass(frozen=True)
 class SccDecomposition:
-    """SCC partition of a machine's transition graph.
-
-    ``reach[c]`` is the set of component ids reachable from component c
-    (reflexive); it realizes the SCC partial order.  A component is
-    transient iff it is a singleton with no self-loop.
+    """SCC partition of a machine's transition graph, components numbered
+    sinks first (Tarjan's order).  A component is transient iff it is a
+    singleton with no self-loop.
     """
 
     scc_id: tuple[int, ...]
     components: tuple[frozenset[int], ...]
     transient: tuple[bool, ...]
-    reach: tuple[frozenset[int], ...]
 
     def same_scc(self, p: int, q: int) -> bool:
         return self.scc_id[p] == self.scc_id[q]
 
     def is_transient_state(self, q: int) -> bool:
         return self.transient[self.scc_id[q]]
-
-    def order_less(self, c: int, d: int) -> bool:
-        return c != d and d in self.reach[c]
 
 
 def scc_decompose(rdfa: Rdfa) -> SccDecomposition:
@@ -280,19 +274,7 @@ def scc_decompose(rdfa: Rdfa) -> SccDecomposition:
         len(comp) == 1 and not any(q in succ[q] for q in comp) for comp in components
     )
 
-    # Condensation reachability (reflexive) by reverse-topological sweep;
-    # Tarjan emits components sinks-first, so successors are already done.
-    n_comps = len(components)
-    reach: list[set[int]] = [set() for _ in range(n_comps)]
-    for cid in range(n_comps):
-        reach[cid].add(cid)
-        for q in components[cid]:
-            for w in succ[q]:
-                if comp_id[w] != cid:
-                    reach[cid] |= reach[comp_id[w]]
-    return SccDecomposition(
-        tuple(comp_id), tuple(components), transient, tuple(frozenset(r) for r in reach)
-    )
+    return SccDecomposition(tuple(comp_id), tuple(components), transient)
 
 
 def _component_period_and_depths(
@@ -321,14 +303,6 @@ def _component_period_and_depths(
         for v in intra[u]:
             g = math.gcd(g, depth[u] + 1 - depth[v])
     return g, depth
-
-
-def scc_period(component: Iterable[int], rdfa: Rdfa) -> int | None:
-    """Period (gcd of cycle lengths) of one SCC; None marks a transient
-    (acyclic singleton) component."""
-    succ = [set(row) for row in rdfa.delta]
-    period, _ = _component_period_and_depths(frozenset(component), succ)
-    return period
 
 
 @dataclass(frozen=True)
@@ -569,24 +543,7 @@ def _path_lengths(
     return EventuallyPeriodicSet.from_lasso([not front.isdisjoint(finals) for front in fronts], start)
 
 
-# --- cut languages and the triviality classifier ---------------------------------
-
-
-def cut_language(dfa: Dfa, i: int, j: int) -> Nfa:
-    """NFA for the words of L with i leading and j trailing symbols removed:
-    initials are the states reachable in exactly i steps, finals the states
-    from which a final state is reachable in exactly j steps."""
-    initials = {dfa.initial}
-    for _ in range(i):
-        initials = {dfa.delta[q][a] for q in initials for a in range(len(dfa.alphabet))}
-    finals = set(dfa.finals)
-    for _ in range(j):
-        finals = {
-            q
-            for q in range(dfa.n_states)
-            if any(dfa.delta[q][a] in finals for a in range(len(dfa.alphabet)))
-        }
-    return Nfa(dfa.alphabet, dfa.n_states, initials, dfa.transitions(), finals)
+# --- length languages and the triviality classifier ------------------------------
 
 
 def _uniform_levels(levels: Iterable[frozenset[int]], finals: frozenset[int]) -> bool:

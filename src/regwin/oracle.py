@@ -1,51 +1,22 @@
-"""Ground-truth reference implementations used to audit the testers.
+"""Distance oracles: the ground truth that labels every window.
 
-Most of this module favours obviousness over speed: an explicit ring
-buffer for the active window, suffix-anchored search for prefix distance,
-and exhaustive run search for the simulation property.  Hamming distance
-to the length-n slice of a language, which labels every experiment row, is
-the same min-plus dynamic programme kept cheap: it steps only the states
-that can still reach a final state, holds the cost vector normalized by its
+Two distances from a word to the length-|word| slice of a language are
+computed exactly.  Hamming distance, which labels every experiment row, is
+the min-plus dynamic programme kept cheap: it steps only the states that
+can still reach a final state, holds the cost vector normalized by its
 minimum, and memoizes each (vector, symbol) step, so a window whose
-normalized vectors recur costs one table lookup per symbol.  Infinite
-distance (empty length slice) is an explicit ``math.inf``.
+normalized vectors recur costs one table lookup per symbol.  Prefix
+distance, which ``regwin oracle dist`` reports beside it, favours
+obviousness over speed: a suffix-anchored search.  Infinite distance
+(empty length slice) is an explicit ``math.inf``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Sequence
 
-from .analysis import AnalyzedRdfa
-from .automata import Alphabet, Dfa, Rdfa
-
-
-class WindowBuffer:
-    """Ring buffer holding the active window: the last n stream symbols,
-    padded on the left with the alphabet's pad symbol."""
-
-    __slots__ = ("size", "_buf")
-
-    def __init__(self, alphabet: Alphabet, size: int):
-        if size < 0:
-            raise ValueError("window size must be nonnegative")
-        self.size = size
-        self._buf: deque[str] = deque([alphabet.pad] * size, maxlen=size)
-
-    def feed(self, symbol: str) -> None:
-        self._buf.append(symbol)
-
-    def contents(self) -> str:
-        return "".join(self._buf)
-
-
-def hamming_distance(u: str, v: str) -> int:
-    """Number of positions where two equal-length words differ."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(1 for a, b in zip(u, v) if a != b)
-
+from .automata import Alphabet, Dfa
 
 STEP_TABLE_SIZE = 1024  # memoized steps one distance call holds before it empties its table
 
@@ -168,68 +139,3 @@ def prefix_distance_to_language(word: str, dfa: Dfa) -> int | float:
         if i < n:
             reachable = {dfa.delta[q][a] for q in reachable for a in range(len(dfa.alphabet))}
     return math.inf
-
-
-def _reachable_layers(rdfa: Rdfa, start: int, depth: int) -> list[set[int]]:
-    layers = [{start}]
-    for _ in range(depth):
-        layers.append({rdfa.delta[q][a] for q in layers[-1] for a in range(len(rdfa.alphabet))})
-    return layers
-
-
-def _run_length_guard(analyzed: AnalyzedRdfa, n: int) -> None:
-    bound = analyzed.t + 2 * analyzed.g + 8
-    if n > bound:
-        raise ValueError(f"exhaustive run search is guarded at length {bound}, got {n}")
-
-
-def exhaustive_accepting_run(analyzed: AnalyzedRdfa, q: int, n: int) -> list[int] | None:
-    """Some accepting run of length exactly n from q (as its state
-    sequence), or None.  Guarded to small n; this is a test oracle."""
-    _run_length_guard(analyzed, n)
-    rdfa = analyzed.rdfa
-    layers = _reachable_layers(rdfa, q, n)
-    goals = layers[n] & rdfa.finals
-    if not goals:
-        return None
-    # walk backwards choosing any predecessor in the previous layer
-    run = [min(goals)]
-    for depth in range(n - 1, -1, -1):
-        here = run[-1]
-        for p in sorted(layers[depth]):
-            if any(rdfa.delta[p][a] == here for a in range(len(rdfa.alphabet))):
-                run.append(p)
-                break
-    run.reverse()
-    return run
-
-
-def _accepts_some_word_of_length(rdfa: Rdfa, q: int, n: int) -> bool:
-    frontier = {q}
-    for _ in range(n):
-        frontier = {rdfa.delta[p][a] for p in frontier for a in range(len(rdfa.alphabet))}
-    return bool(frontier & rdfa.finals)
-
-
-def check_t_simulation(analyzed: AnalyzedRdfa, run_states: Sequence[int], n: int) -> bool:
-    """Check that some accepting run of length n from the start state of an
-    internal run keeps the run's behaviour except for a prefix of length at
-    most the analysis threshold t.
-
-    Concretely: for some k <= min(t, |run|), dropping the run's final k
-    steps leaves a state from which an accepting continuation of length
-    n - (|run| - k) exists.  Length membership is recomputed here by plain
-    frontier search, independent of the analysis module's periodic sets.
-    """
-    _run_length_guard(analyzed, n)
-    length = len(run_states) - 1
-    if length > n:
-        raise ValueError("run longer than the target length")
-    scc = analyzed.scc
-    if any(not scc.same_scc(run_states[0], s) for s in run_states):
-        raise ValueError("run is not internal to one SCC")
-    for k in range(0, min(analyzed.t, length) + 1):
-        kept = length - k
-        if _accepts_some_word_of_length(analyzed.rdfa, run_states[kept], n - kept):
-            return True
-    return False

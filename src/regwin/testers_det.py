@@ -23,10 +23,9 @@ tester; its segments carry exact ages, frozen at n + 1 out of the window.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .analysis import AnalyzedRdfa, EventuallyPeriodicSet, _until_repeat
 from .automata import Alphabet, Dfa, Rdfa
@@ -62,19 +61,19 @@ class SlidingWindowTester(ABC):
     length 1); summarizing testers replace its loop with a closed form
     over the lassos of the product Q x Z_|w|.  ``feed_run(w, k)`` does the
     same for k >= 1 copies and also returns the largest ``state_bits``
-    over the k·|w| states it passes; a tester whose size never changes
-    answers it with one ``feed_power``, and the deterministic tester steps
-    at most ceil((tau + L)/|w|) copies (tau the longest tail, L the lcm of
-    the cycle lengths of the product), past which its size cannot grow,
-    then takes one ``feed_power`` (a repeated skeleton is no such bound;
-    see ``PathSummaryTester``).  Every library tester checks the whole
-    word before it changes anything, so an empty word, a symbol outside
-    the alphabet anywhere in it or a bad k raises ``ValueError`` and
-    leaves the state as it was; the loops here check each symbol as they
-    feed it.  Every window starts as n pad symbols: a summarizing tester
-    reaches it at construction through ``_start_on_pad``, one
-    ``feed_power`` of the pad, in time independent of n; the exact tester
-    stores them.
+    over the k·|w| states it passes; a ``FixedSizeTester``, whose size
+    never changes, answers it with one ``feed_power``, and the
+    deterministic tester steps at most ceil((tau + L)/|w|) copies (tau
+    the longest tail, L the lcm of the cycle lengths of the product), past
+    which its size cannot grow, then takes one ``feed_power`` (a repeated
+    skeleton is no such bound; see ``PathSummaryTester``).  Every library
+    tester checks the whole word before it changes anything, so an empty
+    word, a symbol outside the alphabet anywhere in it or a bad k raises
+    ``ValueError`` and leaves the state as it was; the loops here check
+    each symbol as they feed it.  Every window starts as n pad symbols: a
+    summarizing tester reaches it at construction through
+    ``_start_on_pad``, one ``feed_power`` of the pad, in time independent
+    of n; the exact tester stores them.
     """
 
     window_size: int
@@ -117,13 +116,18 @@ class SlidingWindowTester(ABC):
     def _start_on_pad(self, alphabet: Alphabet) -> None:
         self.feed_power(alphabet.pad, self.window_size)
 
-    def feed_all(self, stream: Iterable[str]) -> "SlidingWindowTester":
-        for symbol in stream:
-            self.feed(symbol)
-        return self
+
+class FixedSizeTester(SlidingWindowTester):
+    """A tester whose ``state_bits`` never changes: ``feed_run`` is one
+    ``feed_power``, and the run's largest size is the size."""
+
+    def feed_run(self, word: str, k: int) -> int:
+        check_run(k)
+        self.feed_power(word, k)
+        return self.state_bits()
 
 
-class ExactWindowTester(SlidingWindowTester):
+class ExactWindowTester(FixedSizeTester):
     """Exact membership of the window, as a two-stack aggregate over the
     machine's transformation monoid.
 
@@ -202,11 +206,6 @@ class ExactWindowTester(SlidingWindowTester):
         self._back = list(codes * copies)[copies * len(codes) - n :]
         self._rebuild_front()
 
-    def feed_run(self, word: str, k: int) -> int:
-        check_run(k)
-        self.feed_power(word, k)
-        return self.state_bits()
-
     def decide(self) -> bool:
         front = self._front[-1]
         if self._reads_oldest_first:
@@ -221,7 +220,7 @@ def exact_tester(machine: Dfa | Rdfa, window_size: int) -> ExactWindowTester:
     return ExactWindowTester(machine, window_size)
 
 
-class FixedVerdictTester(SlidingWindowTester):
+class FixedVerdictTester(FixedSizeTester):
     """Constant-space tester for trivial languages: the verdict depends
     only on whether the window length is a realized length."""
 
@@ -237,11 +236,6 @@ class FixedVerdictTester(SlidingWindowTester):
         word_codes(self._alphabet.code, word)  # validate
         check_power(k)
 
-    def feed_run(self, word: str, k: int) -> int:
-        check_run(k)
-        self.feed_power(word, k)
-        return self.state_bits()
-
     def decide(self) -> bool:
         return self._verdict
 
@@ -256,54 +250,6 @@ def trivial_tester(
     :func:`regwin.analysis.realized_lengths`); fed symbols are checked
     against ``alphabet``."""
     return FixedVerdictTester(alphabet, lengths, window_size)
-
-
-@dataclass(frozen=True)
-class PathSummary:
-    """Run summary: (segment length, segment start state) pairs, oldest
-    segment first.
-
-    A run is factored into maximal single-SCC segments joined by
-    SCC-changing transitions; each pair except the oldest counts its
-    segment plus the transition that follows it, so lengths sum to the run
-    length and every pair but the first is at least 1.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def length(self) -> int:
-        return sum(l for l, _q in self.pairs)
-
-    def validate(self, analyzed: AnalyzedRdfa) -> None:
-        assert self.pairs, "summary must hold at least one pair"
-        assert self.pairs[0][0] >= 0
-        assert all(l >= 1 for l, _q in self.pairs[1:])
-        assert len(self.pairs) <= analyzed.rdfa.n_states
-        scc = analyzed.scc
-        ids = [scc.scc_id[q] for _l, q in self.pairs]
-        for older, newer in zip(ids, ids[1:]):
-            assert older != newer and scc.order_less(newer, older), "SCC chain out of order"
-
-
-def path_summary_of(window: str, q: int, analyzed: AnalyzedRdfa) -> PathSummary:
-    """Reference (non-streaming) summary of the run on ``window`` from q;
-    the oracle the streaming updates are tested against."""
-    states = analyzed.rdfa.run(window, q)
-    scc = analyzed.scc
-    pairs: list[tuple[int, int]] = []
-    seg_start = states[0]
-    seg_len = 0
-    for prev, nxt in zip(states, states[1:]):
-        if scc.same_scc(prev, nxt):
-            seg_len += 1
-        else:
-            pairs.append((seg_len + 1, seg_start))  # segment plus its exit transition
-            seg_start = nxt
-            seg_len = 0
-    pairs.append((seg_len, seg_start))
-    pairs.reverse()
-    return PathSummary(tuple(pairs))
 
 
 def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], int]:
@@ -544,15 +490,6 @@ class PathSummaryTester(SkeletonTester):
             if age <= n:
                 return acc.member(n - age)
         return record[-1]
-
-    def summaries(self) -> dict[int, PathSummary]:
-        """The rows' entries in the window as ``PathSummary`` objects (a view)."""
-        n, views = self.window_size, {}
-        for q, row in enumerate(self._rows):
-            live = [(s, age) for s, _r, age in row if age <= n]
-            older_ages = [n, *(age for _s, age in live)]  # the oldest runs to the far end
-            views[q] = PathSummary(tuple((older - age, s) for older, (s, age) in zip(older_ages, [*live, (q, 0)])))
-        return views
 
     def state_bits(self) -> int:
         counts = self._counts

@@ -43,7 +43,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,10 +60,10 @@ from .analysis import (
 from .automata import Dfa, Rdfa, StateLimitExceeded
 from .testers_det import (
     ExactWindowTester,
+    FixedSizeTester,
     SkeletonTester,
     SlidingWindowTester,
     check_power,
-    check_run,
     exact_tester,
     power_path,
     trivial_tester,
@@ -138,13 +138,6 @@ class _IncrementCdfs(dict):
 _shared_increment_cdfs = functools.lru_cache(maxsize=16)(_IncrementCdfs)
 
 
-class _UnitStep(dict):
-    """count -> the table of a step of exactly one, whatever the count."""
-
-    def __missing__(self, count: int) -> tuple[float, ...]:
-        return (0.0, 1.0)
-
-
 def counter_copies(qsize: int, noise_margin: float) -> int:
     """Cell count making the majority vote err with probability at most
     1/(3*qsize): ceil(96 ln(3 qsize) / margin^2)."""
@@ -163,8 +156,8 @@ class ProbabilisticCounter:
     reading is the majority vote (ties count high; ``copies`` is forced odd
     so ties cannot occur).  Only the number of set cells matters, so a
     *count* is a plain int held by whoever keeps the counter (the
-    two-sided tester's rows, a ``SummaryTriple``); this object holds only
-    what every count shares.  ``reads_high(count)`` is the vote,
+    two-sided tester's rows); this object holds only what every count
+    shares.  ``reads_high(count)`` is the vote,
     ``advance(count, k, rng)`` applies k increments in one draw, and
     ``increment_cdfs()`` gives the tables by which the two-sided step
     advances a count by one increment at a uniform.
@@ -234,94 +227,7 @@ def make_counter(n: int, eps: float, qsize: int, t: int) -> ProbabilisticCounter
     return ProbabilisticCounter(high, low, qsize)
 
 
-class ThresholdCounter:
-    """Deterministic test double: the count is exact, every increment adds
-    exactly 1 (its ``increment_cdfs`` tables say so whatever the uniform),
-    and it reads high iff count >= cutoff."""
-
-    __slots__ = ("cutoff",)
-
-    def __init__(self, cutoff: int):
-        if cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-        self.cutoff = cutoff
-
-    def reads_high(self, count: int) -> bool:
-        return count >= self.cutoff
-
-    def increment_cdfs(self) -> Mapping[int, tuple[float, ...]]:
-        return _UnitStep()
-
-    def advance(self, count: int, k: int, rng: np.random.Generator | None = None) -> int:
-        return count + k
-
-    def state_bit_cost(self) -> int:
-        return self.cutoff.bit_length()
-
-
-# --- compact summaries and the two-sided tester --------------------------------
-
-
-class SummaryTriple(NamedTuple):
-    """One SCC segment of a run: its start state, the residue mod g of the
-    stream length consumed after the segment ended, and the count of its
-    staleness counter, which tracks that same length approximately."""
-
-    state: int
-    residue: int
-    count: int
-
-
-class CompactSummary:
-    """Constant-size surrogate of a run's segment summary, oldest segment
-    first.  The newest triple is always (start state, 0, 0)."""
-
-    __slots__ = ("triples",)
-
-    def __init__(self, triples: Sequence[SummaryTriple]):
-        self.triples = list(triples)
-        if not self.triples:
-            raise ValueError("summary must hold at least one triple")
-
-    @property
-    def start_state(self) -> int:
-        return self.triples[-1].state
-
-    def validate(self, analyzed: AnalyzedRdfa) -> None:
-        assert self.triples[-1][1:] == (0, 0), "newest triple must carry residue 0 and count 0"
-        assert len(self.triples) <= analyzed.rdfa.n_states
-        scc = analyzed.scc
-        ids = [scc.scc_id[tr.state] for tr in self.triples]
-        for older, newer in zip(ids, ids[1:]):
-            assert older != newer and scc.order_less(newer, older), "SCC chain out of order"
-
-
-def prolong_compact_summary(
-    cs: CompactSummary,
-    symbol_code: int,
-    new_start: int,
-    analyzed: AnalyzedRdfa,
-    counter: ProbabilisticCounter | ThresholdCounter,
-    rng: np.random.Generator | None = None,
-) -> CompactSummary:
-    """Extend the summarized run by one transition at its start.
-
-    This is the one-step reference definition that ``TwoSidedTester``
-    applies to all start states at once: every kept triple moves its
-    residue by 1 mod g and advances its count by ``counter.advance(count,
-    1, rng)``, oldest first; the newest triple is kept only when the
-    transition changes SCC, and ``(new_start, 0, 0)`` becomes the newest.
-    A ``ThresholdCounter`` needs no ``rng``.
-    """
-    rdfa, scc, g = analyzed.rdfa, analyzed.scc, analyzed.g
-    q = rdfa.delta[new_start][symbol_code]
-    if q != cs.start_state:
-        raise ValueError(
-            f"transition from {new_start} reaches {q}, but the summary starts at {cs.start_state}"
-        )
-    kept = cs.triples[:-1] if scc.same_scc(new_start, q) else cs.triples
-    triples = [SummaryTriple(s, (residue + 1) % g, counter.advance(count, 1, rng)) for s, residue, count in kept]
-    return CompactSummary([*triples, SummaryTriple(new_start, 0, 0)])
+# --- the two-sided tester ------------------------------------------------------
 
 
 UNIFORM_BUFFER = 2048  # uniforms per batch of a two-sided tester's stream
@@ -332,7 +238,8 @@ class TwoSidedTester(SkeletonTester):
     skeleton engine with period g and staleness-counter counts.
 
     p's summary is its row of triples plus the newest, ``(p, 0, 0)``, and a
-    step is ``prolong_compact_summary`` applied to every state at once.
+    step prolongs every state's summary by one transition at once, by the
+    row rule of ``SkeletonTester``.
     Accepts iff, in the initial state's summary, the oldest triple whose
     count still reads low has an acceptance residue matching the window
     size; the decide record holds that verdict per entry, then the newest's.
@@ -345,8 +252,10 @@ class TwoSidedTester(SkeletonTester):
     at construction by one draw from ``rng``, so trials are reproducible
     and every cell sees independent coins.  Its uniforms are one endless
     stream of ``UNIFORM_BUFFER``-draw batches, so a step itself makes no
-    NumPy call.  ``ThresholdCounter`` stubs run through the same step:
-    their tables step by exactly one at any uniform.  ``feed_power``
+    NumPy call.  ``counter_factory`` is the test seam: it builds the
+    counter in place of ``make_counter``'s, and any object with the same
+    four methods runs through the same step (an exact test counter's
+    tables step by exactly one at any uniform).  ``feed_power``
     advances a count by k increments in one draw (the counter's
     ``advance``, from the tester's generator), so the pad warm-up takes
     O(|Q|^2) draws at most whatever n.
@@ -378,7 +287,7 @@ class TwoSidedTester(SkeletonTester):
         window_size: int,
         eps: float,
         rng: np.random.Generator | int | None = None,
-        counter_factory: Callable[[], ProbabilisticCounter | ThresholdCounter] | None = None,
+        counter_factory: Callable[[], ProbabilisticCounter] | None = None,
     ):
         super().__init__(analyzed, window_size, analyzed.g)
         if counter_factory is None:
@@ -438,13 +347,6 @@ class TwoSidedTester(SkeletonTester):
                 return verdict
         return record[-1]  # the newest triple, which reads low by invariant
 
-    def summaries(self) -> Mapping[int, CompactSummary]:
-        """The rows as ``CompactSummary`` objects (a view; not for the hot path)."""
-        return {
-            q: CompactSummary([*map(SummaryTriple._make, row), SummaryTriple(q, 0, 0)])
-            for q, row in enumerate(self._rows)
-        }
-
     def state_bits(self) -> int:
         return self._triple_bits * (len(self._counts) + self._n_states)
 
@@ -454,7 +356,7 @@ def two_sided_tester(
     window_size: int,
     eps: float,
     rng: np.random.Generator | int | None = None,
-    counter_factory: Callable[[], ProbabilisticCounter | ThresholdCounter] | None = None,
+    counter_factory: Callable[[], ProbabilisticCounter] | None = None,
 ) -> SlidingWindowTester:
     """Two-sided tester, or the exact fallback when the window is too small
     for the counter marks to separate."""
@@ -638,7 +540,7 @@ def _fingerprintable(partial: PartialRdfa, window_size: int) -> bool:
     return partial.singleton_word is None and window_size >= partial.length_slack + len(partial.states)
 
 
-class OneSidedTester(SlidingWindowTester):
+class OneSidedTester(FixedSizeTester):
     """One-sided tester for a finite union of suffix-free languages given
     their partial machines, of any number k of transient finals, and one
     random prime p from ``prime_pool(n, k)``; accepts iff some partial
@@ -743,11 +645,6 @@ class OneSidedTester(SlidingWindowTester):
         for part in self._exact:
             part.feed_power(word, k)
 
-    def feed_run(self, word: str, k: int) -> int:
-        check_run(k)
-        self.feed_power(word, k)
-        return self.state_bits()
-
     def decide(self) -> bool:
         values, target = self.values, self._target
         for start in self._starts:
@@ -765,7 +662,7 @@ class OneSidedTester(SlidingWindowTester):
 # --- unions and the compiled one-sided tester ----------------------------------
 
 
-class UnionTester(SlidingWindowTester):
+class UnionTester(FixedSizeTester):
     """Run testers for finitely many languages in parallel; accept iff one
     of them accepts.
 
@@ -792,21 +689,11 @@ class UnionTester(SlidingWindowTester):
         for tester in self._testers:  # the first checks the word and k before any changes
             tester.feed_power(word, k)
 
-    def feed_run(self, word: str, k: int) -> int:
-        check_run(k)
-        self.feed_power(word, k)
-        return self.state_bits()
-
     def decide(self) -> bool:
         return any(tester.decide() for tester in self._testers)
 
     def state_bits(self) -> int:
         return self._bits
-
-
-def union_tester(factories: Sequence[Callable[[], SlidingWindowTester]]) -> UnionTester:
-    """The union of one fresh tester from each factory."""
-    return UnionTester([factory() for factory in factories])
 
 
 def compile_one_sided(

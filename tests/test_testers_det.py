@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from conftest import AB, CORPUS, build_analyzed, build_dfa, last_n, words_up_to
+from reference import WindowBuffer, feed_all, path_summaries, path_summary_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +14,9 @@ from regwin import (
     EventuallyPeriodicSet,
     Rdfa,
     StateLimitExceeded,
-    WindowBuffer,
     analyze,
     deterministic_tester,
     exact_tester,
-    path_summary_of,
     prefix_distance_to_language,
     realized_lengths,
     reverse_to_rdfa,
@@ -31,11 +30,11 @@ from regwin.testers_det import ExactWindowTester, PathSummaryTester
 
 def test_exact_tester_examples():
     tester = exact_tester(build_dfa("a*"), 3)
-    tester.feed_all("baaa")
+    feed_all(tester, "baaa")
     assert tester.decide()  # window aaa
 
     tester = exact_tester(build_dfa("a*"), 3)
-    tester.feed_all("baa")
+    feed_all(tester, "baa")
     assert not tester.decide()  # window baa
 
     # empty stream over the unary alphabet: the pad-filled window is aaaa
@@ -54,7 +53,7 @@ def test_exact_tester_respects_pad_override():
 def test_exact_tester_works_on_rdfa_too():
     rdfa = reverse_to_rdfa(build_dfa("ba*"))
     tester = exact_tester(rdfa, 4)
-    tester.feed_all("xbaaa".replace("x", "a"))
+    feed_all(tester, "xbaaa".replace("x", "a"))
     assert tester.decide()
 
 
@@ -113,7 +112,7 @@ def test_exact_tester_matches_the_window_buffer_after_every_feed(case):
 def test_trivial_tester_always_accepts_on_realized_lengths():
     lengths = realized_lengths(build_dfa("(a|b)*a"))
     tester = trivial_tester(AB, lengths, 5)
-    tester.feed_all("bbbbb")
+    feed_all(tester, "bbbbb")
     assert tester.decide()
     assert tester.state_bits() == 1
 
@@ -121,7 +120,7 @@ def test_trivial_tester_always_accepts_on_realized_lengths():
 def test_trivial_tester_rejects_unrealized_length():
     evens = EventuallyPeriodicSet.from_member_fn(lambda x: x % 2 == 0, 0, 2)
     tester = trivial_tester(AB, evens, 7)
-    tester.feed_all("aaaa")
+    feed_all(tester, "aaaa")
     assert not tester.decide()
 
 
@@ -167,14 +166,14 @@ def test_path_summary_empty_window():
 
 def test_deterministic_tester_accepts_member():
     tester = deterministic_tester(build_analyzed("a*"), 4)
-    tester.feed_all("aaaa")
+    feed_all(tester, "aaaa")
     assert tester.decide()
 
 
 def test_deterministic_tester_rejects_far_window():
     analyzed = build_analyzed("a*")
     tester = deterministic_tester(analyzed, 4)
-    tester.feed_all("abaa")
+    feed_all(tester, "abaa")
     assert not tester.decide()
     # consistency with the analysis gap: the rejected window is farther than t
     dist = prefix_distance_to_language("abaa", build_dfa("a*"))
@@ -184,9 +183,9 @@ def test_deterministic_tester_rejects_far_window():
 def test_deterministic_tester_even_as():
     analyzed = build_analyzed("(aa)*", "a")
     tester = deterministic_tester(analyzed, 4)
-    tester.feed_all("aaaa")
+    feed_all(tester, "aaaa")
     assert tester.decide()
-    summary = tester.summaries()[analyzed.rdfa.initial]
+    summary = path_summaries(tester)[analyzed.rdfa.initial]
     assert summary.pairs == ((4, analyzed.rdfa.initial),)
 
 
@@ -208,7 +207,7 @@ def test_streaming_summaries_match_reference_everywhere(ident, pattern):
             for i, symbol in enumerate(stream):
                 tester.feed(symbol)
                 window = last_n(n, stream[: i + 1], AB.pad)
-                for q, summary in tester.summaries().items():
+                for q, summary in path_summaries(tester).items():
                     expected = path_summary_of(window, q, analyzed)
                     assert summary.pairs == expected.pairs, (stream[: i + 1], n, q)
                     summary.validate(analyzed)
@@ -221,7 +220,7 @@ def test_deterministic_tester_decisions_small_sweep(ident, pattern):
     for n in range(0, 6):
         for stream in words_up_to(AB, 7):
             tester = deterministic_tester(analyzed, n)
-            tester.feed_all(stream)
+            feed_all(tester, stream)
             window = last_n(n, stream, AB.pad)
             decision = tester.decide()
             if dfa.accepts(window):
@@ -267,7 +266,7 @@ def test_deterministic_tester_is_exact_up_to_t_on_random_machines(case):
             summarizing.feed(stream[i - 1])
             chosen.feed(stream[i - 1])
         window = last_n(n, stream[:i], dfa.alphabet.pad)
-        summaries = summarizing.summaries()
+        summaries = path_summaries(summarizing)
         assert summaries == {q: path_summary_of(window, q, analyzed) for q in range(rdfa.n_states)}, (window, n)
         assert summarizing.state_bits() == pair_bits * sum(len(s.pairs) for s in summaries.values())
         member = dfa.accepts(window)
@@ -285,7 +284,7 @@ def test_state_bits_grow_with_log_window():
     bits = []
     for n in sizes:
         tester = deterministic_tester(analyzed, n)
-        tester.feed_all("b" + "a" * 16)
+        feed_all(tester, "b" + "a" * 16)
         bits.append(tester.state_bits())
     assert bits == sorted(bits)
     # pair count is capped by the state count, so bits per doubling grow by

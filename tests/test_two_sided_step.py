@@ -3,8 +3,8 @@
 ``TwoSidedTester`` advances the summaries of all start states at once, as
 flat rows of ``(state, residue, count)`` entries.  With deterministic
 ``ThresholdCounter`` stubs it must hold exactly the summaries that a chain
-of ``prolong_compact_summary`` calls (the reference definition) builds, on
-random small machines and streams.
+of ``prolong_compact_summary`` calls (the reference definition in
+``reference.py``) builds, on random small machines and streams.
 """
 
 import numpy as np
@@ -12,19 +12,9 @@ import pytest
 from conftest import build_analyzed
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from reference import CompactSummary, SummaryTriple, ThresholdCounter, compact_summaries, prolong_compact_summary
 
-from regwin import (
-    Alphabet,
-    CompactSummary,
-    Dfa,
-    StateLimitExceeded,
-    SummaryTriple,
-    ThresholdCounter,
-    analyze,
-    make_counter,
-    prolong_compact_summary,
-    two_sided_tester,
-)
+from regwin import Alphabet, Dfa, StateLimitExceeded, analyze, make_counter, two_sided_tester
 from regwin.testers_rand import TwoSidedTester
 
 FUZZ = settings(
@@ -83,11 +73,11 @@ def test_batched_step_matches_chained_prolong(case):
     for _ in range(window_size):
         reference = prolong(rdfa.alphabet.code(rdfa.alphabet.pad))
     tester = TwoSidedTester(analyzed, window_size, 0.5, counter_factory=lambda: ThresholdCounter(cutoff))
-    assert rows_of(tester.summaries()) == rows_of(reference)
+    assert rows_of(compact_summaries(tester)) == rows_of(reference)
     for symbol in stream:
         tester.feed(symbol)
         reference = prolong(rdfa.alphabet.code(symbol))
-        assert rows_of(tester.summaries()) == rows_of(reference), stream
+        assert rows_of(compact_summaries(tester)) == rows_of(reference), stream
         assert tester.decide() == reference_decision(analyzed, counter, reference[rdfa.initial], window_size)
 
 
@@ -99,7 +89,7 @@ def per_triple_bits(tester, analyzed):
     counter = make_counter(tester.window_size, 0.5, analyzed.rdfa.n_states, analyzed.t)
     return sum(
         state_bits + residue_bits + counter.state_bit_cost()
-        for cs in tester.summaries().values()
+        for cs in compact_summaries(tester).values()
         for _tr in cs.triples
     )
 
