@@ -25,6 +25,11 @@ all-final or all-nonfinal.  The triviality test explores, once per front
 front under every word, and then checks the levels of that exploration
 against each back (the states with a final reachable in exactly j
 steps) in turn.
+
+One cap, ``DEFAULT_STATE_CAP``, bounds every walk here: each exploration
+(the uniformization, the subset constructions, the triviality test's image
+sets) and each lasso of state sets stops with ``StateLimitExceeded`` once
+it would pass that many states or values.
 """
 
 from __future__ import annotations
@@ -49,12 +54,6 @@ from .automata import (
     reverse_to_rdfa,
     trim_reachable,
 )
-
-# Boolean-vector iteration and the triviality test's subset construction
-# are exponential in the worst case; keep them on a short leash since this
-# is a desk-scale tool.
-VECTOR_ITERATION_STATE_LIMIT = 24
-
 
 # --- eventually periodic sets -------------------------------------------------
 
@@ -373,10 +372,13 @@ def uniformize_period(rdfa: Rdfa) -> tuple[Rdfa, int]:
 def _until_repeat(value, step) -> tuple[list, int]:
     """Iterate ``step`` from ``value`` up to the first repeated value.
     Returns the distinct values in order and the index the sequence
-    returns to: from there on it cycles through ``values[start:]``."""
+    returns to: from there on it cycles through ``values[start:]``.
+    Raises StateLimitExceeded past ``DEFAULT_STATE_CAP`` distinct values."""
     seen: dict = {}
     values = []
     while value not in seen:
+        if len(values) == DEFAULT_STATE_CAP:
+            raise StateLimitExceeded(f"the length-set lasso exceeded {DEFAULT_STATE_CAP} values")
         seen[value] = len(values)
         values.append(value)
         value = step(value)
@@ -401,10 +403,6 @@ def _backs(finals: Iterable[int], succ: Sequence[Iterable[int]]) -> tuple[list[f
 def _acceptance_sets_from_successors(
     succ: Sequence[Iterable[int]], finals: Iterable[int]
 ) -> list[EventuallyPeriodicSet]:
-    if len(succ) > VECTOR_ITERATION_STATE_LIMIT:
-        raise StateLimitExceeded(
-            f"boolean-vector iteration is limited to {VECTOR_ITERATION_STATE_LIMIT} states"
-        )
     backs, start = _backs(finals, succ)
     return [EventuallyPeriodicSet.from_lasso([q in back for back in backs], start) for q in range(len(succ))]
 
@@ -526,21 +524,8 @@ def realized_lengths(machine: Dfa | Rdfa | Nfa) -> EventuallyPeriodicSet:
     else:
         starts = (machine.initial,)
         succ = machine.delta
-    if machine.n_states > VECTOR_ITERATION_STATE_LIMIT:
-        raise StateLimitExceeded(
-            f"length-set iteration is limited to {VECTOR_ITERATION_STATE_LIMIT} states"
-        )
-    return _path_lengths(starts, succ, machine.finals)
-
-
-def _path_lengths(
-    starts: Iterable[int], succ: Sequence[Iterable[int]], finals: frozenset[int]
-) -> EventuallyPeriodicSet:
-    """Lengths of the paths from ``starts`` into ``finals``: the lengths i
-    whose exactly-i-steps front meets ``finals``, read off the fronts'
-    lasso.  Uncapped; :func:`realized_lengths` is the capped entry point."""
     fronts, start = _fronts(starts, succ)
-    return EventuallyPeriodicSet.from_lasso([not front.isdisjoint(finals) for front in fronts], start)
+    return EventuallyPeriodicSet.from_lasso([not front.isdisjoint(machine.finals) for front in fronts], start)
 
 
 # --- length languages and the triviality classifier ------------------------------
@@ -575,7 +560,7 @@ def length_cut_witness(dfa: Dfa) -> tuple[int, int] | None:
     of the words of each length) is read once.  The cut by back B_j is a
     length language iff every level meets B_j in all of its image sets or
     in none.  Raises StateLimitExceeded when a front has more than
-    ``VECTOR_ITERATION_STATE_LIMIT`` image sets.
+    ``DEFAULT_STATE_CAP`` image sets, or a lasso more values.
     """
     fronts, _ = _fronts((dfa.initial,), dfa.delta)
     backs, _ = _backs(dfa.finals, dfa.delta)
@@ -586,10 +571,10 @@ def length_cut_witness(dfa: Dfa) -> tuple[int, int] | None:
 
     for i, front in enumerate(fronts):
         try:
-            images, table = _explore(front, row_of, VECTOR_ITERATION_STATE_LIMIT)
+            images, table = _explore(front, row_of, DEFAULT_STATE_CAP)
         except StateLimitExceeded:
             raise StateLimitExceeded(
-                f"the triviality test's subset construction is limited to {VECTOR_ITERATION_STATE_LIMIT} states"
+                f"the triviality test's subset construction is limited to {DEFAULT_STATE_CAP} states"
             ) from None
         levels, _ = _fronts((0,), table)
         for j, back in enumerate(backs):
@@ -694,11 +679,10 @@ def find_excluded_factor(dfa: Dfa) -> tuple[Progression, str] | None:
     ``FACTOR_MAX_STEP_MULTIPLE`` * d, d the realized-length period), then
     by offset (each realized length in [t, t + step), t the threshold).
     Returns None for trivial languages or if the bounded search exhausts.
-    ``StateLimitExceeded`` comes only from the triviality test.
     """
     if is_trivial(dfa):
         return None
-    lengths = _path_lengths((dfa.initial,), dfa.delta, dfa.finals)
+    lengths = realized_lengths(dfa)
     alphabet = dfa.alphabet
     t, d = lengths.threshold, lengths.period
     progressions = [
@@ -713,7 +697,7 @@ def find_excluded_factor(dfa: Dfa) -> tuple[Progression, str] | None:
             # w excludes P iff P misses the lengths of L ∩ Σ*wΣ*; beyond
             # max(offset, threshold) both repeat with lcm(step, period)
             hits = product_intersect(dfa, _factor_dfa(alphabet, factor))
-            hit_lengths = _path_lengths((hits.initial,), hits.delta, hits.finals)
+            hit_lengths = realized_lengths(hits)
             for p in progressions:
                 end = max(p.offset, hit_lengths.threshold) + math.lcm(p.step, hit_lengths.period)
                 if not any(map(hit_lengths.member, range(p.offset, end, p.step))):

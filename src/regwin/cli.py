@@ -326,11 +326,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     language = _language_from_args(args)
-    rdfa = analysis.trim_reachable(analysis.reverse_to_rdfa(language.dfa))
     report = {
         "language": language.ident,
         "trivial": analysis.is_trivial(language.dfa),
-        "suffix_free": analysis.is_suffix_free(rdfa),
+        "suffix_free": analysis.is_suffix_free(analysis.reverse_to_rdfa(language.dfa)),
         "one_sided_class": analysis.one_sided_class(language.dfa).value,
     }
     excluded = analysis.find_excluded_factor(language.dfa)

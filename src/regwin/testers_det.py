@@ -27,7 +27,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Callable, Sequence
 
-from .analysis import AnalyzedRdfa, EventuallyPeriodicSet, _until_repeat
+from .analysis import AnalyzedRdfa, EventuallyPeriodicSet
 from .automata import Alphabet, Dfa, Rdfa
 
 
@@ -252,26 +252,57 @@ def trivial_tester(
     return FixedVerdictTester(alphabet, lengths, window_size)
 
 
-def power_path(successors: Sequence[int], p: int, k: int) -> tuple[list[int], int]:
-    """The path p = p_0, p_1 = successors[p_0], ... in a functional graph,
-    as its distinct nodes in order, and its node p_k.  The path is a lasso
-    (``_until_repeat``), so p_k is read off the lasso's cycle in time
-    linear in the graph whatever k; every step that leaves an SCC lies
-    before the cycle."""
-    check_power(k)
-    path, start = _until_repeat(p, successors.__getitem__)
-    return path, path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
-
-
 Row = list[tuple[int, int, int]]  # (segment start state, residue, count), oldest first, newest left out
 Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
 Slot = tuple[int, tuple[int, ...]]  # (next skeleton id, gather tuple)
+Moves = Sequence[Sequence[tuple[int, bool]]]  # per symbol code, per state: (successor, whether the step is marked)
 # per start state p: (the states of p's path under copies of one word, up to its first repeated node of
-# Q x Z_|w|, the index its cycle starts at, and (age, state) per SCC change on the path, oldest first);
+# Q x Z_|w|, the index its cycle starts at, and (age, state) per marked step on the path, oldest first);
 # then the longest tail and the lcm of the cycle lengths, both in symbols
 Lassos = tuple[tuple[tuple[list[int], int, tuple[tuple[int, int], ...]], ...], int, int]
 
 SKELETON_TABLE_SIZE = 4096  # skeletons (and lasso tables) a tester holds before it empties its table
+
+
+def walk_lassos(moves: Moves, codes: tuple[int, ...]) -> Lassos:
+    """The lassos of the word ``codes``: one walk per start state p over
+    the product Q x Z_|w| from (p, 0) to its first repeated node, where
+    (q, j) moves to (delta(q, reversed(w)[j]), j + 1 mod |w|), the order
+    a run from q reads the word in.  A marked step is entered with its
+    age, the steps taken so far, and the state it reaches."""
+    steps = [moves[code] for code in reversed(codes)]
+    n, width = len(steps[0]), len(codes)
+    lassos, tail, cycles = [], 0, 1
+    for p in range(n):
+        path, marks, index, q, j = [], [], {}, p, 0
+        while (node := j * n + q) not in index:
+            index[node] = len(path)
+            path.append(q)
+            q, marked = steps[j][q]
+            j = j + 1 if j + 1 < width else 0
+            if marked:
+                marks.append((len(path), q))
+        start = index[node]
+        lassos.append((path, start, tuple(reversed(marks))))
+        tail, cycles = max(tail, start), lcm(cycles, len(path) - start)
+    return tuple(lassos), tail, cycles
+
+
+def word_lassos(table: dict[tuple[int, ...], Lassos], moves: Moves, codes: tuple[int, ...]) -> Lassos:
+    """The lassos of the word ``codes`` from ``table``, walked and entered
+    on first use.  A table that reaches ``SKELETON_TABLE_SIZE`` words is
+    emptied first."""
+    lassos = table.get(codes)
+    if lassos is None:
+        if len(table) >= SKELETON_TABLE_SIZE:
+            table.clear()
+        lassos = table[codes] = walk_lassos(moves, codes)
+    return lassos
+
+
+def lasso_node(path: list[int], start: int, k: int) -> int:
+    """Node k of a lasso: ``path``, then its cycle ``path[start:]`` forever."""
+    return path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
 
 
 class SkeletonTester(SlidingWindowTester):
@@ -305,11 +336,10 @@ class SkeletonTester(SlidingWindowTester):
     (delta(q, reversed(w)[j]), j + 1 mod |w|).  A cycle of the product
     stays in one SCC, so every SCC change lies on a tail, and its length
     is a multiple of |w|, so p_K is a state at a copy boundary.  The
-    lassos are one table per word, keyed by its codes and built on first
-    use like the slots: per state its path, the index its cycle starts at
-    and its SCC changes, then the longest tail tau and the lcm L of the
-    cycle lengths.  A table that reaches ``SKELETON_TABLE_SIZE`` words is
-    emptied.  For a symbol the product is the symbol's own functional
+    lassos are one table per word (``word_lassos``), its marked steps the
+    SCC changes: per state its path, the index its cycle starts at and its
+    SCC changes, then the longest tail tau and the lcm L of the cycle
+    lengths.  For a symbol the product is the symbol's own functional
     graph; the pad warm-up is one such call.
 
     A subclass says what a count is: ``feed`` steps the gathered counts,
@@ -326,9 +356,9 @@ class SkeletonTester(SlidingWindowTester):
         rdfa = analyzed.rdfa
         self._code = rdfa.alphabet.code
         self._n_states = rdfa.n_states
-        # per symbol code, per start state p: (successor q, whether p and q share an SCC)
+        # per symbol code, per start state p: (successor q, whether the step leaves p's SCC)
         self._moves = [
-            [(q, analyzed.same_scc(p, q)) for p, q in enumerate(successors)] for successors in zip(*rdfa.delta)
+            [(q, not analyzed.same_scc(p, q)) for p, q in enumerate(successors)] for successors in zip(*rdfa.delta)
         ]
         # the skeleton table: skeleton -> id, and per id its skeleton, slots and decide record
         self._ids: dict[Skeleton, int] = {}
@@ -363,10 +393,10 @@ class SkeletonTester(SlidingWindowTester):
         rows, g = self._skeletons[self._skeleton], self._period
         starts = [0, *accumulate(map(len, rows))]
         next_rows, gather = [], []
-        for q, same in self._moves[code]:
+        for q, leaves in self._moves[code]:
             row = [(state, (residue + 1) % g) for state, residue in rows[q]]
             gather += range(starts[q], starts[q + 1])
-            if not same:
+            if leaves:
                 row.append((q, 1 % g))
                 gather.append(starts[-1])  # the fresh count
             next_rows.append(tuple(row))
@@ -374,41 +404,17 @@ class SkeletonTester(SlidingWindowTester):
         self._slots[self._skeleton][code] = slot  # after _intern, which may renumber the current skeleton
         return slot
 
-    def _lasso(self, codes: tuple[int, ...]) -> Lassos:
-        """The lassos of the word ``codes``: one walk per start state p over
-        the product Q x Z_|w| from (p, 0) to its first repeated node,
-        entered in the table."""
-        n, width = self._n_states, len(codes)
-        steps = [self._moves[code] for code in reversed(codes)]  # the moves a run from a state reads, in order
-        lassos, tail, cycles = [], 0, 1
-        for p in range(n):
-            path, exits, index, q, j = [], [], {}, p, 0
-            while (node := j * n + q) not in index:
-                index[node] = len(path)
-                path.append(q)
-                q, same = steps[j][q]
-                j = j + 1 if j + 1 < width else 0
-                if not same:
-                    exits.append((len(path), q))
-            start = index[node]
-            lassos.append((path, start, tuple(reversed(exits))))
-            tail, cycles = max(tail, start), lcm(cycles, len(path) - start)
-        if len(self._lassos) >= SKELETON_TABLE_SIZE:
-            self._lassos.clear()
-        self._lassos[codes] = table = (tuple(lassos), tail, cycles)
-        return table
-
     def feed_power(self, word: str, k: int) -> None:
         self._power(self._rows, word_codes(self._code, word), k)
 
     def _power(self, rows: list[Row], codes: tuple[int, ...], k: int) -> None:
         """Set the state that k copies of the word ``codes`` reach from ``rows``."""
         check_power(k)
-        lassos = (self._lassos.get(codes) or self._lasso(codes))[0]
+        lassos = word_lassos(self._lassos, self._moves, codes)[0]
         g, advance, steps = self._period, self._advance, k * len(codes)
         new_rows: list[Row] = []
         for path, start, exits in lassos:
-            last = path[steps] if steps < len(path) else path[start + (steps - start) % (len(path) - start)]
+            last = lasso_node(path, start, steps)
             row = [(s, (residue + steps) % g, advance(count, steps)) for s, residue, count in rows[last]]
             row += [(s, age % g, advance(0, age)) for age, s in exits if age <= steps]
             new_rows.append(row)
@@ -475,7 +481,7 @@ class PathSummaryTester(SkeletonTester):
     def feed_run(self, word: str, k: int) -> int:
         codes = word_codes(self._code, word)
         check_run(k)
-        _lassos, tail, cycle = self._lassos.get(codes) or self._lasso(codes)
+        _lassos, tail, cycle = word_lassos(self._lassos, self._moves, codes)
         copies = min(k, -(-(tail + cycle) // len(codes)))
         most = super().feed_run(word, copies)
         if k > copies:

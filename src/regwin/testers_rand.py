@@ -65,9 +65,10 @@ from .testers_det import (
     SlidingWindowTester,
     check_power,
     exact_tester,
-    power_path,
+    lasso_node,
     trivial_tester,
     word_codes,
+    word_lassos,
 )
 
 PATH_DESCRIPTION_CAP = 4096
@@ -558,10 +559,12 @@ class OneSidedTester(FixedSizeTester):
     then resets the finals to 0; a part accepts iff its start state holds
     n mod p.  ``feed_power(w, k)`` (the pad warm-up included) steps fewer
     than the table's size of symbols and is closed form otherwise: after
-    K = k·|w| symbols, a state whose path first meets a final at step
-    j <= K holds j mod p, any other state q the old value of q_K plus K
-    (inf stays inf), the path read by ``power_path`` in the product of
-    the table's states with Z_|w|, as ``SkeletonTester`` reads its rows.
+    K = k·|w| symbols, a final holds 0, a state whose path first enters a
+    final at step j <= K holds j mod p, and any other state q the old
+    value of q_K plus K (inf stays inf).  The paths are the lassos of
+    ``SkeletonTester`` over the product of the table's states with
+    Z_|w|, with "enters a final" as the marked step, kept in one table
+    per word.
     The table's size never changes, so ``feed_run`` is one
     ``feed_power``.  With nothing kept the table is empty and every
     window is rejected in one state bit.
@@ -605,6 +608,9 @@ class OneSidedTester(FixedSizeTester):
         ]
         self._starts = tuple(offset + machine.initial for offset, machine in blocks)
         self._finals = tuple(offset + final for offset, machine in blocks for final in machine.finals)
+        finals = frozenset(self._finals)
+        self._marked_moves = [tuple((q, q in finals) for q in moves) for moves in self._moves]  # marked: enters a final
+        self._lassos: dict = {}
         self._successor = [*range(1, prime), 0, prime] if parts else []
         self._target = window_size % prime if parts else None
         self.values = [prime] * offsets[-1]  # the warm-up sets the finals to 0 and reads no other final
@@ -627,20 +633,16 @@ class OneSidedTester(FixedSizeTester):
     def feed_power(self, word: str, k: int) -> None:
         codes = word_codes(self._code, word)
         check_power(k)
-        old, width = self.values, len(codes)
-        size, steps = len(old), k * width
-        if steps < size:  # a power shorter than the table costs less in steps than in its lassos
+        old, steps = self.values, k * len(codes)
+        if steps < len(old):  # a power shorter than the table costs less in steps than in its lassos
             return super().feed_power(word, k)
-        # node j·size + q of the product is q before the j-th symbol of the reversed word
-        moves = [self._moves[code] for code in reversed(codes)]
-        successors = [moves[j][q] + (j + 1) % width * size for j in range(width) for q in range(size)]
-        prime, finals = self.prime, frozenset(self._finals)
-        new = []
-        for q in range(size):
-            path, last = power_path(successors, q, steps)  # last lies at a copy boundary: last < size
-            hit = next((j for j, node in enumerate(path) if node % size in finals), steps + 1)
-            value = old[last]
+        prime, new = self.prime, []
+        for path, start, marks in word_lassos(self._lassos, self._marked_moves, codes)[0]:
+            hit = marks[-1][0] if marks else steps + 1  # the first step into a final
+            value = old[lasso_node(path, start, steps)]  # a copy boundary, so a state of the table
             new.append(hit % prime if hit <= steps else value if value == prime else (value + steps) % prime)
+        for final in self._finals:
+            new[final] = 0
         self.values = new
         for part in self._exact:
             part.feed_power(word, k)

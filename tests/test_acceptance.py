@@ -14,9 +14,11 @@ from conftest import AB, CORPUS, build_analyzed, build_dfa, build_partials, last
 from reference import check_t_simulation, feed_all
 
 from regwin import (
+    Dfa,
     OneSidedClass,
     OneSidedTester,
     ProbabilisticCounter,
+    analyze,
     compile_one_sided,
     compute_period_info,
     deterministic_tester,
@@ -26,6 +28,7 @@ from regwin import (
     find_excluded_factor,
     is_suffix_free,
     is_trivial,
+    minimize,
     monte_carlo,
     one_sided_class,
     prefix_distance_to_language,
@@ -328,10 +331,22 @@ def internal_run_representatives(analyzed, p, max_len):
     return [run for (_len, _key), run in sorted(reps.items(), key=lambda kv: kv[0][0])]
 
 
+# DFAs of the compile benchmark's random corpus whose analysis passes 24 states (25-49 after
+# uniformization, g = 1, 8, 9, 8): (transition table, finals) over ab, minimized as the corpus is
+PINNED_DFAS = [
+    ([[1, 0], [0, 2], [4, 4], [2, 2], [4, 3]], [0, 2, 3]),
+    ([[2, 1], [0, 0], [3, 2], [2, 2]], [2]),
+    ([[2, 4], [0, 4], [2, 3], [0, 4], [3, 4]], [0, 3]),
+    ([[1, 3], [2, 2], [3, 3], [0, 2]], [3]),
+]
+
+
 def test_criterion_7_analysis_properties():
     checks = 0
-    for ident, pattern in CORPUS:
-        analyzed = build_analyzed(pattern)
+    machines = [(ident, build_dfa(pattern)) for ident, pattern in CORPUS]
+    machines += [(f"dfa{delta}/{finals}", minimize(Dfa(AB, delta, 0, finals))) for delta, finals in PINNED_DFAS]
+    for ident, dfa in machines:
+        analyzed = analyze(dfa)
         rdfa, g, t = analyzed.rdfa, analyzed.g, analyzed.t
 
         # acceptance sets vs brute force, and periodicity beyond the threshold
@@ -345,7 +360,7 @@ def test_criterion_7_analysis_properties():
             checks += bound
 
         # uniformization: same language, uniform periods
-        base = trim_reachable(reverse_to_rdfa(build_dfa(pattern)))
+        base = trim_reachable(reverse_to_rdfa(dfa))
         uniform, g2 = uniformize_period(base)
         assert equivalent(rdfa_to_dfa(base), rdfa_to_dfa(uniform)), ident
         for period in compute_period_info(uniform).component_period:

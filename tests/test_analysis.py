@@ -18,6 +18,7 @@ from regwin import (
     Rdfa,
     StateLimitExceeded,
     analyze,
+    automaton_to_json,
     compute_period_info,
     determinize,
     distance_to_language,
@@ -39,7 +40,6 @@ from regwin import (
 from regwin.analysis import (
     FACTOR_MAX_LEN,
     FACTOR_MAX_STEP_MULTIPLE,
-    VECTOR_ITERATION_STATE_LIMIT,
     _backs,
     _factor_dfa,
     _fronts,
@@ -710,16 +710,12 @@ def test_excluded_factor_matches_the_per_progression_reference(dfa):
     + [
         ("(a|ba|bba|bbba|bbbba)*(|b|bb|bbb|bbbb)", "ab"),  # nontrivial; the bounded search exhausts
         ("(aa)*|b(aa)*b", "ab"),
-        ("(aa)*b(aaa)*c(aaaaa)*", "abc"),  # the triviality test exceeds the state limit
+        ("(aa)*b(aaa)*c(aaaaa)*", "abc"),  # its image sets pass 24 states
     ],
 )
 def test_excluded_factor_matches_the_per_progression_reference_on_the_corpus(pattern, symbols):
     dfa = build_dfa(pattern, symbols)
     assert search_outcome(find_excluded_factor, dfa) == search_outcome(reference_excluded_factor, dfa)
-
-
-# languages whose triviality test exceeds VECTOR_ITERATION_STATE_LIMIT
-REFUSED = [("(aa)*b(aaa)*c(aaaaa)*", "abc"), ("(a|b)*b(a|b)(a|b)(a|b)(a|b)(a|b)", "ab")]
 
 
 @settings(max_examples=600)
@@ -734,19 +730,60 @@ def test_length_cut_witness_matches_the_per_pair_reference_on_the_corpus(pattern
     assert search_outcome(length_cut_witness, dfa) == search_outcome(reference_length_cut_witness, dfa)
 
 
-@pytest.mark.parametrize("pattern, symbols", REFUSED)
-def test_length_cut_witness_refuses_where_the_reference_does(pattern, symbols):
+@pytest.mark.parametrize(
+    "pattern, symbols, witness",
+    [("(aa)*b(aaa)*c(aaaaa)*", "abc", None), ("(a|b)*b(a|b)(a|b)(a|b)(a|b)(a|b)", "ab", (0, 6))],
+    ids=["(aa)*b(aaa)*c(aaaaa)*-abc", "(a|b)*b(a|b)(a|b)(a|b)(a|b)(a|b)-ab"],
+)
+def test_length_cut_witness_answers_as_the_reference_does(pattern, symbols, witness):
+    """Languages whose image sets or acceptance lassos pass 24 states."""
     dfa = build_dfa(pattern, symbols)
-    assert search_outcome(length_cut_witness, dfa) == search_outcome(reference_length_cut_witness, dfa) == "state limit"
+    assert length_cut_witness(dfa) == reference_length_cut_witness(dfa) == witness
 
 
-def test_classify_names_the_triviality_test_when_it_refuses(capsys):
-    assert main(["classify", "--regex", REFUSED[0][0], "--alphabet", REFUSED[0][1]]) == 2
+def prime_cycles_dfa(primes=(2, 3, 5, 7, 11, 13, 17)) -> Dfa:
+    """From the initial state the k-th symbol enters a cycle of the k-th
+    prime length, whose first state is final; inside a cycle every symbol
+    moves one state on.  With 2..17 that is 59 states whose fronts, and
+    whose reversal's subsets, repeat only after lcm = 510510 steps."""
+    delta, finals = [[0] * len(primes)], []
+    for k, prime in enumerate(primes):
+        first = len(delta)
+        delta[0][k] = first
+        finals.append(first)
+        delta += [[first + (i + 1) % prime] * len(primes) for i in range(prime)]
+    return Dfa(Alphabet.from_string("abcdefg"[: len(primes)]), delta, 0, finals)
+
+
+LASSO_REFUSAL = "the length-set lasso exceeded 65536 values"
+
+
+@pytest.mark.parametrize(
+    "walk, refusal",
+    [
+        (realized_lengths, LASSO_REFUSAL),
+        (is_trivial, LASSO_REFUSAL),
+        (is_length_language, LASSO_REFUSAL),
+        (analyze, "subset construction exceeded 65536 states"),
+    ],
+    ids=["realized_lengths", "is_trivial", "is_length_language", "analyze"],
+)
+def test_walks_on_prime_cycles_stop_at_the_state_cap(walk, refusal):
+    """Each walk refuses at DEFAULT_STATE_CAP values, in about a second,
+    and names what refused."""
+    dfa = prime_cycles_dfa()
+    assert dfa.n_states == 59
+    with pytest.raises(StateLimitExceeded, match=f"^{refusal}$"):
+        walk(dfa)
+
+
+def test_classify_names_the_triviality_test_when_it_refuses(tmp_path, capsys):
+    path = tmp_path / "prime_cycles.json"
+    path.write_text(json.dumps(automaton_to_json(prime_cycles_dfa())))
+    assert main(["classify", "--automaton", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: the triviality test's subset construction is limited to {VECTOR_ITERATION_STATE_LIMIT} states\n"
-    )
+    assert captured.err == f"error: {LASSO_REFUSAL}\n"
 
 
 @st.composite
@@ -796,11 +833,11 @@ LARGE_PRODUCT = "(ab|ba)*bb(aaaa)*"
 
 
 def test_excluded_factor_needs_no_length_set_cap(capsys):
-    """On the way to the factor ``aaab`` the search meets products with
-    more states than ``realized_lengths`` takes (29, for ``bab``); it still
-    finds that factor, and ``classify`` reports it."""
+    """On the way to the factor ``aaab`` the search reads the length sets
+    of products of 29 states (for ``bab``); it finds that factor, and
+    ``classify`` reports it."""
     dfa = build_dfa(LARGE_PRODUCT)
-    assert product_intersect(dfa, _factor_dfa(AB, "bab")).n_states > VECTOR_ITERATION_STATE_LIMIT
+    assert product_intersect(dfa, _factor_dfa(AB, "bab")).n_states == 29
     assert find_excluded_factor(dfa) == (Progression(2, 2), "aaab")
     assert main(["classify", "--regex", LARGE_PRODUCT, "--alphabet", "ab"]) == 0
     assert json.loads(capsys.readouterr().out)["excluded_factor"] == {

@@ -129,6 +129,18 @@ def test_fingerprint_power_meets_a_final_steps_on(k):
         assert_same_run(powered, looped, "abbbaaab")
 
 
+def test_fingerprint_power_walks_one_lasso_table_per_word(monkeypatch):
+    """Repeated powers of one word read its lasso table; the warm-up's pad
+    word and each new word are walked once."""
+    walked = []
+    walk = testers_det.walk_lassos
+    monkeypatch.setattr(testers_det, "walk_lassos", lambda moves, codes: (walked.append(codes), walk(moves, codes))[1])
+    tester = OneSidedTester(build_partials("bbba*"), 16, prime=3)
+    for word in ("ab", "b", "ab", "b", "ab"):
+        tester.feed_power(word, 40)
+    assert walked == [(0,), (0, 1), (1,)]  # the pad a, then ab and b
+
+
 def test_feed_power_rejects_a_negative_power():
     dfa = Dfa(Alphabet.from_string("ab"), [[0, 0]], 0, {0})
     with pytest.raises(ValueError, match="nonnegative"):

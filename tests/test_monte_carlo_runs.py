@@ -37,7 +37,7 @@ from regwin import testers_det
 from regwin.analysis import OneSidedClass, one_sided_class
 from regwin.cli import Language, build_tester_factory, run_experiment
 from regwin.streams import MonteCarloResult, trial_seed
-from regwin.testers_det import ExactWindowTester, PathSummaryTester, SkeletonTester, SlidingWindowTester
+from regwin.testers_det import ExactWindowTester, PathSummaryTester, SkeletonTester, SlidingWindowTester, word_lassos
 from regwin.testers_rand import (
     OneSidedTester,
     TwoSidedTester,
@@ -545,7 +545,7 @@ def test_det_word_feed_run_steps_into_a_partial_last_copy():
     floor((tau + L)/|w|) = 2 copies would report 440."""
     analyzed = analyze(Dfa(AB, [[3, 4], [4, 3], [0, 4], [1, 2], [1, 0]], 0, [2, 3]))
     run_fed, stepped, two_copies = (feed_all(PathSummaryTester(analyzed, 26), "ab") for _ in range(3))
-    assert run_fed._lasso((1, 1, 0, 0, 0))[1:] == (7, 5)  # the codes of bbaaa
+    assert word_lassos(run_fed._lassos, run_fed._moves, (1, 1, 0, 0, 0))[1:] == (7, 5)  # the codes of bbaaa
     assert SlidingWindowTester.feed_run(two_copies, "bbaaa", 2) == 440
     assert run_fed.feed_run("bbaaa", 9) == SlidingWindowTester.feed_run(stepped, "bbaaa", 9) == 450
     assert run_fed._rows == stepped._rows
