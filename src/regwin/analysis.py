@@ -503,10 +503,9 @@ def analyze(machine: Dfa | Rdfa) -> AnalyzedRdfa:
         if period is not None and period != g:
             raise RuntimeError(f"uniformization left SCC {cid} with period {period} != {g}")
     acc, t = acceptance_sets(rdfa, g, info)
-    acc_mod = tuple(
-        frozenset(x % g for x in range(t, t + g) if acc[q].member(x))
-        for q in range(rdfa.n_states)
-    )
+    # every set's period divides g and t is at least its threshold, so x >= t is in it iff x % period is
+    by_set = {a: frozenset(r for r in range(g) if a.residues[r % a.period]) for a in set(acc)}
+    acc_mod = tuple(by_set[a] for a in acc)
     return AnalyzedRdfa(rdfa, g, info.scc, info, tuple(acc), t, acc_mod)
 
 

@@ -63,10 +63,10 @@ class SlidingWindowTester(ABC):
     same for k >= 1 copies and also returns the largest ``state_bits``
     over the k·|w| states it passes; a ``FixedSizeTester``, whose size
     never changes, answers it with one ``feed_power``, and the
-    deterministic tester steps at most ceil((tau + L)/|w|) copies (tau
-    the longest tail, L the lcm of the cycle lengths of the product), past
-    which its size cannot grow, then takes one ``feed_power`` (a repeated
-    skeleton is no such bound; see ``PathSummaryTester``).  Every library
+    skeleton testers read their sizes over the run's first tau + L states
+    (in whole copies for the deterministic one; tau the longest tail, L the
+    lcm of the cycle lengths of the product), past which their size cannot
+    grow, then take one ``feed_power`` (see ``SkeletonTester``).  Every library
     tester checks the whole word before it changes anything, so an empty
     word, a symbol outside the alphabet anywhere in it or a bad k raises
     ``ValueError`` and leaves the state as it was; the loops here check
@@ -254,7 +254,7 @@ def trivial_tester(
 
 Row = list[tuple[int, int, int]]  # (segment start state, residue, count), oldest first, newest left out
 Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
-Slot = tuple[int, tuple[int, ...]]  # (next skeleton id, gather tuple)
+Slot = tuple["Node", tuple[int, ...]]  # (the node the symbol leads to, gather tuple)
 Moves = Sequence[Sequence[tuple[int, bool]]]  # per symbol code, per state: (successor, whether the step is marked)
 # per start state p: (the states of p's path under copies of one word, up to its first repeated node of
 # Q x Z_|w|, the index its cycle starts at, and (age, state) per marked step on the path, oldest first);
@@ -305,6 +305,16 @@ def lasso_node(path: list[int], start: int, k: int) -> int:
     return path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
 
 
+class Node:
+    """A skeleton in a tester's table, with one slot per symbol code (None
+    until first needed) and its decide record."""
+
+    __slots__ = ("skeleton", "slots", "decision")
+
+    def __init__(self, skeleton: Skeleton, slots: list[Slot | None], decision: tuple):
+        self.skeleton, self.slots, self.decision = skeleton, slots, decision
+
+
 class SkeletonTester(SlidingWindowTester):
     """Segment summaries of the run from every start state, stepped as a
     finite automaton over their skeletons.
@@ -319,13 +329,15 @@ class SkeletonTester(SlidingWindowTester):
 
     Without the counts, the rows are a *skeleton* of ``(state, residue)``
     pairs: SCC chains, finitely many, whose successor depends only on the
-    skeleton and the symbol.  The state is an interned skeleton id and one
-    flat list of counts, row by row.  Each skeleton owns, built when first
-    needed, one slot per symbol code (the next skeleton's id and a
-    *gather* tuple naming, per new entry, the old count it advances, with
+    skeleton and the symbol.  The state is the current skeleton's ``Node``
+    and one flat list of counts, row by row.  A node holds, built when
+    first needed, one slot per symbol code (the next node and a *gather*
+    tuple naming, per new entry, the old count it advances, with
     ``len(counts)`` standing for a fresh 0) and a decide record over the
-    initial state's row.  A table that reaches ``SKELETON_TABLE_SIZE``
-    skeletons is replaced by a new one holding only the current skeleton.
+    initial state's row.  The table maps each skeleton to its node; one
+    that reaches ``SKELETON_TABLE_SIZE`` nodes is replaced by a new one
+    holding only the current node, its slots cleared, so every node the
+    tester can reach is in its table.
 
     ``feed_power(w, k)`` builds p's row from the row of p_K, K = k·|w|
     steps along p's path under copies of w: every entry moves by K steps,
@@ -341,6 +353,13 @@ class SkeletonTester(SlidingWindowTester):
     SCC changes, then the longest tail tau and the lcm L of the cycle
     lengths.  For a symbol the product is the symbol's own functional
     graph; the pad warm-up is one such call.
+
+    A run's largest size lies in its first min(k·|w|, tau + L) states.
+    After t >= tau symbols, p's row is the run-start row of p_t, every
+    entry moved by t, plus the SCC changes of p's path, all within its
+    tail, at fixed ages.  p_t has period L, so from tau on the same
+    entries come back every L symbols, each L steps older.  Each subclass's
+    ``feed_run`` reads its sizes over those states only.
 
     A subclass says what a count is: ``feed`` steps the gathered counts,
     ``_advance(count, k)`` moves one by k steps, and ``_decision(start,
@@ -360,37 +379,29 @@ class SkeletonTester(SlidingWindowTester):
         self._moves = [
             [(q, not analyzed.same_scc(p, q)) for p, q in enumerate(successors)] for successors in zip(*rdfa.delta)
         ]
-        # the skeleton table: skeleton -> id, and per id its skeleton, slots and decide record
-        self._ids: dict[Skeleton, int] = {}
-        self._skeletons: list[Skeleton] = []
-        self._slots: list[list[Slot | None]] = []
-        self._decisions: list[tuple] = []
-        self._skeleton = self._intern(((),) * rdfa.n_states)
+        self._nodes: dict[Skeleton, Node] = {}
+        self._node = self._intern(((),) * rdfa.n_states)
         self._counts: list[int] = []
         self._lassos: dict[tuple[int, ...], Lassos] = {}
 
-    def _intern(self, skeleton: Skeleton) -> int:
-        """The id of ``skeleton``, entered in the table on first sight.  A
-        full table is emptied first and the current skeleton entered again,
-        so the current id stays valid."""
-        sid = self._ids.get(skeleton)
-        if sid is None:
-            if len(self._skeletons) >= SKELETON_TABLE_SIZE:
-                current = self._skeletons[self._skeleton]
-                # new table objects, so a walk holding the old ones can tell its ids went stale
-                self._ids, self._skeletons, self._slots, self._decisions = {}, [], [], []
-                self._skeleton = self._intern(current)
-            sid = self._ids[skeleton] = len(self._skeletons)
-            self._skeletons.append(skeleton)
-            self._slots.append([None] * len(self._moves))
+    def _intern(self, skeleton: Skeleton) -> Node:
+        """The node of ``skeleton``, entered in the table on first sight.  A
+        full table is first replaced by one holding only the current node,
+        with its slots cleared."""
+        node = self._nodes.get(skeleton)
+        if node is None:
+            if len(self._nodes) >= SKELETON_TABLE_SIZE:
+                self._node.slots = [None] * len(self._moves)
+                self._nodes = {self._node.skeleton: self._node}
             initial = self._a.rdfa.initial
-            self._decisions.append(self._decision(sum(map(len, skeleton[:initial])), skeleton[initial]))
-        return sid
+            decision = self._decision(sum(map(len, skeleton[:initial])), skeleton[initial])
+            node = self._nodes[skeleton] = Node(skeleton, [None] * len(self._moves), decision)
+        return node
 
     def _slot(self, code: int) -> Slot:
-        """The slot of the current skeleton under ``code``, built by the
-        row rule and entered in the table."""
-        rows, g = self._skeletons[self._skeleton], self._period
+        """The slot of the current node under ``code``, built by the row
+        rule and entered in the node."""
+        rows, g = self._node.skeleton, self._period
         starts = [0, *accumulate(map(len, rows))]
         next_rows, gather = [], []
         for q, leaves in self._moves[code]:
@@ -400,8 +411,7 @@ class SkeletonTester(SlidingWindowTester):
                 row.append((q, 1 % g))
                 gather.append(starts[-1])  # the fresh count
             next_rows.append(tuple(row))
-        slot = (self._intern(tuple(next_rows)), tuple(gather))
-        self._slots[self._skeleton][code] = slot  # after _intern, which may renumber the current skeleton
+        slot = self._node.slots[code] = (self._intern(tuple(next_rows)), tuple(gather))
         return slot
 
     def feed_power(self, word: str, k: int) -> None:
@@ -418,7 +428,7 @@ class SkeletonTester(SlidingWindowTester):
             row = [(s, (residue + steps) % g, advance(count, steps)) for s, residue, count in rows[last]]
             row += [(s, age % g, advance(0, age)) for age, s in exits if age <= steps]
             new_rows.append(row)
-        self._skeleton = self._intern(tuple(tuple((s, r) for s, r, _c in row) for row in new_rows))
+        self._node = self._intern(tuple(tuple((s, r) for s, r, _c in row) for row in new_rows))
         self._counts = [c for row in new_rows for _s, _r, c in row]
 
     @property
@@ -426,7 +436,7 @@ class SkeletonTester(SlidingWindowTester):
         """The rows as ``(state, residue, count)`` lists, read off the
         skeleton and the counts (a view; not for the hot path)."""
         counts = iter(self._counts)
-        return [[(s, r, next(counts)) for s, r in row] for row in self._skeletons[self._skeleton]]
+        return [[(s, r, next(counts)) for s, r in row] for row in self._node.skeleton]
 
 
 class PathSummaryTester(SkeletonTester):
@@ -444,15 +454,11 @@ class PathSummaryTester(SkeletonTester):
     frozen entries are kept but not counted.
 
     ``feed_run(w, k)`` steps min(k, ceil((tau + L)/|w|)) copies of w, then
-    takes one ``feed_power`` for the rest, tau and L the longest tail and
-    the lcm of the cycle lengths of w's product lassos.  After t >= tau
-    symbols, p's row is the run-start row of p_t, every age moved by t,
-    plus the SCC changes of p's path, all within its tail, at fixed ages.
-    p_t has period L, so along t -> t + L the same entries come back, each
-    older: the count of ages at most n can only fall, and the run's
-    largest size lies in its first tau + L states.  A repeated skeleton is
-    no stopping point: the same skeleton can gather its ages from other
-    rows, and so hold more live entries at its next visit.
+    takes one ``feed_power`` for the rest (tau and L as in
+    ``SkeletonTester``): the entries that come back every L symbols are
+    older, so the count of ages at most n can only fall.  A repeated
+    skeleton is no stopping point: the same skeleton can gather its ages
+    from other rows, and so hold more live entries at its next visit.
     """
 
     def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
@@ -473,7 +479,7 @@ class PathSummaryTester(SkeletonTester):
 
     def feed(self, symbol: str) -> None:
         code = self._code(symbol)
-        self._skeleton, gather = self._slots[self._skeleton][code] or self._slot(code)
+        self._node, gather = self._node.slots[code] or self._slot(code)
         counts, dead = self._counts, self._dead
         counts.append(0)  # the sentinel a fresh entry gathers
         self._counts = [c + 1 if c < dead else dead for c in map(counts.__getitem__, gather)]
@@ -490,7 +496,7 @@ class PathSummaryTester(SkeletonTester):
 
     def decide(self) -> bool:
         n, counts = self.window_size, self._counts
-        record = self._decisions[self._skeleton]
+        record = self._node.decision
         for index, acc in record[:-1]:
             age = counts[index]
             if age <= n:

@@ -42,7 +42,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, cycle, islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -262,11 +262,11 @@ class TwoSidedTester(SkeletonTester):
     O(|Q|^2) draws at most whatever n.
 
     The state size depends only on the skeleton, so ``feed_run(w, k)``
-    walks the skeleton's slots under w, ids only, copy by copy, up to the
-    first skeleton it has seen before at a copy boundary (from there on
-    the walk cycles through seen ones; a table replaced on the way starts
-    the seen set afresh), reads each one's entry count off its slot's
-    gather, and then advances the counts by one ``feed_power``.  A power
+    walks the nodes' slots under w for min(k·|w|, tau + L) symbols (tau
+    and L as in ``SkeletonTester``), without the counts, reads each
+    one's entry count off its gather, and then advances the counts by one
+    ``feed_power`` from the rows the run started on.  Entries never leave
+    a row, so from tau on the entry count repeats with period L.  A power
     of fewer than |Q| plus the number of entries symbols is fed step by
     step instead: there the closed form's |Q| rows and one draw per entry
     cost more than the steps.  A closed form draws each count's law
@@ -312,7 +312,7 @@ class TwoSidedTester(SkeletonTester):
 
     def feed(self, symbol: str) -> None:
         code = self._code(symbol)
-        self._skeleton, gather = self._slots[self._skeleton][code] or self._slot(code)
+        self._node, gather = self._node.slots[code] or self._slot(code)
         counts, cdfs = self._counts, self._cdfs
         counts.append(0)  # the sentinel a fresh entry gathers
         # map stops at the end of the gather before zip takes a uniform, so each entry takes exactly one
@@ -325,23 +325,17 @@ class TwoSidedTester(SkeletonTester):
         codes = word_codes(self._code, word)
         if k * len(codes) < self._n_states + len(self._counts):
             return super().feed_run(word, k)
-        rows, slots = self._rows, self._slots
-        seen, most = {self._skeleton}, 0
-        for _ in range(k):
-            for code in codes:
-                self._skeleton, gather = self._slots[self._skeleton][code] or self._slot(code)
-                most = max(most, len(gather))
-            if self._slots is not slots:  # the table was replaced: the ids seen name other skeletons now
-                slots, seen = self._slots, set()
-            elif self._skeleton in seen:
-                break
-            seen.add(self._skeleton)
+        _lassos, tail, cycles = word_lassos(self._lassos, self._moves, codes)
+        rows, most = self._rows, 0
+        for code in islice(cycle(codes), min(k * len(codes), tail + cycles)):
+            self._node, gather = self._node.slots[code] or self._slot(code)
+            most = max(most, len(gather))
         self._power(rows, codes, k)
         return self._triple_bits * (most + self._n_states)
 
     def decide(self) -> bool:
         counts, reads_high = self._counts, self._counter.reads_high
-        record = self._decisions[self._skeleton]
+        record = self._node.decision
         # oldest first: the first entry that reads low decides
         for index, verdict in record[:-1]:
             if not reads_high(counts[index]):

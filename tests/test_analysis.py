@@ -296,6 +296,19 @@ def test_acceptance_sets_a_star():
     assert analyzed.acc_mod[q0] == {0} and analyzed.acc_mod[sink] == frozenset()
 
 
+@settings(max_examples=300, deadline=None)
+@given(complete_dfas())
+def test_acceptance_residues_match_the_member_loop(dfa):
+    """``acc_mod``, read off each set's residues, against membership of
+    every length in [t, t + g)."""
+    try:
+        analyzed = analyze(dfa)
+    except StateLimitExceeded:
+        assume(False)
+    g, t = analyzed.g, analyzed.t
+    assert analyzed.acc_mod == tuple(frozenset(x % g for x in range(t, t + g) if a.member(x)) for a in analyzed.acc)
+
+
 def test_acceptance_sets_even_as():
     analyzed = build_analyzed("(aa)*", "a")
     assert analyzed.g == 2

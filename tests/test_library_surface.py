@@ -12,12 +12,12 @@ import pkgutil
 import types
 from pathlib import Path
 
-from conftest import build_dfa
+from conftest import build_analyzed, build_dfa
 
 import regwin
 from regwin.analysis import SccDecomposition
 from regwin.testers_det import PathSummaryTester, SlidingWindowTester
-from regwin.testers_rand import OneSidedTester, TwoSidedTester, compile_one_sided
+from regwin.testers_rand import OneSidedTester, TwoSidedTester, compile_one_sided, two_sided_tester
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_MODULES = ("analysis", "automata", "cli", "oracle", "streams", "testers_det", "testers_rand")
@@ -116,6 +116,17 @@ def test_compiled_one_sided_tester_exposes_the_fields_the_benchmark_reads():
     assert isinstance(tester, OneSidedTester)
     assert len(tester._parts) == 1
     assert len(tester._exact) == 0
+
+
+def test_skeleton_testers_hold_nodes_not_ids():
+    """A skeleton tester's state is its current node and counts: no table
+    of ids, skeletons, slots or decide records beside the nodes."""
+    analyzed = build_analyzed("(aa)*|b(aa)*b")
+    for tester in (PathSummaryTester(analyzed, 64), two_sided_tester(analyzed, 64, 0.25, rng=0)):
+        assert isinstance(tester, (PathSummaryTester, TwoSidedTester))
+        left = [name for name in ("_ids", "_skeletons", "_slots", "_decisions", "_skeleton") if hasattr(tester, name)]
+        assert left == []
+        assert tester._nodes[tester._node.skeleton] is tester._node
 
 
 def test_fixed_size_testers_share_one_feed_run():

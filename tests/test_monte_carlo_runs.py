@@ -133,7 +133,7 @@ FEED_RUN_MACHINES = {
     "peak-first": (([[2, 3], [3, 1], [0, 2], [0, 1]], 2, {0, 1, 2}), [("b", 40)]),
     # after one b, an a-run's entry counts cycle 4, 6, 4, 4, 6, ...
     "cycling": (([[1, 4], [2, 3], [3, 0], [1, 4], [3, 1]], 4, {0, 1, 3}), [("b", 1), ("a", 40)]),
-    # with a table of 3, the walk refills the table, and an id seen before names another skeleton
+    # with a table of 3, the walk empties and refills the table
     "stale-ids": (([[1, 3], [2, 2], [3, 0], [4, 5], [1, 5], [5, 5]], 3, {1}), [("b", 50), ("b", 50)]),
 }
 FEED_RUN_CASES = {
@@ -161,7 +161,7 @@ def test_two_sided_feed_run_leaves_the_skeleton_of_its_feeds(case, table_size, m
             stepped.feed(symbol)
             bits.append(stepped.state_bits())
         assert most == max(bits)
-        assert run_fed._skeletons[run_fed._skeleton] == stepped._skeletons[stepped._skeleton]
+        assert run_fed._node.skeleton == stepped._node.skeleton
 
 
 def test_det_feed_run_steps_past_a_repeated_skeleton():
@@ -176,9 +176,9 @@ def test_det_feed_run_steps_past_a_repeated_skeleton():
     skeletons, bits = [], []
     for _ in range(4):
         stepped.feed("c")
-        skeletons.append(stepped._skeleton)
+        skeletons.append(stepped._node)
         bits.append(stepped.state_bits())
-    assert skeletons == [1] * 4 and bits[:2] == [16, 20]
+    assert all(node is skeletons[0] for node in skeletons) and bits[:2] == [16, 20]
     assert run_fed._rows == stepped._rows
 
 
@@ -225,10 +225,10 @@ def test_det_feed_run_matches_the_stepping_loop(table_size):
 def test_det_feed_run_raises_before_any_change(symbol, k):
     tester = PathSummaryTester(build_analyzed("(aa)*|b(aa)*b"), 20)
     tester.feed_power("b", 3)
-    before = (tester._skeleton, tester._rows)
+    before = (tester._node, tester._rows)
     with pytest.raises(ValueError):
         tester.feed_run(symbol, k)
-    assert (tester._skeleton, tester._rows) == before
+    assert (tester._node, tester._rows) == before
 
 
 def test_det_feed_run_steps_at_most_the_longest_tail_plus_the_cycles():
@@ -375,7 +375,7 @@ def test_word_feed_run_matches_the_stepping_loop_on_the_skeleton_testers(table_s
             assert det[0]._rows == det[1]._rows
             assert stubbed[0]._rows == stubbed[1]._rows
             if isinstance(sampled[0], TwoSidedTester):
-                assert sampled[0]._skeletons[sampled[0]._skeleton] == sampled[1]._skeletons[sampled[1]._skeleton]
+                assert sampled[0]._node.skeleton == sampled[1]._node.skeleton
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(testers_det, "SKELETON_TABLE_SIZE", table_size)

@@ -371,6 +371,43 @@ def test_det_experiment_matches_pinned_digest():
     assert hashlib.sha256(csv.encode()).hexdigest() == DET_EXPERIMENT_PIN
 
 
+# --- a seeded two-sided experiment --------------------------------------------------
+
+# the two-sided kind alone on languages of one, two and three SCC segments, at a window of
+# 255 besides CI's: the periodic streams' 39-symbol a-runs and 200 copies of ba are fed
+# as runs and word powers, so their coins come from the skeleton walk and feed_power's draws
+TWO_SIDED_EXPERIMENT = {
+    "seed": 7,
+    "trials": 20,
+    "eps": 0.5,
+    "window_sizes": [33, 64, 255],
+    "languages": [
+        {"id": "b-then-even-a", "regex": "b(aa)*", "alphabet": "ab"},
+        {"id": "ab-or-b-then-a", "regex": "ab|ba*", "alphabet": "ab"},
+        {"id": "even-a-or-b-even-a-b", "regex": "(aa)*|b(aa)*b", "alphabet": "ab"},
+    ],
+    "testers": ["two-sided"],
+    "streams": [
+        *DET_EXPERIMENT["streams"],
+        {"kind": "periodic", "block": "ba", "repeats": 200},
+    ],
+    "timing": False,
+}
+# SHA-256 of its CSV report: the coins, verdicts and largest state bits of every row
+TWO_SIDED_EXPERIMENT_PIN = "d0483e68abee5517d5e5bdc630f9f667f1fc9e1236849e867c045d7867f74ef6"
+
+
+def test_two_sided_experiment_matches_pinned_digest():
+    csv = report_to_csv(run_experiment(TWO_SIDED_EXPERIMENT))
+    assert hashlib.sha256(csv.encode()).hexdigest() == TWO_SIDED_EXPERIMENT_PIN
+
+
+def test_two_sided_experiment_is_unchanged_when_the_skeleton_table_holds_two(monkeypatch):
+    monkeypatch.setattr(testers_det, "SKELETON_TABLE_SIZE", 2)
+    csv = report_to_csv(run_experiment(TWO_SIDED_EXPERIMENT))
+    assert hashlib.sha256(csv.encode()).hexdigest() == TWO_SIDED_EXPERIMENT_PIN
+
+
 # --- oracle distances of CI's reproducibility configs -------------------------------
 
 CI_STREAMS = [

@@ -397,7 +397,42 @@ def test_skeleton_table_stays_within_its_size(monkeypatch):
     for tester in testers:
         for symbol in "aabababbbaab" * 20:
             tester.feed(symbol)
-            assert len(tester._skeletons) <= 2
+            assert len(tester._nodes) <= 2
+
+
+def _reachable_nodes(tester) -> list:
+    """The nodes the tester reaches from its current one through slots."""
+    reached, todo = {id(tester._node): tester._node}, [tester._node]
+    while todo:
+        for slot in todo.pop().slots:
+            if slot is not None and id(slot[0]) not in reached:
+                reached[id(slot[0])] = slot[0]
+                todo.append(slot[0])
+    return list(reached.values())
+
+
+@pytest.mark.parametrize("table_size", [testers_det.SKELETON_TABLE_SIZE, 2, 3])
+def test_skeleton_testers_reach_only_the_nodes_of_their_table(table_size, monkeypatch):
+    """After every feed, run and power of a seeded mix, every node a
+    skeleton tester can reach is in its table, which holds at most
+    ``SKELETON_TABLE_SIZE`` nodes: eviction leaves nothing behind."""
+    monkeypatch.setattr(testers_det, "SKELETON_TABLE_SIZE", table_size)
+    analyzed = build_analyzed("(aa)*|b(aa)*b")
+    testers = [two_sided_tester(analyzed, 64, 0.25, rng=0), PathSummaryTester(analyzed, 64)]
+    assert isinstance(testers[0], TwoSidedTester)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        op, word, k = rng.integers(3), str(rng.choice(["a", "b", "ab", "ba", "aab"])), int(rng.integers(1, 100))
+        for tester in testers:
+            if op == 0:
+                tester.feed(word[0])
+            elif op == 1:
+                tester.feed_run(word, k)
+            else:
+                tester.feed_power(word, k)
+            held = {id(node) for node in tester._nodes.values()}
+            assert {id(node) for node in _reachable_nodes(tester)} <= held
+            assert len(held) <= table_size
 
 
 # --- one-sided tester -------------------------------------------------------------------
