@@ -17,7 +17,9 @@ Three testers share one interface:
   within prefix distance t (the analysis threshold) of the language.
 
 The last shares its engine, :class:`SkeletonTester`, with the two-sided
-tester; its segments carry exact ages, frozen at n + 1 out of the window.
+tester.  It keeps each segment's birth, the step its segment started at,
+on one clock, so a step moves no value: its age is the clock minus its
+birth, frozen at n + 1 out of the window.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from itertools import accumulate
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .analysis import AnalyzedRdfa, EventuallyPeriodicSet
@@ -254,7 +257,8 @@ def trivial_tester(
 
 Row = list[tuple[int, int, int]]  # (segment start state, residue, count), oldest first, newest left out
 Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
-Slot = tuple["Node", tuple[int, ...]]  # (the node the symbol leads to, gather tuple)
+Gather = Callable[[Sequence[int]], tuple[int, ...]]  # a sequence -> the tuple of its items at fixed indices
+Slot = tuple["Node", Gather, int]  # (the node the symbol leads to, its gather, the number of entries it gathers)
 Moves = Sequence[Sequence[tuple[int, bool]]]  # per symbol code, per state: (successor, whether the step is marked)
 # per start state p: (the states of p's path under copies of one word, up to its first repeated node of
 # Q x Z_|w|, the index its cycle starts at, and (age, state) per marked step on the path, oldest first);
@@ -300,6 +304,18 @@ def word_lassos(table: dict[tuple[int, ...], Lassos], moves: Moves, codes: tuple
     return lassos
 
 
+def gather(indices: Sequence[int]) -> Gather:
+    """The gather of ``indices``: one ``operator.itemgetter``, which runs in
+    C, where there are two or more (``itemgetter(i)`` returns an item, not
+    a tuple)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda values: (values[index],)
+    return lambda values: ()
+
+
 def lasso_node(path: list[int], start: int, k: int) -> int:
     """Node k of a lasso: ``path``, then its cycle ``path[start:]`` forever."""
     return path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
@@ -307,7 +323,9 @@ def lasso_node(path: list[int], start: int, k: int) -> int:
 
 class Node:
     """A skeleton in a tester's table, with one slot per symbol code (None
-    until first needed) and its decide record."""
+    until first needed) and its decide record: the initial state's row as
+    ``(flat index, what the subclass decides by)`` entries, oldest first,
+    and the newest segment's verdict."""
 
     __slots__ = ("skeleton", "slots", "decision")
 
@@ -330,11 +348,13 @@ class SkeletonTester(SlidingWindowTester):
     Without the counts, the rows are a *skeleton* of ``(state, residue)``
     pairs: SCC chains, finitely many, whose successor depends only on the
     skeleton and the symbol.  The state is the current skeleton's ``Node``
-    and one flat list of counts, row by row.  A node holds, built when
-    first needed, one slot per symbol code (the next node and a *gather*
-    tuple naming, per new entry, the old count it advances, with
-    ``len(counts)`` standing for a fresh 0) and a decide record over the
-    initial state's row.  The table maps each skeleton to its node; one
+    and one flat sequence of counts, row by row.  A node holds, built when
+    first needed, one slot per symbol code and a decide record over the
+    initial state's row.  A slot is the next node, its *gather* and the
+    number of entries it gathers: the gather takes the old counts, with
+    one fresh count appended at index ``len(counts)``, to the new entries'
+    counts before their step, in one ``operator.itemgetter`` call (see
+    ``gather``).  The table maps each skeleton to its node; one
     that reaches ``SKELETON_TABLE_SIZE`` nodes is replaced by a new one
     holding only the current node, its slots cleared, so every node the
     tester can reach is in its table.
@@ -362,10 +382,11 @@ class SkeletonTester(SlidingWindowTester):
     ``feed_run`` reads its sizes over those states only.
 
     A subclass says what a count is: ``feed`` steps the gathered counts,
-    ``_advance(count, k)`` moves one by k steps, and ``_decision(start,
-    row)`` is the decide record of a skeleton whose initial-state row
-    ``row`` starts at flat index ``start``.  It calls ``_start_on_pad``
-    once its counts can advance.
+    ``_advance(count, k)`` is what the state keeps after a power of k
+    steps for an entry that read ``count`` in ``_rows`` before it, and
+    ``_decision(start, row)`` is the decide record of a skeleton whose
+    initial-state row ``row`` starts at flat index ``start``.  It calls
+    ``_start_on_pad`` once its counts can advance.
     """
 
     def __init__(self, analyzed: AnalyzedRdfa, window_size: int, period: int):
@@ -381,7 +402,7 @@ class SkeletonTester(SlidingWindowTester):
         ]
         self._nodes: dict[Skeleton, Node] = {}
         self._node = self._intern(((),) * rdfa.n_states)
-        self._counts: list[int] = []
+        self._counts: Sequence[int] = []
         self._lassos: dict[tuple[int, ...], Lassos] = {}
 
     def _intern(self, skeleton: Skeleton) -> Node:
@@ -403,15 +424,15 @@ class SkeletonTester(SlidingWindowTester):
         rule and entered in the node."""
         rows, g = self._node.skeleton, self._period
         starts = [0, *accumulate(map(len, rows))]
-        next_rows, gather = [], []
+        next_rows, indices = [], []
         for q, leaves in self._moves[code]:
             row = [(state, (residue + 1) % g) for state, residue in rows[q]]
-            gather += range(starts[q], starts[q + 1])
+            indices += range(starts[q], starts[q + 1])
             if leaves:
                 row.append((q, 1 % g))
-                gather.append(starts[-1])  # the fresh count
+                indices.append(starts[-1])  # the fresh count
             next_rows.append(tuple(row))
-        slot = self._node.slots[code] = (self._intern(tuple(next_rows)), tuple(gather))
+        slot = self._node.slots[code] = (self._intern(tuple(next_rows)), gather(indices), len(indices))
         return slot
 
     def feed_power(self, word: str, k: int) -> None:
@@ -441,20 +462,38 @@ class SkeletonTester(SlidingWindowTester):
 
 class PathSummaryTester(SkeletonTester):
     """Logarithmic-space deterministic tester: the skeleton engine with
-    period 1 and exact ages for counts.
+    period 1 and births for counts.
 
     An entry's age counts the window symbols newer than its segment's
-    start.  A step adds one to every age up to n; an entry that leaves the
-    window stays in its row, frozen at age n + 1, so the next skeleton
-    still depends only on the skeleton and the symbol.  Accepts iff the
-    oldest segment of the initial state's row still in the window, of
-    length n - age, is an acceptance length of its start state (the
-    initial state's own, of length n, when there is none).  ``state_bits``
-    counts the entries of age at most n plus each state's newest segment;
-    frozen entries are kept but not counted.
+    start.  The tester keeps, in place of the age, the entry's *birth* on
+    one clock ``now``: the age is now - birth, read as n + 1 once it is
+    above n.  A step is ``take((*births, now))``, one
+    ``operator.itemgetter`` call that gathers the births and a fresh
+    entry's, ``now``, then moves the clock by one: no stored value
+    changes.  An entry that leaves the window stays in its row, *frozen*
+    (any age above n reads as n + 1), so the next skeleton still depends
+    only on the skeleton and the symbol.
+    Every n + 1 steps the clock is rebased: ``now`` goes back to 0, every
+    birth moves back by n + 1, and a frozen one is clamped at -(n + 1), so
+    ``now`` stays in [0, n] and every birth in [-(n + 1), now).  Accepts
+    iff the oldest segment of the initial state's row still in the window,
+    of length n - age, is an acceptance length of its start state (the
+    initial state's own, of length n, when there is none).  ``_rows``
+    reads the ages, n + 1 for a frozen entry.
 
-    ``feed_run(w, k)`` steps min(k, ceil((tau + L)/|w|)) copies of w, then
-    takes one ``feed_power`` for the rest (tau and L as in
+    ``state_bits`` counts the entries of age at most n (births at least
+    now - n) plus each state's newest segment, ``n.bit_length()`` + ⌈log2
+    |Q|⌉ bits each; frozen entries are kept but not counted.  The births
+    take no more: given ``now``, a live birth is now minus an age in [1,
+    n], and a frozen birth tells nothing, since every value below now - n
+    reads the same now and after.  ``now`` itself takes
+    ``n.bit_length()`` bits, and the |Q| newest segments counted are never
+    stored, so one of them pays for it.
+
+    ``_power`` computes in ages, as the engine does: ``_advance`` gives
+    the birth of the advanced age on a clock at 0, and the clock is set
+    to 0.  ``feed_run(w, k)`` steps min(k, ceil((tau + L)/|w|)) copies of
+    w, then takes one ``feed_power`` for the rest (tau and L as in
     ``SkeletonTester``): the entries that come back every L symbols are
     older, so the count of ages at most n can only fall.  A repeated
     skeleton is no stopping point: the same skeleton can gather its ages
@@ -464,25 +503,41 @@ class PathSummaryTester(SkeletonTester):
     def __init__(self, analyzed: AnalyzedRdfa, window_size: int):
         super().__init__(analyzed, window_size, 1)
         self._dead = window_size + 1
+        self._now = 0
         self._pair_bits = window_size.bit_length() + (self._n_states - 1).bit_length()
         self._start_on_pad(analyzed.rdfa.alphabet)
 
     def _decision(self, start: int, row: tuple[tuple[int, int], ...]) -> tuple:
         acc = self._a.acc
-        return (
-            *((start + i, acc[state]) for i, (state, _r) in enumerate(row)),
-            acc[self._a.rdfa.initial].member(self.window_size),
-        )
+        entries = [(start + i, acc[state]) for i, (state, _r) in enumerate(row)]
+        return entries, acc[self._a.rdfa.initial].member(self.window_size)
 
     def _advance(self, age: int, k: int) -> int:
-        return min(age + k, self._dead)
+        age += k
+        return -age if age < self._dead else -self._dead  # the birth on a clock at 0
+
+    def _power(self, rows: list[Row], codes: tuple[int, ...], k: int) -> None:
+        super()._power(rows, codes, k)
+        self._now = 0  # the clock ``_advance`` gave the births on
+
+    @property
+    def _rows(self) -> list[Row]:
+        """The rows with each birth read as its age, n + 1 once frozen."""
+        now, dead, births = self._now, self._dead, iter(self._counts)
+        return [
+            [(s, r, age if (age := now - next(births)) < dead else dead) for s, r in row] for row in self._node.skeleton
+        ]
 
     def feed(self, symbol: str) -> None:
         code = self._code(symbol)
-        self._node, gather = self._node.slots[code] or self._slot(code)
-        counts, dead = self._counts, self._dead
-        counts.append(0)  # the sentinel a fresh entry gathers
-        self._counts = [c + 1 if c < dead else dead for c in map(counts.__getitem__, gather)]
+        self._node, take, _width = self._node.slots[code] or self._slot(code)
+        now = self._now
+        births = take((*self._counts, now))  # a fresh entry is born now
+        if now < self.window_size:
+            self._counts, self._now = births, now + 1
+        else:  # the clock would reach n + 1: rebase it to 0
+            dead = self._dead
+            self._counts, self._now = [birth - dead if birth > 0 else -dead for birth in births], 0
 
     def feed_run(self, word: str, k: int) -> int:
         codes = word_codes(self._code, word)
@@ -495,17 +550,17 @@ class PathSummaryTester(SkeletonTester):
         return most
 
     def decide(self) -> bool:
-        n, counts = self.window_size, self._counts
-        record = self._node.decision
-        for index, acc in record[:-1]:
-            age = counts[index]
-            if age <= n:
-                return acc.member(n - age)
-        return record[-1]
+        births, oldest = self._counts, self._now - self.window_size  # the oldest live birth
+        entries, newest = self._node.decision
+        for index, acc in entries:
+            birth = births[index]
+            if birth >= oldest:
+                return acc.member(birth - oldest)  # n - age
+        return newest
 
     def state_bits(self) -> int:
-        counts = self._counts
-        return self._pair_bits * (len(counts) - counts.count(self._dead) + self._n_states)
+        oldest = self._now - self.window_size
+        return self._pair_bits * (len([birth for birth in self._counts if birth >= oldest]) + self._n_states)
 
 
 def deterministic_tester(analyzed: AnalyzedRdfa, window_size: int) -> SlidingWindowTester:

@@ -24,7 +24,8 @@ prime drawn from a pool of the first Θ(k log window-size) primes, k the
 number of transient finals.  Member windows are accepted for every prime;
 far windows survive for at most a third of the pool.  ``OneSidedTester``
 keeps these lengths for the partial machines of every transient final in
-one flat table, which a feed steps by one list comprehension.  A partial
+one flat table, as births mod p on one clock, which a feed steps by one
+gather.  A partial
 machine that cannot accept a window of size n is dropped; one whose
 language is a single word, or whose slack does not fit the window, is
 tracked exactly by the ``ExactWindowTester`` that serves the exact kind.
@@ -65,6 +66,7 @@ from .testers_det import (
     SlidingWindowTester,
     check_power,
     exact_tester,
+    gather,
     lasso_node,
     trivial_tester,
     word_codes,
@@ -264,7 +266,7 @@ class TwoSidedTester(SkeletonTester):
     The state size depends only on the skeleton, so ``feed_run(w, k)``
     walks the nodes' slots under w for min(k·|w|, tau + L) symbols (tau
     and L as in ``SkeletonTester``), without the counts, reads each
-    one's entry count off its gather, and then advances the counts by one
+    one's entry count off the slot, and then advances the counts by one
     ``feed_power`` from the rows the run started on.  Entries never leave
     a row, so from tau on the entry count repeats with period L.  A power
     of fewer than |Q| plus the number of entries symbols is fed step by
@@ -305,20 +307,19 @@ class TwoSidedTester(SkeletonTester):
     def _decision(self, start: int, row: tuple[tuple[int, int], ...]) -> tuple:
         analyzed, n, g = self._a, self.window_size, self._period
         entries = [(start + i, (n - residue) % g in analyzed.acc_mod[state]) for i, (state, residue) in enumerate(row)]
-        return (*entries, n % g in analyzed.acc_mod[analyzed.rdfa.initial])
+        return entries, n % g in analyzed.acc_mod[analyzed.rdfa.initial]
 
     def _advance(self, count: int, k: int) -> int:
         return self._counter.advance(count, k, self._rng)
 
     def feed(self, symbol: str) -> None:
         code = self._code(symbol)
-        self._node, gather = self._node.slots[code] or self._slot(code)
+        self._node, take, _width = self._node.slots[code] or self._slot(code)
         counts, cdfs = self._counts, self._cdfs
         counts.append(0)  # the sentinel a fresh entry gathers
-        # map stops at the end of the gather before zip takes a uniform, so each entry takes exactly one
+        # zip finds the gathered counts' end before it takes a uniform, so each entry takes exactly one
         self._counts = [
-            c if u < (cdf := cdfs[c])[0] else c + bisect_right(cdf, u)
-            for c, u in zip(map(counts.__getitem__, gather), self._uniforms)
+            c if u < (cdf := cdfs[c])[0] else c + bisect_right(cdf, u) for c, u in zip(take(counts), self._uniforms)
         ]
 
     def feed_run(self, word: str, k: int) -> int:
@@ -328,19 +329,19 @@ class TwoSidedTester(SkeletonTester):
         _lassos, tail, cycles = word_lassos(self._lassos, self._moves, codes)
         rows, most = self._rows, 0
         for code in islice(cycle(codes), min(k * len(codes), tail + cycles)):
-            self._node, gather = self._node.slots[code] or self._slot(code)
-            most = max(most, len(gather))
+            self._node, _take, width = self._node.slots[code] or self._slot(code)
+            most = max(most, width)
         self._power(rows, codes, k)
         return self._triple_bits * (most + self._n_states)
 
     def decide(self) -> bool:
         counts, reads_high = self._counts, self._counter.reads_high
-        record = self._node.decision
+        entries, newest = self._node.decision
         # oldest first: the first entry that reads low decides
-        for index, verdict in record[:-1]:
+        for index, verdict in entries:
             if not reads_high(counts[index]):
                 return verdict
-        return record[-1]  # the newest triple, which reads low by invariant
+        return newest  # the newest triple's, which reads low by invariant
 
     def state_bits(self) -> int:
         return self._triple_bits * (len(self._counts) + self._n_states)
@@ -548,20 +549,26 @@ class OneSidedTester(FixedSizeTester):
     The parts share one flat table over their completed machines' states,
     laid end to end: per state, the length mod p of the shortest suffix
     of the stream that drives it to its machine's final state, with p for
-    infinity.  A feed steps every value over the symbol's move tuple
-    through the successor table ``0 -> 1 -> ... -> p-1 -> 0, p -> p``,
-    then resets the finals to 0; a part accepts iff its start state holds
-    n mod p.  ``feed_power(w, k)`` (the pad warm-up included) steps fewer
-    than the table's size of symbols and is closed form otherwise: after
-    K = k·|w| symbols, a final holds 0, a state whose path first enters a
-    final at step j <= K holds j mod p, and any other state q the old
-    value of q_K plus K (inf stays inf).  The paths are the lassos of
+    infinity (``values``).  The table holds each length as a *birth* mod p
+    on one clock ``now`` mod p: the length is now - birth mod p, and p
+    still stands for infinity.  A feed moves the clock by one and gathers
+    every state's birth from its successor under the symbol, a final
+    taking ``now``, in one ``operator.itemgetter`` call: no value changes.
+    A part accepts iff its start state's birth is now - n mod p.
+    ``feed_power(w, k)`` (the pad warm-up included) steps fewer than the
+    table's size of symbols and is closed form otherwise: after K = k·|w|
+    symbols, with the clock at now', a final holds now', a state whose
+    path first enters a final at step j <= K holds now' - j mod p, and any
+    other state q the birth of q_K.  The paths are the lassos of
     ``SkeletonTester`` over the product of the table's states with
     Z_|w|, with "enters a final" as the marked step, kept in one table
     per word.
     The table's size never changes, so ``feed_run`` is one
-    ``feed_power``.  With nothing kept the table is empty and every
-    window is rejected in one state bit.
+    ``feed_power``.  ``state_bits`` counts the prime and width + 1 bits
+    per partial-machine state; the clock costs nothing more, since each
+    final, whose length is always 0, is counted and holds nothing but the
+    clock.  With nothing kept the table is empty, the clock runs mod 1,
+    and every window is rejected in one state bit.
 
     The prime is drawn from ``rng`` whenever some partial machine, kept
     or not, could be fingerprinted, so the coins a caller draws after it
@@ -597,17 +604,23 @@ class OneSidedTester(FixedSizeTester):
         self._code = alphabet.code
         offsets = list(accumulate((partial.machine.n_states for partial in parts), initial=0))
         blocks = list(zip(offsets, (partial.machine for partial in parts)))
-        self._moves = [
+        moves = [
             tuple(offset + row[a] for offset, machine in blocks for row in machine.delta) for a in range(len(alphabet))
         ]
         self._starts = tuple(offset + machine.initial for offset, machine in blocks)
         self._finals = tuple(offset + final for offset, machine in blocks for final in machine.finals)
-        finals = frozenset(self._finals)
-        self._marked_moves = [tuple((q, q in finals) for q in moves) for moves in self._moves]  # marked: enters a final
+        finals, size = frozenset(self._finals), offsets[-1]
+        self._marked_moves = [tuple((q, q in finals) for q in row) for row in moves]  # marked: enters a final
+        self._takes = []  # per symbol code, the gather of a feed
+        for row in moves:
+            indices = list(row)
+            for final in self._finals:
+                indices[final] = size  # the clock, which a feed appends at index size
+            self._takes.append(gather(indices))
         self._lassos: dict = {}
-        self._successor = [*range(1, prime), 0, prime] if parts else []
-        self._target = window_size % prime if parts else None
-        self.values = [prime] * offsets[-1]  # the warm-up sets the finals to 0 and reads no other final
+        self._period = prime if parts else 1  # the clock's modulus
+        self._now = 0
+        self._births = [prime] * size  # the warm-up gives the finals the clock and reads no other final
         self._exact = ()  # an exact part starts on the pad window the warm-up makes, so it joins after it
         self._start_on_pad(alphabet)
         self._exact = [ExactWindowTester(p.machine, window_size) for p in live if not _fingerprintable(p, window_size)]
@@ -615,36 +628,44 @@ class OneSidedTester(FixedSizeTester):
         table_bits = width + sum(len(partial.states) for partial in parts) * (width + 1)
         self._bits = table_bits + sum(part.state_bits() for part in self._exact) if live else 1
 
+    @property
+    def values(self) -> list[int]:
+        """Per table state, the length mod p of the shortest suffix of the
+        stream that drives it to its machine's final state, p for infinity
+        (a view; not for the hot path)."""
+        now, p = self._now, self._period
+        return [birth if birth == p else (now - birth) % p for birth in self._births]
+
     def feed(self, symbol: str) -> None:
-        old, successor = self.values, self._successor
-        new = [successor[old[q]] for q in self._moves[self._code(symbol)]]
-        for final in self._finals:
-            new[final] = 0
-        self.values = new
+        take = self._takes[self._code(symbol)]
+        now = self._now = (self._now + 1) % self._period
+        self._births = take((*self._births, now))
         for part in self._exact:
             part.feed(symbol)
 
     def feed_power(self, word: str, k: int) -> None:
         codes = word_codes(self._code, word)
         check_power(k)
-        old, steps = self.values, k * len(codes)
+        old, steps = self._births, k * len(codes)
         if steps < len(old):  # a power shorter than the table costs less in steps than in its lassos
             return super().feed_power(word, k)
-        prime, new = self.prime, []
+        p = self._period
+        now = self._now = (self._now + steps) % p
+        new = []
         for path, start, marks in word_lassos(self._lassos, self._marked_moves, codes)[0]:
             hit = marks[-1][0] if marks else steps + 1  # the first step into a final
-            value = old[lasso_node(path, start, steps)]  # a copy boundary, so a state of the table
-            new.append(hit % prime if hit <= steps else value if value == prime else (value + steps) % prime)
+            # with no such step, the birth at q_K, a copy boundary and so a state of the table
+            new.append((now - hit) % p if hit <= steps else old[lasso_node(path, start, steps)])
         for final in self._finals:
-            new[final] = 0
-        self.values = new
+            new[final] = now
+        self._births = new
         for part in self._exact:
             part.feed_power(word, k)
 
     def decide(self) -> bool:
-        values, target = self.values, self._target
+        births, target = self._births, (self._now - self.window_size) % self._period
         for start in self._starts:
-            if values[start] == target:
+            if births[start] == target:
                 return True
         for part in self._exact:
             if part.decide():

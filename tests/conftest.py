@@ -98,6 +98,32 @@ def complete_dfas(draw) -> Dfa:
     return Dfa(alphabet, delta, draw(state), finals)
 
 
+@st.composite
+def calls_feeding(draw, symbols: str, length: int) -> list[tuple[str, str, int]]:
+    """``(method, word, k)`` calls of ``feed`` (a symbol, k = 1),
+    ``feed_power`` and ``feed_run`` (a word of 1-3 symbols, 1 <= k <=
+    length), drawn until they feed ``length`` symbols or more."""
+    calls: list[tuple[str, str, int]] = []
+    fed = 0
+    while fed < length:
+        method = draw(st.sampled_from(["feed", "feed_power", "feed_run"]))
+        if method == "feed":
+            word, k = draw(st.sampled_from(symbols)), 1
+        else:
+            word, k = draw(st.text(alphabet=symbols, min_size=1, max_size=3)), draw(st.integers(1, length))
+        calls.append((method, word, k))
+        fed += len(word) * k
+    return calls
+
+
+def make_call(tester, method: str, word: str, k: int) -> None:
+    """Apply one call drawn by ``calls_feeding`` to ``tester``."""
+    if method == "feed":
+        tester.feed(word)
+    else:
+        getattr(tester, method)(word, k)
+
+
 def transient_partials(analyzed: AnalyzedRdfa) -> list:
     """The partial machines of every transient final, finals in order: the
     parts the compiled one-sided tester builds its testers from."""

@@ -4,7 +4,8 @@ Nothing here runs in the library.  Each definition is the plain,
 one-object-at-a-time form of something a tester or an analysis does in
 bulk: a ring buffer for the active window, Hamming distance, exhaustive
 run search for the simulation property, cut languages, the SCC order,
-the deterministic tester's path summaries and the two-sided tester's
+the deterministic tester's path summaries and its step in ages, the
+one-sided tester's fingerprint step in lengths, the two-sided tester's
 compact summaries with their one-step prolongation, and an exact
 threshold counter to put in through ``TwoSidedTester``'s
 ``counter_factory`` seam.  Tests import it as they import ``conftest``.
@@ -222,6 +223,54 @@ def path_summaries(tester) -> dict[int, PathSummary]:
         older_ages = [n, *(age for _s, age in live)]  # the oldest runs to the far end
         views[q] = PathSummary(tuple((older - age, s) for older, (s, age) in zip(older_ages, [*live, (q, 0)])))
     return views
+
+
+def path_summary_feed(analyzed: AnalyzedRdfa, rows: Sequence[Sequence[tuple[int, int, int]]], code: int, n: int):
+    """A ``PathSummaryTester``'s ``_rows`` after one feed of the symbol
+    ``code``, from its ``_rows`` before, by the row rule in ages: row p is
+    the row of q = delta[p][code] with every age one up to n + 1, where it
+    freezes, and ``(q, 0, 1)`` joins when p and q lie in different SCCs."""
+    dead, delta = n + 1, analyzed.rdfa.delta
+    stepped = []
+    for p, successors in enumerate(delta):
+        q = successors[code]
+        row = [(s, 0, age + 1 if age < dead else dead) for s, _r, age in rows[q]]
+        if not analyzed.same_scc(p, q):
+            row.append((q, 0, 1))
+        stepped.append(row)
+    return stepped
+
+
+def path_summary_verdict(analyzed: AnalyzedRdfa, rows: Sequence[Sequence[tuple[int, int, int]]], n: int) -> bool:
+    """A ``PathSummaryTester``'s verdict on its ``_rows``: the oldest entry
+    of the initial state's row of age at most n accepts iff n - age is an
+    acceptance length of its state; with none, iff n is one of the
+    initial state's."""
+    initial = analyzed.rdfa.initial
+    for s, _r, age in rows[initial]:
+        if age <= n:
+            return analyzed.acc[s].member(n - age)
+    return analyzed.acc[initial].member(n)
+
+
+# --- the one-sided tester's fingerprint table ----------------------------------------------
+
+
+def fingerprint_feed(parts: Sequence, prime: int, values: Sequence[int], code: int) -> list[int]:
+    """A ``OneSidedTester``'s ``values`` after one feed of the symbol
+    ``code``, from its ``values`` before: over its ``parts``' completed
+    machines laid end to end, every state takes its successor's length
+    through the successor table ``0 -> 1 -> ... -> p-1 -> 0, p -> p`` (p
+    stands for infinity), and every final then holds 0."""
+    successor = [*range(1, prime), 0, prime]
+    stepped: list[int] = []
+    for machine in (partial.machine for partial in parts):
+        offset = len(stepped)
+        block = [successor[values[offset + row[code]]] for row in machine.delta]
+        for final in machine.finals:
+            block[final] = 0
+        stepped += block
+    return stepped
 
 
 # --- the two-sided tester's compact summaries ----------------------------------------------

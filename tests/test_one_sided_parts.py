@@ -16,16 +16,27 @@ or not, can be fingerprinted, and never otherwise.
 """
 
 import time
-from itertools import chain
+from itertools import accumulate, chain
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import build_dfa, build_partials, complete_dfas, language_slice
+from conftest import (
+    AB,
+    CORPUS,
+    build_analyzed,
+    build_dfa,
+    build_partials,
+    calls_feeding,
+    complete_dfas,
+    language_slice,
+    make_call,
+    transient_partials,
+)
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from reference import feed_all
+from reference import feed_all, fingerprint_feed
 
 from regwin import (
     Alphabet,
@@ -178,6 +189,50 @@ def test_one_sided_tester_built_directly_matches_the_compiled_parts_at_2_16():
         direct_bits.append(tester.state_bits())
     assert direct_bits == [1, 35]
     assert compiled.state_bits() == 35
+
+
+@pytest.mark.parametrize("ident, pattern", [(ident, pattern) for ident, pattern in CORPUS if build_partials(pattern)])
+def test_values_follow_the_successor_table_over_ten_windows(ident, pattern):
+    """Over seeded streams of 10(n + 1) symbols at n = |Q|, 8 and 64, the
+    table's lengths after every feed are the reference successor-table
+    step of the lengths before, and the tester accepts iff a start state's
+    length is n mod p or an exact part accepts."""
+    n_states = build_analyzed(pattern).rdfa.n_states
+    for n in sorted({max(n_states, 2), 8, 64}):
+        tester = OneSidedTester(build_partials(pattern), n, np.random.default_rng(n))
+        parts, prime, code = tester._parts, tester.prime, tester._code
+        offsets = accumulate((partial.machine.n_states for partial in parts), initial=0)
+        starts = [offset + partial.machine.initial for offset, partial in zip(offsets, parts)]
+        values = tester.values
+        for symbol in np.random.default_rng(n).choice(list(AB.symbols), 10 * (n + 1)).tolist():
+            tester.feed(symbol)
+            if parts:
+                values = fingerprint_feed(parts, prime, values, code(symbol))
+            assert tester.values == values, (n, symbol)
+            accepts = any(values[start] == n % prime for start in starts)
+            assert tester.decide() == (accepts or any(part.decide() for part in tester._exact)), n
+
+
+@settings(FUZZ, max_examples=150)
+@given(complete_dfas(), st.integers(2, 12), st.data())
+def test_clock_and_births_stay_below_the_prime(dfa, n, data):
+    """Over a mix of feeds, powers and runs five times longer than n + 1,
+    the clock stays below p (1 with no fingerprinted part) and every birth
+    in [0, p], and the state is the one symbol-by-symbol feeds reach."""
+    try:
+        partials = transient_partials(analyze(dfa))
+    except StateLimitExceeded:
+        assume(False)
+    assume(partials)
+    calls = data.draw(calls_feeding(dfa.alphabet.symbols, 5 * (n + 1)))
+    tester, stepped = (OneSidedTester(partials, n, np.random.default_rng(n)) for _ in range(2))
+    p = tester.prime if tester._parts else 1
+    for call in calls:
+        make_call(tester, *call)
+        feed_all(stepped, call[1] * call[2])
+        assert tester._period == p and 0 <= tester._now < p, call
+        assert all(0 <= birth <= p for birth in tester._births), call
+        assert (tester.values, tester.decide()) == (stepped.values, stepped.decide()), call
 
 
 @pytest.mark.parametrize("prime", [1, 0, -3, 4, 239])

@@ -2,9 +2,17 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import AB, CORPUS, build_analyzed, build_dfa, last_n, words_up_to
-from reference import WindowBuffer, feed_all, path_summaries, path_summary_of
+from conftest import AB, CORPUS, build_analyzed, build_dfa, calls_feeding, complete_dfas, last_n, make_call, words_up_to
+from reference import (
+    WindowBuffer,
+    feed_all,
+    path_summaries,
+    path_summary_feed,
+    path_summary_of,
+    path_summary_verdict,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -276,6 +284,56 @@ def test_deterministic_tester_is_exact_up_to_t_on_random_machines(case):
                 assert tester.decide(), (window, n, type(tester).__name__)
             if far:
                 assert not tester.decide(), (window, n, type(tester).__name__)
+
+
+@pytest.mark.parametrize("ident, pattern", CORPUS)
+def test_rows_follow_the_step_in_ages_over_ten_windows(ident, pattern):
+    """Over seeded streams of 10(n + 1) symbols at n = |Q|, 8 and 64, which
+    rebase the clock ten times, the rows after every feed are the
+    reference step in ages of the rows before, the verdict is the
+    reference one on those rows, the state bits count their entries of
+    age at most n, and the clock and births stay in their bounds."""
+    analyzed = build_analyzed(pattern)
+    n_states, code = analyzed.rdfa.n_states, analyzed.rdfa.alphabet.code
+    for n in sorted({n_states, 8, 64}):
+        tester = PathSummaryTester(analyzed, n)
+        pair_bits = n.bit_length() + (n_states - 1).bit_length()
+        rows = tester._rows
+        for symbol in np.random.default_rng(n).choice(list(AB.symbols), 10 * (n + 1)).tolist():
+            tester.feed(symbol)
+            rows = path_summary_feed(analyzed, rows, code(symbol), n)
+            assert tester._rows == rows, (n, symbol)
+            assert tester.decide() == path_summary_verdict(analyzed, rows, n), n
+            live = sum(age <= n for row in rows for _s, _r, age in row)
+            assert tester.state_bits() == pair_bits * (live + n_states), n
+            now = tester._now
+            assert 0 <= now <= n and all(-(n + 1) <= birth < now for birth in tester._counts), n
+
+
+@settings(max_examples=150)
+@given(complete_dfas(), st.integers(0, 12), st.data())
+def test_clock_and_births_stay_bounded(dfa, n, data):
+    """Over a mix of feeds, powers and runs five times longer than n + 1,
+    the clock stays in [0, n] and every birth in [-(n + 1), now), so
+    every stored value is within n + 1 of 0; the state bits pay for the
+    clock and every live entry; and the state is the one symbol-by-symbol
+    feeds reach."""
+    try:
+        analyzed = analyze(dfa)
+    except StateLimitExceeded:
+        assume(False)
+    calls = data.draw(calls_feeding(dfa.alphabet.symbols, 5 * (n + 1)))
+    pair_bits = n.bit_length() + (analyzed.rdfa.n_states - 1).bit_length()
+    tester, stepped = PathSummaryTester(analyzed, n), PathSummaryTester(analyzed, n)
+    for call in calls:
+        make_call(tester, *call)
+        feed_all(stepped, call[1] * call[2])
+        now, births = tester._now, tester._counts
+        assert 0 <= now <= n, call
+        assert all(-(n + 1) <= birth < now for birth in births), (call, now, births)
+        live = sum(birth >= now - n for birth in births)
+        assert n.bit_length() + pair_bits * live <= tester.state_bits(), call
+        assert (tester._rows, tester.decide()) == (stepped._rows, stepped.decide()), call
 
 
 def test_state_bits_grow_with_log_window():
