@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -476,7 +476,12 @@ def acceptance_sets(
 @dataclass(frozen=True)
 class AnalyzedRdfa:
     """A trimmed, period-uniformized right-to-left machine bundled with all
-    the static data the testers need."""
+    the static data the testers need.
+
+    ``tables`` holds what the testers built from this analysis share, each
+    entry built by the first tester that needs it (see
+    ``testers_det.shared_table``), never here; it takes no part in
+    equality, hashing or ``repr``."""
 
     rdfa: Rdfa
     g: int
@@ -485,6 +490,7 @@ class AnalyzedRdfa:
     acc: tuple[EventuallyPeriodicSet, ...]
     t: int
     acc_mod: tuple[frozenset[int], ...]
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def shift(self, p: int, q: int) -> int:
         return shift(p, q, self.periods)

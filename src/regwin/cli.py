@@ -112,7 +112,8 @@ def _language_from_config(entry: dict, path: str) -> Language:
 
 
 def build_tester_factory(kind: str, language: Language, n: int, eps: float):
-    """Factory mapping a per-trial rng to a fresh tester instance."""
+    """Factory mapping a per-trial rng to a fresh tester instance; the
+    testers of one language share the tables of its one analysis."""
     if kind == "exact":
         return lambda rng: testers_det.exact_tester(language.dfa, n)
     if kind == "trivial":
@@ -125,7 +126,7 @@ def build_tester_factory(kind: str, language: Language, n: int, eps: float):
         analyzed = language.analyzed
         return lambda rng: testers_rand.two_sided_tester(analyzed, n, eps, rng)
     if kind == "one-sided":
-        return testers_rand.compile_one_sided(language.dfa, n)
+        return testers_rand.compile_one_sided(language.dfa, n, analysis=lambda: language.analyzed)
     raise ConfigError(f"unknown tester kind {kind!r} (choose from {', '.join(TESTER_KINDS)})")
 
 
@@ -183,11 +184,37 @@ def _first_repeat(values: list) -> int | None:
 
 def _final_window(symbols: Sequence[str], alphabet: Alphabet, n: int) -> str:
     """The window after the whole stream: its last n symbols, padded on the
-    left, as the oracle's window buffer holds it."""
+    left, as the oracle's window buffer holds it; ``regwin oracle dist``
+    prints it."""
     if n < 0:
         raise ValueError("window size must be nonnegative")
     last = symbols[max(0, len(symbols) - n) :]  # not symbols[-n:], which is the whole list at n = 0
     return alphabet.pad * (n - len(last)) + "".join(last)
+
+
+def _final_pieces(pieces: Sequence[streams.Piece], alphabet: Alphabet, n: int) -> list[streams.Piece]:
+    """The window after the stream of ``pieces``, as pieces: its last n
+    symbols, padded on the left, as ``_final_window`` joins them, taken
+    from the right in whole copies and at most one suffix of a copy."""
+    if n < 0:
+        raise ValueError("window size must be nonnegative")
+    window: list[streams.Piece] = []
+    need = n
+    for word, k in reversed(pieces):
+        if not need:
+            break
+        if not word:
+            continue
+        whole = min(k, need // len(word))
+        if whole:
+            window.append((word, whole))
+            need -= whole * len(word)
+        if whole < k and need:
+            window.append((word[len(word) - need :], 1))
+            need = 0
+    if need:
+        window.append((alphabet.pad, need))
+    return window[::-1]
 
 
 def run_experiment(config: dict) -> list[ReportRow]:
@@ -252,9 +279,8 @@ def run_experiment(config: dict) -> list[ReportRow]:
         }
         for spec in specs:
             pieces = streams.pieces(spec, language.alphabet)
-            symbols = "".join(word * k for word, k in pieces)
             for n in window_sizes:
-                dist = oracle.distance_to_language(_final_window(symbols, language.alphabet, n), language.dfa)
+                dist = oracle.distance_to_language(_final_pieces(pieces, language.alphabet, n), language.dfa)
                 for kind, factory in factories[n].items():
                     started = time.perf_counter()
                     result = streams.monte_carlo(factory, pieces, trials, seed)
@@ -385,10 +411,9 @@ def _cmd_tester_run(args: argparse.Namespace) -> int:
     language = _language_from_args(args)
     spec = streams.spec_from_string(args.stream)
     pieces = streams.pieces(spec, language.alphabet)
-    symbols = "".join(word * k for word, k in pieces)
     factory = build_tester_factory(args.kind, language, args.n, args.eps)
     result = streams.monte_carlo(factory, pieces, args.trials, args.seed, trace=args.trace)
-    dist = oracle.distance_to_language(_final_window(symbols, language.alphabet, args.n), language.dfa)
+    dist = oracle.distance_to_language(_final_pieces(pieces, language.alphabet, args.n), language.dfa)
     report = {
         "language": language.ident,
         "kind": args.kind,

@@ -226,7 +226,7 @@ def _pieces(spec: StreamSpec, alphabet: Alphabet) -> Iterator[Piece]:
     else:
         raise TypeError(f"not a stream spec: {spec!r}")
     for word, repeats in parts:
-        for symbol in word:
+        for symbol in dict.fromkeys(word):  # each distinct symbol once, in order of first appearance
             alphabet.code(symbol)
         yield word, repeats
 
@@ -295,11 +295,14 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Fraction of independent tester instances accepting at end of stream.
 
-    Every trial runs a fresh tester (from ``factory`` with a derived rng)
-    over the same materialized stream.  The stream's items are words,
-    read symbol by symbol (a plain string or a list of symbols is a
-    stream of one-symbol words), and ``(word, k)`` pieces, the word
-    repeated k times (``pieces`` gives a spec's).  Once per call, a piece
+    Every trial runs its own tester (from ``factory`` with a derived rng)
+    over the same stream; the library's testers of one row share their
+    tables (the analysis's move, lasso and node tables, det's pad window,
+    a one-sided factory's fingerprint table), so a trial builds none that
+    an earlier trial built and holds only its own state.  The stream's
+    items are words, read symbol by symbol (a plain string or a list of
+    symbols is a stream of one-symbol words), and ``(word, k)`` pieces,
+    the word repeated k times (``pieces`` gives a spec's).  Once per call, a piece
     with k > |w| >= 2 becomes one word power, and the words of every other
     piece are joined and split into runs of one symbol.  A library tester
     (a ``SlidingWindowTester``) is fed feed by feed: a one-symbol run by

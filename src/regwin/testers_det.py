@@ -28,7 +28,7 @@ from abc import ABC, abstractmethod
 from itertools import accumulate
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence, TypeVar
 
 from .analysis import AnalyzedRdfa, EventuallyPeriodicSet
 from .automata import Alphabet, Dfa, Rdfa
@@ -265,7 +265,18 @@ Moves = Sequence[Sequence[tuple[int, bool]]]  # per symbol code, per state: (suc
 # then the longest tail and the lcm of the cycle lengths, both in symbols
 Lassos = tuple[tuple[tuple[list[int], int, tuple[tuple[int, int], ...]], ...], int, int]
 
-SKELETON_TABLE_SIZE = 4096  # skeletons (and lasso tables) a tester holds before it empties its table
+SKELETON_TABLE_SIZE = 4096  # skeletons (and lasso tables) a table holds before it is emptied
+
+T = TypeVar("T")
+
+
+def shared_table(analyzed: AnalyzedRdfa, key: Hashable, build: Callable[[], T]) -> T:
+    """The table ``key`` that every tester built from ``analyzed`` shares,
+    built by ``build()`` on first use."""
+    table = analyzed.tables.get(key)
+    if table is None:
+        table = analyzed.tables[key] = build()
+    return table
 
 
 def walk_lassos(moves: Moves, codes: tuple[int, ...]) -> Lassos:
@@ -322,7 +333,7 @@ def lasso_node(path: list[int], start: int, k: int) -> int:
 
 
 class Node:
-    """A skeleton in a tester's table, with one slot per symbol code (None
+    """A skeleton in a node table, with one slot per symbol code (None
     until first needed) and its decide record: the initial state's row as
     ``(flat index, what the subclass decides by)`` entries, oldest first,
     and the newest segment's verdict."""
@@ -331,6 +342,16 @@ class Node:
 
     def __init__(self, skeleton: Skeleton, slots: list[Slot | None], decision: tuple):
         self.skeleton, self.slots, self.decision = skeleton, slots, decision
+
+
+class NodeTable(dict):
+    """Skeleton -> ``Node``, shared by the skeleton testers of one class
+    and window size built from one analysis.  ``start`` is the state the
+    pad warm-up leaves, kept by a subclass whose warm-up draws no coin (the
+    deterministic tester: its skeleton, births and clock), so only the
+    first such tester runs it."""
+
+    start: tuple | None = None
 
 
 class SkeletonTester(SlidingWindowTester):
@@ -354,10 +375,22 @@ class SkeletonTester(SlidingWindowTester):
     number of entries it gathers: the gather takes the old counts, with
     one fresh count appended at index ``len(counts)``, to the new entries'
     counts before their step, in one ``operator.itemgetter`` call (see
-    ``gather``).  The table maps each skeleton to its node; one
-    that reaches ``SKELETON_TABLE_SIZE`` nodes is replaced by a new one
-    holding only the current node, its slots cleared, so every node the
-    tester can reach is in its table.
+    ``gather``).
+
+    Nodes, slots and decide records depend only on the analysis, the
+    tester class and n, so the testers built from one analysis share one
+    ``NodeTable`` per class and n, and one move table and one lasso table
+    (below), which depend only on the analysis; each is built on first use
+    (``shared_table``), and a Monte Carlo trial builds nothing an earlier
+    trial built.  The node table is closed under slots: a slot of a node
+    in the table leads to a node in the table.  One that reaches
+    ``SKELETON_TABLE_SIZE`` nodes is emptied in place, keeping only the
+    current node of the tester that evicts, its slots cleared; a table a
+    new tester finds that full is emptied outright.  A node another tester
+    holds stays a valid object, its slots valid nodes, though they may be
+    out of the table: that tester steps on through them, and enters each
+    node it builds in the table, so a node is a function of its skeleton
+    whichever tester built it.
 
     ``feed_power(w, k)`` builds p's row from the row of p_K, K = k·|w|
     steps along p's path under copies of w: every entry moves by K steps,
@@ -397,26 +430,34 @@ class SkeletonTester(SlidingWindowTester):
         self._code = rdfa.alphabet.code
         self._n_states = rdfa.n_states
         # per symbol code, per start state p: (successor q, whether the step leaves p's SCC)
-        self._moves = [
-            [(q, not analyzed.same_scc(p, q)) for p, q in enumerate(successors)] for successors in zip(*rdfa.delta)
-        ]
-        self._nodes: dict[Skeleton, Node] = {}
+        self._moves: Moves = shared_table(
+            analyzed,
+            "moves",
+            lambda: [
+                [(q, not analyzed.same_scc(p, q)) for p, q in enumerate(successors)] for successors in zip(*rdfa.delta)
+            ],
+        )
+        self._lassos: dict[tuple[int, ...], Lassos] = shared_table(analyzed, "lassos", dict)
+        self._nodes: NodeTable = shared_table(analyzed, (type(self), window_size), NodeTable)
+        if len(self._nodes) >= SKELETON_TABLE_SIZE:  # no current node to keep yet
+            self._nodes.clear()
         self._node = self._intern(((),) * rdfa.n_states)
         self._counts: Sequence[int] = []
-        self._lassos: dict[tuple[int, ...], Lassos] = {}
 
     def _intern(self, skeleton: Skeleton) -> Node:
         """The node of ``skeleton``, entered in the table on first sight.  A
-        full table is first replaced by one holding only the current node,
-        with its slots cleared."""
-        node = self._nodes.get(skeleton)
+        full table is first emptied in place but for the current node, its
+        slots cleared."""
+        nodes = self._nodes
+        node = nodes.get(skeleton)
         if node is None:
-            if len(self._nodes) >= SKELETON_TABLE_SIZE:
+            if len(nodes) >= SKELETON_TABLE_SIZE:
+                nodes.clear()
                 self._node.slots = [None] * len(self._moves)
-                self._nodes = {self._node.skeleton: self._node}
+                nodes[self._node.skeleton] = self._node
             initial = self._a.rdfa.initial
             decision = self._decision(sum(map(len, skeleton[:initial])), skeleton[initial])
-            node = self._nodes[skeleton] = Node(skeleton, [None] * len(self._moves), decision)
+            node = nodes[skeleton] = Node(skeleton, [None] * len(self._moves), decision)
         return node
 
     def _slot(self, code: int) -> Slot:
@@ -490,6 +531,11 @@ class PathSummaryTester(SkeletonTester):
     ``n.bit_length()`` bits, and the |Q| newest segments counted are never
     stored, so one of them pays for it.
 
+    Until its first feed a tester is a function of the machine and n, so
+    only the first tester of a node table runs the pad warm-up: it keeps
+    the skeleton, births and clock it reached as the table's ``start``,
+    and every later one starts there.
+
     ``_power`` computes in ages, as the engine does: ``_advance`` gives
     the birth of the advanced age on a clock at 0, and the clock is set
     to 0.  ``feed_run(w, k)`` steps min(k, ceil((tau + L)/|w|)) copies of
@@ -505,7 +551,13 @@ class PathSummaryTester(SkeletonTester):
         self._dead = window_size + 1
         self._now = 0
         self._pair_bits = window_size.bit_length() + (self._n_states - 1).bit_length()
-        self._start_on_pad(analyzed.rdfa.alphabet)
+        start = self._nodes.start
+        if start is None:
+            self._start_on_pad(analyzed.rdfa.alphabet)
+            self._nodes.start = (self._node.skeleton, tuple(self._counts), self._now)
+        else:  # the pad window of an earlier tester of this table: its node enters the table again
+            skeleton, self._counts, self._now = start
+            self._node = self._intern(skeleton)
 
     def _decision(self, start: int, row: tuple[tuple[int, int], ...]) -> tuple:
         acc = self._a.acc

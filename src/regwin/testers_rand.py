@@ -536,15 +536,59 @@ def _fingerprintable(partial: PartialRdfa, window_size: int) -> bool:
     return partial.singleton_word is None and window_size >= partial.length_slack + len(partial.states)
 
 
+class FingerprintTable:
+    """What every one-sided tester over the same partial machines and
+    window size n shares, built once: which partial machines it keeps, and
+    the flat table over the kept fingerprinted ones (``OneSidedTester``).
+
+    A partial machine whose acceptance set misses n never accepts and is
+    dropped (a single-word one survives only at n = |w|); the others are
+    ``live``.  The live ones where the fingerprint applies
+    (``_fingerprintable``) are the ``parts``, their completed machines
+    laid end to end: per symbol code the gather of a feed and the marked
+    moves of a power, the start states, the finals, and the lasso table
+    per word, filled on first use.  The other live ones are ``exact``,
+    each tracked by a tester's own ``ExactWindowTester``.  ``draws`` tells
+    whether a tester draws a prime: whenever some partial machine, kept or
+    not, could be fingerprinted; ``k`` is the number of distinct
+    transient finals."""
+
+    def __init__(self, partials: Sequence[PartialRdfa], window_size: int):
+        if not partials:
+            raise ValueError("need at least one partial machine")
+        self.window_size = window_size
+        self.live = tuple(partial for partial in partials if partial.acc[partial.start].member(window_size))
+        self.parts = tuple(partial for partial in self.live if _fingerprintable(partial, window_size))
+        self.exact = tuple(partial for partial in self.live if not _fingerprintable(partial, window_size))
+        self.k = len({partial.final for partial in partials})
+        self.draws = any(_fingerprintable(partial, window_size) for partial in partials)
+        self.alphabet = alphabet = partials[0].machine.alphabet
+        offsets = list(accumulate((partial.machine.n_states for partial in self.parts), initial=0))
+        blocks = list(zip(offsets, (partial.machine for partial in self.parts)))
+        moves = [
+            tuple(offset + row[a] for offset, machine in blocks for row in machine.delta) for a in range(len(alphabet))
+        ]
+        self.starts = tuple(offset + machine.initial for offset, machine in blocks)
+        self.finals = tuple(offset + final for offset, machine in blocks for final in machine.finals)
+        finals, self.size = frozenset(self.finals), offsets[-1]
+        self.marked_moves = [tuple((q, q in finals) for q in row) for row in moves]  # marked: enters a final
+        self.takes = []  # per symbol code, the gather of a feed
+        for row in moves:
+            indices = list(row)
+            for final in self.finals:
+                indices[final] = self.size  # the clock, which a feed appends at index size
+            self.takes.append(gather(indices))
+        self.lassos: dict = {}
+
+
 class OneSidedTester(FixedSizeTester):
     """One-sided tester for a finite union of suffix-free languages given
     their partial machines, of any number k of transient finals, and one
     random prime p from ``prime_pool(n, k)``; accepts iff some partial
-    machine accepts.  A partial machine whose acceptance set misses n never
-    accepts and is dropped (a single-word one survives only at n = |w|).
-    The kept ones where the fingerprint applies (``_fingerprintable``)
-    are the ``_parts``; each other one is an ``ExactWindowTester`` over
-    ``partial.machine``.
+    machine accepts.  Which partial machines it keeps and how it reads
+    them is its ``FingerprintTable``: built from ``partials`` by the
+    constructor, or shared by every tester ``on`` one table, which then
+    only draws its prime and warms its births.
 
     The parts share one flat table over their completed machines' states,
     laid end to end: per state, the length mod p of the shortest suffix
@@ -583,16 +627,26 @@ class OneSidedTester(FixedSizeTester):
         rng: np.random.Generator | int | None = None,
         prime: int | None = None,
     ):
+        self._begin(FingerprintTable(partials, window_size), rng, prime)
+
+    @classmethod
+    def on(
+        cls, table: FingerprintTable, rng: np.random.Generator | int | None = None, prime: int | None = None
+    ) -> OneSidedTester:
+        """A tester over ``table``, which it shares with every other tester
+        on it."""
+        tester = cls.__new__(cls)
+        tester._begin(table, rng, prime)
+        return tester
+
+    def _begin(self, table: FingerprintTable, rng: np.random.Generator | int | None, prime: int | None) -> None:
+        window_size = table.window_size
         super().__init__(window_size)
-        if not partials:
-            raise ValueError("need at least one partial machine")
-        live = [partial for partial in partials if partial.acc[partial.start].member(window_size)]
-        parts = self._parts = tuple(partial for partial in live if _fingerprintable(partial, window_size))
-        k = len({partial.final for partial in partials})
+        parts = self._parts = table.parts
         if prime is None:
-            if any(_fingerprintable(partial, window_size) for partial in partials):
-                prime = sample_prime(window_size, rng, k)
-        elif parts and prime not in (pool := _pool(window_size, k)):
+            if table.draws:
+                prime = sample_prime(window_size, rng, table.k)
+        elif parts and prime not in (pool := _pool(window_size, table.k)):
             raise ValueError(
                 f"prime {prime} is not in the pool of window size {window_size}, the first {len(pool)} primes"
             )
@@ -600,33 +654,17 @@ class OneSidedTester(FixedSizeTester):
             prime = None  # every kept partial machine is tracked exactly, so nothing reads a prime
         self.prime = prime
 
-        alphabet = partials[0].machine.alphabet
-        self._code = alphabet.code
-        offsets = list(accumulate((partial.machine.n_states for partial in parts), initial=0))
-        blocks = list(zip(offsets, (partial.machine for partial in parts)))
-        moves = [
-            tuple(offset + row[a] for offset, machine in blocks for row in machine.delta) for a in range(len(alphabet))
-        ]
-        self._starts = tuple(offset + machine.initial for offset, machine in blocks)
-        self._finals = tuple(offset + final for offset, machine in blocks for final in machine.finals)
-        finals, size = frozenset(self._finals), offsets[-1]
-        self._marked_moves = [tuple((q, q in finals) for q in row) for row in moves]  # marked: enters a final
-        self._takes = []  # per symbol code, the gather of a feed
-        for row in moves:
-            indices = list(row)
-            for final in self._finals:
-                indices[final] = size  # the clock, which a feed appends at index size
-            self._takes.append(gather(indices))
-        self._lassos: dict = {}
+        self._table = table
+        self._code, self._takes, self._starts = table.alphabet.code, table.takes, table.starts
         self._period = prime if parts else 1  # the clock's modulus
         self._now = 0
-        self._births = [prime] * size  # the warm-up gives the finals the clock and reads no other final
+        self._births = [prime] * table.size  # the warm-up gives the finals the clock and reads no other final
         self._exact = ()  # an exact part starts on the pad window the warm-up makes, so it joins after it
-        self._start_on_pad(alphabet)
-        self._exact = [ExactWindowTester(p.machine, window_size) for p in live if not _fingerprintable(p, window_size)]
+        self._start_on_pad(table.alphabet)
+        self._exact = [ExactWindowTester(partial.machine, window_size) for partial in table.exact]
         width = prime.bit_length() if parts else 0
         table_bits = width + sum(len(partial.states) for partial in parts) * (width + 1)
-        self._bits = table_bits + sum(part.state_bits() for part in self._exact) if live else 1
+        self._bits = table_bits + sum(part.state_bits() for part in self._exact) if table.live else 1
 
     @property
     def values(self) -> list[int]:
@@ -652,11 +690,12 @@ class OneSidedTester(FixedSizeTester):
         p = self._period
         now = self._now = (self._now + steps) % p
         new = []
-        for path, start, marks in word_lassos(self._lassos, self._marked_moves, codes)[0]:
+        table = self._table
+        for path, start, marks in word_lassos(table.lassos, table.marked_moves, codes)[0]:
             hit = marks[-1][0] if marks else steps + 1  # the first step into a final
             # with no such step, the birth at q_K, a copy boundary and so a state of the table
             new.append((now - hit) % p if hit <= steps else old[lasso_node(path, start, steps)])
-        for final in self._finals:
+        for final in table.finals:
             new[final] = now
         self._births = new
         for part in self._exact:
@@ -717,10 +756,14 @@ def compile_one_sided(
     dfa: Dfa,
     window_size: int,
     prime: int | None = None,
+    analysis: Callable[[], AnalyzedRdfa] | None = None,
 ) -> Callable[[np.random.Generator | int | None], SlidingWindowTester]:
     """Compile a language in the loglog class once, into a factory mapping
     an rng to a fresh one-sided tester.  The classification, analysis and
-    path descriptions run here; a call only instantiates.
+    path descriptions run here, and the ``FingerprintTable`` is built
+    here; a call only draws its prime and warms its births.  ``analysis``
+    gives the analysis of ``dfa`` that a caller already holds, asked for
+    only when the class needs one; without it the analysis runs here.
 
     The language is the union of a trivial part, the recurrent finals'
     language, and one suffix-free part per transient final.  At a fixed
@@ -739,7 +782,7 @@ def compile_one_sided(
         lengths = realized_lengths(dfa)
         return lambda rng: trivial_tester(dfa.alphabet, lengths, window_size)
 
-    analyzed = analyze(dfa)
+    analyzed = analysis() if analysis else analyze(dfa)
     rdfa, scc = analyzed.rdfa, analyzed.scc
     recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
     if recurrent_finals:
@@ -752,7 +795,8 @@ def compile_one_sided(
         if f not in recurrent_finals
         for partial in enumerate_path_descriptions(analyzed, f)
     ]
-    return lambda rng: OneSidedTester(partials, window_size, rng, prime)
+    table = FingerprintTable(partials, window_size)
+    return lambda rng: OneSidedTester.on(table, rng, prime)
 
 
 def composed_one_sided_tester(

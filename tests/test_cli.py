@@ -1,12 +1,13 @@
 import json
 import math
 import re
+import time
 
 import pytest
 from conftest import AB, WIDE_PERIOD_DFA, WRONGLY_TYPED_FIELDS, reference_distance_to_language, wrongly_typed
 from reference import WindowBuffer
 
-from regwin import automaton_to_json, cli, find_excluded_factor, streams
+from regwin import automaton_to_json, cli, find_excluded_factor, streams, testers_det
 from regwin.cli import ConfigError, main, report_to_csv, run_experiment
 
 BASE_CONFIG = {
@@ -68,14 +69,97 @@ def test_experiment_runs_the_oracle_once_per_window_and_builds_each_factory_once
     distance = counting("distance", cli.oracle.distance_to_language)
     monkeypatch.setattr(cli.oracle, "distance_to_language", distance)
     monkeypatch.setattr(cli, "build_tester_factory", counting("factory", cli.build_tester_factory))
-    monkeypatch.setattr(cli.analysis, "analyze", counting("analyze", cli.analysis.analyze))
+    analyze = counting("analyze", cli.analysis.analyze)
+    monkeypatch.setattr(cli.analysis, "analyze", analyze)
+    monkeypatch.setattr(cli.testers_rand, "analyze", analyze)  # a one-sided factory's own, were it to run one
     periodic = {"kind": "periodic", "block": "ab", "repeats": 40}
-    second = {"id": "b-even-a", "regex": "b(aa)*", "alphabet": "ab"}
-    rows = run_experiment(dict(BASE_CONFIG, streams=BASE_CONFIG["streams"] + [periodic],
-                               languages=BASE_CONFIG["languages"] + [second]))
-    assert len(rows) == 16  # 2 languages x 2 testers x 2 window sizes x 2 streams
+    languages = [
+        {"id": "b-then-a", "regex": "ba*", "alphabet": "ab"},
+        {"id": "b-even-a", "regex": "b(aa)*", "alphabet": "ab"},
+    ]
+    rows = run_experiment(dict(BASE_CONFIG, testers=["det", "two-sided", "one-sided"],
+                               streams=BASE_CONFIG["streams"] + [periodic], languages=languages))
+    assert len(rows) == 24  # 2 languages x 3 testers x 2 window sizes x 2 streams
     # per (language, window size, stream); per (language, tester, window size); per language
-    assert calls == {"distance": 8, "factory": 8, "analyze": 2}
+    assert calls == {"distance": 8, "factory": 12, "analyze": 2}
+
+
+@pytest.mark.parametrize(
+    "kind, regex", [("det", "(aa)*|b(aa)*b"), ("two-sided", "(aa)*|b(aa)*b"), ("one-sided", "ab|b(aa)*")]
+)
+@pytest.mark.parametrize(
+    "stream",
+    [
+        {"kind": "adversarial", "factor": "ab", "x": "b", "y": "a", "z": "bba", "n": 40, "k": 100},
+        {"kind": "periodic", "block": "baab", "repeats": 30},
+        {"kind": "random", "seed": 3, "length": 300, "weights": {"a": 0.7, "b": 0.3}},
+    ],
+)
+def test_experiment_trials_after_the_first_build_no_table(kind, regex, stream, monkeypatch):
+    """The trials of a row share their tables (the analysis's, or a
+    one-sided factory's fingerprint table): every lasso walk and slot of a
+    four-trial row is built by its first trial, and so is det's pad
+    window, which draws no coin."""
+    trial, built, pads = [0], [], []
+    walk, slot = testers_det.walk_lassos, testers_det.SkeletonTester._slot
+    pad = testers_det.SlidingWindowTester._start_on_pad
+    monkeypatch.setattr(testers_det, "walk_lassos", lambda *args: (built.append(trial[0]), walk(*args))[1])
+    monkeypatch.setattr(testers_det.SkeletonTester, "_slot", lambda *args: (built.append(trial[0]), slot(*args))[1])
+    monkeypatch.setattr(
+        testers_det.SlidingWindowTester, "_start_on_pad", lambda *args: (pads.append(trial[0]), pad(*args))[1]
+    )
+    build = cli.build_tester_factory
+
+    def counting_build(*args):
+        factory = build(*args)
+
+        def trial_factory(rng):
+            trial[0] += 1
+            return factory(rng)
+
+        return trial_factory
+
+    monkeypatch.setattr(cli, "build_tester_factory", counting_build)
+    language = {"id": regex, "regex": regex, "alphabet": "ab"}
+    config = dict(BASE_CONFIG, trials=4, window_sizes=[64], languages=[language], testers=[kind], streams=[stream])
+    (row,) = run_experiment(config)
+    assert row.trials == 4 and trial[0] == 4
+    assert built and set(built) == {1}
+    assert pads == ([1] if kind == "det" else [1, 2, 3, 4])
+
+
+def test_experiment_at_a_window_of_2_62_plus_1_finishes_within_a_second():
+    """Every summarizing kind, and the oracle, in closed form on windows of
+    2^62 + 1 symbols: no stream or window is ever joined."""
+    n = 2**62 + 1
+    k = 2**59
+    config = {
+        "seed": 5,
+        "trials": 2,
+        "eps": 0.5,
+        "window_sizes": [n],
+        "languages": [
+            {"id": "b(aa)*", "regex": "b(aa)*", "alphabet": "ab"},
+            {"id": "ba*", "regex": "ba*", "alphabet": "ab"},
+        ],
+        "testers": ["det", "two-sided", "one-sided"],
+        "streams": [
+            {"kind": "adversarial", "factor": "b", "x": "", "y": "a", "z": "", "n": n, "k": k},
+            {"kind": "periodic", "block": "aab", "repeats": 2**62},
+        ],
+        "timing": False,
+    }
+    started = time.perf_counter()
+    rows = run_experiment(config)
+    elapsed = time.perf_counter() - started
+    assert len(rows) == 12
+    # b^(n-k) a^k needs every b but the first changed; the window a b (aab)^m, one change per b and the a
+    expected = {"adversarial": n - k - 1, "periodic": 2 + (n - 2) // 3}
+    for row in rows:
+        assert row.oracle_dist == expected[row.stream.partition(":")[0]], row
+        if row.tester != "two-sided":
+            assert row.accept_freq == 0.0, row  # far windows; det and one-sided never accept one here
+    assert elapsed < 1.0
 
 
 def _member_word(dfa, n):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import WindowBuffer, check_t_simulation, exhaustive_accepting_run, hamming_distance
 
-from regwin import Alphabet, Dfa, distance_to_language, prefix_distance_to_language
+from regwin import Alphabet, Dfa, cli, distance_to_language, prefix_distance_to_language
 from regwin import oracle
 
 ab_words = st.text(alphabet="ab", max_size=12)
@@ -93,6 +93,63 @@ def machines_and_words(draw):
 def test_distance_matches_the_plain_dp(machine_and_word):
     dfa, word = machine_and_word
     assert distance_to_language(word, dfa) == reference_distance_to_language(word, dfa)
+
+
+@st.composite
+def machines_and_windows(draw):
+    """A complete DFA with 1-8 states over 1-3 symbols and any pad, each
+    state final with one drawn chance, a stream of up to five pieces
+    (words of 1-4 symbols, each repeated 0-40 times) and a window size
+    from 0 to past the stream's length."""
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    n_states = draw(st.integers(1, 8))
+    state = st.integers(0, n_states - 1)
+    delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
+    final_chance = draw(st.floats(0, 1))
+    finals = [q for q in range(n_states) if draw(st.floats(0, 1)) < final_chance]
+    dfa = Dfa(Alphabet.from_string(symbols, draw(st.sampled_from(symbols))), delta, draw(state), finals)
+    piece = st.tuples(st.text(alphabet=symbols, min_size=1, max_size=4), st.integers(0, 40))
+    pieces = draw(st.lists(piece, max_size=5))
+    return dfa, pieces, draw(st.integers(0, sum(len(word) * k for word, k in pieces) + 8))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(machines_and_windows())
+def test_piece_distance_matches_the_plain_dp_on_the_final_window(case):
+    """The oracle over pieces, whose powers it cuts short once their cost
+    vectors cycle, against the plain DP over the joined symbols: on the
+    whole stream and on its final window, padded past the stream."""
+    dfa, pieces, n = case
+    joined = "".join(word * k for word, k in pieces)
+    window = cli._final_pieces(pieces, dfa.alphabet, n)
+    contents = cli._final_window(joined, dfa.alphabet, n)
+    assert "".join(word * k for word, k in window) == contents
+    assert distance_to_language(window, dfa) == reference_distance_to_language(contents, dfa)
+    assert distance_to_language(pieces, dfa) == reference_distance_to_language(joined, dfa)
+
+
+def test_piece_distance_adds_the_cycles_of_a_huge_power_in_closed_form():
+    """A window of 2^62 + 1 symbols in three pieces: ba* needs every b
+    after the first changed, and b(aa)* too, its a-count being even."""
+    n = 2**62 + 1
+    for pattern in ("ba*", "b(aa)*"):
+        dfa = build_dfa(pattern)
+        assert distance_to_language([("b", 1), ("a", n - 1)], dfa) == 0
+        assert distance_to_language([("b", 1), ("ab", (n - 1) // 2)], dfa) == (n - 1) // 2
+        assert distance_to_language([("ab", 1), ("aab", (n - 2) // 3)], dfa) == 2 + (n - 2) // 3
+    assert distance_to_language([("b", 1), ("a", n)], build_dfa("b(aa)*")) == math.inf  # an odd a-count
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [[("ab", 3), ("ca", 2)], [("ab", 3), ("ac", 0), ("b", 1)], [("b", 2**62), ("c", 1)], [("a", 2), ("abc", 1)]],
+)
+@pytest.mark.parametrize("pattern", ["(ab)*", "ab", "b*"])
+def test_piece_distance_rejects_a_foreign_symbol_in_any_piece(pattern, pieces):
+    """In a cycled power's remainder, in a piece of no copies, and after
+    every live state became unreachable."""
+    with pytest.raises(ValueError, match="'c'"):
+        distance_to_language(pieces, build_dfa(pattern))
 
 
 class RecordingTable(dict):

@@ -435,6 +435,35 @@ def test_skeleton_testers_reach_only_the_nodes_of_their_table(table_size, monkey
             assert len(held) <= table_size
 
 
+@pytest.mark.parametrize("table_size", [testers_det.SKELETON_TABLE_SIZE, 2, 3])
+def test_skeleton_testers_sharing_a_table_step_as_testers_alone(table_size, monkeypatch):
+    """Two testers of one class on one analysis and window size share one
+    node table, and each empties it under the node the other holds.
+    Interleaved over a seeded mix of feeds, runs and powers, each reads as
+    the same tester on a table of its own (a fresh analysis)."""
+    monkeypatch.setattr(testers_det, "SKELETON_TABLE_SIZE", table_size)
+    pattern = "(aa)*|b(aa)*b"
+    shared = analyze(build_dfa(pattern))
+    for build in (lambda a, seed: PathSummaryTester(a, 64), lambda a, seed: two_sided_tester(a, 64, 0.25, rng=seed)):
+        pair = [build(shared, seed) for seed in (0, 1)]
+        alone = [build(analyze(build_dfa(pattern)), seed) for seed in (0, 1)]
+        assert pair[0]._nodes is pair[1]._nodes and pair[0]._nodes is not alone[0]._nodes
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            i, op = int(rng.integers(2)), int(rng.integers(3))
+            word, k = str(rng.choice(["a", "b", "ab", "ba", "aab"])), int(rng.integers(1, 100))
+            for tester in (pair[i], alone[i]):
+                if op == 0:
+                    tester.feed(word[0])
+                elif op == 1:
+                    tester.feed_run(word, k)
+                else:
+                    tester.feed_power(word, k)
+            assert pair[i]._rows == alone[i]._rows
+            assert (pair[i].decide(), pair[i].state_bits()) == (alone[i].decide(), alone[i].state_bits())
+            assert len(shared.tables[(type(pair[i]), 64)]) <= table_size
+
+
 # --- one-sided tester -------------------------------------------------------------------
 
 
