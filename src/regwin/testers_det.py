@@ -17,14 +17,16 @@ Three testers share one interface:
   within prefix distance t (the analysis threshold) of the language.
 
 The last shares its engine, :class:`SkeletonTester`, with the two-sided
-tester.  It keeps each segment's birth, the step its segment started at,
-on one clock, so a step moves no value: its age is the clock minus its
-birth, frozen at n + 1 out of the window.
+tester.  The engine keeps one count per birth class, the segments that
+started at one step, not one per segment.  The deterministic tester's
+count is the class's birth on one clock, so a step moves no value: an
+age is the clock minus its birth, frozen at n + 1 out of the window.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from itertools import accumulate
 from math import lcm
 from operator import itemgetter
@@ -257,8 +259,9 @@ def trivial_tester(
 
 Row = list[tuple[int, int, int]]  # (segment start state, residue, count), oldest first, newest left out
 Skeleton = tuple[tuple[tuple[int, int], ...], ...]  # per start state, its row's (state, residue) pairs
+Classes = tuple[int, ...]  # per flat entry, row by row, its birth class, numbered by birth, the oldest 0
 Gather = Callable[[Sequence[int]], tuple[int, ...]]  # a sequence -> the tuple of its items at fixed indices
-Slot = tuple["Node", Gather, int]  # (the node the symbol leads to, its gather, the number of entries it gathers)
+Slot = tuple["Node", Gather]  # (the node the symbol leads to, the gather of its classes' counts)
 Moves = Sequence[Sequence[tuple[int, bool]]]  # per symbol code, per state: (successor, whether the step is marked)
 # per start state p: (the states of p's path under copies of one word, up to its first repeated node of
 # Q x Z_|w|, the index its cycle starts at, and (age, state) per marked step on the path, oldest first);
@@ -332,24 +335,46 @@ def lasso_node(path: list[int], start: int, k: int) -> int:
     return path[k] if k < len(path) else path[start + (k - start) % (len(path) - start)]
 
 
+def birth_classes(sources: Sequence[int]) -> tuple[list[int], Classes]:
+    """The distinct sources, in increasing order, and per item of
+    ``sources`` the index of its source in that list: the classes of
+    entries that take one count per distinct source, in the order of the
+    sources."""
+    order = sorted(set(sources))
+    if not order or order[-1] == len(order) - 1:  # the sources are 0, 1, ...: each is its own index
+        return order, tuple(sources)
+    number = {source: index for index, source in enumerate(order)}
+    return order, tuple(map(number.__getitem__, sources))
+
+
 class Node:
-    """A skeleton in a node table, with one slot per symbol code (None
-    until first needed) and its decide record: the initial state's row as
-    ``(flat index, what the subclass decides by)`` entries, oldest first,
-    and the newest segment's verdict."""
+    """A skeleton and its entries' birth classes, in a node table, with one
+    slot per symbol code (None until first needed) and its decide record:
+    the initial state's row as ``(class, what the subclass decides by)``
+    entries, oldest first, and the newest segment's verdict (set by the
+    engine).  ``classes`` gives the class of each flat entry, row by row,
+    and row p's entries are ``classes[starts[p] : starts[p + 1]]``; the
+    entries of one class were born at one step, and the classes are
+    numbered by birth, the oldest 0.  ``entries_from[i]`` is the number of
+    entries in classes i and younger (0 at the number of classes)."""
 
-    __slots__ = ("skeleton", "slots", "decision")
+    __slots__ = ("skeleton", "classes", "starts", "entries_from", "slots", "decision")
 
-    def __init__(self, skeleton: Skeleton, slots: list[Slot | None], decision: tuple):
-        self.skeleton, self.slots, self.decision = skeleton, slots, decision
+    def __init__(self, skeleton: Skeleton, classes: Classes, slots: list[Slot | None]):
+        self.skeleton, self.classes, self.slots = skeleton, classes, slots
+        self.starts = (0, *accumulate(map(len, skeleton)))
+        sizes = [0] * (len(set(classes)) + 1)  # per class its entry count, then 0
+        for c in classes:
+            sizes[c] += 1
+        self.entries_from = (*accumulate(sizes[::-1]),)[::-1]
 
 
 class NodeTable(dict):
-    """Skeleton -> ``Node``, shared by the skeleton testers of one class
-    and window size built from one analysis.  ``start`` is the state the
-    pad warm-up leaves, kept by a subclass whose warm-up draws no coin (the
-    deterministic tester: its skeleton, births and clock), so only the
-    first such tester runs it."""
+    """(skeleton, classes) -> ``Node``, shared by the skeleton testers of
+    one class and window size built from one analysis.  ``start`` is the
+    state the pad warm-up leaves, kept by a subclass whose warm-up draws
+    no coin (the deterministic tester: its node's key, births and clock),
+    so only the first such tester runs it."""
 
     start: tuple | None = None
 
@@ -368,14 +393,24 @@ class SkeletonTester(SlidingWindowTester):
 
     Without the counts, the rows are a *skeleton* of ``(state, residue)``
     pairs: SCC chains, finitely many, whose successor depends only on the
-    skeleton and the symbol.  The state is the current skeleton's ``Node``
-    and one flat sequence of counts, row by row.  A node holds, built when
-    first needed, one slot per symbol code and a decide record over the
-    initial state's row.  A slot is the next node, its *gather* and the
-    number of entries it gathers: the gather takes the old counts, with
-    one fresh count appended at index ``len(counts)``, to the new entries'
-    counts before their step, in one ``operator.itemgetter`` call (see
-    ``gather``).
+    skeleton and the symbol.  An entry's *birth class* is the step its
+    segment started at.  The one fresh entry a step makes joins every row
+    that leaves its SCC, and an old entry is copied to every row that
+    gathers it, so the entries of a class lie in different rows (the
+    entries of one row are distinct segments of one run, born at distinct
+    steps) and have equal lengths.  The state keeps one count per class,
+    not one per entry: the current ``Node``, which holds the skeleton and
+    each flat entry's class, and one flat sequence of counts, class by
+    class.  The classes are numbered by birth, the oldest 0 (finitely many
+    ordered partitions of finitely many entries), and the numbering is
+    static: a step keeps the order of the classes it gathers and the fresh
+    one is the youngest, and a power's SCC changes are younger than every
+    class before it.  A node holds, built when first needed, one slot per
+    symbol code and a decide record over the initial state's row.  A slot
+    is the next node and its *gather*: it takes the old classes' counts,
+    with one fresh count appended at index ``len(counts)``, to the new
+    classes' counts before their step, in one ``operator.itemgetter`` call
+    (see ``gather``).  An old class gathered by no row is dropped.
 
     Nodes, slots and decide records depend only on the analysis, the
     tester class and n, so the testers built from one analysis share one
@@ -390,12 +425,15 @@ class SkeletonTester(SlidingWindowTester):
     holds stays a valid object, its slots valid nodes, though they may be
     out of the table: that tester steps on through them, and enters each
     node it builds in the table, so a node is a function of its skeleton
-    whichever tester built it.
+    and classes whichever tester built it.
 
     ``feed_power(w, k)`` builds p's row from the row of p_K, K = k·|w|
     steps along p's path under copies of w: every entry moves by K steps,
     and the path's own SCC changes j < K join, oldest first, as
-    ``(p_{j+1}, j + 1, count after j + 1 steps from 0)``.  The run from p
+    ``(p_{j+1}, j + 1, count after j + 1 steps from 0)``.  Each class
+    advances once: one ``_advance`` per old class of the p_K rows, and one
+    per distinct age of the SCC changes, since the changes at one age were
+    born at one step.  The run from p
     reads the newest symbol first, so the path is the lasso from (p, 0) in
     the functional graph of the product Q x Z_|w|, where (q, j) moves to
     (delta(q, reversed(w)[j]), j + 1 mod |w|).  A cycle of the product
@@ -416,9 +454,10 @@ class SkeletonTester(SlidingWindowTester):
 
     A subclass says what a count is: ``feed`` steps the gathered counts,
     ``_advance(count, k)`` is what the state keeps after a power of k
-    steps for an entry that read ``count`` in ``_rows`` before it, and
-    ``_decision(start, row)`` is the decide record of a skeleton whose
-    initial-state row ``row`` starts at flat index ``start``.  It calls
+    steps for a class that read ``count`` in ``_readings`` before it (the
+    counts themselves, unless the subclass says otherwise), and
+    ``_decision(classes, row)`` is the decide record of a skeleton whose
+    initial-state row ``row`` has its entries in ``classes``.  It calls
     ``_start_on_pad`` once its counts can advance.
     """
 
@@ -441,64 +480,83 @@ class SkeletonTester(SlidingWindowTester):
         self._nodes: NodeTable = shared_table(analyzed, (type(self), window_size), NodeTable)
         if len(self._nodes) >= SKELETON_TABLE_SIZE:  # no current node to keep yet
             self._nodes.clear()
-        self._node = self._intern(((),) * rdfa.n_states)
+        self._node = self._intern(((),) * rdfa.n_states, ())
         self._counts: Sequence[int] = []
 
-    def _intern(self, skeleton: Skeleton) -> Node:
-        """The node of ``skeleton``, entered in the table on first sight.  A
-        full table is first emptied in place but for the current node, its
-        slots cleared."""
+    def _intern(self, skeleton: Skeleton, classes: Classes) -> Node:
+        """The node of ``skeleton`` and ``classes``, entered in the table on
+        first sight.  A full table is first emptied in place but for the
+        current node, its slots cleared."""
         nodes = self._nodes
-        node = nodes.get(skeleton)
+        node = nodes.get((skeleton, classes))
         if node is None:
             if len(nodes) >= SKELETON_TABLE_SIZE:
                 nodes.clear()
-                self._node.slots = [None] * len(self._moves)
-                nodes[self._node.skeleton] = self._node
+                current = self._node
+                current.slots = [None] * len(self._moves)
+                nodes[current.skeleton, current.classes] = current
+            node = nodes[skeleton, classes] = Node(skeleton, classes, [None] * len(self._moves))
             initial = self._a.rdfa.initial
-            decision = self._decision(sum(map(len, skeleton[:initial])), skeleton[initial])
-            node = nodes[skeleton] = Node(skeleton, [None] * len(self._moves), decision)
+            node.decision = self._decision(classes[node.starts[initial] : node.starts[initial + 1]], skeleton[initial])
         return node
 
     def _slot(self, code: int) -> Slot:
         """The slot of the current node under ``code``, built by the row
         rule and entered in the node."""
-        rows, g = self._node.skeleton, self._period
-        starts = [0, *accumulate(map(len, rows))]
-        next_rows, indices = [], []
+        node, g = self._node, self._period
+        rows, classes, starts, fresh = node.skeleton, node.classes, node.starts, len(node.entries_from) - 1
+        next_rows, sources = [], []  # per new entry, its old class, or ``fresh``
         for q, leaves in self._moves[code]:
             row = [(state, (residue + 1) % g) for state, residue in rows[q]]
-            indices += range(starts[q], starts[q + 1])
+            sources += classes[starts[q] : starts[q + 1]]
             if leaves:
                 row.append((q, 1 % g))
-                indices.append(starts[-1])  # the fresh count
+                sources.append(fresh)
             next_rows.append(tuple(row))
-        slot = self._node.slots[code] = (self._intern(tuple(next_rows)), gather(indices), len(indices))
+        order, next_classes = birth_classes(sources)
+        slot = node.slots[code] = (self._intern(tuple(next_rows), next_classes), gather(order))
         return slot
 
     def feed_power(self, word: str, k: int) -> None:
-        self._power(self._rows, word_codes(self._code, word), k)
+        self._power(self._node, self._readings, word_codes(self._code, word), k)
 
-    def _power(self, rows: list[Row], codes: tuple[int, ...], k: int) -> None:
-        """Set the state that k copies of the word ``codes`` reach from ``rows``."""
+    def _power(self, node: Node, readings: Sequence[int], codes: tuple[int, ...], k: int) -> None:
+        """Set the state that k copies of the word ``codes`` reach from
+        ``node`` with its classes reading ``readings``."""
         check_power(k)
         lassos = word_lassos(self._lassos, self._moves, codes)[0]
-        g, advance, steps = self._period, self._advance, k * len(codes)
-        new_rows: list[Row] = []
+        rows, classes, starts = node.skeleton, node.classes, node.starts
+        g, steps = self._period, k * len(codes)
+        # per new entry its source: its old class, or n_old + steps - j for an SCC change at age j, so the
+        # sources sort oldest first (every old class is older than every change)
+        n_old = len(node.entries_from) - 1
+        next_rows, sources = [], []
         for path, start, exits in lassos:
             last = lasso_node(path, start, steps)
-            row = [(s, (residue + steps) % g, advance(count, steps)) for s, residue, count in rows[last]]
-            row += [(s, age % g, advance(0, age)) for age, s in exits if age <= steps]
-            new_rows.append(row)
-        self._node = self._intern(tuple(tuple((s, r) for s, r, _c in row) for row in new_rows))
-        self._counts = [c for row in new_rows for _s, _r, c in row]
+            row = [(s, (residue + steps) % g) for s, residue in rows[last]]
+            sources += classes[starts[last] : starts[last + 1]]
+            for age, s in exits:
+                if age <= steps:
+                    row.append((s, age % g))
+                    sources.append(n_old + steps - age)
+            next_rows.append(tuple(row))
+        order, next_classes = birth_classes(sources)
+        advance = self._advance
+        self._counts = [advance(readings[c], steps) if c < n_old else advance(0, n_old + steps - c) for c in order]
+        self._node = self._intern(tuple(next_rows), next_classes)
+
+    @property
+    def _readings(self) -> Sequence[int]:
+        """Per class, what ``_advance`` and ``_rows`` read: the counts."""
+        return self._counts
 
     @property
     def _rows(self) -> list[Row]:
         """The rows as ``(state, residue, count)`` lists, read off the
-        skeleton and the counts (a view; not for the hot path)."""
-        counts = iter(self._counts)
-        return [[(s, r, next(counts)) for s, r in row] for row in self._node.skeleton]
+        skeleton, the classes and ``_readings`` (a view; not for the hot
+        path)."""
+        readings, classes = self._readings, iter(self._node.classes)
+        return [[(s, r, readings[next(classes)]) for s, r in row] for row in self._node.skeleton]
 
 
 class PathSummaryTester(SkeletonTester):
@@ -506,35 +564,42 @@ class PathSummaryTester(SkeletonTester):
     period 1 and births for counts.
 
     An entry's age counts the window symbols newer than its segment's
-    start.  The tester keeps, in place of the age, the entry's *birth* on
-    one clock ``now``: the age is now - birth, read as n + 1 once it is
-    above n.  A step is ``take((*births, now))``, one
-    ``operator.itemgetter`` call that gathers the births and a fresh
-    entry's, ``now``, then moves the clock by one: no stored value
-    changes.  An entry that leaves the window stays in its row, *frozen*
-    (any age above n reads as n + 1), so the next skeleton still depends
-    only on the skeleton and the symbol.
+    start.  The tester keeps, in place of the age, the birth of the
+    entry's class on one clock ``now`` (the entries of a class share their
+    birth): the age is now - birth, read as n + 1 once it is above n.  A
+    step is ``take((*births, now))``, one ``operator.itemgetter`` call that
+    gathers the births and a fresh class's, ``now``, then moves the clock
+    by one: no stored value changes.  An entry that leaves the window
+    stays in its row, *frozen* (any age above n reads as n + 1), so the
+    next node still depends only on the node and the symbol.
     Every n + 1 steps the clock is rebased: ``now`` goes back to 0, every
     birth moves back by n + 1, and a frozen one is clamped at -(n + 1), so
     ``now`` stays in [0, n] and every birth in [-(n + 1), now).  Accepts
     iff the oldest segment of the initial state's row still in the window,
     of length n - age, is an acceptance length of its start state (the
-    initial state's own, of length n, when there is none).  ``_rows``
-    reads the ages, n + 1 for a frozen entry.
+    initial state's own, of length n, when there is none).  ``_readings``
+    are the classes' ages, n + 1 for a frozen one, and so ``_rows`` reads
+    the entries' ages.
 
     ``state_bits`` counts the entries of age at most n (births at least
     now - n) plus each state's newest segment, ``n.bit_length()`` + ⌈log2
-    |Q|⌉ bits each; frozen entries are kept but not counted.  The births
-    take no more: given ``now``, a live birth is now minus an age in [1,
-    n], and a frozen birth tells nothing, since every value below now - n
-    reads the same now and after.  ``now`` itself takes
+    |Q|⌉ bits each; frozen entries are kept but not counted.  The classes
+    are numbered by birth, so the births never decrease in class order (a
+    rebase and its clamp keep that order): the live classes are the ones
+    from ``bisect_left(births, now - n)`` on, and the node holds their
+    entry count, so the count is one C-level search.  The births take no
+    more: given ``now``, a live birth is now minus an age in [1, n], and a
+    frozen birth tells nothing, since every value below now - n reads the
+    same now and after.  ``now`` itself takes
     ``n.bit_length()`` bits, and the |Q| newest segments counted are never
-    stored, so one of them pays for it.
+    stored, so one of them pays for it.  One birth per class, not per
+    entry, is a change of representation only: every verdict and size is
+    the one per-entry births give.
 
     Until its first feed a tester is a function of the machine and n, so
     only the first tester of a node table runs the pad warm-up: it keeps
-    the skeleton, births and clock it reached as the table's ``start``,
-    and every later one starts there.
+    the node's key, the births and clock it reached as the table's
+    ``start``, and every later one starts there.
 
     ``_power`` computes in ages, as the engine does: ``_advance`` gives
     the birth of the advanced age on a clock at 0, and the clock is set
@@ -554,37 +619,36 @@ class PathSummaryTester(SkeletonTester):
         start = self._nodes.start
         if start is None:
             self._start_on_pad(analyzed.rdfa.alphabet)
-            self._nodes.start = (self._node.skeleton, tuple(self._counts), self._now)
+            node = self._node
+            self._nodes.start = (node.skeleton, node.classes, tuple(self._counts), self._now)
         else:  # the pad window of an earlier tester of this table: its node enters the table again
-            skeleton, self._counts, self._now = start
-            self._node = self._intern(skeleton)
+            skeleton, classes, self._counts, self._now = start
+            self._node = self._intern(skeleton, classes)
 
-    def _decision(self, start: int, row: tuple[tuple[int, int], ...]) -> tuple:
+    def _decision(self, classes: Classes, row: tuple[tuple[int, int], ...]) -> tuple:
         acc = self._a.acc
-        entries = [(start + i, acc[state]) for i, (state, _r) in enumerate(row)]
+        entries = [(c, acc[state]) for c, (state, _r) in zip(classes, row)]
         return entries, acc[self._a.rdfa.initial].member(self.window_size)
 
     def _advance(self, age: int, k: int) -> int:
         age += k
         return -age if age < self._dead else -self._dead  # the birth on a clock at 0
 
-    def _power(self, rows: list[Row], codes: tuple[int, ...], k: int) -> None:
-        super()._power(rows, codes, k)
+    def _power(self, node: Node, readings: Sequence[int], codes: tuple[int, ...], k: int) -> None:
+        super()._power(node, readings, codes, k)
         self._now = 0  # the clock ``_advance`` gave the births on
 
     @property
-    def _rows(self) -> list[Row]:
-        """The rows with each birth read as its age, n + 1 once frozen."""
-        now, dead, births = self._now, self._dead, iter(self._counts)
-        return [
-            [(s, r, age if (age := now - next(births)) < dead else dead) for s, r in row] for row in self._node.skeleton
-        ]
+    def _readings(self) -> list[int]:
+        """Per class, its age, n + 1 once frozen."""
+        now, dead = self._now, self._dead
+        return [age if (age := now - birth) < dead else dead for birth in self._counts]
 
     def feed(self, symbol: str) -> None:
         code = self._code(symbol)
-        self._node, take, _width = self._node.slots[code] or self._slot(code)
+        self._node, take = self._node.slots[code] or self._slot(code)
         now = self._now
-        births = take((*self._counts, now))  # a fresh entry is born now
+        births = take((*self._counts, now))  # a fresh class is born now
         if now < self.window_size:
             self._counts, self._now = births, now + 1
         else:  # the clock would reach n + 1: rebase it to 0
@@ -598,7 +662,7 @@ class PathSummaryTester(SkeletonTester):
         copies = min(k, -(-(tail + cycle) // len(codes)))
         most = super().feed_run(word, copies)
         if k > copies:
-            self._power(self._rows, codes, k - copies)
+            self._power(self._node, self._readings, codes, k - copies)
         return most
 
     def decide(self) -> bool:
@@ -611,8 +675,8 @@ class PathSummaryTester(SkeletonTester):
         return newest
 
     def state_bits(self) -> int:
-        oldest = self._now - self.window_size
-        return self._pair_bits * (len([birth for birth in self._counts if birth >= oldest]) + self._n_states)
+        live = self._node.entries_from[bisect_left(self._counts, self._now - self.window_size)]
+        return self._pair_bits * (live + self._n_states)
 
 
 def deterministic_tester(analyzed: AnalyzedRdfa, window_size: int) -> SlidingWindowTester:

@@ -9,8 +9,11 @@ somewhere between the gap's two marks, so the summary locates the
 window's left edge up to the allowed slack without storing any length
 exactly.  Only the number of set cells matters: a count is a plain int,
 and a counter object holds only the parameters its counts share.  The
-summaries without their counts range over a finite set of skeletons,
-which the tester steps as an automaton interned on the fly: the
+segments that started at one step share one count, a step draws one
+coin per such birth class, and each decision's law is that of
+independent per-segment counters.  The summaries without their counts
+range over a finite set of skeletons and birth-class partitions, which
+the tester steps as an automaton interned on the fly: the
 ``SkeletonTester`` engine it shares with the deterministic tester.
 
 One-sided tester (double-log space for finite unions of trivial and
@@ -60,6 +63,7 @@ from .analysis import (
 )
 from .automata import Dfa, Rdfa, StateLimitExceeded
 from .testers_det import (
+    Classes,
     ExactWindowTester,
     FixedSizeTester,
     SkeletonTester,
@@ -238,19 +242,30 @@ UNIFORM_BUFFER = 2048  # uniforms per batch of a two-sided tester's stream
 
 class TwoSidedTester(SkeletonTester):
     """Constant-space tester with two-sided error for gap eps*n: the
-    skeleton engine with period g and staleness-counter counts.
+    skeleton engine with period g and staleness-counter counts, one count
+    per birth class.
 
     p's summary is its row of triples plus the newest, ``(p, 0, 0)``, and a
     step prolongs every state's summary by one transition at once, by the
     row rule of ``SkeletonTester``.
     Accepts iff, in the initial state's summary, the oldest triple whose
     count still reads low has an acceptance residue matching the window
-    size; the decide record holds that verdict per entry, then the newest's.
+    size; the decide record holds that verdict per entry, with the entry's
+    class, then the newest's.
+
+    The entries of one birth class share one count.  The law each decision
+    reads is the one independent per-entry counts give: a class's count
+    after a steps is Binomial(copies, 1 - (1 - p)^a), and the entries of
+    one row lie in distinct classes, born at distinct steps, whose counts
+    are drawn from disjoint coins and so are independent.  Only the
+    correlation across rows and across time steps differs, and no
+    guarantee reads it: the error bound holds per time instant, a union
+    bound over the entries of the one row ``decide`` reads.
 
     An increment of a count is one Binomial(copies - count, p) draw, taken
     by inverse transform: ``count + bisect_right(cdfs[count], u)`` with the
-    counter's ``increment_cdfs`` tables and one uniform u per entry of the
-    next skeleton, in its order (a u below the table's first entry adds
+    counter's ``increment_cdfs`` tables and one uniform u per class of the
+    next node, in its order (a u below the table's first entry adds
     nothing, without the search).  The tester owns one generator, seeded
     at construction by one draw from ``rng``, so trials are reproducible
     and every cell sees independent coins.  Its uniforms are one endless
@@ -259,21 +274,25 @@ class TwoSidedTester(SkeletonTester):
     counter in place of ``make_counter``'s, and any object with the same
     four methods runs through the same step (an exact test counter's
     tables step by exactly one at any uniform).  ``feed_power``
-    advances a count by k increments in one draw (the counter's
+    advances a class's count by k increments in one draw (the counter's
     ``advance``, from the tester's generator), so the pad warm-up takes
     O(|Q|^2) draws at most whatever n.
 
     The state size depends only on the skeleton, so ``feed_run(w, k)``
     walks the nodes' slots under w for min(k·|w|, tau + L) symbols (tau
     and L as in ``SkeletonTester``), without the counts, reads each
-    one's entry count off the slot, and then advances the counts by one
-    ``feed_power`` from the rows the run started on.  Entries never leave
-    a row, so from tau on the entry count repeats with period L.  A power
-    of fewer than |Q| plus the number of entries symbols is fed step by
-    step instead: there the closed form's |Q| rows and one draw per entry
-    cost more than the steps.  A closed form draws each count's law
-    exactly in fewer coins than the steps, so the coins for a seed, not
-    the law, depend on which powers are fed in closed form.
+    one's entry count off the node, and then advances the counts by one
+    ``feed_power`` from the node and counts the run started on.  Entries
+    never leave a row, so from tau on the entry count repeats with period
+    L.  A power of fewer than |Q| + 4 symbols is fed step by step instead:
+    on the test corpus (1-14 states, n = 64 and 1023, runs of a, b and ab
+    after 3n random symbols) the closed form's fixed cost and |Q| rows
+    cost more than the steps below about |Q| + 4 symbols, crossing at
+    |Q| + 3 to |Q| + 5 (at |Q| - 2 to |Q| + 2 for the 14-state machine),
+    whatever the number of classes or entries.  A closed form
+    draws each count's law exactly in fewer coins than the steps, so the
+    coins for a seed, not the law, depend on which powers are fed in
+    closed form.
 
     A uniform is a multiple of 2^-53, so a per-step draw resolves a set
     chance only to 2^-53.  Near n = 2^62 the chance that an increment sets
@@ -304,9 +323,9 @@ class TwoSidedTester(SkeletonTester):
         )
         self._start_on_pad(analyzed.rdfa.alphabet)
 
-    def _decision(self, start: int, row: tuple[tuple[int, int], ...]) -> tuple:
+    def _decision(self, classes: Classes, row: tuple[tuple[int, int], ...]) -> tuple:
         analyzed, n, g = self._a, self.window_size, self._period
-        entries = [(start + i, (n - residue) % g in analyzed.acc_mod[state]) for i, (state, residue) in enumerate(row)]
+        entries = [(c, (n - residue) % g in analyzed.acc_mod[state]) for c, (state, residue) in zip(classes, row)]
         return entries, n % g in analyzed.acc_mod[analyzed.rdfa.initial]
 
     def _advance(self, count: int, k: int) -> int:
@@ -314,24 +333,24 @@ class TwoSidedTester(SkeletonTester):
 
     def feed(self, symbol: str) -> None:
         code = self._code(symbol)
-        self._node, take, _width = self._node.slots[code] or self._slot(code)
+        self._node, take = self._node.slots[code] or self._slot(code)
         counts, cdfs = self._counts, self._cdfs
-        counts.append(0)  # the sentinel a fresh entry gathers
-        # zip finds the gathered counts' end before it takes a uniform, so each entry takes exactly one
+        counts.append(0)  # the sentinel a fresh class gathers
+        # zip finds the gathered counts' end before it takes a uniform, so each class takes exactly one
         self._counts = [
             c if u < (cdf := cdfs[c])[0] else c + bisect_right(cdf, u) for c, u in zip(take(counts), self._uniforms)
         ]
 
     def feed_run(self, word: str, k: int) -> int:
         codes = word_codes(self._code, word)
-        if k * len(codes) < self._n_states + len(self._counts):
+        if k * len(codes) < self._n_states + 4:  # where the closed form costs more than the steps
             return super().feed_run(word, k)
         _lassos, tail, cycles = word_lassos(self._lassos, self._moves, codes)
-        rows, most = self._rows, 0
+        node, counts, most = self._node, self._counts, 0
         for code in islice(cycle(codes), min(k * len(codes), tail + cycles)):
-            self._node, _take, width = self._node.slots[code] or self._slot(code)
-            most = max(most, width)
-        self._power(rows, codes, k)
+            self._node, _take = self._node.slots[code] or self._slot(code)
+            most = max(most, len(self._node.classes))
+        self._power(node, counts, codes, k)
         return self._triple_bits * (most + self._n_states)
 
     def decide(self) -> bool:
@@ -344,7 +363,7 @@ class TwoSidedTester(SkeletonTester):
         return newest  # the newest triple's, which reads low by invariant
 
     def state_bits(self) -> int:
-        return self._triple_bits * (len(self._counts) + self._n_states)
+        return self._triple_bits * (len(self._node.classes) + self._n_states)
 
 
 def two_sided_tester(

@@ -82,12 +82,13 @@ def build_analyzed(pattern: str, symbols: str = "ab", pad: str | None = None) ->
 
 
 @st.composite
-def complete_dfas(draw) -> Dfa:
-    """A complete DFA with 1-6 states over 1-3 symbols, any initial state
-    and pad.  Most machines of two or more states make their last state a
-    rejecting sink: random machines without one are nearly all trivial."""
+def complete_dfas(draw, max_states: int = 6) -> Dfa:
+    """A complete DFA with 1 to ``max_states`` states over 1-3 symbols, any
+    initial state and pad.  Most machines of two or more states make their
+    last state a rejecting sink: random machines without one are nearly
+    all trivial."""
     symbols = "abc"[: draw(st.integers(1, 3))]
-    n_states = draw(st.integers(1, 6))
+    n_states = draw(st.integers(1, max_states))
     state = st.integers(0, n_states - 1)
     delta = [[draw(state) for _ in symbols] for _ in range(n_states)]
     finals = draw(st.sets(state))

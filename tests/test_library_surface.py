@@ -126,7 +126,7 @@ def test_skeleton_testers_hold_nodes_not_ids():
         assert isinstance(tester, (PathSummaryTester, TwoSidedTester))
         left = [name for name in ("_ids", "_skeletons", "_slots", "_decisions", "_skeleton") if hasattr(tester, name)]
         assert left == []
-        assert tester._nodes[tester._node.skeleton] is tester._node
+        assert tester._nodes[tester._node.skeleton, tester._node.classes] is tester._node
 
 
 def test_fixed_size_testers_share_one_feed_run():

@@ -221,19 +221,19 @@ TRACE_STREAM = (
 # pattern -> SHA-256 of the two-sided testers' per-step (decide, state_bits)
 # trace over every window size and seed above (eps 0.25)
 TRACE_PINS = {
-    "((a|b)a)*": "8370c60d4b6e28486a19a44c628ac01f350e142cc0463c34509091541cf294c9",
-    "(aa)*": "092e8c6bced4c3fb20e57e290a5ef279c048aa1ed50e0d5244e6ef799250ce4c",
-    "(aa)*|b(aa)*b": "6296275c850d7be7fc9ab07747bec3b37e26802601cf7c8abc9eb0d0f0c7be66",
+    "((a|b)a)*": "e0d013c5669273e249d133b90f894d36a4bd04fbb859af5a575679fee1f47de8",
+    "(aa)*": "2a50875f8b302fea65fbdc1a40e09ee8b28058a609077f195232c7c75488beec",
+    "(aa)*|b(aa)*b": "21f02d15907096300998bb7c7e970ce6a8fe76b5127a7d3775e362f2cd6988d2",
     "(ab)*": "4d6ad60883cc833aa404209def3eabb9230a1a1ab75f4256a89b2768501a4ec0",
     "(a|b)*": "027eee10ace2ee687e8d2a37e83cb99c11f3ee4aec3dc560a9dac561efe3580b",
     "(a|b)*a": "a2d15357b1d75af441ac43bf509b537a3dbd71a3f1de3b1f903719cf9dc14766",
     "a*": "09003a7490486dd28c8e894f4ca6bb63491e1983b3e0ea5a2e7d8015d3c77035",
-    "a*|ba*": "bc07c8992908585bb72cb8b62d9b5d356bb69066140ba98f2ee07600e6d1282b",
+    "a*|ba*": "1a89d2ef76b495d545f2c7c0597512c85a5bcfbfbecf4d2a1ca1c0855c961640",
     "ab": "f9ee4a1ad897fa18bfd66398240ec599ac9bc7c0fa8b9627945bcdca392264c5",
     "a|bb": "0cc007c5aaf93225bb0245fcefa0b1c60d363f8caf31e378a58980d6be0c6a2a",
-    "b(aa)*": "f7edc7786231bb32b3b3b88dbea8def0ef50d070efd1a1a5fe0521c23b5edc08",
+    "b(aa)*": "3817bd27d41f4f93e2462bf4f327805993fa48bc5809180d349991f345db6877",
     "b(a|b)*": "be672dd366c24cceea1b3f73dba7acb89bf0190025193949a07a03b44fb37b9d",
-    "ba*": "bc07c8992908585bb72cb8b62d9b5d356bb69066140ba98f2ee07600e6d1282b",
+    "ba*": "1a89d2ef76b495d545f2c7c0597512c85a5bcfbfbecf4d2a1ca1c0855c961640",
 }
 
 
