@@ -74,9 +74,12 @@ from .testers_det import (
     trivial_tester,
 )
 from .testers_rand import (
+    FingerprintTable,
+    Language,
     OneSidedTester,
     PartialRdfa,
     ProbabilisticCounter,
+    build_tester_factory,
     compile_one_sided,
     composed_one_sided_tester,
     counter_copies,

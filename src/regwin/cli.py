@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -36,7 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import analysis, oracle, streams, testers_det, testers_rand
+from . import analysis, oracle, streams
 from .automata import (
     Alphabet,
     AutomatonError,
@@ -48,29 +47,11 @@ from .automata import (
     parse_regex,
     rdfa_to_dfa,
 )
+from .testers_rand import TESTER_KINDS, Language, build_tester_factory
 
 
 class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
-
-
-TESTER_KINDS = ("exact", "trivial", "det", "two-sided", "one-sided")
-
-
-@dataclass(frozen=True)
-class Language:
-    ident: str
-    dfa: Dfa
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.dfa.alphabet
-
-    @functools.cached_property
-    def analyzed(self) -> analysis.AnalyzedRdfa:
-        """The analysis of ``dfa``, run on first use and kept, so every
-        tester kind and window size built from this language shares it."""
-        return analysis.analyze(self.dfa)
 
 
 def language_from_regex(ident: str, pattern: str, alphabet: Alphabet) -> Language:
@@ -109,25 +90,6 @@ def _language_from_config(entry: dict, path: str) -> Language:
             raise ConfigError(f"{path}.automaton: expected a file path, got {file_path!r}")
         return language_from_file(ident, file_path)
     raise ConfigError(f"{path}: needs either 'regex' or 'automaton'")
-
-
-def build_tester_factory(kind: str, language: Language, n: int, eps: float):
-    """Factory mapping a per-trial rng to a fresh tester instance; the
-    testers of one language share the tables of its one analysis."""
-    if kind == "exact":
-        return lambda rng: testers_det.exact_tester(language.dfa, n)
-    if kind == "trivial":
-        lengths = analysis.realized_lengths(language.dfa)
-        return lambda rng: testers_det.trivial_tester(language.dfa.alphabet, lengths, n)
-    if kind == "det":
-        analyzed = language.analyzed
-        return lambda rng: testers_det.deterministic_tester(analyzed, n)
-    if kind == "two-sided":
-        analyzed = language.analyzed
-        return lambda rng: testers_rand.two_sided_tester(analyzed, n, eps, rng)
-    if kind == "one-sided":
-        return testers_rand.compile_one_sided(language.dfa, n, analysis=lambda: language.analyzed)
-    raise ConfigError(f"unknown tester kind {kind!r} (choose from {', '.join(TESTER_KINDS)})")
 
 
 REPORT_COLUMNS = (
@@ -182,20 +144,10 @@ def _first_repeat(values: list) -> int | None:
     return None
 
 
-def _final_window(symbols: Sequence[str], alphabet: Alphabet, n: int) -> str:
-    """The window after the whole stream: its last n symbols, padded on the
-    left, as the oracle's window buffer holds it; ``regwin oracle dist``
-    prints it."""
-    if n < 0:
-        raise ValueError("window size must be nonnegative")
-    last = symbols[max(0, len(symbols) - n) :]  # not symbols[-n:], which is the whole list at n = 0
-    return alphabet.pad * (n - len(last)) + "".join(last)
-
-
 def _final_pieces(pieces: Sequence[streams.Piece], alphabet: Alphabet, n: int) -> list[streams.Piece]:
     """The window after the stream of ``pieces``, as pieces: its last n
-    symbols, padded on the left, as ``_final_window`` joins them, taken
-    from the right in whole copies and at most one suffix of a copy."""
+    symbols, padded on the left, taken from the right in whole copies and
+    at most one suffix of a copy; ``regwin oracle dist`` prints it joined."""
     if n < 0:
         raise ValueError("window size must be nonnegative")
     window: list[streams.Piece] = []
@@ -441,8 +393,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_dist(args: argparse.Namespace) -> int:
     language = _language_from_args(args)
-    spec = streams.spec_from_string(args.stream)
-    contents = _final_window(list(streams.generate(spec, language.alphabet)), language.alphabet, args.n)
+    pieces = streams.pieces(streams.spec_from_string(args.stream), language.alphabet)
+    contents = "".join(word * k for word, k in _final_pieces(pieces, language.alphabet, args.n))
     dist = oracle.distance_to_language(contents, language.dfa)
     pdist = oracle.prefix_distance_to_language(contents, language.dfa)
     report = {

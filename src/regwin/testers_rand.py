@@ -33,11 +33,15 @@ machine that cannot accept a window of size n is dropped; one whose
 language is a single word, or whose slack does not fit the window, is
 tracked exactly by the ``ExactWindowTester`` that serves the exact kind.
 The recurrent finals' language is trivial, so it is a constant at a fixed
-window size: ``compile_one_sided`` returns its trivial tester where it
+window size: the one-sided factory returns its trivial tester where it
 holds n and leaves it out otherwise.
 
 ``UnionTester`` runs testers for finitely many languages in parallel and
 accepts iff one of them accepts; the compiled one-sided tester is never one.
+
+``build_tester_factory`` builds every kind from one ``Language``, which
+keeps what depends only on the language; ``compile_one_sided`` is its
+one-sided factory.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .analysis import (
     one_sided_class,
     realized_lengths,
 )
-from .automata import Dfa, Rdfa, StateLimitExceeded
+from .automata import Alphabet, Dfa, Rdfa, StateLimitExceeded
 from .testers_det import (
     Classes,
     ExactWindowTester,
@@ -69,6 +73,7 @@ from .testers_det import (
     SkeletonTester,
     SlidingWindowTester,
     check_power,
+    deterministic_tester,
     exact_tester,
     gather,
     lasso_node,
@@ -79,8 +84,11 @@ from .testers_det import (
 
 PATH_DESCRIPTION_CAP = 4096
 
+Rng = np.random.Generator | int | None  # a generator, or the seed of one
+Factory = Callable[[Rng], SlidingWindowTester]  # a per-trial rng -> a fresh tester
 
-def _ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
+
+def _ensure_rng(rng: Rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
@@ -308,7 +316,7 @@ class TwoSidedTester(SkeletonTester):
         analyzed: AnalyzedRdfa,
         window_size: int,
         eps: float,
-        rng: np.random.Generator | int | None = None,
+        rng: Rng = None,
         counter_factory: Callable[[], ProbabilisticCounter] | None = None,
     ):
         super().__init__(analyzed, window_size, analyzed.g)
@@ -370,7 +378,7 @@ def two_sided_tester(
     analyzed: AnalyzedRdfa,
     window_size: int,
     eps: float,
-    rng: np.random.Generator | int | None = None,
+    rng: Rng = None,
     counter_factory: Callable[[], ProbabilisticCounter] | None = None,
 ) -> SlidingWindowTester:
     """Two-sided tester, or the exact fallback when the window is too small
@@ -543,7 +551,7 @@ def prime_pool(n: int, k: int = 1) -> list[int]:
     return list(_pool(n, k))
 
 
-def sample_prime(n: int, rng: np.random.Generator | int | None = None, k: int = 1) -> int:
+def sample_prime(n: int, rng: Rng = None, k: int = 1) -> int:
     pool = _pool(n, k)
     return pool[int(_ensure_rng(rng).integers(len(pool)))]
 
@@ -605,9 +613,8 @@ class OneSidedTester(FixedSizeTester):
     their partial machines, of any number k of transient finals, and one
     random prime p from ``prime_pool(n, k)``; accepts iff some partial
     machine accepts.  Which partial machines it keeps and how it reads
-    them is its ``FingerprintTable``: built from ``partials`` by the
-    constructor, or shared by every tester ``on`` one table, which then
-    only draws its prime and warms its births.
+    them is its ``FingerprintTable``, shared by every tester over it, so
+    a tester only draws its prime and warms its births.
 
     The parts share one flat table over their completed machines' states,
     laid end to end: per state, the length mod p of the shortest suffix
@@ -639,26 +646,7 @@ class OneSidedTester(FixedSizeTester):
     must lie in ``prime_pool(n, k)`` when a part reads it.
     """
 
-    def __init__(
-        self,
-        partials: Sequence[PartialRdfa],
-        window_size: int,
-        rng: np.random.Generator | int | None = None,
-        prime: int | None = None,
-    ):
-        self._begin(FingerprintTable(partials, window_size), rng, prime)
-
-    @classmethod
-    def on(
-        cls, table: FingerprintTable, rng: np.random.Generator | int | None = None, prime: int | None = None
-    ) -> OneSidedTester:
-        """A tester over ``table``, which it shares with every other tester
-        on it."""
-        tester = cls.__new__(cls)
-        tester._begin(table, rng, prime)
-        return tester
-
-    def _begin(self, table: FingerprintTable, rng: np.random.Generator | int | None, prime: int | None) -> None:
+    def __init__(self, table: FingerprintTable, rng: Rng = None, prime: int | None = None):
         window_size = table.window_size
         super().__init__(window_size)
         parts = self._parts = table.parts
@@ -771,59 +759,115 @@ class UnionTester(FixedSizeTester):
         return self._bits
 
 
-def compile_one_sided(
-    dfa: Dfa,
-    window_size: int,
-    prime: int | None = None,
-    analysis: Callable[[], AnalyzedRdfa] | None = None,
-) -> Callable[[np.random.Generator | int | None], SlidingWindowTester]:
-    """Compile a language in the loglog class once, into a factory mapping
-    an rng to a fresh one-sided tester.  The classification, analysis and
-    path descriptions run here, and the ``FingerprintTable`` is built
-    here; a call only draws its prime and warms its births.  ``analysis``
-    gives the analysis of ``dfa`` that a caller already holds, asked for
-    only when the class needs one; without it the analysis runs here.
-
-    The language is the union of a trivial part, the recurrent finals'
-    language, and one suffix-free part per transient final.  At a fixed
-    window size the trivial part is a constant: where its realized
-    lengths hold n every window is accepted, and the factory returns its
-    ``trivial_tester`` (no prime drawn); otherwise it never accepts and
-    is left out.  What is left is one ``OneSidedTester`` over the partial
-    machines of every transient final, drawing one prime."""
-    classification = one_sided_class(dfa)
-    if classification is OneSidedClass.LOG_LOWER_BOUND:
-        raise ValueError(
-            "language is not a finite union of trivial and suffix-free parts; "
-            "no loglog-space one-sided tester exists"
-        )
-    if classification is OneSidedClass.CONSTANT_TRIVIAL:
-        lengths = realized_lengths(dfa)
-        return lambda rng: trivial_tester(dfa.alphabet, lengths, window_size)
-
-    analyzed = analysis() if analysis else analyze(dfa)
-    rdfa, scc = analyzed.rdfa, analyzed.scc
-    recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
-    if recurrent_finals:
-        lengths = realized_lengths(Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals))
-        if lengths.member(window_size):
-            return lambda rng: trivial_tester(rdfa.alphabet, lengths, window_size)
-    partials = [
-        partial
-        for f in sorted(rdfa.finals)
-        if f not in recurrent_finals
-        for partial in enumerate_path_descriptions(analyzed, f)
-    ]
-    table = FingerprintTable(partials, window_size)
-    return lambda rng: OneSidedTester.on(table, rng, prime)
+def compile_one_sided(dfa: Dfa, window_size: int, prime: int | None = None) -> Factory:
+    """Compile a language in the loglog class into a factory mapping an
+    rng to a fresh one-sided tester: ``Language.one_sided_factory``."""
+    return Language("", dfa).one_sided_factory(window_size, prime)
 
 
 def composed_one_sided_tester(
     dfa: Dfa,
     window_size: int,
-    rng: np.random.Generator | int | None = None,
+    rng: Rng = None,
     prime: int | None = None,
 ) -> SlidingWindowTester:
     """One-sided tester for a full language in the loglog class
     (``compile_one_sided`` applied to ``rng``)."""
     return compile_one_sided(dfa, window_size, prime)(rng)
+
+
+# --- compiled languages ------------------------------------------------------------
+
+TESTER_KINDS = ("exact", "trivial", "det", "two-sided", "one-sided")
+
+
+@dataclass(frozen=True)
+class Language:
+    """A regular language ``dfa``, named ``ident``, compiled once for
+    every tester kind and window size: the analysis, the realized lengths
+    and the one-sided split (the class check, the trivial part's lengths,
+    the partial machines of every transient final) are built on first use
+    and kept, so a window size builds only its ``FingerprintTable`` and
+    the closures of ``build_tester_factory``."""
+
+    ident: str
+    dfa: Dfa
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.dfa.alphabet
+
+    @functools.cached_property
+    def analyzed(self) -> AnalyzedRdfa:
+        return analyze(self.dfa)
+
+    @functools.cached_property
+    def lengths(self) -> EventuallyPeriodicSet:
+        return realized_lengths(self.dfa)
+
+    @functools.cached_property
+    def _trivial_part(self) -> tuple[bool, EventuallyPeriodicSet | None]:
+        """Whether the language is in the constant class, and its trivial
+        part's realized lengths: all of it in the constant class, else the
+        recurrent finals' language (None without one).  Only a language of
+        the loglog class is analysed here."""
+        classification = one_sided_class(self.dfa)
+        if classification is OneSidedClass.LOG_LOWER_BOUND:
+            raise ValueError(
+                "language is not a finite union of trivial and suffix-free parts; "
+                "no loglog-space one-sided tester exists"
+            )
+        if classification is OneSidedClass.CONSTANT_TRIVIAL:
+            return True, self.lengths
+        rdfa, scc = self.analyzed.rdfa, self.analyzed.scc
+        recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
+        recurrent = Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals)
+        return False, realized_lengths(recurrent) if recurrent_finals else None
+
+    @functools.cached_property
+    def _partials(self) -> tuple[PartialRdfa, ...]:
+        """The partial machines of every transient final, finals in order."""
+        analyzed = self.analyzed
+        return tuple(
+            partial
+            for f in sorted(analyzed.rdfa.finals)
+            if analyzed.scc.is_transient_state(f)
+            for partial in enumerate_path_descriptions(analyzed, f)
+        )
+
+    def one_sided_factory(self, window_size: int, prime: int | None = None) -> Factory:
+        """A factory of fresh one-sided testers at this window size; raises
+        ValueError outside the loglog class.
+
+        The language is the union of a trivial part, the recurrent finals'
+        language, and one suffix-free part per transient final.  At a fixed
+        window size the trivial part is a constant: where its realized
+        lengths hold n every window is accepted, and the factory returns
+        its ``trivial_tester`` (no prime drawn), as for all of a
+        constant-class language; otherwise it is left out.  What is left
+        is one ``OneSidedTester`` over the partial machines of every
+        transient final, drawing one prime."""
+        constant, lengths = self._trivial_part
+        if constant or lengths is not None and lengths.member(window_size):
+            return lambda rng: trivial_tester(self.alphabet, lengths, window_size)
+        table = FingerprintTable(self._partials, window_size)
+        return lambda rng: OneSidedTester(table, rng, prime)
+
+
+def build_tester_factory(kind: str, language: Language, n: int, eps: float) -> Factory:
+    """Factory mapping a per-trial rng to a fresh tester of ``kind`` (one
+    of ``TESTER_KINDS``) at window size n and gap eps*n."""
+    if kind == "exact":
+        return lambda rng: exact_tester(language.dfa, n)
+    if kind == "trivial":
+        lengths = language.lengths
+        return lambda rng: trivial_tester(language.alphabet, lengths, n)
+    if kind == "det":
+        analyzed = language.analyzed
+        return lambda rng: deterministic_tester(analyzed, n)
+    if kind == "two-sided":
+        analyzed = language.analyzed
+        return lambda rng: two_sided_tester(analyzed, n, eps, rng)
+    if kind == "one-sided":
+        return language.one_sided_factory(n)
+    raise ValueError(f"unknown tester kind {kind!r} (choose from {', '.join(TESTER_KINDS)})")

@@ -2,13 +2,13 @@
 
 Nothing here runs in the library.  Each definition is the plain,
 one-object-at-a-time form of something a tester or an analysis does in
-bulk: a ring buffer for the active window, Hamming distance, exhaustive
-run search for the simulation property, cut languages, the SCC order,
-the deterministic tester's path summaries and its step in ages, the
-one-sided tester's fingerprint step in lengths, the two-sided tester's
-compact summaries with their one-step prolongation, and an exact
-threshold counter to put in through ``TwoSidedTester``'s
-``counter_factory`` seam.  Tests import it as they import ``conftest``.
+bulk: a ring buffer for the active window, the window after a whole
+stream, Hamming distance, exhaustive run search for the simulation
+property, cut languages, the SCC order, the deterministic tester's path
+summaries and its step in ages, the one-sided tester's fingerprint step
+in lengths, the two-sided tester's compact summaries with their one-step
+prolongation, and an exact threshold counter to put in through
+``TwoSidedTester``'s ``counter_factory`` seam.  Tests import it as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ class WindowBuffer:
 
     def contents(self) -> str:
         return "".join(self._buf)
+
+
+def final_window(symbols: Sequence[str], alphabet: Alphabet, n: int) -> str:
+    """The window after the whole stream: its last n symbols, padded on the
+    left, as the window buffer holds it; ``cli._final_pieces`` is checked
+    against it."""
+    if n < 0:
+        raise ValueError("window size must be nonnegative")
+    last = symbols[max(0, len(symbols) - n) :]  # not symbols[-n:], which is the whole list at n = 0
+    return alphabet.pad * (n - len(last)) + "".join(last)
 
 
 def hamming_distance(u: str, v: str) -> int:

@@ -15,6 +15,7 @@ from reference import check_t_simulation, feed_all
 
 from regwin import (
     Dfa,
+    FingerprintTable,
     OneSidedClass,
     OneSidedTester,
     ProbabilisticCounter,
@@ -182,7 +183,7 @@ def test_criterion_5_one_sided_tester():
         far_stream = "b" + "a" * 20
 
         for prime in pool:  # completeness is exact: every prime must accept
-            tester = OneSidedTester(partials, n, prime=prime)
+            tester = OneSidedTester(FingerprintTable(partials, n), prime=prime)
             feed_all(tester, member_stream)
             assert tester.decide(), (n, prime)
 
@@ -190,7 +191,7 @@ def test_criterion_5_one_sided_tester():
         assert prefix_distance_to_language(far_window, dfa) > gap
         accepting = 0
         for prime in pool:
-            tester = OneSidedTester(partials, n, prime=prime)
+            tester = OneSidedTester(FingerprintTable(partials, n), prime=prime)
             feed_all(tester, far_stream)
             accepting += tester.decide()
         assert accepting <= len(pool) / 3, (n, accepting)
@@ -414,7 +415,9 @@ def test_criterion_8_union_semantics():
     partials = build_partials("ba*")
     for prime in prime_pool(n):
         for stream in ("ababba", "b" + "a" * (n - 1)):
-            union = UnionTester([trivial_tester(AB, lengths, n), OneSidedTester(partials, n, prime=prime)])
+            union = UnionTester(
+                [trivial_tester(AB, lengths, n), OneSidedTester(FingerprintTable(partials, n), prime=prime)]
+            )
             feed_all(union, stream)
             assert union.decide(), (prime, stream)
     print("ACCEPTANCE 8 PASS: union accepts exactly when a sub-tester accepts; member acceptance has probability 1")

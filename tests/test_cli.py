@@ -5,9 +5,10 @@ import time
 
 import pytest
 from conftest import AB, WIDE_PERIOD_DFA, WRONGLY_TYPED_FIELDS, reference_distance_to_language, wrongly_typed
-from reference import WindowBuffer
+from reference import WindowBuffer, final_window
 
-from regwin import automaton_to_json, cli, find_excluded_factor, streams, testers_det
+import regwin
+from regwin import analysis, automata, automaton_to_json, cli, find_excluded_factor, streams, testers_det, testers_rand
 from regwin.cli import ConfigError, main, report_to_csv, run_experiment
 
 BASE_CONFIG = {
@@ -71,7 +72,7 @@ def test_experiment_runs_the_oracle_once_per_window_and_builds_each_factory_once
     monkeypatch.setattr(cli, "build_tester_factory", counting("factory", cli.build_tester_factory))
     analyze = counting("analyze", cli.analysis.analyze)
     monkeypatch.setattr(cli.analysis, "analyze", analyze)
-    monkeypatch.setattr(cli.testers_rand, "analyze", analyze)  # a one-sided factory's own, were it to run one
+    monkeypatch.setattr(testers_rand, "analyze", analyze)  # the name a `Language` analyzes through
     periodic = {"kind": "periodic", "block": "ab", "repeats": 40}
     languages = [
         {"id": "b-then-a", "regex": "ba*", "alphabet": "ab"},
@@ -82,6 +83,42 @@ def test_experiment_runs_the_oracle_once_per_window_and_builds_each_factory_once
     assert len(rows) == 24  # 2 languages x 3 testers x 2 window sizes x 2 streams
     # per (language, window size, stream); per (language, tester, window size); per language
     assert calls == {"distance": 8, "factory": 12, "analyze": 2}
+
+
+def test_experiment_compiles_each_language_once(monkeypatch):
+    """A language is analyzed, classified and split into its partial
+    machines once, and its triviality tested once, however many window
+    sizes and kinds read it: CI's four loglog languages at four window
+    sizes, every kind.  Each layer function is counted under every name
+    the library binds it to."""
+    names = ("analyze", "one_sided_class", "enumerate_path_descriptions", "realized_lengths", "is_trivial",
+             "reverse_to_rdfa")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(regwin, name)
+
+        def wrapper(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        for module in (regwin, analysis, automata, cli, testers_det, testers_rand):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
+    languages = [
+        {"id": "b-then-a", "regex": "ba*", "alphabet": "ab"},
+        {"id": "b-then-even-a", "regex": "b(aa)*", "alphabet": "ab"},
+        {"id": "ab-or-b-then-a", "regex": "ab|ba*", "alphabet": "ab"},
+        {"id": "aab-or-b-then-even-a", "regex": "aab|b(aa)*", "alphabet": "ab"},
+    ]
+    config = dict(BASE_CONFIG, trials=1, window_sizes=[7, 33, 64, 255], languages=languages,
+                  testers=["exact", "trivial", "det", "two-sided", "one-sided"],
+                  streams=[{"kind": "periodic", "block": "ba", "repeats": 200}])
+    assert len(run_experiment(config)) == 80
+    # per language: one analysis and one class check, which tests triviality twice (the language and its
+    # recurrent part) and reverses the machine once, as the analysis does; one length set; and one partial
+    # machine list per transient final (one each for ba* and b(aa)*, two each for the unions)
+    assert calls == {"analyze": 4, "one_sided_class": 4, "enumerate_path_descriptions": 6, "realized_lengths": 4,
+                     "is_trivial": 8, "reverse_to_rdfa": 8}
 
 
 @pytest.mark.parametrize(
@@ -198,7 +235,7 @@ def test_experiment_oracle_dist_matches_the_reference_on_benchmark_shapes(regex,
     rows = run_experiment(config)
     assert len(rows) == len(specs)
     for row in rows:
-        window = cli._final_window(list(streams.generate(streams.spec_from_string(row.stream), AB)), AB, n)
+        window = final_window(list(streams.generate(streams.spec_from_string(row.stream), AB)), AB, n)
         assert row.oracle_dist == reference_distance_to_language(window, dfa), row.stream
 
 
@@ -211,7 +248,7 @@ def test_final_window_is_what_the_window_buffer_holds(n):
     window = WindowBuffer(alphabet, n)
     for symbol in symbols:
         window.feed(symbol)
-    assert cli._final_window(symbols, alphabet, n) == window.contents()
+    assert final_window(symbols, alphabet, n) == window.contents()
 
 
 def test_cli_oracle_dist_rejects_a_negative_window(capsys):
@@ -352,9 +389,9 @@ def test_one_sided_experiment_compiles_once_per_factory(monkeypatch):
 
     analyze = counting("analyze", cli.analysis.analyze)
     monkeypatch.setattr(cli.analysis, "analyze", analyze)
-    monkeypatch.setattr(cli.testers_rand, "analyze", analyze)
-    paths = counting("paths", cli.testers_rand.enumerate_path_descriptions)
-    monkeypatch.setattr(cli.testers_rand, "enumerate_path_descriptions", paths)
+    monkeypatch.setattr(testers_rand, "analyze", analyze)
+    paths = counting("paths", testers_rand.enumerate_path_descriptions)
+    monkeypatch.setattr(testers_rand, "enumerate_path_descriptions", paths)
     config = dict(
         BASE_CONFIG,
         trials=5,
@@ -382,6 +419,18 @@ def test_cli_oracle_dist(capsys):
     assert report["window"] == "abaa"
     assert report["hamming_dist"] == 1
     assert report["prefix_dist"] == 2
+
+
+def test_cli_oracle_dist_reads_only_the_window(capsys):
+    """The window is taken from the stream's pieces, so a stream of 2^41
+    symbols costs what its last 8 do."""
+    argv = ["oracle", "dist", "--regex", "(ab)*", "--alphabet", "ab", "--n", "8", "--stream", "periodic:ab,1099511627776"]
+    started = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - started < 1.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["window"] == "abababab"
+    assert report["hamming_dist"] == report["prefix_dist"] == 0
 
 
 def test_cli_accepts_regex_from_file(tmp_path, capsys):

@@ -29,7 +29,7 @@ from regwin import (
 from regwin import testers_det, testers_rand
 from regwin.analysis import OneSidedClass, one_sided_class
 from regwin.testers_det import PathSummaryTester
-from regwin.testers_rand import OneSidedTester, TwoSidedTester, UnionTester, compile_one_sided
+from regwin.testers_rand import FingerprintTable, OneSidedTester, TwoSidedTester, UnionTester, compile_one_sided
 
 POWER = settings(
     max_examples=600,
@@ -103,7 +103,8 @@ def test_feed_power_equals_k_feeds(case):
     if partials:
         groups.append(partials)  # all of them in one table
     for group in groups:
-        fingerprints = powered_and_looped(lambda: OneSidedTester(group, n, prime=prime), prefix, symbol, k)
+        table = FingerprintTable(group, n)
+        fingerprints = powered_and_looped(lambda: OneSidedTester(table, prime=prime), prefix, symbol, k)
         assert fingerprints[0].values == fingerprints[1].values
         assert_same_run(*fingerprints, suffix)
 
@@ -124,7 +125,8 @@ def test_fingerprint_power_meets_a_final_steps_on(k):
     rarely show."""
     partials = build_partials("bbba*")
     for prefix in ["", "a", "ab", "bba"]:
-        powered, looped = powered_and_looped(lambda: OneSidedTester(partials, 16, prime=3), prefix, "b", k)
+        table = FingerprintTable(partials, 16)
+        powered, looped = powered_and_looped(lambda: OneSidedTester(table, prime=3), prefix, "b", k)
         assert powered._parts and powered.values == looped.values
         assert_same_run(powered, looped, "abbbaaab")
 
@@ -135,7 +137,7 @@ def test_fingerprint_power_walks_one_lasso_table_per_word(monkeypatch):
     walked = []
     walk = testers_det.walk_lassos
     monkeypatch.setattr(testers_det, "walk_lassos", lambda moves, codes: (walked.append(codes), walk(moves, codes))[1])
-    tester = OneSidedTester(build_partials("bbba*"), 16, prime=3)
+    tester = OneSidedTester(FingerprintTable(build_partials("bbba*"), 16), prime=3)
     for word in ("ab", "b", "ab", "b", "ab"):
         tester.feed_power(word, 40)
     assert walked == [(0,), (0, 1), (1,)]  # the pad a, then ab and b
@@ -152,8 +154,8 @@ BAD_POWER_TESTERS = {
     "trivial": lambda: trivial_tester(Alphabet.from_string("ab"), realized_lengths(build_dfa("ba*")), 4),
     "det": lambda: testers_det.deterministic_tester(build_analyzed("ba*"), 4),
     "two-sided": lambda: testers_rand.two_sided_tester(build_analyzed("a*"), 64, 0.5, rng=0),
-    "one-sided": lambda: OneSidedTester(build_partials("ba*"), 8, prime=3),
-    "one-sided-exact-parts": lambda: OneSidedTester(build_partials("b(aa)*"), 1, rng=1),
+    "one-sided": lambda: OneSidedTester(FingerprintTable(build_partials("ba*"), 8), prime=3),
+    "one-sided-exact-parts": lambda: OneSidedTester(FingerprintTable(build_partials("b(aa)*"), 1), rng=1),
     "union": lambda: UnionTester([compile_one_sided(build_dfa("ba*"), 8)(seed) for seed in (0, 1)]),
 }
 
@@ -196,7 +198,8 @@ def test_exact_power_past_the_window_leaves_the_window_of_one_symbol(pattern, re
 def test_one_sided_exact_part_takes_a_huge_power():
     """At n = 3 the one partial machine of ``b(aa)*`` is tracked exactly;
     a power of 2^40 reaches the window aaa as three feeds do."""
-    powered, fed = (feed_all(OneSidedTester(build_partials("b(aa)*"), 3, rng=1), "aab") for _ in range(2))
+    table = FingerprintTable(build_partials("b(aa)*"), 3)
+    powered, fed = (feed_all(OneSidedTester(table, rng=1), "aab") for _ in range(2))
     assert powered._exact and not powered._parts
     powered.feed_power("a", HUGE_POWER)
     feed_all(fed, "aaa")

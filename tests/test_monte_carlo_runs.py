@@ -39,6 +39,7 @@ from regwin.cli import Language, build_tester_factory, run_experiment
 from regwin.streams import MonteCarloResult, trial_seed
 from regwin.testers_det import ExactWindowTester, PathSummaryTester, SkeletonTester, SlidingWindowTester, word_lassos
 from regwin.testers_rand import (
+    FingerprintTable,
     OneSidedTester,
     TwoSidedTester,
     UnionTester,
@@ -397,7 +398,7 @@ def test_word_feed_run_matches_the_stepping_loop_on_the_fixed_size_testers(case)
     except StateLimitExceeded:
         assume(False)
     one_sided = [
-        run_fed_and_stepped(lambda: OneSidedTester(partials, n, prime=prime), prefix)
+        run_fed_and_stepped(lambda: OneSidedTester(FingerprintTable(partials, n), prime=prime), prefix)
         for prime in (prime_pool(n) if partials else ())
     ]
     others = [

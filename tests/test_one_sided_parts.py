@@ -41,6 +41,7 @@ from reference import feed_all, fingerprint_feed
 from regwin import (
     Alphabet,
     Dfa,
+    FingerprintTable,
     OneSidedTester,
     Rdfa,
     StateLimitExceeded,
@@ -118,7 +119,7 @@ def test_one_sided_verdict_matches_its_parts_definition_after_every_step(case):
     for f in transient_finals:
         partials = enumerate_path_descriptions(analyzed, f)
         primes = prime_pool(max(n, 2))
-        testers = [OneSidedTester(partials, n, prime=prime) for prime in primes]
+        testers = [OneSidedTester(FingerprintTable(partials, n), prime=prime) for prime in primes]
         consumed = pad * n
         for symbol in [None, *stream]:
             if symbol is not None:
@@ -149,7 +150,7 @@ def test_one_sided_tester_drops_only_parts_that_never_accept(case):
             mock.patch.object(testers_rand, "sample_prime", wraps=testers_rand.sample_prime) as draws,
             mock.patch.object(ExactWindowTester, "feed_power") as exact_powers,
         ):
-            tester = OneSidedTester(partials, n, np.random.default_rng(n))
+            tester = OneSidedTester(FingerprintTable(partials, n), np.random.default_rng(n))
         assert draws.call_count == any(fingerprinted(partial, n) for partial in partials), (f, n)
         assert exact_powers.call_count == 0, (f, n)
         assert tester._parts == tuple(partial for partial in live if fingerprinted(partial, n)), (f, n)
@@ -183,7 +184,7 @@ def test_one_sided_tester_built_directly_matches_the_compiled_parts_at_2_16():
         seconds = []
         for _ in range(3):
             began = time.perf_counter()
-            tester = OneSidedTester(partials, n, prime=prime)
+            tester = OneSidedTester(FingerprintTable(partials, n), prime=prime)
             seconds.append(time.perf_counter() - began)
         assert min(seconds) < 0.02, (f, seconds)
         direct_bits.append(tester.state_bits())
@@ -199,7 +200,7 @@ def test_values_follow_the_successor_table_over_ten_windows(ident, pattern):
     length is n mod p or an exact part accepts."""
     n_states = build_analyzed(pattern).rdfa.n_states
     for n in sorted({max(n_states, 2), 8, 64}):
-        tester = OneSidedTester(build_partials(pattern), n, np.random.default_rng(n))
+        tester = OneSidedTester(FingerprintTable(build_partials(pattern), n), np.random.default_rng(n))
         parts, prime, code = tester._parts, tester.prime, tester._code
         offsets = accumulate((partial.machine.n_states for partial in parts), initial=0)
         starts = [offset + partial.machine.initial for offset, partial in zip(offsets, parts)]
@@ -225,7 +226,7 @@ def test_clock_and_births_stay_below_the_prime(dfa, n, data):
         assume(False)
     assume(partials)
     calls = data.draw(calls_feeding(dfa.alphabet.symbols, 5 * (n + 1)))
-    tester, stepped = (OneSidedTester(partials, n, np.random.default_rng(n)) for _ in range(2))
+    tester, stepped = (OneSidedTester(FingerprintTable(partials, n), np.random.default_rng(n)) for _ in range(2))
     p = tester.prime if tester._parts else 1
     for call in calls:
         make_call(tester, *call)
@@ -245,7 +246,7 @@ def test_one_sided_tester_refuses_a_prime_outside_the_pool(prime):
     (final,) = analyzed.rdfa.finals
     partials = enumerate_path_descriptions(analyzed, final)
     with pytest.raises(ValueError, match="not in the pool"):
-        OneSidedTester(partials, 8, prime=prime)
+        OneSidedTester(FingerprintTable(partials, 8), prime=prime)
     with pytest.raises(ValueError, match="not in the pool"):
         composed_one_sided_tester(dfa, 8, rng=0, prime=prime)
 
@@ -255,7 +256,7 @@ def test_one_sided_tester_ignores_a_prime_no_part_reads():
     dfa = build_dfa("b(aa)*")
     analyzed = analyze(dfa)
     (final,) = analyzed.rdfa.finals
-    tester = OneSidedTester(enumerate_path_descriptions(analyzed, final), 1, prime=0)
+    tester = OneSidedTester(FingerprintTable(enumerate_path_descriptions(analyzed, final), 1), prime=0)
     assert tester.prime is None
     tester.feed("b")
     assert tester.decide()
@@ -275,7 +276,8 @@ def assert_merged_is_the_or(merged_of, analyzed, finals, n, steps):
     primes = prime_pool(n)
     merged = [merged_of(prime) for prime in primes]
     per_final = [
-        [OneSidedTester(enumerate_path_descriptions(analyzed, f), n, prime=prime) for f in finals] for prime in primes
+        [OneSidedTester(FingerprintTable(enumerate_path_descriptions(analyzed, f), n), prime=prime) for f in finals]
+        for prime in primes
     ]
     for step in [None, *steps]:
         if step is not None:
@@ -308,7 +310,8 @@ def test_merged_tester_is_the_or_of_its_per_final_testers(dfa, n, data):
     analyzed, finals = transient_finals_of(dfa)
     partials = [partial for f in finals for partial in enumerate_path_descriptions(analyzed, f)]
     steps = data.draw(steps_over(dfa.alphabet.symbols))
-    assert_merged_is_the_or(lambda prime: OneSidedTester(partials, n, prime=prime), analyzed, finals, n, steps)
+    table = FingerprintTable(partials, n)
+    assert_merged_is_the_or(lambda prime: OneSidedTester(table, prime=prime), analyzed, finals, n, steps)
 
 
 @pytest.mark.parametrize("pattern, symbols", MULTI_FINAL_LANGUAGES)

@@ -16,7 +16,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import WindowBuffer, check_t_simulation, exhaustive_accepting_run, hamming_distance
+from reference import WindowBuffer, check_t_simulation, exhaustive_accepting_run, final_window, hamming_distance
 
 from regwin import Alphabet, Dfa, cli, distance_to_language, prefix_distance_to_language
 from regwin import oracle
@@ -122,7 +122,7 @@ def test_piece_distance_matches_the_plain_dp_on_the_final_window(case):
     dfa, pieces, n = case
     joined = "".join(word * k for word, k in pieces)
     window = cli._final_pieces(pieces, dfa.alphabet, n)
-    contents = cli._final_window(joined, dfa.alphabet, n)
+    contents = final_window(joined, dfa.alphabet, n)
     assert "".join(word * k for word, k in window) == contents
     assert distance_to_language(window, dfa) == reference_distance_to_language(contents, dfa)
     assert distance_to_language(pieces, dfa) == reference_distance_to_language(joined, dfa)

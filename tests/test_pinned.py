@@ -408,6 +408,33 @@ def test_two_sided_experiment_is_unchanged_when_the_skeleton_table_holds_two(mon
     assert hashlib.sha256(csv.encode()).hexdigest() == TWO_SIDED_EXPERIMENT_PIN
 
 
+# --- a seeded two-sided row inside the gap ---------------------------------------------
+
+# b(aa)* at n = 65 and eps 0.25 on a^30 b a^58: the window a^6 b a^58 is 2 substitutions
+# from the language, inside the gap, and the entry born at its b, 59 symbols old, lies
+# between the counter's marks 51.75 and 63, so whether it reads low, and so each trial's
+# verdict, is the coins': the rate is neither 0 nor 1
+TWO_SIDED_GAP_EXPERIMENT = {
+    "seed": 7,
+    "trials": 200,
+    "eps": 0.25,
+    "window_sizes": [65],
+    "languages": [{"id": "b-then-even-a", "regex": "b(aa)*", "alphabet": "ab"}],
+    "testers": ["two-sided"],
+    "streams": [{"kind": "adversarial", "factor": "a", "x": "b", "y": "a", "z": "", "n": 30, "k": 58}],
+    "timing": False,
+}
+# SHA-256 of its CSV report, which moves with any coin of the row
+TWO_SIDED_GAP_EXPERIMENT_PIN = "6378672b252f3d2a89c2c588e72ad59291ec2ee8fead3a1bd729d0be444d6f58"
+
+
+def test_two_sided_gap_row_matches_pinned_digest():
+    rows = run_experiment(TWO_SIDED_GAP_EXPERIMENT)
+    assert [row.oracle_dist for row in rows] == [2]
+    assert 0.2 < rows[0].accept_freq < 0.6  # inside the band where the coins decide
+    assert hashlib.sha256(report_to_csv(rows).encode()).hexdigest() == TWO_SIDED_GAP_EXPERIMENT_PIN
+
+
 # --- oracle distances of CI's reproducibility configs -------------------------------
 
 CI_STREAMS = [

@@ -13,6 +13,7 @@ from reference import (
 )
 
 from regwin import (
+    FingerprintTable,
     OneSidedTester,
     ProbabilisticCounter,
     OneSidedClass,
@@ -237,7 +238,7 @@ def test_one_sided_fingerprint_tracks_definition_at_every_step():
     n = 4
     for prime in prime_pool(n):
         for stream in words_up_to(AB, 9):
-            tester = OneSidedTester([partial], n, prime=prime)
+            tester = OneSidedTester(FingerprintTable([partial], n), prime=prime)
             consumed = AB.pad * n
             for symbol in stream:
                 tester.feed(symbol)
@@ -470,7 +471,7 @@ def test_skeleton_testers_sharing_a_table_step_as_testers_alone(table_size, monk
 def test_one_sided_member_accepted_for_every_prime():
     partials = build_partials("ba*")
     for prime in prime_pool(8):
-        tester = OneSidedTester(partials, 8, prime=prime)
+        tester = OneSidedTester(FingerprintTable(partials, 8), prime=prime)
         feed_all(tester, "aaaaa" + "b" + "a" * 7)
         assert tester.decide(), prime
 
@@ -482,7 +483,7 @@ def test_one_sided_short_fingerprint_collision_fraction():
     pool = prime_pool(8)
     accepting = []
     for prime in pool:
-        tester = OneSidedTester(partials, 8, prime=prime)
+        tester = OneSidedTester(FingerprintTable(partials, 8), prime=prime)
         feed_all(tester, "b" + "a" * 20)
         if tester.decide():
             accepting.append(prime)
@@ -493,14 +494,14 @@ def test_one_sided_short_fingerprint_collision_fraction():
 def test_one_sided_rejects_surely_without_the_marker_symbol():
     partials = build_partials("ba*")
     for prime in prime_pool(8):
-        tester = OneSidedTester(partials, 8, prime=prime)
+        tester = OneSidedTester(FingerprintTable(partials, 8), prime=prime)
         feed_all(tester, "a" * 30)  # no b anywhere: shortest suffix is infinite
         assert not tester.decide()
 
 
 def test_one_sided_singleton_language():
     partials = build_partials("ab")
-    tester = OneSidedTester(partials, 2, rng=0)
+    tester = OneSidedTester(FingerprintTable(partials, 2), rng=0)
     feed_all(tester, "bbab")
     assert tester.decide()
     feed_all(tester, "b")
@@ -510,7 +511,7 @@ def test_one_sided_singleton_language():
 def test_one_sided_small_window_fallback_stays_exact():
     partials = build_partials("b(aa)*")
     n = 1  # below s + |Q_P| for the real partial machine
-    tester = OneSidedTester(partials, n, rng=1)
+    tester = OneSidedTester(FingerprintTable(partials, n), rng=1)
     feed_all(tester, "b")
     assert tester.decide()
     feed_all(tester, "a")
@@ -527,7 +528,7 @@ def test_one_sided_state_bits_track_pool_prime_size():
     for exponent in (8, 12, 16, 20):
         n = 2**exponent
         prime = max(prime_pool(n))
-        tester = OneSidedTester(partials, n, prime=prime)
+        tester = OneSidedTester(FingerprintTable(partials, n), prime=prime)
         states = sum(len(p.states) for p in partials)
         assert tester.state_bits() == prime.bit_length() * (1 + states) + states
         observed.append(tester.state_bits())
@@ -541,7 +542,9 @@ def test_one_sided_state_bits_track_pool_prime_size():
 def test_union_accepts_when_any_part_accepts():
     ends_a_lengths = realized_lengths(build_dfa("(a|b)*a"))
     ba_partials = build_partials("ba*")
-    union = UnionTester([trivial_tester(AB, ends_a_lengths, 4), OneSidedTester(ba_partials, 4, rng=0)])
+    union = UnionTester(
+        [trivial_tester(AB, ends_a_lengths, 4), OneSidedTester(FingerprintTable(ba_partials, 4), rng=0)]
+    )
     feed_all(union, "baaa")
     assert union.decide()
 
@@ -553,8 +556,8 @@ def test_empty_union_is_refused():
 
 
 def test_union_state_bits_are_the_part_sum_after_every_feed():
-    ba_partials = build_partials("ba*")
-    union = UnionTester([OneSidedTester(ba_partials, 8, rng=0), OneSidedTester(ba_partials, 8, rng=1)])
+    table = FingerprintTable(build_partials("ba*"), 8)
+    union = UnionTester([OneSidedTester(table, rng=0), OneSidedTester(table, rng=1)])
     parts = union._testers
     assert len(parts) == 2
     for symbol in "aabaaaaaaabbab":
@@ -607,7 +610,7 @@ def test_compile_one_sided_builds_one_tester_drawing_one_prime(pattern):
             if pattern.startswith("((a|b)(a|b))*b") and n % 2:
                 assert isinstance(tester, FixedVerdictTester) and tester.decide()
             else:
-                direct = OneSidedTester(partials, n, master)
+                direct = OneSidedTester(FingerprintTable(partials, n), master)
                 assert isinstance(tester, OneSidedTester)
                 chains = [[(part.final, part.states) for part in t._parts] for t in (tester, direct)]
                 assert tester.prime == direct.prime and chains[0] == chains[1]
@@ -657,7 +660,7 @@ NEGATIVE_WINDOW_CONSTRUCTORS = {
         build_analyzed("a*"), n, 0.5, counter_factory=lambda: ThresholdCounter(2)
     ),
     "two-sided": lambda n: two_sided_tester(build_analyzed("a*"), n, 0.5, rng=0),
-    "one-sided": lambda n: OneSidedTester(build_partials("ba*"), n, prime=3),
+    "one-sided": lambda n: OneSidedTester(FingerprintTable(build_partials("ba*"), n), prime=3),
     "composed-constant": lambda n: composed_one_sided_tester(build_dfa("(a|b)*a|ba*"), n, rng=0),
     "composed-loglog": lambda n: composed_one_sided_tester(build_dfa("ba*"), n, rng=0),
 }
