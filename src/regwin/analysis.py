@@ -4,16 +4,19 @@ The pipeline in :func:`analyze` turns any machine for a regular language
 into an :class:`AnalyzedRdfa`:
 
 1. build a right-to-left reader and trim it to reachable states;
-2. make every non-transient SCC share one period ``g`` (product with a
-   modular counter that resets on SCC-leaving transitions);
-3. decompose into SCCs, compute per-SCC periods and residue classes;
-4. compute each state's acceptance-length set as an eventually periodic
+2. decompose into SCCs, compute per-SCC periods and residue classes, and
+   take ``g``, the lcm of the non-transient SCCs' periods;
+3. compute each state's acceptance-length set as an eventually periodic
    set, read off the lasso of "states with some final reachable in exactly
    k more symbols" sets: the sequence of sets for k = 0, 1, ... repeats
    from its first repeated value on;
-5. fix one global threshold ``t`` beyond which every acceptance set is
+4. fix one global threshold ``t`` beyond which every acceptance set is
    ``g``-periodic and any two states of one non-transient SCC have
-   acceptance sets equal up to their residue shift.
+   acceptance sets equal up to their residue shift mod that SCC's period.
+
+Only the one-sided path descriptions need every non-transient SCC to
+share one period; :func:`uniformize_period` builds that machine for them,
+and nothing else reads it.
 
 The classifiers at the bottom (length language, trivial, suffix-free,
 one-sided space class, excluded factor) reduce to finite automaton
@@ -306,9 +309,12 @@ def _component_period_and_depths(
 
 @dataclass(frozen=True)
 class PeriodInfo:
-    """Per-SCC periods with the residue-class labelling that makes every
-    intra-SCC path length congruent to the class difference."""
+    """Per-SCC periods of the machine ``rdfa``, with the residue-class
+    labelling that makes every intra-SCC path length congruent to the
+    class difference; ``global_period`` is the lcm of the non-transient
+    SCCs' periods (1 without one)."""
 
+    rdfa: Rdfa
     scc: SccDecomposition
     component_period: tuple[int | None, ...]
     global_period: int
@@ -320,15 +326,14 @@ def compute_period_info(rdfa: Rdfa, scc: SccDecomposition | None = None) -> Peri
     succ = [set(row) for row in rdfa.delta]
     periods: list[int | None] = []
     class_of = [0] * rdfa.n_states
-    global_period = 1
     for component in scc.components:
         period, depth = _component_period_and_depths(component, succ)
         periods.append(period)
         if period is not None:
-            global_period *= period
             for q in component:
                 class_of[q] = depth[q] % period
-    return PeriodInfo(scc, tuple(periods), global_period, tuple(class_of))
+    global_period = math.lcm(*(period for period in periods if period is not None))
+    return PeriodInfo(rdfa, scc, tuple(periods), global_period, tuple(class_of))
 
 
 def shift(p: int, q: int, info: PeriodInfo) -> int:
@@ -343,10 +348,12 @@ def shift(p: int, q: int, info: PeriodInfo) -> int:
     return (info.class_of[q] - info.class_of[p]) % period
 
 
-def uniformize_period(rdfa: Rdfa) -> tuple[Rdfa, int]:
-    """Product with a counter mod g (g = product of all non-transient SCC
+def uniformize_period(rdfa: Rdfa) -> Rdfa:
+    """Product with a counter mod g (g = the lcm of the non-transient SCC
     periods) that resets on SCC-leaving transitions.  The result accepts
-    the same language and every non-transient SCC has period exactly g.
+    the same language and every non-transient SCC has period exactly g:
+    its closed walks are the machine's closed walks of a length that g
+    divides.  Only the one-sided path descriptions read such a machine.
     Raises StateLimitExceeded beyond ``DEFAULT_STATE_CAP`` states."""
     info = compute_period_info(rdfa)
     g = info.global_period
@@ -363,7 +370,7 @@ def uniformize_period(rdfa: Rdfa) -> tuple[Rdfa, int]:
             f"period uniformization (g = {g}) exceeded {DEFAULT_STATE_CAP} states"
         ) from None
     finals = [i for i, (q, _c) in enumerate(order) if q in rdfa.finals]
-    return Rdfa(rdfa.alphabet, delta, 0, finals), g
+    return Rdfa(rdfa.alphabet, delta, 0, finals)
 
 
 # --- acceptance sets -----------------------------------------------------------
@@ -461,22 +468,22 @@ def global_threshold(
     return t
 
 
-def acceptance_sets(
-    rdfa: Rdfa, g: int, info: PeriodInfo | None = None
-) -> tuple[list[EventuallyPeriodicSet], int]:
-    """Acceptance-length set of every state plus the global threshold t.
-
-    Expects a period-uniformized machine (see :func:`uniformize_period`).
-    """
-    info = info or compute_period_info(rdfa)
+def acceptance_sets(info: PeriodInfo) -> tuple[list[EventuallyPeriodicSet], int]:
+    """Acceptance-length set of every state of ``info.rdfa`` plus the
+    global threshold t for g = ``info.global_period``.  Any machine has
+    them: a set's eventual period divides the lcm of the periods of the
+    SCCs its paths cross, and so g."""
+    rdfa = info.rdfa
     sets = _acceptance_sets_from_successors(rdfa.delta, rdfa.finals)
-    return sets, global_threshold(dict(enumerate(sets)), g, info)
+    return sets, global_threshold(dict(enumerate(sets)), info.global_period, info)
 
 
 @dataclass(frozen=True)
 class AnalyzedRdfa:
-    """A trimmed, period-uniformized right-to-left machine bundled with all
-    the static data the testers need.
+    """A trimmed right-to-left machine bundled with all the static data the
+    deterministic and two-sided testers need: g, the lcm of its
+    non-transient SCCs' periods; the acceptance sets and threshold t; and
+    per state the residues mod g of the acceptance lengths from t on.
 
     ``tables`` holds what the testers built from this analysis share, each
     entry built by the first tester that needs it (see
@@ -500,19 +507,17 @@ class AnalyzedRdfa:
 
 
 def analyze(machine: Dfa | Rdfa) -> AnalyzedRdfa:
-    """Compile any machine for the language into an :class:`AnalyzedRdfa`."""
+    """Compile any machine for the language into an :class:`AnalyzedRdfa`:
+    its trimmed right-to-left reader, as it is, with g the lcm of its
+    non-transient SCCs' periods."""
     rdfa = machine if isinstance(machine, Rdfa) else reverse_to_rdfa(machine)
-    rdfa = trim_reachable(rdfa)
-    rdfa, g = uniformize_period(rdfa)
-    info = compute_period_info(rdfa)
-    for cid, period in enumerate(info.component_period):
-        if period is not None and period != g:
-            raise RuntimeError(f"uniformization left SCC {cid} with period {period} != {g}")
-    acc, t = acceptance_sets(rdfa, g, info)
+    info = compute_period_info(trim_reachable(rdfa))
+    g = info.global_period
+    acc, t = acceptance_sets(info)
     # every set's period divides g and t is at least its threshold, so x >= t is in it iff x % period is
     by_set = {a: frozenset(r for r in range(g) if a.residues[r % a.period]) for a in set(acc)}
     acc_mod = tuple(by_set[a] for a in acc)
-    return AnalyzedRdfa(rdfa, g, info.scc, info, tuple(acc), t, acc_mod)
+    return AnalyzedRdfa(info.rdfa, g, info.scc, info, tuple(acc), t, acc_mod)
 
 
 # --- length sets ----------------------------------------------------------------

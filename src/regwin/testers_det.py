@@ -577,7 +577,10 @@ class PathSummaryTester(SkeletonTester):
     ``now`` stays in [0, n] and every birth in [-(n + 1), now).  Accepts
     iff the oldest segment of the initial state's row still in the window,
     of length n - age, is an acceptance length of its start state (the
-    initial state's own, of length n, when there is none).  ``_readings``
+    initial state's own, of length n, when there is none).  It reads only
+    the machine's SCCs and acceptance sets, which every right-to-left
+    machine has, so it runs on the analysed machine as it is, whatever
+    periods its SCCs have.  ``_readings``
     are the classes' ages, n + 1 for a frozen one, and so ``_rows`` reads
     the entries' ages.
 

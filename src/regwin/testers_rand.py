@@ -17,24 +17,30 @@ the tester steps as an automaton interned on the fly: the
 ``SkeletonTester`` engine it shares with the deterministic tester.
 
 One-sided tester (double-log space for finite unions of trivial and
-suffix-free languages): the one analysed machine is split into finitely
-many partial machines, one per chain of SCCs from the initial state to a
-transient final state, each completed with a sink into a machine of its
-own.  Each partial machine has essentially one accepting length profile,
-so membership reduces to "the shortest suffix driving the start state to
-the final state has length exactly n", which is checked modulo one random
-prime drawn from a pool of the first Θ(k log window-size) primes, k the
-number of transient finals.  Member windows are accepted for every prime;
-far windows survive for at most a third of the pool.  ``OneSidedTester``
-keeps these lengths for the partial machines of every transient final in
-one flat table, as births mod p on one clock, which a feed steps by one
-gather.  A partial
-machine that cannot accept a window of size n is dropped; one whose
-language is a single word, or whose slack does not fit the window, is
-tracked exactly by the ``ExactWindowTester`` that serves the exact kind.
-The recurrent finals' language is trivial, so it is a constant at a fixed
-window size: the one-sided factory returns its trivial tester where it
-holds n and leaves it out otherwise.
+suffix-free languages): the trimmed right-to-left machine, uniformized
+so that every recurrent SCC has one period g (``uniformize_period``; no
+other tester reads that machine), is split into finitely many partial
+machines, one per chain of SCCs from the initial state to a transient
+final state, each completed with a sink into a machine of its own.  The
+shared period makes the lengths each partial machine accepts, from some
+length on, one residue class mod g, so a live part's suffix agrees with
+the window size mod g; a chain of the plain machine pins its lengths
+only mod the gcd of its SCCs' periods, too little for the prime pool's
+bound.  Each partial machine has essentially one accepting length
+profile, so membership reduces to "the shortest suffix driving the
+start state to the final state has length exactly n", which is checked
+modulo one random prime drawn from a pool of the first Θ(k log
+window-size) primes, k the number of transient finals.  Member windows
+are accepted for every prime; far windows survive for at most a third of
+the pool.  ``OneSidedTester`` keeps these lengths for the partial
+machines of every transient final in one flat table, as births mod p on
+one clock, which a feed steps by one gather.  A partial machine that
+cannot accept a window of size n is dropped; one whose language is a
+single word, or whose slack does not fit the window, is tracked exactly
+by the ``ExactWindowTester`` that serves the exact kind.  The recurrent
+finals' language is trivial, so it is a constant at a fixed window size:
+the one-sided factory returns its trivial tester where it holds n and
+leaves it out otherwise.
 
 ``UnionTester`` runs testers for finitely many languages in parallel and
 accepts iff one of them accepts; the compiled one-sided tester is never one.
@@ -59,13 +65,17 @@ from .analysis import (
     AnalyzedRdfa,
     EventuallyPeriodicSet,
     OneSidedClass,
+    PeriodInfo,
     _acceptance_sets_from_successors,
     analyze,
+    compute_period_info,
     global_threshold,
     one_sided_class,
     realized_lengths,
+    shift,
+    uniformize_period,
 )
-from .automata import Alphabet, Dfa, Rdfa, StateLimitExceeded
+from .automata import Alphabet, Dfa, Rdfa, StateLimitExceeded, reverse_to_rdfa, trim_reachable
 from .testers_det import (
     Classes,
     ExactWindowTester,
@@ -132,18 +142,31 @@ def binomial_cdf(m: int, p: float) -> tuple[float, ...]:
     return (0.0,) * (mode - len(below)) + tuple(cdf[: cdf.index(1.0) + 1])
 
 
+CDF_TABLE_ENTRIES = 1 << 20  # table entries a counter's increment tables hold before they are emptied
+
+
 class _IncrementCdfs(dict):
     """count -> ``binomial_cdf(copies - count, per_step_p)``, the law of the
     cells one increment sets on a counter holding ``count``; each table is
-    built on first use."""
+    built on first use.  Once the tables would hold more than
+    ``CDF_TABLE_ENTRIES`` entries in all, they are emptied first, so their
+    memory is bounded whatever counts a stream reaches (the bound counts
+    entries, not tables: one table may hold up to copies + 1); a table is
+    a value of a pure function, so what a reader gets does not change."""
 
     def __init__(self, copies: int, per_step_p: float):
         super().__init__()
         self.copies = copies
         self.per_step_p = per_step_p
+        self.entries = 0
 
     def __missing__(self, count: int) -> tuple[float, ...]:
-        cdf = self[count] = binomial_cdf(self.copies - count, self.per_step_p)
+        cdf = binomial_cdf(self.copies - count, self.per_step_p)
+        if self.entries + len(cdf) > CDF_TABLE_ENTRIES:
+            self.clear()
+            self.entries = 0
+        self.entries += len(cdf)
+        self[count] = cdf
         return cdf
 
 
@@ -427,11 +450,12 @@ class PartialRdfa:
     singleton_word: str | None
 
 
-def _build_partial(analyzed: AnalyzedRdfa, connectors: list[tuple[int, int, int]]) -> PartialRdfa:
+def _build_partial(info: PeriodInfo, connectors: list[tuple[int, int, int]]) -> PartialRdfa:
     """The partial machine of the chain entered through ``connectors``,
     each a ``(target entry, symbol code, source)`` transition, oldest
-    component first."""
-    rdfa, scc, g = analyzed.rdfa, analyzed.scc, analyzed.g
+    component first, in the machine ``info`` describes, whose
+    non-transient SCCs all have period g."""
+    rdfa, scc, g = info.rdfa, info.scc, info.global_period
     entries = [rdfa.initial] + [target for target, _a, _src in connectors]
     start, final = entries[0], entries[-1]
     chain = [scc.scc_id[q] for q in entries[:-1]]
@@ -454,7 +478,7 @@ def _build_partial(analyzed: AnalyzedRdfa, connectors: list[tuple[int, int, int]
 
     # per connector, the residue mod g of every crossing from its component's entry to the next entry
     residue_steps = [
-        1 if scc.transient[cid] else (analyzed.shift(entry, source) + 1) % g
+        1 if scc.transient[cid] else (shift(entry, source, info) + 1) % g
         for cid, entry, (_t, _a, source) in zip(chain, entries, connectors)
     ]
     recurrent = [i for i, cid in enumerate(chain) if not scc.transient[cid]]
@@ -469,7 +493,7 @@ def _build_partial(analyzed: AnalyzedRdfa, connectors: list[tuple[int, int, int]
             raise RuntimeError("partial acceptance set is not an eventual residue class")
         tail_thresholds.append(agree)
     length_slack = max(len(connectors), sum(residue_steps), *tail_thresholds)
-    threshold = global_threshold(acc, g, analyzed.periods)
+    threshold = global_threshold(acc, g, info)
 
     return PartialRdfa(
         machine=Rdfa(rdfa.alphabet, delta, index[start], (index[final],)),
@@ -484,21 +508,28 @@ def _build_partial(analyzed: AnalyzedRdfa, connectors: list[tuple[int, int, int]
     )
 
 
-def enumerate_path_descriptions(analyzed: AnalyzedRdfa, final: int) -> list[PartialRdfa]:
-    """All chains of SCCs from the initial state to the final state
-    ``final``, each as a partial machine; their union recognizes the words
-    the machine leads from its initial state to ``final``.  That language
-    is suffix-free exactly when ``final`` is transient, which is required
-    (checked).  At most ``PATH_DESCRIPTION_CAP`` chains are built."""
-    rdfa, scc = analyzed.rdfa, analyzed.scc
+def enumerate_path_descriptions(info: PeriodInfo, final: int) -> list[PartialRdfa]:
+    """All chains of SCCs of the machine ``info.rdfa`` from the initial
+    state to the final state ``final``, each as a partial machine; their
+    union recognizes the words the machine leads from its initial state to
+    ``final``.  That language is suffix-free exactly when ``final`` is
+    transient, which is required (checked), and so is one period shared
+    by every non-transient SCC (``uniformize_period`` makes such a
+    machine): a partial machine keeps one residue mod that period per
+    length it tracks, which is what lets a fingerprint prime reject a far
+    window.  At most ``PATH_DESCRIPTION_CAP`` chains are built."""
+    rdfa, scc = info.rdfa, info.scc
     if final not in rdfa.finals:
         raise ValueError(f"state {final} is not a final state")
     if not scc.is_transient_state(final):
         raise ValueError(f"final state {final} lies on a cycle, so its language is not suffix-free")
+    periods = sorted({period for period in info.component_period if period is not None})
+    if len(periods) > 1:
+        raise ValueError(f"the recurrent SCCs' periods {periods} differ; uniformize the machine first")
 
     results: list[PartialRdfa] = []
     if rdfa.initial == final:
-        results.append(_build_partial(analyzed, []))
+        results.append(_build_partial(info, []))
 
     def expand(connectors: list[tuple[int, int, int]], current_component: int) -> None:
         for p in sorted(scc.components[current_component]):
@@ -508,7 +539,7 @@ def enumerate_path_descriptions(analyzed: AnalyzedRdfa, final: int) -> list[Part
                 if q == final:
                     if len(results) >= PATH_DESCRIPTION_CAP:
                         raise StateLimitExceeded(f"more than {PATH_DESCRIPTION_CAP} path descriptions")
-                    results.append(_build_partial(analyzed, connectors + [(q, a, p)]))
+                    results.append(_build_partial(info, connectors + [(q, a, p)]))
                 else:
                     expand(connectors + [(q, a, p)], scc.scc_id[q])
 
@@ -788,7 +819,9 @@ class Language:
     and the one-sided split (the class check, the trivial part's lengths,
     the partial machines of every transient final) are built on first use
     and kept, so a window size builds only its ``FingerprintTable`` and
-    the closures of ``build_tester_factory``."""
+    the closures of ``build_tester_factory``.  The analysis and the
+    one-sided split start from one trimmed right-to-left reader; only the
+    split uniformizes its period."""
 
     ident: str
     dfa: Dfa
@@ -798,8 +831,18 @@ class Language:
         return self.dfa.alphabet
 
     @functools.cached_property
+    def _reversal(self) -> Rdfa:
+        return trim_reachable(reverse_to_rdfa(self.dfa))
+
+    @functools.cached_property
     def analyzed(self) -> AnalyzedRdfa:
-        return analyze(self.dfa)
+        return analyze(self._reversal)
+
+    @functools.cached_property
+    def _uniform(self) -> PeriodInfo:
+        """The periods of the reversal uniformized to one recurrent
+        period, the machine the path descriptions read."""
+        return compute_period_info(uniformize_period(self._reversal))
 
     @functools.cached_property
     def lengths(self) -> EventuallyPeriodicSet:
@@ -819,7 +862,7 @@ class Language:
             )
         if classification is OneSidedClass.CONSTANT_TRIVIAL:
             return True, self.lengths
-        rdfa, scc = self.analyzed.rdfa, self.analyzed.scc
+        rdfa, scc = self._uniform.rdfa, self._uniform.scc
         recurrent_finals = [f for f in rdfa.finals if not scc.is_transient_state(f)]
         recurrent = Rdfa(rdfa.alphabet, rdfa.delta, rdfa.initial, recurrent_finals)
         return False, realized_lengths(recurrent) if recurrent_finals else None
@@ -827,12 +870,12 @@ class Language:
     @functools.cached_property
     def _partials(self) -> tuple[PartialRdfa, ...]:
         """The partial machines of every transient final, finals in order."""
-        analyzed = self.analyzed
+        info = self._uniform
         return tuple(
             partial
-            for f in sorted(analyzed.rdfa.finals)
-            if analyzed.scc.is_transient_state(f)
-            for partial in enumerate_path_descriptions(analyzed, f)
+            for f in sorted(info.rdfa.finals)
+            if info.scc.is_transient_state(f)
+            for partial in enumerate_path_descriptions(info, f)
         )
 
     def one_sided_factory(self, window_size: int, prime: int | None = None) -> Factory:

@@ -21,11 +21,14 @@ from regwin import (
     Alphabet,
     AnalyzedRdfa,
     Dfa,
+    PeriodInfo,
     analyze,
+    compute_period_info,
     determinize,
     enumerate_path_descriptions,
     minimize,
     parse_regex,
+    uniformize_period,
 )
 
 # every property test draws the same examples on every run; tests that set
@@ -51,8 +54,8 @@ CORPUS: list[tuple[str, str]] = [
 AB = Alphabet.from_string("ab")
 UNARY = Alphabet.from_string("a")
 
-# g = 2^20: the product of this machine with a counter mod g is far past any
-# machine the acceptance sets can take
+# its SCC periods multiply to 2^20, but their lcm is 4: a counter mod the
+# product would take it far past the state cap, one mod the lcm does not
 WIDE_PERIOD_DFA = Dfa(
     AB,
     [[8, 7], [3, 3], [7, 8], [0, 1], [4, 7], [7, 7], [4, 4], [5, 4], [2, 0]],
@@ -125,11 +128,25 @@ def make_call(tester, method: str, word: str, k: int) -> None:
         getattr(tester, method)(word, k)
 
 
+def uniform_periods(analyzed: AnalyzedRdfa) -> PeriodInfo:
+    """The periods of the analysed machine uniformized to one recurrent
+    period: the machine the path descriptions read, as ``Language`` builds
+    it from the same trimmed reversal."""
+    return compute_period_info(uniformize_period(analyzed.rdfa))
+
+
 def transient_partials(analyzed: AnalyzedRdfa) -> list:
-    """The partial machines of every transient final, finals in order: the
-    parts the compiled one-sided tester builds its testers from."""
-    finals = [f for f in sorted(analyzed.rdfa.finals) if analyzed.scc.is_transient_state(f)]
-    return [partial for f in finals for partial in enumerate_path_descriptions(analyzed, f)]
+    """The partial machines of every transient final of the uniformized
+    machine, finals in order: the parts the compiled one-sided tester
+    builds its testers from."""
+    info = uniform_periods(analyzed)
+    finals = [f for f in sorted(info.rdfa.finals) if info.scc.is_transient_state(f)]
+    return [partial for f in finals for partial in enumerate_path_descriptions(info, f)]
+
+
+@functools.lru_cache(maxsize=None)
+def build_uniform(pattern: str, symbols: str = "ab") -> PeriodInfo:
+    return uniform_periods(build_analyzed(pattern, symbols))
 
 
 @functools.lru_cache(maxsize=None)

@@ -332,8 +332,9 @@ def internal_run_representatives(analyzed, p, max_len):
     return [run for (_len, _key), run in sorted(reps.items(), key=lambda kv: kv[0][0])]
 
 
-# DFAs of the compile benchmark's random corpus whose analysis passes 24 states (25-49 after
-# uniformization, g = 1, 8, 9, 8): (transition table, finals) over ab, minimized as the corpus is
+# DFAs of the compile benchmark's random corpus with many states or mixed periods: their analyses
+# have 25, 10, 9 and 7 states (g = 1, 2, 3, 4), their uniformizations 25, 13, 13 and 16 states;
+# (transition table, finals) over ab, minimized as the corpus is
 PINNED_DFAS = [
     ([[1, 0], [0, 2], [4, 4], [2, 2], [4, 3]], [0, 2, 3]),
     ([[2, 1], [0, 0], [3, 2], [2, 2]], [2]),
@@ -360,20 +361,21 @@ def test_criterion_7_analysis_properties():
                 assert analyzed.acc[q].member(x) == analyzed.acc[q].member(x + g)
             checks += bound
 
-        # uniformization: same language, uniform periods
+        # uniformization: same language, every recurrent period g
         base = trim_reachable(reverse_to_rdfa(dfa))
-        uniform, g2 = uniformize_period(base)
+        uniform = uniformize_period(base)
         assert equivalent(rdfa_to_dfa(base), rdfa_to_dfa(uniform)), ident
         for period in compute_period_info(uniform).component_period:
-            assert period in (None, g2), ident
+            assert period in (None, g), ident
 
-        # shift antisymmetry
+        # shift antisymmetry, mod each SCC's own period
         for cid, comp in enumerate(analyzed.scc.components):
-            if analyzed.periods.component_period[cid] is None:
+            period = analyzed.periods.component_period[cid]
+            if period is None:
                 continue
             for p in comp:
                 for q in comp:
-                    assert (analyzed.shift(p, q) + analyzed.shift(q, p)) % g == 0
+                    assert (analyzed.shift(p, q) + analyzed.shift(q, p)) % period == 0
 
         # run simulation within the guard
         sim_bound = t + 2 * g + 6

@@ -214,41 +214,67 @@ def test_residue_classes_respect_edges():
 
 def test_uniformize_mixed_periods():
     base = two_three_machine()
-    uniform, g = uniformize_period(base)
-    assert g == 6
+    uniform = uniformize_period(base)
     assert uniform.n_states <= 6 * base.n_states
     info = compute_period_info(uniform)
+    assert info.global_period == 6
     assert all(p in (None, 6) for p in info.component_period)
     assert equivalent(rdfa_to_dfa(base), rdfa_to_dfa(uniform))
 
 
 def test_uniformize_period_one_is_isomorphic_after_trim():
     base = reverse_to_rdfa(build_dfa("a*"))
-    uniform, g = uniformize_period(base)
-    assert g == 1
+    uniform = uniformize_period(base)
+    assert compute_period_info(base).global_period == 1
     assert uniform.n_states == base.n_states
     assert equivalent(rdfa_to_dfa(base), rdfa_to_dfa(uniform))
 
 
 def test_uniformize_even_as():
     base = reverse_to_rdfa(build_dfa("(aa)*", "a"))
-    uniform, g = uniformize_period(base)
-    assert g == 2
+    uniform = uniformize_period(base)
+    assert compute_period_info(base).global_period == 2
     assert all(p in (None, 2) for p in compute_period_info(uniform).component_period)
 
 
-def test_analyze_checks_uniform_periods_on_corpus():
-    for _id, pattern in CORPUS:
+def test_analyze_keeps_the_trimmed_reversal_with_g_the_lcm_of_its_periods():
+    """``analyze`` adds no counter: its machine is the trimmed reversal,
+    and g is the lcm of its recurrent SCCs' periods, which need not be
+    equal (``(aa)*|b(aa)*b`` has a sink of period 1 beside period 2)."""
+    mixed = 0
+    for _id, pattern in CORPUS + [("", "(aa)*|b(aa)*b")]:
         analyzed = build_analyzed(pattern)
-        for cid, period in enumerate(analyzed.periods.component_period):
-            assert period in (None, analyzed.g)
+        reversal = trim_reachable(reverse_to_rdfa(build_dfa(pattern)))
+        assert (analyzed.rdfa.delta, analyzed.rdfa.finals) == (reversal.delta, reversal.finals)
+        periods = {period for period in analyzed.periods.component_period if period is not None}
+        assert analyzed.g == math.lcm(*periods)
+        mixed += len(periods) > 1
+    assert mixed
 
 
-def test_analyze_refuses_a_uniformization_past_the_state_cap():
-    """Uniformization explores at most ``DEFAULT_STATE_CAP`` states: this
-    9-state machine used to run out of memory in the product."""
-    with pytest.raises(StateLimitExceeded, match=r"^period uniformization \(g = 1048576\) exceeded 65536 states$"):
-        analyze(WIDE_PERIOD_DFA)
+def test_analyze_answers_a_machine_whose_periods_multiply_past_the_state_cap():
+    """This 9-state machine's SCC periods multiply to 2^20, and a counter
+    mod that product used to be refused at the state cap.  The periods'
+    lcm is 4: the analysis has 83 states, and the one-sided path
+    descriptions' uniformization 196, every recurrent SCC of period 4."""
+    analyzed = analyze(WIDE_PERIOD_DFA)
+    assert (analyzed.rdfa.n_states, analyzed.g) == (83, 4)
+    assert math.prod(period for period in analyzed.periods.component_period if period is not None) == 2**20
+    uniform = uniformize_period(analyzed.rdfa)
+    assert uniform.n_states == 196
+    assert {period for period in compute_period_info(uniform).component_period if period is not None} == {4}
+    assert equivalent(rdfa_to_dfa(analyzed.rdfa), rdfa_to_dfa(uniform))
+
+
+def test_uniformize_period_refuses_a_product_past_the_state_cap():
+    """Uniformization explores at most ``DEFAULT_STATE_CAP`` states.  Read
+    right to left, the prime cycles' machine has recurrent periods 2, 3,
+    ..., 17, whose lcm is 510510: the product of each cycle with the
+    counter has that many states."""
+    dfa = prime_cycles_dfa()
+    rdfa = Rdfa(dfa.alphabet, dfa.delta, dfa.initial, dfa.finals)
+    with pytest.raises(StateLimitExceeded, match=r"^period uniformization \(g = 510510\) exceeded 65536 states$"):
+        uniformize_period(rdfa)
 
 
 # --- shift ------------------------------------------------------------------------
@@ -273,15 +299,17 @@ def test_shift_errors_outside_shared_recurrent_scc():
 
 
 def test_shift_antisymmetry_on_mixed_period_machine():
+    """Shifts are residues mod each SCC's own period."""
     analyzed = analyze(two_three_machine())
     assert analyzed.g == 6
     scc = analyzed.scc
     for cid, comp in enumerate(scc.components):
-        if analyzed.periods.component_period[cid] is None:
+        period = analyzed.periods.component_period[cid]
+        if period is None:
             continue
         for p in comp:
             for q in comp:
-                assert (analyzed.shift(p, q) + analyzed.shift(q, p)) % analyzed.g == 0
+                assert (analyzed.shift(p, q) + analyzed.shift(q, p)) % period == 0
 
 
 # --- acceptance sets ---------------------------------------------------------------

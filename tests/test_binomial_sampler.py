@@ -10,6 +10,7 @@ composed through rows.
 """
 
 import math
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ import pytest
 from conftest import build_analyzed
 from reference import ThresholdCounter, compact_summaries
 
-from regwin import ProbabilisticCounter
+from regwin import ProbabilisticCounter, testers_rand
 from regwin.testers_rand import TwoSidedTester, binomial_cdf, make_counter
 
 
@@ -179,3 +180,38 @@ def test_fresh_tester_counts_follow_the_binomial_law_of_their_age(pad):
             samples[q, i].append(rows[q][i][2])
     for key, age in ages.items():
         assert_binomial_moments(samples[key], counter.copies, 1.0 - (1.0 - counter.per_step_p) ** age, (key, age))
+
+
+def test_increment_tables_hold_a_bounded_memory(monkeypatch):
+    """A counter's tables are emptied once they would pass
+    ``CDF_TABLE_ENTRIES`` entries, so the memory a long stream leaves in
+    them stops growing.  ``(aa)*|b(aa)*b`` at n = 20001 and eps 0.05 has
+    118,065 cells per counter and small tables; on a stream of a's with a
+    rare b its counts climb and seldom repeat, so its tables without the
+    bound pass 40,000 entries in 10^3 feeds and 200,000 in 10^4, a traced
+    peak that grows about fivefold.  With the bound set to 2^15 the peak
+    after 10^4 feeds is within 2x the peak after 10^3, and every verdict
+    is the unbounded tables' (a table is a value of a pure function)."""
+    analyzed = build_analyzed("(aa)*|b(aa)*b")
+    symbols = np.random.default_rng(5).choice(["a", "b"], 10**4, p=[0.999, 0.001]).tolist()
+    reference = TwoSidedTester(analyzed, 20001, 0.05, rng=1)  # under the default bound, which it stays below
+    verdicts = []
+    for symbol in symbols:
+        reference.feed(symbol)
+        verdicts.append(reference.decide())
+    testers_rand._shared_increment_cdfs.cache_clear()  # fresh tables, so the bound is what caps them
+    monkeypatch.setattr(testers_rand, "CDF_TABLE_ENTRIES", 2**15)
+    tracemalloc.start()
+    try:
+        tester = TwoSidedTester(analyzed, 20001, 0.05, rng=1)
+        peaks = []
+        for i, symbol in enumerate(symbols, 1):
+            tester.feed(symbol)
+            assert tester.decide() == verdicts[i - 1], i
+            if i in (10**3, 10**4):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        testers_rand._shared_increment_cdfs.cache_clear()
+    assert tester._cdfs.entries <= 2**15
+    assert peaks[1] <= 2 * peaks[0], peaks

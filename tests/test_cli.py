@@ -92,7 +92,7 @@ def test_experiment_compiles_each_language_once(monkeypatch):
     sizes, every kind.  Each layer function is counted under every name
     the library binds it to."""
     names = ("analyze", "one_sided_class", "enumerate_path_descriptions", "realized_lengths", "is_trivial",
-             "reverse_to_rdfa")
+             "reverse_to_rdfa", "uniformize_period")
     calls = dict.fromkeys(names, 0)
     for name in names:
         fn = getattr(regwin, name)
@@ -114,11 +114,12 @@ def test_experiment_compiles_each_language_once(monkeypatch):
                   testers=["exact", "trivial", "det", "two-sided", "one-sided"],
                   streams=[{"kind": "periodic", "block": "ba", "repeats": 200}])
     assert len(run_experiment(config)) == 80
-    # per language: one analysis and one class check, which tests triviality twice (the language and its
-    # recurrent part) and reverses the machine once, as the analysis does; one length set; and one partial
-    # machine list per transient final (one each for ba* and b(aa)*, two each for the unions)
+    # per language: one reversal, which the analysis and the one-sided split share; one analysis and one
+    # class check, which tests triviality twice (the language and its recurrent part) and reverses the
+    # machine once more; one length set; one uniformization, for the split alone; and one partial machine
+    # list per transient final (one each for ba* and b(aa)*, two each for the unions)
     assert calls == {"analyze": 4, "one_sided_class": 4, "enumerate_path_descriptions": 6, "realized_lengths": 4,
-                     "is_trivial": 8, "reverse_to_rdfa": 8}
+                     "is_trivial": 8, "reverse_to_rdfa": 8, "uniformize_period": 4}
 
 
 @pytest.mark.parametrize(
@@ -314,13 +315,19 @@ def test_cli_analyze(capsys):
     assert len(report["sccs"]) >= 1
 
 
-def test_cli_analyze_refuses_a_uniformization_past_the_state_cap(tmp_path, capsys):
+def test_cli_answers_a_machine_whose_periods_multiply_past_the_state_cap(tmp_path, capsys):
+    """The 9-state machine whose SCC periods multiply to 2^20 is analysed
+    with g = 4, their lcm, and its det tester runs at n = 4096 (CI's
+    step of the same name)."""
     path = tmp_path / "m.json"
     path.write_text(json.dumps(automaton_to_json(WIDE_PERIOD_DFA)))
-    assert main(["analyze", "--automaton", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: period uniformization (g = 1048576) exceeded 65536 states\n"
+    assert main(["analyze", "--automaton", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["period"], report["states"]) == (4, 83)
+    argv = ["tester", "run", "--automaton", str(path), "--kind", "det", "--n", "4096", "--stream", "periodic:ab,5000"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["accept_freq"], report["oracle_dist"]) == (1.0, 0)
 
 
 def test_cli_tester_run(capsys):
@@ -376,9 +383,10 @@ def test_cli_tester_run_takes_a_weighted_random_stream(capsys):
 
 
 def test_one_sided_experiment_compiles_once_per_factory(monkeypatch):
-    """A one-sided factory analyzes its language and enumerates its path
-    descriptions when built; each trial only instantiates a tester."""
-    calls = {"analyze": 0, "paths": 0}
+    """A one-sided factory uniformizes its language's reversal and
+    enumerates its path descriptions when built, and runs no analysis;
+    each trial only instantiates a tester."""
+    calls = {"analyze": 0, "uniformize": 0, "paths": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -390,6 +398,7 @@ def test_one_sided_experiment_compiles_once_per_factory(monkeypatch):
     analyze = counting("analyze", cli.analysis.analyze)
     monkeypatch.setattr(cli.analysis, "analyze", analyze)
     monkeypatch.setattr(testers_rand, "analyze", analyze)
+    monkeypatch.setattr(testers_rand, "uniformize_period", counting("uniformize", testers_rand.uniformize_period))
     paths = counting("paths", testers_rand.enumerate_path_descriptions)
     monkeypatch.setattr(testers_rand, "enumerate_path_descriptions", paths)
     config = dict(
@@ -401,7 +410,7 @@ def test_one_sided_experiment_compiles_once_per_factory(monkeypatch):
     )
     rows = run_experiment(config)
     assert [row.trials for row in rows] == [5]
-    assert calls == {"analyze": 1, "paths": 1}  # one factory, one transient final
+    assert calls == {"analyze": 0, "uniformize": 1, "paths": 1}  # one factory, one transient final
 
 
 def test_cli_oracle_dist(capsys):

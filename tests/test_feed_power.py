@@ -251,7 +251,7 @@ def test_construction_at_a_huge_window_makes_no_feed(monkeypatch, pattern):
     det, two_sided = testers[:2]
     assert isinstance(det, PathSummaryTester) and isinstance(two_sided, TwoSidedTester)
     if pattern == "b(aa)*":
-        assert (det.state_bits(), two_sided.state_bits()) == (204, 102)
+        assert (det.state_bits(), two_sided.state_bits()) == (165, 75)
     for tester in testers:
         tester.feed("b")
     assert counting.calls >= len(testers)  # the counting reaches every class in use

@@ -32,6 +32,7 @@ from conftest import (
     language_slice,
     make_call,
     transient_partials,
+    uniform_periods,
 )
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -42,6 +43,7 @@ from regwin import (
     Alphabet,
     Dfa,
     FingerprintTable,
+    Language,
     OneSidedTester,
     Rdfa,
     StateLimitExceeded,
@@ -49,6 +51,7 @@ from regwin import (
     compile_one_sided,
     composed_one_sided_tester,
     enumerate_path_descriptions,
+    prefix_distance_to_language,
     prime_pool,
     reverse_to_rdfa,
     scc_decompose,
@@ -101,13 +104,17 @@ def part_verdict(partial, n, prime, stream):
 
 
 def transient_finals_of(machine):
+    """The periods of the machine's uniformized right-to-left reader, the
+    input of the path descriptions, and its transient finals.  (The
+    property tests below keep the name ``analyzed`` for it, so that their
+    drawn examples stay the ones they were.)"""
     try:
-        analyzed = analyze(machine)
+        info = uniform_periods(analyze(machine))
     except StateLimitExceeded:
         assume(False)
-    transient_finals = [f for f in sorted(analyzed.rdfa.finals) if analyzed.scc.is_transient_state(f)]
+    transient_finals = [f for f in sorted(info.rdfa.finals) if info.scc.is_transient_state(f)]
     assume(transient_finals)
-    return analyzed, transient_finals
+    return info, transient_finals
 
 
 @FUZZ
@@ -176,11 +183,11 @@ def test_one_sided_tester_built_directly_matches_the_compiled_parts_at_2_16():
     used to cost 65,536 bits and about 60 ms."""
     n, prime = 2**16, max(prime_pool(2**16))
     dfa = build_dfa("ab|ba*")
-    analyzed = analyze(dfa)
+    info = uniform_periods(analyze(dfa))
     compiled = compile_one_sided(dfa, n, prime=prime)(0)
     direct_bits = []
-    for f in sorted(analyzed.rdfa.finals):
-        partials = enumerate_path_descriptions(analyzed, f)
+    for f in sorted(info.rdfa.finals):
+        partials = enumerate_path_descriptions(info, f)
         seconds = []
         for _ in range(3):
             began = time.perf_counter()
@@ -242,9 +249,9 @@ def test_one_sided_tester_refuses_a_prime_outside_the_pool(prime):
     prime 1 the window ``aaaaabaa`` of ``ba*`` (prefix distance 6, gap 4)
     was accepted on every run."""
     dfa = build_dfa("ba*")
-    analyzed = analyze(dfa)
-    (final,) = analyzed.rdfa.finals
-    partials = enumerate_path_descriptions(analyzed, final)
+    info = uniform_periods(analyze(dfa))
+    (final,) = info.rdfa.finals
+    partials = enumerate_path_descriptions(info, final)
     with pytest.raises(ValueError, match="not in the pool"):
         OneSidedTester(FingerprintTable(partials, 8), prime=prime)
     with pytest.raises(ValueError, match="not in the pool"):
@@ -254,12 +261,39 @@ def test_one_sided_tester_refuses_a_prime_outside_the_pool(prime):
 def test_one_sided_tester_ignores_a_prime_no_part_reads():
     """At n = 1 every part of ``b(aa)*`` is exact, so any given prime goes unread."""
     dfa = build_dfa("b(aa)*")
-    analyzed = analyze(dfa)
-    (final,) = analyzed.rdfa.finals
-    tester = OneSidedTester(FingerprintTable(enumerate_path_descriptions(analyzed, final), 1), prime=0)
+    info = uniform_periods(analyze(dfa))
+    (final,) = info.rdfa.finals
+    tester = OneSidedTester(FingerprintTable(enumerate_path_descriptions(info, final), 1), prime=0)
     assert tester.prime is None
     tester.feed("b")
     assert tester.decide()
+
+
+def test_a_far_window_after_a_mixed_period_chain_fools_at_most_a_third_of_the_pool():
+    """Read right to left, ``c(aaa)*b(aa)*`` crosses an SCC of period 2 and
+    then one of period 3.  On the stream c a^(3J) b, J = 718,854,824, its
+    member suffix is m = 3J + 2 symbols long, and at n = 64 m - n is
+    2·5·7·11·13·17·19·23·29: nine of the 21 pool primes divide it.  The
+    window a^63 b is 64 prefix edits from the language, past every partial
+    machine's soundness gap, so at most a third of the pool may accept.
+    The partial machines of the machine uniformized to period 6 pin each
+    live length mod 6, and m is not n mod 3, so none accepts; partial
+    machines that kept the plain chain's gcd period, 1, accept for those
+    nine primes."""
+    dfa, n, repeats = build_dfa("c(aaa)*b(aa)*", "abc"), 64, 718_854_824
+    assert 3 * repeats + 2 - n == 2 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
+    language = Language("c(aaa)*b(aa)*", dfa)
+    window = "a" * (n - 1) + "b"
+    assert prefix_distance_to_language(window, dfa) > max(partial.soundness_gap for partial in language._partials)
+    pool = prime_pool(n)
+    accepted = 0
+    for prime in pool:
+        tester = language.one_sided_factory(n, prime)(None)
+        tester.feed("c")
+        tester.feed_power("aaa", repeats)
+        tester.feed("b")
+        accepted += tester.decide()
+    assert accepted <= len(pool) // 3, (accepted, len(pool))
 
 
 # --- one tester over every transient final ------------------------------------------
@@ -269,14 +303,15 @@ def test_one_sided_tester_ignores_a_prime_no_part_reads():
 MULTI_FINAL_LANGUAGES = [("ab|ba*", "ab"), ("aab|b(aa)*", "ab"), ("(|c|cc|ccc|cccc|ccccc)ba*", "abc")]
 
 
-def assert_merged_is_the_or(merged_of, analyzed, finals, n, steps):
+def assert_merged_is_the_or(merged_of, info, finals, n, steps):
     """For every prime of ``prime_pool(n)``: before and after every step,
     a ``feed`` (k None) or a ``feed_run``, the tester ``merged_of(prime)``
-    decides as the OR of one ``OneSidedTester`` per final at that prime."""
+    decides as the OR of one ``OneSidedTester`` per final of the
+    uniformized machine ``info`` describes, at that prime."""
     primes = prime_pool(n)
     merged = [merged_of(prime) for prime in primes]
     per_final = [
-        [OneSidedTester(FingerprintTable(enumerate_path_descriptions(analyzed, f), n), prime=prime) for f in finals]
+        [OneSidedTester(FingerprintTable(enumerate_path_descriptions(info, f), n), prime=prime) for f in finals]
         for prime in primes
     ]
     for step in [None, *steps]:
@@ -319,15 +354,15 @@ def test_merged_tester_is_the_or_of_its_per_final_testers(dfa, n, data):
 def test_compiled_tester_is_the_or_of_its_per_final_testers(pattern, symbols, n):
     """The same over a seeded random stream, for the compiled tester."""
     dfa = build_dfa(pattern, symbols)
-    analyzed = analyze(dfa)
-    finals = sorted(analyzed.rdfa.finals)
-    assert all(analyzed.scc.is_transient_state(f) for f in finals) and len(finals) >= 2
+    info = uniform_periods(analyze(dfa))
+    finals = sorted(info.rdfa.finals)
+    assert all(info.scc.is_transient_state(f) for f in finals) and len(finals) >= 2
     rng = np.random.default_rng(n)
     steps = []
     for _ in range(40):
         word = "".join(rng.choice(list(symbols), size=int(rng.integers(1, 4))))
         steps.append((word[0], None) if rng.random() < 0.5 else (word, int(rng.integers(1, 70))))
-    assert_merged_is_the_or(lambda prime: compile_one_sided(dfa, n, prime=prime)(0), analyzed, finals, n, steps)
+    assert_merged_is_the_or(lambda prime: compile_one_sided(dfa, n, prime=prime)(0), info, finals, n, steps)
 
 
 @pytest.mark.parametrize("pattern, symbols", MULTI_FINAL_LANGUAGES)
@@ -423,13 +458,7 @@ def test_one_sided_verdict_matches_integer_lengths_at_scale(pattern, n):
     These languages have no recurrent final, so they are the union of
     their partial machines' languages."""
     dfa = build_dfa(pattern)
-    analyzed = analyze(dfa)
-    partials = [
-        partial
-        for f in sorted(analyzed.rdfa.finals)
-        if analyzed.scc.is_transient_state(f)
-        for partial in enumerate_path_descriptions(analyzed, f)
-    ]
+    partials = transient_partials(analyze(dfa))
     assert all(fingerprinted(p, n) for p in partials if p.acc[p.start].member(n))
     primes = prime_pool(n)
     testers = [compile_one_sided(dfa, n, prime=prime)(0) for prime in primes]

@@ -11,6 +11,7 @@ from conftest import AB, CORPUS, build_analyzed, build_dfa, build_partials
 
 from regwin import (
     OneSidedClass,
+    compute_period_info,
     determinize,
     deterministic_tester,
     find_excluded_factor,
@@ -26,27 +27,21 @@ from regwin import (
 from regwin import testers_det
 from regwin.cli import report_to_csv, run_experiment
 
-# pattern, g, t, states after uniformization, acc_mod per state
+# pattern, g, t, states of the trimmed reversal, acc_mod per state
 ANALYSIS_PINS = [
     ("a*", 1, 0, 2, ((0,), ())),
-    ("(aa)*", 2, 1, 4, ((0,), (1,), (), ())),
+    ("(aa)*", 2, 1, 3, ((0,), (1,), ())),
     ("(a|b)*a", 1, 1, 3, ((0,), (0,), ())),
     ("ba*", 1, 1, 3, ((0,), (), ())),
-    ("((a|b)a)*", 2, 1, 4, ((0,), (1,), (), ())),
-    ("(ab)*", 2, 1, 4, ((0,), (), (1,), ())),
+    ("((a|b)a)*", 2, 1, 3, ((0,), (1,), ())),
+    ("(ab)*", 2, 1, 3, ((0,), (), (1,))),
     ("ab", 1, 3, 4, ((), (), (), ())),
     ("a|bb", 1, 3, 4, ((), (), (), ())),
     ("a*|ba*", 1, 1, 3, ((0,), (), ())),
     ("(a|b)*", 1, 0, 1, ((0,),)),
     ("b(a|b)*", 1, 1, 2, ((0,), (0,))),
-    ("b(aa)*", 2, 2, 5, ((1,), (0,), (), (), ())),
-    (
-        "(aa)*|b(aa)*b",
-        4,
-        4,
-        14,
-        ((0, 2), (1, 3), (1, 3), (0, 2), (), (0, 2), (), (1, 3), (), (1, 3), (0, 2), (), (0, 2), ()),
-    ),
+    ("b(aa)*", 2, 2, 4, ((1,), (0,), (), ())),
+    ("(aa)*|b(aa)*b", 2, 2, 7, ((0,), (1,), (1,), (0,), (), (0,), ())),
 ]
 
 # pattern -> (threshold, soundness_gap) of every partial machine, in the
@@ -94,8 +89,8 @@ THRESHOLD_PINS = {
     "(a|b)*": (1, 0, []),
     "b(a|b)*": (1, 1, []),
     "b(aa)*": (2, 2, [(2, 5)]),
-    "(aa)*|b(aa)*b": (4, 4, [(1, 2), (4, 9), (4, 11)]),
-    "(aa)*b(aaa)*": (6, 10, []),
+    "(aa)*|b(aa)*b": (2, 2, [(1, 2), (2, 7)]),
+    "(aa)*b(aaa)*": (6, 7, []),
     "ab|ba*": (1, 2, [(2, 5), (2, 7), (3, 8)]),
     "aab|b(aa)*": (2, 3, [(2, 5), (2, 7), (4, 11)]),
 }
@@ -135,14 +130,13 @@ PRODUCT_PINS = {
     ("a*|ba*", "((a|b)a)*"): (((1, 1), (2, 3), (1, 4), (3, 3), (5, 3), (4, 4)), (0, 2)),
 }
 
-# uniformize_period of the trimmed right-to-left reader of (aa)*|b(aa)*b
+# uniformize_period of the trimmed right-to-left reader of (aa)*|b(aa)*b:
+# its recurrent periods are 1 (the sink) and 2, so g is 2 and the sink
+# becomes a 2-cycle
 UNIFORMIZED_PIN = (
-    4,
-    (
-        (1, 2), (3, 4), (5, 6), (7, 4), (8, 8), (9, 4), (4, 4),
-        (10, 4), (11, 11), (12, 6), (1, 4), (13, 13), (2, 4), (4, 4),
-    ),
-    (0, 3, 6, 10),
+    2,
+    ((1, 2), (3, 4), (5, 6), (1, 4), (7, 7), (2, 4), (4, 4), (4, 4)),
+    (0, 3, 6),
 )
 
 # pattern -> realized_lengths(...).to_dict() and find_excluded_factor as
@@ -188,9 +182,9 @@ def test_product_intersect_matches_pinned_table(left, right):
 
 def test_uniformize_period_matches_pinned_table():
     rdfa = trim_reachable(reverse_to_rdfa(build_dfa("(aa)*|b(aa)*b")))
-    uniform, g = uniformize_period(rdfa)
+    uniform = uniformize_period(rdfa)
     assert uniform.initial == 0
-    assert (g, *_table(uniform)) == UNIFORMIZED_PIN
+    assert (compute_period_info(uniform).global_period, *_table(uniform)) == UNIFORMIZED_PIN
 
 
 @pytest.mark.parametrize("pattern", sorted(LENGTH_PINS))
@@ -221,17 +215,17 @@ TRACE_STREAM = (
 # pattern -> SHA-256 of the two-sided testers' per-step (decide, state_bits)
 # trace over every window size and seed above (eps 0.25)
 TRACE_PINS = {
-    "((a|b)a)*": "e0d013c5669273e249d133b90f894d36a4bd04fbb859af5a575679fee1f47de8",
-    "(aa)*": "2a50875f8b302fea65fbdc1a40e09ee8b28058a609077f195232c7c75488beec",
-    "(aa)*|b(aa)*b": "21f02d15907096300998bb7c7e970ce6a8fe76b5127a7d3775e362f2cd6988d2",
-    "(ab)*": "4d6ad60883cc833aa404209def3eabb9230a1a1ab75f4256a89b2768501a4ec0",
+    "((a|b)a)*": "ee40588ed71e97616a1c541a58f71897323b630e3782345e575afb159f278d2d",
+    "(aa)*": "cf0abf8e197d78e2afbc6a552b6854e411418584058e3424d122db9987ea837b",
+    "(aa)*|b(aa)*b": "5de5d672e65d1da09c236b832929c4acab6d95a94865d4ce6dddb9c59fbde052",
+    "(ab)*": "ddf901181a1a0978238e7a35612e4af71365871227edae0e56afa0fac4049544",
     "(a|b)*": "027eee10ace2ee687e8d2a37e83cb99c11f3ee4aec3dc560a9dac561efe3580b",
     "(a|b)*a": "a2d15357b1d75af441ac43bf509b537a3dbd71a3f1de3b1f903719cf9dc14766",
     "a*": "09003a7490486dd28c8e894f4ca6bb63491e1983b3e0ea5a2e7d8015d3c77035",
     "a*|ba*": "1a89d2ef76b495d545f2c7c0597512c85a5bcfbfbecf4d2a1ca1c0855c961640",
     "ab": "f9ee4a1ad897fa18bfd66398240ec599ac9bc7c0fa8b9627945bcdca392264c5",
     "a|bb": "0cc007c5aaf93225bb0245fcefa0b1c60d363f8caf31e378a58980d6be0c6a2a",
-    "b(aa)*": "3817bd27d41f4f93e2462bf4f327805993fa48bc5809180d349991f345db6877",
+    "b(aa)*": "534765915051db064d38607829976ec59d28f01f206b91ea84da57cf773883e6",
     "b(a|b)*": "be672dd366c24cceea1b3f73dba7acb89bf0190025193949a07a03b44fb37b9d",
     "ba*": "1a89d2ef76b495d545f2c7c0597512c85a5bcfbfbecf4d2a1ca1c0855c961640",
 }
@@ -267,17 +261,17 @@ def test_two_sided_trace_is_unchanged_when_the_skeleton_table_holds_two(pattern,
 # pattern -> SHA-256 of the deterministic testers' per-step (decide,
 # state_bits) trace over every window size above
 DET_TRACE_PINS = {
-    "((a|b)a)*": "781c50ccfaf2b18afe1924abe6d6e6e140ae7eec143c741453d0c200bdfb9a1c",
-    "(aa)*": "07a0254916870fc6492a1ad7f546ea0187d31c27c6b5d361bbc809ea693fd954",
-    "(aa)*|b(aa)*b": "e11e9354c28890ea33aa9fb267a06068cef090967a6267f2801656a560dae374",
-    "(ab)*": "62e31bcd60e8eace50dcf8e8ce66bac909995c683f89c157f7c5d23a18b8a19e",
+    "((a|b)a)*": "066cf2ddddc88c2c8b23622bf5103cbf4af0af3d9231355c35ee0450bb8351b9",
+    "(aa)*": "ed0226c68d57eb1b79f9485b70c9fe50bae170ca508896dd5ff5834e93f651fe",
+    "(aa)*|b(aa)*b": "4852477cbdcb7af1825d28ff124674ee4588bb6db9d06919b0ca7ff2f85656ac",
+    "(ab)*": "e4287fd296a5af86accfb9daf9e35a2b7c316b65c3f8ee21c8c9fd5edb78de07",
     "(a|b)*": "c39b8b1f3e954576cb516f3c5885bb20fedb191792e86edffc09cedb62563cac",
     "(a|b)*a": "8a7872246f19dcb9ae01c8086e0a1d7abc323b4006f4215a885070e034007ac4",
     "a*": "af27f94e27e002aaad933a8084fe80e093734c1288c980f3ac4338571b6f7e71",
     "a*|ba*": "098d3010607095ebe8d0b7e486ea500a0e0c32aee94b55a91c2aafd9bc9f547a",
     "ab": "da3c041f40cb3480be85087c68a274e32bd53e180371b45c07dfe920fb8b7a80",
     "a|bb": "926b135690ea118950f02c5a569a114aa827847852b6dae8beb35491701a9164",
-    "b(aa)*": "092c4ee196f0aecd842a00fb0c567cc7dc80f00de780c54c7b04f5b45be118bb",
+    "b(aa)*": "c3542636c2acfc646f39d81b7dee4752e5db7fe9323bc81f17148c761c658523",
     "b(a|b)*": "67880c358c49b174ea96e4be1bde488c90b4efee30b34e2d5285b152049706e4",
     "ba*": "098d3010607095ebe8d0b7e486ea500a0e0c32aee94b55a91c2aafd9bc9f547a",
 }
@@ -363,7 +357,7 @@ DET_EXPERIMENT = {
     "timing": False,
 }
 # SHA-256 of its CSV report: the verdicts and largest state bits of every row
-DET_EXPERIMENT_PIN = "62caecd875e560ee40bc721e7682081fc3c6edb02f91e7bde7317090bc4cf556"
+DET_EXPERIMENT_PIN = "c3d755d61f53821d3842d1647eea4f3e0a89fd5d3ecad5063f933d4388e15d0b"
 
 
 def test_det_experiment_matches_pinned_digest():
@@ -394,7 +388,7 @@ TWO_SIDED_EXPERIMENT = {
     "timing": False,
 }
 # SHA-256 of its CSV report: the coins, verdicts and largest state bits of every row
-TWO_SIDED_EXPERIMENT_PIN = "d0483e68abee5517d5e5bdc630f9f667f1fc9e1236849e867c045d7867f74ef6"
+TWO_SIDED_EXPERIMENT_PIN = "aaa2ce7255cb9c5e1a2101bc9ae320e72bb6b998773e1c458c15c8d98abe6ad0"
 
 
 def test_two_sided_experiment_matches_pinned_digest():
@@ -425,7 +419,7 @@ TWO_SIDED_GAP_EXPERIMENT = {
     "timing": False,
 }
 # SHA-256 of its CSV report, which moves with any coin of the row
-TWO_SIDED_GAP_EXPERIMENT_PIN = "6378672b252f3d2a89c2c588e72ad59291ec2ee8fead3a1bd729d0be444d6f58"
+TWO_SIDED_GAP_EXPERIMENT_PIN = "fdbe100495854d05bb8a331c3ceed4f8e3cdcdccede118c4b79d52add3e0d1a6"
 
 
 def test_two_sided_gap_row_matches_pinned_digest():

@@ -29,6 +29,7 @@ from regwin import (
     realized_lengths,
     reverse_to_rdfa,
     trivial_tester,
+    uniformize_period,
 )
 from regwin.testers_det import ExactWindowTester, PathSummaryTester
 
@@ -334,6 +335,32 @@ def test_clock_and_births_stay_bounded(dfa, n, data):
         live = sum(birth >= now - n for birth in births)
         assert n.bit_length() + pair_bits * live <= tester.state_bits(), call
         assert (tester._rows, tester.decide()) == (stepped._rows, stepped.decide()), call
+
+
+@settings(max_examples=400)
+@given(complete_dfas(max_states=8), st.integers(0, 16), st.data())
+def test_plain_and_uniformized_analyses_decide_alike(dfa, extra, data):
+    """The det tester reads only path summaries and acceptance sets, which
+    every right-to-left machine has.  Over the plain analysis and over the
+    analysis of its uniformization to one recurrent period, at any n of at
+    least the uniformized |Q|, the two testers decide alike on the pad
+    window and after every feed, power and run, and the plain one holds no
+    more state bits.  (About one drawn machine in fifteen has a larger
+    uniformization.)"""
+    try:
+        plain = analyze(dfa)
+        uniform = analyze(uniformize_period(plain.rdfa))
+    except StateLimitExceeded:
+        assume(False)
+    n = uniform.rdfa.n_states + extra
+    calls = data.draw(calls_feeding(dfa.alphabet.symbols, 3 * (n + 1)))
+    testers = PathSummaryTester(plain, n), PathSummaryTester(uniform, n)
+    for call in [None, *calls]:
+        if call is not None:
+            for tester in testers:
+                make_call(tester, *call)
+        assert testers[0].decide() == testers[1].decide(), call
+        assert testers[0].state_bits() <= testers[1].state_bits(), call
 
 
 def test_state_bits_grow_with_log_window():

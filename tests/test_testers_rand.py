@@ -2,7 +2,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import AB, CORPUS, build_analyzed, build_dfa, build_partials, transient_partials, words_up_to
+from conftest import (
+    AB,
+    CORPUS,
+    build_analyzed,
+    build_dfa,
+    build_partials,
+    build_uniform,
+    transient_partials,
+    words_up_to,
+)
 from reference import (
     CompactSummary,
     SummaryTriple,
@@ -315,12 +324,12 @@ def test_two_sided_with_period_two_and_component_changes():
 
 
 def test_path_descriptions_b_then_a():
-    analyzed = build_analyzed("ba*")
-    (final,) = analyzed.rdfa.finals
-    partials = enumerate_path_descriptions(analyzed, final)
+    info = build_uniform("ba*")
+    (final,) = info.rdfa.finals
+    partials = enumerate_path_descriptions(info, final)
     assert len(partials) == 1
     partial = partials[0]
-    assert partial.start == analyzed.rdfa.initial
+    assert partial.start == info.rdfa.initial
     assert partial.final == final
     assert partial.singleton_word is None
     assert partial.length_slack == 1
@@ -340,17 +349,31 @@ def test_partial_union_recovers_language(pattern):
 
 
 def test_path_descriptions_require_suffix_freeness():
-    analyzed = build_analyzed("a*")
-    (final,) = analyzed.rdfa.finals
+    info = build_uniform("a*")
+    (final,) = info.rdfa.finals
     with pytest.raises(ValueError, match="suffix-free"):
-        enumerate_path_descriptions(analyzed, final)
+        enumerate_path_descriptions(info, final)
 
 
 def test_path_descriptions_require_a_final_state():
-    analyzed = build_analyzed("ba*")
-    (other,) = set(range(analyzed.rdfa.n_states)) - analyzed.rdfa.finals - {analyzed.rdfa.initial}
+    info = build_uniform("ba*")
+    (other,) = set(range(info.rdfa.n_states)) - info.rdfa.finals - {info.rdfa.initial}
     with pytest.raises(ValueError, match="not a final state"):
-        enumerate_path_descriptions(analyzed, other)
+        enumerate_path_descriptions(info, other)
+
+
+def test_path_descriptions_require_one_recurrent_period():
+    """The plain reversal of ``c(aaa)*b(aa)*`` has recurrent periods 1 (its
+    sink), 2 and 3; its path descriptions are refused, and those of its
+    uniformization to period 6 are built."""
+    plain = build_analyzed("c(aaa)*b(aa)*", "abc").periods
+    (final,) = plain.rdfa.finals
+    with pytest.raises(ValueError, match=r"^the recurrent SCCs' periods \[1, 2, 3\] differ"):
+        enumerate_path_descriptions(plain, final)
+    uniform = build_uniform("c(aaa)*b(aa)*", "abc")
+    assert {period for period in uniform.component_period if period is not None} == {6}
+    (final,) = uniform.rdfa.finals
+    assert enumerate_path_descriptions(uniform, final)
 
 
 # --- prime pool ------------------------------------------------------------------------
