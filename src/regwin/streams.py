@@ -296,27 +296,40 @@ def monte_carlo(
     """Fraction of independent tester instances accepting at end of stream.
 
     Every trial runs its own tester (from ``factory`` with a derived rng)
-    over the same stream; the library's testers of one row share their
-    tables (the analysis's move, lasso and node tables, det's pad window,
-    a one-sided factory's fingerprint table), so a trial builds none that
-    an earlier trial built and holds only its own state.  The stream's
-    items are words, read symbol by symbol (a plain string or a list of
-    symbols is a stream of one-symbol words), and ``(word, k)`` pieces,
-    the word repeated k times (``pieces`` gives a spec's).  Once per call, a piece
-    with k > |w| >= 2 becomes one word power, and the words of every other
-    piece are joined and split into runs of one symbol.  A library tester
-    (a ``SlidingWindowTester``) is fed feed by feed: a one-symbol run by
-    ``feed``, a longer run or a power by ``feed_run``, which also gives its
-    largest ``state_bits``.  A power or run that a randomized tester feeds
-    in closed form (``feed_power``) draws each count's law exactly, in
-    fewer coins than symbol by symbol, so a two-sided trial's coins for a
-    seed differ between the feeds but its acceptance law does not.
-    ``trace=True``, which records each trial's per-step decisions, and
-    any other tester (one offering only ``feed``, ``decide`` and
-    ``state_bits``) are fed symbol by symbol.
+    over the same stream.  The factory's contract: that rng is the only
+    randomness of the tester it builds, so a trial's coins are its draws
+    from the generator, in the factory, ``feed``, ``decide`` or
+    ``state_bits``.  A first trial that leaves the generator's state as
+    the factory got it, checked after its last ``decide``, read nothing of
+    its seed, and every other trial would repeat it exactly; such a row
+    (det, exact and trivial, a randomized kind that fell back to exact, or
+    a proxy of any of them) runs that one trial and counts its verdict,
+    state size and trace ``trials`` times.  The library's testers of one
+    row share their tables (the analysis's move, lasso and node tables,
+    det's pad window, a one-sided factory's fingerprint table), so a trial
+    builds none that an earlier trial built and holds only its own state.
+
+    The stream's items are words, read symbol by symbol (a plain string or
+    a list of symbols is a stream of one-symbol words), and ``(word, k)``
+    pieces, the word repeated k times (``pieces`` gives a spec's).  Once
+    per call, a piece with k > |w| >= 2 becomes one word power, and the
+    words of every other piece are joined and split into runs of one
+    symbol.  A library tester (a ``SlidingWindowTester``) is fed feed by
+    feed: a one-symbol run by ``feed``, a longer run or a power by
+    ``feed_run``, which also gives its largest ``state_bits``.  A power or
+    run that a randomized tester feeds in closed form (``feed_power``)
+    draws each count's law exactly, in fewer coins than symbol by symbol,
+    so a two-sided trial's coins for a seed differ between the feeds but
+    its acceptance law does not.  ``trace=True``, which records each
+    trial's per-step decisions, and any other tester (one offering only
+    ``feed``, ``decide`` and ``state_bits``) are fed symbol by symbol.
+    ``trials`` must be a positive int and ``master_seed`` an int, neither
+    a bool; anything else raises ``ValueError`` naming the argument.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials: expected a positive integer, got {trials!r}")
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
+        raise ValueError(f"master_seed: expected an integer, got {master_seed!r}")
     items = [(item, 1) if isinstance(item, str) else item for item in stream]
     feeds = _feeds(items)
     symbols: list[str] | None = None  # materialized for the first trial fed symbol by symbol
@@ -324,7 +337,10 @@ def monte_carlo(
     max_bits = 0
     traces: list[tuple[bool, ...]] = []
     for i in range(trials):
-        tester = factory(np.random.default_rng(trial_seed(master_seed, i)))
+        rng = np.random.default_rng(trial_seed(master_seed, i))
+        if i == 0:
+            unread = rng.bit_generator.state
+        tester = factory(rng)
         max_bits = max(max_bits, tester.state_bits())
         if trace or not isinstance(tester, SlidingWindowTester):
             if symbols is None:
@@ -348,6 +364,8 @@ def monte_carlo(
                     max_bits = bits
         if tester.decide():
             accepted += 1
+        if i == 0 and rng.bit_generator.state == unread:  # no coin drawn: the other trials would repeat this one
+            return MonteCarloResult(float(accepted), max_bits, tuple(traces) * trials if trace else None)
     return MonteCarloResult(
         accepted / trials, max_bits, tuple(traces) if trace else None
     )

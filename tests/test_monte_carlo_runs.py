@@ -37,7 +37,14 @@ from regwin import testers_det
 from regwin.analysis import OneSidedClass, one_sided_class
 from regwin.cli import Language, build_tester_factory, run_experiment
 from regwin.streams import MonteCarloResult, trial_seed
-from regwin.testers_det import ExactWindowTester, PathSummaryTester, SkeletonTester, SlidingWindowTester, word_lassos
+from regwin.testers_det import (
+    ExactWindowTester,
+    FixedVerdictTester,
+    PathSummaryTester,
+    SkeletonTester,
+    SlidingWindowTester,
+    word_lassos,
+)
 from regwin.testers_rand import (
     FingerprintTable,
     OneSidedTester,
@@ -54,19 +61,24 @@ RUNS = settings(
 )
 
 
-def per_symbol_monte_carlo(factory, stream, trials, master_seed) -> MonteCarloResult:
+def per_symbol_monte_carlo(factory, stream, trials, master_seed, trace=False) -> MonteCarloResult:
     """The reference: every trial fed symbol by symbol, its state size read
-    after every feed."""
+    after every feed (with ``trace``, after its decision)."""
     symbols = list(stream)
     accepted = max_bits = 0
+    traces = []
     for i in range(trials):
         tester = factory(np.random.default_rng(trial_seed(master_seed, i)))
         max_bits = max(max_bits, tester.state_bits())
+        steps = []
         for symbol in symbols:
             tester.feed(symbol)
+            if trace:
+                steps.append(tester.decide())
             max_bits = max(max_bits, tester.state_bits())
+        traces.append(tuple(steps))
         accepted += tester.decide()
-    return MonteCarloResult(accepted / trials, max_bits)
+    return MonteCarloResult(accepted / trials, max_bits, tuple(traces) if trace else None)
 
 
 @st.composite
@@ -550,3 +562,111 @@ def test_det_word_feed_run_steps_into_a_partial_last_copy():
     assert SlidingWindowTester.feed_run(two_copies, "bbaaa", 2) == 440
     assert run_fed.feed_run("bbaaa", 9) == SlidingWindowTester.feed_run(stepped, "bbaaa", 9) == 450
     assert run_fed._rows == stepped._rows
+
+
+# --- rows that draw no coin ---------------------------------------------------------
+
+
+def counting(factory):
+    """``factory`` wrapped to count its calls, and the list that counts them."""
+    calls = []
+
+    def counted(rng):
+        calls.append(rng)
+        return factory(rng)
+
+    return counted, calls
+
+
+UNION = Language("(aa)*|b(aa)*b", build_dfa("(aa)*|b(aa)*b"))  # 7 states read right to left
+COIN_FREE_STREAM = "b" + "a" * 70 + "ab" * 5 + "bb" + "a" * 40
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("trials", [1, 2, 5])
+@pytest.mark.parametrize(
+    "kind, n, tester_class",
+    [
+        ("exact", 64, ExactWindowTester),
+        ("trivial", 64, FixedVerdictTester),
+        ("det", 64, PathSummaryTester),
+        ("det", 3, ExactWindowTester),  # det's fallback below |Q|
+        ("two-sided", 3, ExactWindowTester),  # two-sided's fallback where the counter marks cannot separate
+    ],
+)
+def test_a_row_that_draws_no_coin_builds_one_tester(kind, n, tester_class, trials, trace):
+    """The first trial leaves its generator unread, so the row is that
+    trial counted ``trials`` times: the per-symbol loop's rate, largest
+    state size and traces, from one call of the factory."""
+    factory = build_tester_factory(kind, UNION, n, 0.5)
+    assert type(factory(np.random.default_rng(0))) is tester_class
+    counted, calls = counting(factory)
+    result = monte_carlo(counted, COIN_FREE_STREAM, trials, 5, trace=trace)
+    assert len(calls) == 1
+    assert result == per_symbol_monte_carlo(factory, COIN_FREE_STREAM, trials, 5, trace=trace)
+
+
+def test_a_proxy_of_a_coin_free_tester_builds_one_tester():
+    factory = build_tester_factory("det", UNION, 64, 0.5)
+    counted, calls = counting(lambda rng: FeedOnly(factory(rng)))
+    assert monte_carlo(counted, COIN_FREE_STREAM, 4, 5) == per_symbol_monte_carlo(factory, COIN_FREE_STREAM, 4, 5)
+    assert len(calls) == 1
+
+
+class LateCoin(FeedOnly):
+    """A det tester whose verdict is also a coin, drawn at its last feed."""
+
+    def __init__(self, inner, rng, feeds):
+        super().__init__(inner)
+        self.rng, self.feeds, self.coin = rng, feeds, True
+
+    def feed(self, symbol):
+        super().feed(symbol)
+        self.feeds -= 1
+        if not self.feeds:
+            self.coin = bool(self.rng.integers(2))
+
+    def decide(self):
+        return self.coin and super().decide()
+
+
+class DecideCoin(FeedOnly):
+    """A det tester whose every decision is also a fresh coin."""
+
+    def __init__(self, inner, rng):
+        super().__init__(inner)
+        self.rng = rng
+
+    def decide(self):
+        return bool(self.rng.integers(2)) and super().decide()
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("coin", ["late feed", "decide"])
+def test_a_tester_that_draws_late_runs_every_trial(coin, trace):
+    """A first coin drawn at the last feed, or in ``decide`` alone, is read
+    when the trial ends: the row runs all its trials, which disagree."""
+    det = build_tester_factory("det", Language("a*", build_dfa("a*")), 8, 0.5)
+    stream = "b" + "a" * 20
+    if coin == "late feed":
+        factory = lambda rng: LateCoin(det(rng), rng, len(stream))  # noqa: E731
+    else:
+        factory = lambda rng: DecideCoin(det(rng), rng)  # noqa: E731
+    counted, calls = counting(factory)
+    result = monte_carlo(counted, stream, 20, 3, trace=trace)
+    assert len(calls) == 20
+    assert result == per_symbol_monte_carlo(factory, stream, 20, 3, trace=trace)
+    assert 0 < result.accept_rate < 1
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize(
+    "kind, pattern, tester_class",
+    [("two-sided", "(aa)*|b(aa)*b", TwoSidedTester), ("one-sided", "ab|b(aa)*", OneSidedTester)],
+)
+def test_a_row_that_draws_coins_builds_a_tester_per_trial(kind, pattern, tester_class, trace):
+    factory = build_tester_factory(kind, Language(pattern, build_dfa(pattern)), 64, 0.5)
+    assert isinstance(factory(np.random.default_rng(0)), tester_class)
+    counted, calls = counting(factory)
+    monte_carlo(counted, COIN_FREE_STREAM, 5, 5, trace=trace)
+    assert len(calls) == 5

@@ -365,6 +365,19 @@ def test_det_experiment_matches_pinned_digest():
     assert hashlib.sha256(csv.encode()).hexdigest() == DET_EXPERIMENT_PIN
 
 
+# --- a seeded experiment of the kinds that draw no coin -----------------------------
+
+# the det experiment's languages, windows and streams with the exact and trivial kinds
+COIN_FREE_EXPERIMENT = dict(DET_EXPERIMENT, testers=["exact", "trivial"])
+# SHA-256 of its CSV report: the verdicts and largest state bits of every row
+COIN_FREE_EXPERIMENT_PIN = "bec5022640bf8cdee93e60729e12a75aaabeff646e9a575dbd46f9d242948762"
+
+
+def test_coin_free_experiment_matches_pinned_digest():
+    csv = report_to_csv(run_experiment(COIN_FREE_EXPERIMENT))
+    assert hashlib.sha256(csv.encode()).hexdigest() == COIN_FREE_EXPERIMENT_PIN
+
+
 # --- a seeded two-sided experiment --------------------------------------------------
 
 # the two-sided kind alone on languages of one, two and three SCC segments, at a window of

@@ -158,6 +158,25 @@ def test_monte_carlo_on_deterministic_tester_is_zero_or_one():
     assert far.accept_rate == 0.0
 
 
+@pytest.mark.parametrize(
+    "trials, master_seed, field",
+    [
+        (True, 1, "trials"),  # a bool is not a count of trials
+        (2.5, 1, "trials"),
+        (0, 1, "trials"),
+        (-1, 1, "trials"),
+        (2, 1.0, "master_seed"),  # its text, 1.0, would derive other trial seeds than 1's
+        (2, True, "master_seed"),
+    ],
+)
+def test_monte_carlo_names_a_bad_trial_count_or_seed(trials, master_seed, field):
+    analyzed = build_analyzed("a*")
+    built = []
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        monte_carlo(lambda rng: built.append(rng) or deterministic_tester(analyzed, 4), "aaaa", trials, master_seed)
+    assert not built
+
+
 def test_monte_carlo_traces():
     analyzed = build_analyzed("a*")
     result = monte_carlo(
